@@ -105,16 +105,17 @@ class Bank:
 
     def write(self, row: int, bits: np.ndarray, now: float) -> None:
         """Store ``bits`` into ``row`` (the row must be open)."""
-        if self._open_row != row:
-            raise DeviceStateError(f"write to row {row} but open row is {self._open_row}")
-        bits = np.asarray(bits, dtype=np.uint8)
+        self._check_open(row, "write to")
+        bits = np.asarray(bits)
         if bits.shape != (self._geometry.cols_simulated,):
             raise DeviceStateError(
                 f"row data must have {self._geometry.cols_simulated} bits"
             )
+        # Check before the uint8 cast, which would wrap 256 to 0 and
+        # truncate 0.6 to 0.
         if not np.isin(bits, (0, 1)).all():
             raise DeviceStateError("row data must be 0/1 bits")
-        self._data[row] = bits.copy()
+        self._data[row] = bits.astype(np.uint8)
         self._last_restore[row] = now
         if self._tracker is not None:
             self._tracker.reset([row])
@@ -125,8 +126,7 @@ class Bank:
         Bitflips were already materialized when the row was activated, so
         a read simply returns the stored (possibly corrupted) data.
         """
-        if self._open_row != row:
-            raise DeviceStateError(f"read of row {row} but open row is {self._open_row}")
+        self._check_open(row, "read of")
         if row not in self._data:
             raise DeviceStateError(f"read of row {row} before it was ever written")
         return self._data[row].copy()
@@ -150,12 +150,18 @@ class Bank:
         data = self._data.get(row)
         return None if data is None else data.copy()
 
+    def _check_open(self, row: Optional[int], what: str) -> None:
+        if self._open_row is None:
+            raise DeviceStateError("no row is open")
+        if self._open_row != row:
+            raise DeviceStateError(f"{what} row {row} but open row is {self._open_row}")
+
     def _materialize(self, row: int, now: float) -> None:
         """Fold accumulated disturbance and retention loss into stored data."""
         data = self._data.get(row)
         if data is None:
             return
-        if self._tracker is not None:
+        if self._tracker is not None and self._tracker.is_disturbed(row):
             flips = self._tracker.flip_mask(row, data)
             if flips.any():
                 data ^= flips.astype(np.uint8)

@@ -129,3 +129,34 @@ def test_flips_materialize_only_on_activation():
     _hammer(bank, victim - 1, 500, start=100.0)
     # stored_bits inspects raw storage: not yet materialized.
     assert (bank.stored_bits(victim) == init).all()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        np.array([256, 257] * (GEOM.cols_simulated // 2), dtype=np.int64),
+        np.array([0.6, 1.9] * (GEOM.cols_simulated // 2)),
+    ],
+    ids=["int64-wraps-to-0-1", "float-truncates-to-0-1"],
+)
+def test_write_rejects_values_the_uint8_cast_would_turn_into_bits(data):
+    bank = make_bank()
+    bank.activate(5, now=0.0)
+    with pytest.raises(DeviceStateError, match="0/1"):
+        bank.write(5, data, now=1.0)
+    assert bank.stored_bits(5) is None
+
+
+def test_write_and_read_without_open_row_rejected():
+    bank = make_bank()
+    with pytest.raises(DeviceStateError, match="no row is open"):
+        bank.write(None, bits(1), now=0.0)
+    with pytest.raises(DeviceStateError, match="no row is open"):
+        bank.read(None, now=1.0)
+    bank.activate(5, now=2.0)
+    bank.write(5, bits(1), now=3.0)
+    bank.precharge(now=40.0)
+    with pytest.raises(DeviceStateError, match="no row is open"):
+        bank.write(None, bits(0), now=60.0)
+    with pytest.raises(DeviceStateError, match="no row is open"):
+        bank.read(None, now=61.0)

@@ -7,7 +7,7 @@ from repro.bender.interpreter import Interpreter
 from repro.bender.program import ProgramBuilder
 from repro.constants import DEFAULT_TIMINGS
 from repro.dram.mapping import XorScrambleMapping
-from repro.errors import TimingViolationError
+from repro.errors import DeviceStateError, TimingViolationError
 
 from tests.conftest import make_synthetic_chip
 
@@ -106,3 +106,14 @@ def test_hammer_loop_induces_bitflips_end_to_end():
     result = interp.run(builder.build())
     assert result.activations == 502
     assert (result.reads[0][2] != init).any()
+
+
+def test_write_without_open_row_rejected():
+    t = DEFAULT_TIMINGS
+    chip = make_synthetic_chip()
+    builder = ProgramBuilder()
+    builder.act(0, 7).wait(t.tRAS).pre(0).wait(t.tRP)
+    builder.wr(0, np.ones(64, dtype=np.uint8))
+    with pytest.raises(DeviceStateError, match="no row is open"):
+        Interpreter(chip).run(builder.build())
+    assert chip.bank(0).stored_bits(chip.to_physical(7)) is None

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.disturb.population import PopulationParams, victim_row_cells
-from repro.disturb.tracker import DisturbanceTracker
+from repro.disturb.tracker import _MEMO_CAP, DisturbanceTracker
+from repro.dram.bank import Bank
+from repro.dram.topology import BankGeometry
 
 from tests.conftest import make_synthetic_model
 
@@ -139,3 +141,116 @@ def test_accumulation_is_linear():
     half = tracker_half.flip_mask(11, ones)
     assert half.sum() <= full.sum()
     assert (full | ~half).all()  # half's flips are a subset of full's
+
+
+# ----------------------------------------------------------- memoization
+
+
+class ReferenceTracker:
+    """Recomputes every activation's increment from scratch."""
+
+    def __init__(self, model, provider, n_rows):
+        self.model = model
+        self.provider = provider
+        self.n_rows = n_rows
+        self.gain = {}
+        self.loss = {}
+
+    def on_activation(self, aggressor_row, t_on, solo, temperature_c):
+        m = self.model
+        h = m.hammer_kick(temperature_c)
+        p = m.press_loss(t_on, temperature_c)
+        alpha = m.alpha(t_on)
+        gamma = m.solo_press_gamma(t_on) if solo else 1.0
+        delta = m.solo_hammer_factor if solo else 1.0
+        for victim, agg_above in ((aggressor_row - 1, True), (aggressor_row + 1, False)):
+            if not 0 <= victim < self.n_rows:
+                continue
+            cells = self.provider(victim)
+            if agg_above:
+                gain = cells.g_h_hi * h
+                loss = cells.g_p_hi * alpha * p
+            else:
+                gain = cells.g_h_lo * h
+                loss = cells.g_p_lo * p
+            if solo:
+                gain = gain * delta * cells.solo_hammer_mod
+                loss = loss * gamma**cells.solo_press_exp
+            self.gain.setdefault(victim, np.zeros(cells.n_cells))[:] += gain
+            self.loss.setdefault(victim, np.zeros(cells.n_cells))[:] += loss
+
+    def flip_mask(self, row, stored_bits):
+        cells = self.provider(row)
+        flips = np.zeros(cells.n_cells, dtype=bool)
+        if row not in self.gain:
+            return flips
+        charged = cells.charged_mask(stored_bits)
+        flips |= ~charged & (self.gain[row] >= cells.theta)
+        flips |= charged & (self.loss[row] >= cells.theta)
+        return flips
+
+
+T_ONS = (
+    36.0,
+    636.0,
+    7_800.0,
+    float(np.nextafter(7_800.0, np.inf)),
+    float(np.nextafter(7_800.0, 0.0)),
+    70_200.0,
+)
+ROWS = (0, 1, 2, 10, N_ROWS - 3, N_ROWS - 2, N_ROWS - 1)
+TEMPERATURES = (50.0, 45.0, 85.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_memoized_tracker_is_bit_identical_to_recomputation(seed):
+    tracker, provider = make_tracker()
+    reference = ReferenceTracker(make_synthetic_model(), provider, N_ROWS)
+    rng = np.random.default_rng(seed)
+    for _ in range(600):
+        row = int(rng.choice(ROWS))
+        t_on = T_ONS[rng.integers(len(T_ONS))]
+        solo = bool(rng.integers(2))
+        temperature = TEMPERATURES[rng.integers(len(TEMPERATURES))]
+        tracker.on_activation(row, t_on, solo=solo, temperature_c=temperature)
+        reference.on_activation(row, t_on, solo, temperature)
+    assert sorted(tracker.disturbed_rows()) == sorted(reference.gain)
+    for row in range(N_ROWS):
+        if row in reference.gain:
+            assert np.array_equal(tracker._acc[row][0], reference.gain[row])
+            assert np.array_equal(tracker._acc[row][1], reference.loss[row])
+        for stored in (
+            np.zeros(N_CELLS, dtype=np.uint8),
+            np.ones(N_CELLS, dtype=np.uint8),
+            rng.integers(0, 2, N_CELLS).astype(np.uint8),
+        ):
+            assert np.array_equal(
+                tracker.flip_mask(row, stored), reference.flip_mask(row, stored)
+            )
+
+
+def test_memo_stays_within_cap():
+    tracker, _ = make_tracker()
+    for i in range(2 * _MEMO_CAP + 7):
+        tracker.on_activation(1 + i % (N_ROWS - 2), 636.0 + i, solo=bool(i % 2))
+        assert len(tracker._increments) <= _MEMO_CAP
+
+
+def test_untouched_row_needs_no_cells():
+    calls = []
+    params = PopulationParams(theta_scale=50.0)
+
+    def provider(row):
+        calls.append(row)
+        return victim_row_cells("T", 0, row, N_CELLS, params)
+
+    tracker = DisturbanceTracker(make_synthetic_model(), provider, N_ROWS)
+    bank = Bank(BankGeometry(rows=N_ROWS, cols_simulated=N_CELLS), tracker=tracker)
+    bank.activate(20, now=0.0)
+    bank.write(20, np.ones(N_CELLS, dtype=np.uint8), now=10.0)
+    bank.precharge(now=36.0)
+    calls.clear()
+    bank.activate(20, now=100.0)
+    assert (bank.read(20, now=110.0) == 1).all()
+    assert not tracker.flip_mask(5, np.ones(N_CELLS, dtype=np.uint8)).any()
+    assert calls == []
