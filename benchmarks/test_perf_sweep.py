@@ -49,7 +49,7 @@ from repro.core import acmin as acmin_mod
 from repro.core.bitflips import BitflipCensus
 from repro.core.results import DieMeasurement, ResultSet
 from repro.core.runner import CharacterizationRunner
-from repro.core.stacked import ROLE_OFFSETS
+from repro.core.stacked import ROLE_OFFSETS, role_name
 from repro.disturb.population import trial_jitter
 from repro.dram import chip as chip_mod
 from repro.dram.chip import _row_key
@@ -168,7 +168,8 @@ def _seed_analyze(roles, stacked_key, pattern, t_on, model, temperature_c, timin
         delta = model.solo_hammer_factor
     n_iters = {}
     module_key, die_index, bank = stacked_key
-    for role, (w_lo, w_hi, v_lo, v_hi) in weights.items():
+    for offset, (w_lo, w_hi, v_lo, v_hi) in weights.items():
+        role = role_name(offset)  # role weights are keyed by row offset
         arrays = roles[role]
         gain = w_lo * arrays.g_h_lo + w_hi * arrays.g_h_hi
         loss = v_lo * arrays.g_p_lo + v_hi * arrays.g_p_hi
@@ -453,7 +454,10 @@ def test_sweep_engine_speedup(bench_config, modules):
         },
         "executors": {
             "engine_serial": {"workers": 1},
-            "engine_workers4": {"workers": 4, "share_mode": "auto"},
+            "engine_workers4": {
+                "workers": 4,
+                "share_mode": "fork" if fork_sharing_available() else "shm",
+            },
             "engine_workers_shm": {
                 "workers": pool_workers,
                 "share_mode": "shm",

@@ -351,12 +351,11 @@ def build_session(backend, obs=None, report=None):
     return backend.build_session(obs=obs, report=report)
 
 
-#: Per-worker-process session cache.  ``build_runner`` runs once per
-#: dispatched task, but fault-injection attempt counters and the health
-#: ledger must persist for the life of the worker process (retries of a
-#: faulted op must see incremented counters, or injection would never
-#: converge); sessions are therefore cached per spec, like
-#: ``_WORKER_MODULES`` in the engine.
+#: Per-worker-process session cache.  Fault-injection attempt counters
+#: and the health ledger must persist for the life of the worker process
+#: (retries of a faulted op must see incremented counters, or injection
+#: would never converge), however many runners the worker builds;
+#: sessions are therefore cached per spec.
 _WORKER_SESSIONS: Dict[BackendSpec, object] = {}
 
 

@@ -19,7 +19,7 @@ Structure
   :class:`ThreadExecutor` on a thread pool, :class:`ProcessExecutor`
   on a :class:`~concurrent.futures.ProcessPoolExecutor`, and
   :class:`AutoExecutor` -- the default behind ``--workers auto`` -- which
-  probes the first unmemoized shard and picks serial/thread/process per
+  probes the first unmemoized shard and picks serial or process per
   campaign from the measured cost.
 * Process workers get their state zero-copy (:mod:`repro.core.shm`):
   under the ``fork`` start method they inherit the parent runner --
@@ -27,15 +27,8 @@ Structure
   via a fork-state token; elsewhere the parent publishes each die's
   fused cell stack into a shared-memory segment and workers attach
   read-only views through a picklable handle, with the role-weight
-  tables precomputed parent-side.  Only when a runner supports neither
-  does the executor fall back to the legacy rebuild-from-profile spec.
-  Cell arrays never cross the pool boundary in any mode.
-* Shard granularity is adaptive on the fast path: shards whose every
-  unit is already memoized run inline in the parent (trivial shards
-  coalesce to zero pool traffic), partially memoized shards dispatch
-  only their missing units, and stragglers split into unit slices using
-  the observed per-unit execute times (``shard.unit_seconds`` p50) fed
-  back from the metrics registry.
+  tables precomputed parent-side.  Cell arrays never cross the pool
+  boundary.  The pool submits one task per shard through one loop.
 * Results stream back per shard and are reassembled in canonical order:
   modules in call order, dies ascending, then patterns x tAggON x trials
   exactly as the serial 5-deep loop would have emitted them.
@@ -128,7 +121,6 @@ __all__ = [
     "WorkUnit",
     "Shard",
     "SweepPlan",
-    "CharacterizationWorkerSpec",
     "ForkWorkerSpec",
     "ShmCharacterizationSpec",
     "SerialExecutor",
@@ -169,9 +161,8 @@ class Shard:
 
     Shards implement the executor-facing shard protocol shared with
     other campaign kinds (e.g. the mitigation campaign): ``index`` and
-    ``units`` plus the :attr:`group_key` / :attr:`label` /
-    :attr:`obs_fields` properties the executors and the engine use for
-    partitioning, error messages, and event payloads.
+    ``units`` plus the :attr:`label` / :attr:`obs_fields` properties the
+    executors and the engine use for error messages and event payloads.
     """
 
     index: int
@@ -179,12 +170,6 @@ class Shard:
     manufacturer: str
     die: int
     units: Tuple[WorkUnit, ...]
-
-    @property
-    def group_key(self) -> str:
-        """Chunking affinity: consecutive shards sharing this key stay on
-        one worker (so a process worker rebuilds each module once)."""
-        return self.module_key
 
     @property
     def label(self) -> str:
@@ -280,39 +265,6 @@ def measurement_from_analysis(
 
 
 @dataclass(frozen=True)
-class CharacterizationWorkerSpec:
-    """Picklable recipe a process worker rebuilds its runner from.
-
-    Only the spec crosses the pool boundary (never modules, caches, or
-    cell arrays); inside the worker :meth:`build_runner` reconstructs a
-    fully functional :class:`ShardRunner` whose module provider rebuilds
-    profiled modules on demand (cached per worker process).  Other
-    campaign kinds (e.g. :mod:`repro.mitigations.campaign`) provide
-    their own spec with the same two-method surface, which is all the
-    process executor requires of a runner.
-    """
-
-    config: CharacterizationConfig
-
-    def check_shards(self, shards: Sequence[Shard]) -> None:
-        """Refuse shards a worker could not rebuild from this spec."""
-        from repro.dram.profiles import MODULE_PROFILES
-
-        unknown = sorted({s.module_key for s in shards} - set(MODULE_PROFILES))
-        if unknown:
-            raise ExperimentError(
-                f"process executor rebuilds modules from profiles, but "
-                f"{unknown} are not profiled module keys; use the serial or "
-                f"thread executor for hand-assembled modules"
-            )
-
-    def build_runner(self) -> "ShardRunner":
-        return ShardRunner(
-            self.config, lambda key: _worker_module(key, self.config)
-        )
-
-
-@dataclass(frozen=True)
 class ForkWorkerSpec:
     """Fork-inherited worker state: only a registry token crosses the pool.
 
@@ -320,8 +272,8 @@ class ForkWorkerSpec:
     analyzer caches, memoized measurements -- everything) in the
     fork-state registry (:mod:`repro.core.shm`) before creating the
     pool; forked workers read the very same objects back copy-on-write.
-    Nothing is rebuilt and nothing but this spec is pickled, which is
-    why the fork path has no "profiled modules only" restriction.
+    Nothing is rebuilt and nothing but this spec is pickled, so
+    hand-assembled modules work as well as profiled ones.
 
     ``inner`` optionally carries a campaign spec whose ``check_shards``
     still applies (the mitigation campaign validates shard vocabulary
@@ -403,8 +355,9 @@ class ShardRunner:
     """Executes shards against modules, caching one StackedDie per die.
 
     ``module_provider`` maps a module key to its :class:`Module`; the
-    in-process executors use the caller's modules directly while process
-    workers rebuild them from the profile key.  ``stacked_cache`` /
+    in-process executors use the caller's modules directly, fork workers
+    inherit them, and shared-memory workers get their disturbance models
+    from :class:`ShmCharacterizationSpec`.  ``stacked_cache`` /
     ``analyzer_cache`` may be shared with a
     :class:`~repro.core.runner.CharacterizationRunner` so engine and
     facade reuse the same per-die populations and analyzer caches (the
@@ -465,22 +418,6 @@ class ShardRunner:
     @property
     def config(self) -> CharacterizationConfig:
         return self._config
-
-    @property
-    def spec(self):
-        """The picklable recipe process workers rebuild this runner from.
-
-        With a backend selected, the recipe is wrapped so workers
-        re-attach a session built from the same spec (same seeds, same
-        noise) -- plan fingerprints hash only the inner spec, keeping
-        checkpoints backend-independent.
-        """
-        inner = CharacterizationWorkerSpec(self._config)
-        if self._backend_spec is None:
-            return inner
-        from repro.backend.base import SessionWorkerSpec
-
-        return SessionWorkerSpec(inner, self._backend_spec)
 
     def fork_runner(self) -> "ShardRunner":
         """The zero-copy clone fork-started workers inherit.
@@ -556,11 +493,9 @@ class ShardRunner:
     ) -> Optional[Tuple[Tuple[WorkUnit, ...], Tuple[WorkUnit, ...]]]:
         """Split a shard's units into (memoized, missing), or ``None``.
 
-        ``None`` means no measurement cache is attached and the
-        executors must treat the whole shard as missing.  The process
-        executor's fast path uses this to coalesce fully memoized
-        shards into inline parent execution and to dispatch only the
-        missing units of partially memoized shards.
+        ``None`` means no measurement cache is attached and the whole
+        shard is missing.  The auto executor's calibration probe uses
+        this to tell fully memoized shards from ones with real work.
         """
         cache = self._measurement_cache
         if cache is None:
@@ -577,16 +512,6 @@ class ShardRunner:
             )
             (hits if key in cache else missing).append(unit)
         return tuple(hits), tuple(missing)
-
-    @staticmethod
-    def unit_key(unit: WorkUnit) -> Tuple[str, float, int]:
-        """Within-shard identity of a unit (for split-result merges)."""
-        return (unit.pattern.name, unit.t_on, unit.trial)
-
-    @staticmethod
-    def result_key(measurement: DieMeasurement) -> Tuple[str, float, int]:
-        """Within-shard identity of a measurement (mirrors unit_key)."""
-        return (measurement.pattern, measurement.t_on, measurement.trial)
 
     def footprint(self, pattern: AccessPattern) -> Tuple[int, ...]:
         """The (memoized) victim-offset footprint of one pattern."""
@@ -764,6 +689,13 @@ def _grouped_points(
 # ---------------------------------------------------------------- executors
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 #: Signature of the per-shard completion callback (runs in the caller's
 #: process; the engine uses it to journal progress as results stream in).
 OnShard = Callable[[Shard, List[DieMeasurement]], None]
@@ -799,12 +731,7 @@ def _execute_shard(
         )
     else:
         measurements = runner.run(shard)
-    elapsed = time.monotonic() - start
-    obs.metrics.observe("shard.execute_seconds", elapsed)
-    # Normalized per-unit cost: the adaptive chunker's feedback signal.
-    obs.metrics.observe(
-        "shard.unit_seconds", elapsed / max(1, len(shard.units))
-    )
+    obs.metrics.observe("shard.execute_seconds", time.monotonic() - start)
     return measurements
 
 
@@ -870,7 +797,7 @@ class ThreadExecutor:
     name = "thread"
 
     def __init__(self, workers: Optional[int] = None) -> None:
-        self.workers = workers or (os.cpu_count() or 1)
+        self.workers = workers or _usable_cpus()
 
     def map_shards(
         self,
@@ -905,77 +832,71 @@ class ThreadExecutor:
 class ProcessExecutor:
     """Runs shards on a process pool with zero-copy worker state.
 
-    Worker state travels by ``share_mode``:
+    Worker state is derived from the platform and the runner:
 
-    * ``"fork"`` -- workers inherit the parent's live runner (modules,
-      stacked dies, analyzer caches, memoized measurements)
-      copy-on-write; only a registry token is pickled.  Requires the
-      ``fork`` start method and a runner exposing ``fork_runner()``.
-    * ``"shm"`` -- the parent publishes each dispatched die's fused cell
+    * fork -- under the ``fork`` start method, a runner exposing
+      ``fork_runner()`` is inherited by the workers copy-on-write
+      (modules, stacked dies, analyzer caches, memoized measurements);
+      only a registry token is pickled.
+    * shm -- otherwise a runner exposing ``shm_spec(shards, store)``
+      (characterization) publishes each dispatched die's fused cell
       stack into a :mod:`multiprocessing.shared_memory` segment
       (:mod:`repro.core.shm`); workers attach read-only views via
       picklable handles and get the role-weight tables precomputed.
-      Requires a runner exposing ``shm_spec(shards, store)``.
-    * ``"pickle"`` -- the legacy protocol: a tiny spec crosses the pool
-      and workers rebuild modules from profile keys (the only mode that
-      restricts the process executor to profiled modules).
-    * ``None`` / ``"auto"`` (default) -- fork when the platform start
-      method supports it, else shm, else pickle.
+    * otherwise the runner's value-only ``spec`` (the mitigation
+      campaign, whose worker state is a few scalars) is pickled and
+      workers build their runner from it.
 
-    On the fast path (no retry policy, no fault plan) shard granularity
-    is adaptive: fully memoized shards run inline in the parent,
-    partially memoized shards dispatch only their missing units, and
-    straggler shards split into unit slices sized by the observed
-    per-unit p50.  Results are bit-identical in every mode and at every
-    granularity -- measurements are pure functions of their identity.
+    ``share_mode`` of ``"fork"`` or ``"shm"`` pins one of the first two,
+    so the shared-memory path can be exercised on fork platforms too.
+
+    Every call runs the same per-shard loop: one pool task per shard,
+    results validated and streamed back as they land.  Results are
+    bit-identical in every mode -- measurements are pure functions of
+    their identity.
     """
 
     name = "process"
 
-    _SHARE_MODES = ("auto", "fork", "shm", "pickle")
+    _SHARE_MODES = ("fork", "shm")
 
     def __init__(
         self,
         workers: Optional[int] = None,
         share_mode: Optional[str] = None,
     ) -> None:
-        self.workers = workers or (os.cpu_count() or 1)
+        self.workers = workers or _usable_cpus()
         if share_mode is not None and share_mode not in self._SHARE_MODES:
             raise ExperimentError(
                 f"unknown share_mode {share_mode!r} "
-                f"(expected one of {self._SHARE_MODES})"
+                f"(expected None or one of {self._SHARE_MODES})"
             )
         self.share_mode = share_mode
 
     # ------------------------------------------------------- worker state
 
-    def _resolved_mode(self, runner) -> str:
-        mode = self.share_mode or "auto"
-        if mode == "auto":
-            if fork_sharing_available() and hasattr(runner, "fork_runner"):
-                return "fork"
-            if hasattr(runner, "shm_spec"):
-                return "shm"
-            return "pickle"
-        return mode
-
     def _worker_state(
         self, runner, shards: Sequence[Shard], obs: Optional[Observability]
-    ) -> Tuple[object, Callable[[], None], str]:
-        """Prepare worker state; returns (spec, cleanup, mode).
+    ) -> Tuple[object, Callable[[], None]]:
+        """Prepare worker state; returns (spec, cleanup).
 
         ``cleanup`` must run in a ``finally`` -- it discards the
         fork-state registration or unlinks the shared-memory segments,
         whichever the mode created.
         """
-        mode = self._resolved_mode(runner)
+        mode = self.share_mode
+        if mode is None:
+            if fork_sharing_available() and hasattr(runner, "fork_runner"):
+                mode = "fork"
+            elif hasattr(runner, "shm_spec"):
+                mode = "shm"
         if mode == "fork":
             factory = getattr(runner, "fork_runner", None)
             if factory is None or not fork_sharing_available():
                 raise ExperimentError(
                     "share_mode='fork' needs the fork start method and a "
                     "runner exposing fork_runner(); use share_mode='shm' "
-                    "or 'pickle' instead"
+                    "or leave it unset"
                 )
             token = install_fork_state(factory())
             if obs is not None:
@@ -984,14 +905,14 @@ class ProcessExecutor:
             spec = ForkWorkerSpec(
                 token, inner=getattr(runner, "fork_check_spec", None)
             )
-            return spec, lambda: discard_fork_state(token), mode
+            return spec, lambda: discard_fork_state(token)
         if mode == "shm":
             factory = getattr(runner, "shm_spec", None)
             if factory is None:
                 raise ExperimentError(
                     "share_mode='shm' needs a runner exposing "
-                    "shm_spec(shards, store); use share_mode='pickle' "
-                    "for this runner"
+                    "shm_spec(shards, store); leave share_mode unset for "
+                    "this runner"
                 )
             store = SharedDieStore()
             try:
@@ -1012,15 +933,16 @@ class ProcessExecutor:
                     obs.metrics.inc("shm.segments_unlinked", segments)
                     obs.emit("shm_unlink", segments=segments)
 
-            return spec, cleanup, mode
+            return spec, cleanup
         spec = getattr(runner, "spec", None)
         if spec is None:
             raise ExperimentError(
-                "the process executor needs a runner exposing a picklable "
-                "worker spec (runner.spec); use the serial or thread "
-                "executor for this runner"
+                "the process executor needs a runner exposing fork_runner(), "
+                "shm_spec(shards, store), or a picklable worker spec "
+                "(runner.spec); use the serial or thread executor for this "
+                "runner"
             )
-        return spec, lambda: None, mode
+        return spec, lambda: None
 
     # ----------------------------------------------------------- dispatch
 
@@ -1036,136 +958,29 @@ class ProcessExecutor:
     ) -> List[List[DieMeasurement]]:
         if not plan.shards:
             return []
-        if fault_plan is not None and fault_plan.state_dir is None:
-            raise ExperimentError(
-                "a FaultPlan used with the process executor needs a "
-                "state_dir: attempt counters must survive the pool boundary"
-            )
-        if policy is None and fault_plan is None:
-            return self._map_chunked(plan, runner, on_shard, obs)
-        spec, cleanup, _ = self._worker_state(runner, plan.shards, obs)
+        if fault_plan is not None:
+            if fault_plan.state_dir is None:
+                raise ExperimentError(
+                    "a FaultPlan used with the process executor needs a "
+                    "state_dir: attempt counters must survive the pool "
+                    "boundary"
+                )
+            policy = policy or RetryPolicy()
+        spec, cleanup = self._worker_state(runner, plan.shards, obs)
         try:
             spec.check_shards(plan.shards)
             return self._map_resilient(
-                plan, runner, spec, policy or RetryPolicy(), fault_plan,
-                on_shard, report, obs,
+                plan, runner, spec, policy, fault_plan, on_shard, report, obs
             )
         finally:
             cleanup()
-
-    def _map_chunked(
-        self,
-        plan: SweepPlan,
-        runner: ShardRunner,
-        on_shard: Optional[OnShard],
-        obs: Optional[Observability] = None,
-    ) -> List[List[DieMeasurement]]:
-        """Fast path: cache-aware splits, adaptive chunks, no retries."""
-        inline: List[Shard] = []
-        partial_hits: Dict[int, Shard] = {}
-        dispatch: List[Shard] = []
-        cached_units = getattr(runner, "cached_units", None)
-        for shard in plan.shards:
-            split = cached_units(shard) if cached_units is not None else None
-            if split is None:
-                dispatch.append(shard)
-                continue
-            hits, missing = split
-            if not missing:
-                # Trivial shard: every unit memoized -- coalesce to
-                # inline parent execution, zero pool traffic.
-                inline.append(shard)
-            elif hits:
-                partial_hits[shard.index] = replace(shard, units=tuple(hits))
-                dispatch.append(replace(shard, units=tuple(missing)))
-            else:
-                dispatch.append(shard)
-
-        shard_by_index = {shard.index: shard for shard in plan.shards}
-        by_index: Dict[int, List[DieMeasurement]] = {}
-
-        def finish(index: int, measurements: List[DieMeasurement]) -> None:
-            shard = shard_by_index[index]
-            hits_shard = partial_hits.get(index)
-            if hits_shard is not None:
-                hit_results = _execute_shard(runner, hits_shard, obs)
-                measurements = _merge_by_identity(
-                    runner, shard, hit_results, measurements
-                )
-            by_index[index] = measurements
-            if on_shard is not None:
-                on_shard(shard, measurements)
-
-        for shard in inline:
-            finish(shard.index, _execute_shard(runner, shard, obs))
-
-        if dispatch:
-            spec, cleanup, mode = self._worker_state(runner, dispatch, obs)
-            try:
-                spec.check_shards(dispatch)
-                tasks = _adaptive_tasks(dispatch, self.workers, obs)
-                # Module affinity only matters when workers rebuild
-                # modules (pickle mode); zero-copy modes pack purely by
-                # cost so straggler slices spread across the pool.
-                chunks = _partition_tasks(
-                    tasks, self.workers, affinity=(mode == "pickle")
-                )
-                expected: Dict[int, int] = {}
-                for shard, _part in tasks:
-                    expected[shard.index] = expected.get(shard.index, 0) + 1
-                parts: Dict[int, Dict[int, List[DieMeasurement]]] = {}
-                with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                    submitted = time.monotonic()
-                    futures = {
-                        pool.submit(
-                            _run_shard_chunk,
-                            spec,
-                            tuple(shard for shard, _ in chunk),
-                        ): chunk
-                        for chunk in chunks
-                    }
-                    for future in as_completed(futures):
-                        chunk = futures[future]
-                        chunk_results = future.result()
-                        if obs is not None:
-                            # Workers are uninstrumented (the registry
-                            # never crosses the pool boundary); observe
-                            # each chunk's submit-to-drain wall time.
-                            obs.metrics.observe(
-                                "chunk.wall_seconds",
-                                time.monotonic() - submitted,
-                            )
-                        for (shard, part), (index, measurements) in zip(
-                            chunk, chunk_results
-                        ):
-                            got = parts.setdefault(index, {})
-                            got[part] = measurements
-                            if len(got) == expected[index]:
-                                finish(
-                                    index,
-                                    [
-                                        m
-                                        for _, ms in sorted(got.items())
-                                        for m in ms
-                                    ],
-                                )
-            except BrokenProcessPool as exc:
-                # No retry budget on the fast path: surface the breakage
-                # in the engine's vocabulary so the degradation ladder
-                # applies.
-                raise PoolBrokenError(
-                    f"process pool broke while running chunked shards: {exc}"
-                ) from exc
-            finally:
-                cleanup()
-        return [by_index[shard.index] for shard in plan.shards]
 
     def _map_resilient(
         self,
         plan: SweepPlan,
         runner: ShardRunner,
         spec,
-        policy: RetryPolicy,
+        policy: Optional[RetryPolicy],
         fault_plan: Optional[FaultPlan],
         on_shard: Optional[OnShard],
         report: Optional[RunReport],
@@ -1183,12 +998,18 @@ class ProcessExecutor:
         current pool and resubmits the innocent in-flight shards --
         harmless, since measurements are pure functions of the plan.
 
-        ``spec`` is the prepared worker spec of the chosen share mode
-        (fork token, shm handles, or the legacy rebuild recipe); pool
-        restarts reuse it -- re-forked workers still find the fork
-        state installed, and shm segments stay linked until the
-        caller's cleanup runs.
+        ``policy=None`` means no retries, as on the serial path: a
+        worker's exception re-raises unchanged, and the first pool
+        break raises :class:`~repro.errors.PoolBrokenError` so the
+        degradation ladder takes over.
+
+        ``spec`` is the prepared worker spec (fork token, shm handles,
+        or the runner's value-only recipe), handed to each worker once
+        by the pool initializer; pool restarts reuse it -- re-forked
+        workers still find the fork state installed, and shm segments
+        stay linked until the caller's cleanup runs.
         """
+        shard_timeout = policy.shard_timeout if policy is not None else None
         failures: Dict[int, int] = {shard.index: 0 for shard in plan.shards}
         done: Dict[int, List[DieMeasurement]] = {}
         pending: List[Shard] = list(plan.shards)
@@ -1196,6 +1017,8 @@ class ProcessExecutor:
 
         def charge(shard: Shard, exc: Exception) -> None:
             """Account one failure; requeue or raise ShardFailedError."""
+            if policy is None:
+                raise exc
             failures[shard.index] += 1
             count = failures[shard.index]
             label = f"shard {shard.index} ({shard.label})"
@@ -1217,7 +1040,7 @@ class ProcessExecutor:
                 obs.emit(
                     "shard_retry", label=label, failures=count, error=str(exc)
                 )
-            time.sleep(policy.backoff_delay(count))
+            time.sleep(policy.backoff_delay(count, salt=label))
             pending.append(shard)
 
         while len(done) < len(plan.shards):
@@ -1228,20 +1051,22 @@ class ProcessExecutor:
                     f"completed nor queued for retry"
                 )
             workers = max(1, min(self.workers, len(pending)))
-            pool = ProcessPoolExecutor(max_workers=workers)
+            pool = ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_start_worker,
+                initargs=(spec,),
+            )
             abandoned = False
             futures: Dict[object, Tuple[Shard, float]] = {}
             submit_times: Dict[object, float] = {}
 
             def submit(shard: Shard) -> None:
                 deadline = (
-                    time.monotonic() + policy.shard_timeout
-                    if policy.shard_timeout is not None
+                    time.monotonic() + shard_timeout
+                    if shard_timeout is not None
                     else math.inf
                 )
-                future = pool.submit(
-                    _run_shard_remote, spec, shard, fault_plan
-                )
+                future = pool.submit(_run_shard_remote, shard, fault_plan)
                 futures[future] = (shard, deadline)
                 if obs is not None:
                     submit_times[future] = time.monotonic()
@@ -1253,7 +1078,7 @@ class ProcessExecutor:
                     submit(pending.pop(0))
                 while futures:
                     timeout = None
-                    if policy.shard_timeout is not None:
+                    if shard_timeout is not None:
                         next_deadline = min(dl for _, dl in futures.values())
                         timeout = max(0.0, next_deadline - time.monotonic())
                     finished, _ = wait(
@@ -1278,8 +1103,7 @@ class ProcessExecutor:
                                 shard,
                                 ShardTimeoutError(
                                     f"shard {shard.index} exceeded the "
-                                    f"{policy.shard_timeout:g}s per-shard "
-                                    f"timeout"
+                                    f"{shard_timeout:g}s per-shard timeout"
                                 ),
                             )
                         # Innocent in-flight shards are resubmitted
@@ -1312,6 +1136,10 @@ class ProcessExecutor:
                     while pending:
                         submit(pending.pop(0))
             except BrokenProcessPool as exc:
+                if policy is None:
+                    raise PoolBrokenError(
+                        f"process pool broke with no retry policy: {exc}"
+                    ) from exc
                 pool_breaks += 1
                 if report is not None:
                     report.n_pool_restarts += 1
@@ -1334,186 +1162,55 @@ class ProcessExecutor:
         return [done[shard.index] for shard in plan.shards]
 
 
-def _partition_shards(
-    shards: Sequence[Shard], workers: int
-) -> List[Tuple[Shard, ...]]:
-    """Partition shards into at most ``workers`` chunks (affinity-kept).
-
-    Retained for the legacy (pickle) protocol semantics: consecutive
-    shards sharing a ``group_key`` stay together so each worker rebuilds
-    that state at most once.  The adaptive fast path goes through
-    :func:`_adaptive_tasks` / :func:`_partition_tasks` instead.
-    """
-    tasks = [(shard, 0) for shard in shards]
-    chunks = _partition_tasks(tasks, workers, affinity=True)
-    return [tuple(shard for shard, _ in chunk) for chunk in chunks]
+#: Pool-worker state: the spec the worker's pool was created with, and
+#: the runner built from it on the worker's first shard.  One runner per
+#: worker, not per shard, keeps the spec (on the shm path every die's
+#: segment handle and every module's weight tables) off each task.
+_WORKER_SPEC = None
+_WORKER_RUNNER = None
 
 
-def _adaptive_tasks(
-    shards: Sequence[Shard],
-    workers: int,
-    obs: Optional[Observability],
-) -> List[Tuple[Shard, int]]:
-    """Split straggler shards into unit slices; returns (shard, part) tasks.
-
-    Cost model: a shard costs its unit count times the observed
-    per-unit p50 (the ``shard.unit_seconds`` timer the serial executor
-    and the auto-calibration probe feed), defaulting to uniform unit
-    cost when no feedback exists yet.  Shards estimated above twice the
-    balance target (total cost over ~4 tasks per worker) split into
-    contiguous unit slices -- bit-identical by construction, since
-    every measurement is a pure function of its (module, die, pattern,
-    tAggON, trial) identity, never of which task measured it.
-    """
-    unit_cost = 1.0
-    if obs is not None:
-        timer_summary = getattr(obs.metrics, "timer_summary", None)
-        summary = (
-            timer_summary("shard.unit_seconds")
-            if timer_summary is not None
-            else None
-        )
-        if summary and summary.get("p50_s", 0.0) > 0.0:
-            unit_cost = summary["p50_s"]
-    costs = [len(shard.units) * unit_cost for shard in shards]
-    total = sum(costs)
-    if workers <= 1 or total <= 0.0:
-        return [(shard, 0) for shard in shards]
-    target = max(total / (4 * workers), unit_cost)
-    tasks: List[Tuple[Shard, int]] = []
-    for shard, cost in zip(shards, costs):
-        n_units = len(shard.units)
-        if cost <= 2 * target or n_units <= 1:
-            tasks.append((shard, 0))
-            continue
-        k = min(n_units, max(2, math.ceil(cost / target)))
-        bounds = [round(i * n_units / k) for i in range(k + 1)]
-        part = 0
-        for lo, hi in zip(bounds, bounds[1:]):
-            if lo == hi:
-                continue
-            tasks.append((replace(shard, units=shard.units[lo:hi]), part))
-            part += 1
-    return tasks
-
-
-def _partition_tasks(
-    tasks: Sequence[Tuple[Shard, int]], workers: int, affinity: bool
-) -> List[List[Tuple[Shard, int]]]:
-    """Pack (shard, part) tasks into at most ``workers`` chunks.
-
-    With ``affinity`` (pickle mode), consecutive tasks sharing a
-    ``group_key`` stay on one worker so it rebuilds that module once;
-    zero-copy modes pack each task independently.  Groups go greedily
-    to the least-loaded chunk, weighted by unit count.  Deterministic,
-    and harmless to result order (tasks carry their canonical shard
-    index and part number).
-    """
-    groups: List[List[Tuple[Shard, int]]] = []
-    for task in tasks:
-        if (
-            affinity
-            and groups
-            and groups[-1][0][0].group_key == task[0].group_key
-        ):
-            groups[-1].append(task)
-        else:
-            groups.append([task])
-    n_chunks = max(1, min(workers, len(groups)))
-    chunks: List[List[Tuple[Shard, int]]] = [[] for _ in range(n_chunks)]
-    loads = [0] * n_chunks
-    for group in groups:
-        target = loads.index(min(loads))
-        chunks[target].extend(group)
-        loads[target] += sum(len(shard.units) for shard, _ in group)
-    return [chunk for chunk in chunks if chunk]
-
-
-def _merge_by_identity(
-    runner, shard: Shard, hit_results: Sequence, missing_results: Sequence
-) -> List:
-    """Reassemble a cache-split shard's results in canonical unit order."""
-    unit_key = getattr(runner, "unit_key", None)
-    result_key = getattr(runner, "result_key", None)
-    if unit_key is None or result_key is None:
-        raise ExecutorError(
-            f"shard {shard.index} was split against the measurement cache "
-            f"but its runner exposes no unit_key/result_key to merge by"
-        )
-    by_key = {result_key(m): m for m in hit_results}
-    for m in missing_results:
-        by_key[result_key(m)] = m
-    try:
-        return [by_key[unit_key(unit)] for unit in shard.units]
-    except KeyError as exc:
-        raise ResultIntegrityError(
-            f"shard {shard.index} ({shard.label}): split execution "
-            f"returned no measurement for unit {exc}"
-        ) from exc
-
-
-#: Per-worker-process module cache (populated lazily by ``_worker_module``).
-_WORKER_MODULES: Dict[Tuple[str, CharacterizationConfig], Module] = {}
-
-
-def _worker_module(module_key: str, config: CharacterizationConfig) -> Module:
-    module = _WORKER_MODULES.get((module_key, config))
-    if module is None:
-        from repro.system import build_module  # local import: avoids cycle
-
-        module = build_module(module_key, config)
-        _WORKER_MODULES[(module_key, config)] = module
-    return module
-
-
-def _run_shard_chunk(
-    spec, shards: Tuple[Shard, ...]
-) -> List[Tuple[int, List[DieMeasurement]]]:
-    """Worker entry point: run one chunk of shards, tagged by index.
-
-    ``spec`` is the runner's worker spec (e.g.
-    :class:`CharacterizationWorkerSpec`); the worker rebuilds a full
-    runner from it, so only the spec crosses the pool boundary.
-    """
-    runner = spec.build_runner()
-    return [(shard.index, runner.run(shard)) for shard in shards]
+def _start_worker(spec) -> None:
+    """Pool initializer.  The runner is built lazily, so a spec that
+    cannot build one fails its shard rather than breaking the pool."""
+    global _WORKER_SPEC, _WORKER_RUNNER
+    _WORKER_SPEC, _WORKER_RUNNER = spec, None
 
 
 def _run_shard_remote(
-    spec,
-    shard: Shard,
-    fault_plan: Optional[FaultPlan],
+    shard: Shard, fault_plan: Optional[FaultPlan]
 ) -> Tuple[int, List[DieMeasurement]]:
-    """Worker entry point of the resilient path: one shard per task.
+    """Worker entry point: run one shard on this worker's runner.
 
     Fault hooks run *inside* the worker so injected hangs and crashes
     exercise the real failure surface (pool timeouts, BrokenProcessPool);
     result validation stays on the parent side.
     """
+    global _WORKER_RUNNER
     if fault_plan is not None:
         fault_plan.before(shard.index)
-    runner = spec.build_runner()
-    measurements = runner.run(shard)
+    if _WORKER_RUNNER is None:
+        _WORKER_RUNNER = _WORKER_SPEC.build_runner()
+    measurements = _WORKER_RUNNER.run(shard)
     if fault_plan is not None:
         measurements = fault_plan.after(shard.index, measurements)
     return shard.index, measurements
 
 
 class AutoExecutor:
-    """Calibrates, then delegates: serial, thread, or process per campaign.
+    """Calibrates, then delegates: serial or process per campaign.
 
     The CLI default (``--workers auto``).  Instead of trusting a flag,
     the executor runs a short calibration probe -- the leading shards of
     the plan, serially, until one actually had unmemoized units -- and
     estimates the remaining serial cost from the probe's measured
     per-unit time.  Campaigns too small to amortize a pool (or machines
-    with one core, or plans that are fully memoized) run serially;
-    everything else goes to the process pool (thread pool when the
-    runner cannot cross a process boundary).  Probe results are kept,
-    so calibration costs nothing: every measurement the probe makes is
-    part of the campaign.
+    with one usable core, or plans that are fully memoized) run
+    serially; everything else goes to the process pool.  Probe results
+    are kept, so calibration costs nothing: every measurement the probe
+    makes is part of the campaign.
 
-    The decision (chosen executor, cpu count, probe seconds, estimated
+    The decision (chosen executor, usable cpus, probe seconds, estimated
     serial seconds, reason) lands in ``RunReport.auto_decision`` and is
     emitted as an ``executor_calibrated`` event.
     """
@@ -1524,20 +1221,15 @@ class AutoExecutor:
     #: for its own startup (worker spawn + state transfer).
     min_parallel_seconds = 1.0
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        share_mode: Optional[str] = None,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         self.requested_workers = workers
-        self.workers = workers or (os.cpu_count() or 1)
-        self.share_mode = share_mode
+        self.workers = workers or _usable_cpus()
         self.last_decision: Optional[Dict] = None
 
     def _choose(
         self, plan: SweepPlan, runner, policy, fault_plan, report, obs
     ) -> Tuple[Dict, List[Tuple[Shard, List[DieMeasurement]]]]:
-        cpus = os.cpu_count() or 1
+        cpus = _usable_cpus()
         workers = max(1, min(self.workers, cpus))
         decision: Dict = {
             "cpu_count": cpus,
@@ -1603,24 +1295,14 @@ class AutoExecutor:
                 ),
             )
             return decision, probed
-        crossable = any(
-            hasattr(runner, attr)
-            for attr in ("fork_runner", "shm_spec", "spec")
+        decision.update(
+            chosen="process",
+            reason=(
+                f"~{remaining:.1f}s of measurement across "
+                f"{len(plan.shards) - len(probed)} shards on "
+                f"{workers} workers"
+            ),
         )
-        if crossable:
-            decision.update(
-                chosen="process",
-                reason=(
-                    f"~{remaining:.1f}s of measurement across "
-                    f"{len(plan.shards) - len(probed)} shards on "
-                    f"{workers} workers"
-                ),
-            )
-        else:
-            decision.update(
-                chosen="thread",
-                reason="runner state cannot cross a process boundary",
-            )
         return decision, probed
 
     def map_shards(
@@ -1652,14 +1334,10 @@ class AutoExecutor:
         rest = plan.shards[len(probed):]
         if not rest:
             return out
-        chosen = decision["chosen"]
-        workers = decision["workers"]
-        if chosen == "serial":
+        if decision["chosen"] == "serial":
             delegate = SerialExecutor()
-        elif chosen == "thread":
-            delegate = ThreadExecutor(workers)
         else:
-            delegate = ProcessExecutor(workers, share_mode=self.share_mode)
+            delegate = ProcessExecutor(decision["workers"])
         out.extend(
             delegate.map_shards(
                 replace(plan, shards=rest),
@@ -1754,10 +1432,11 @@ def run_plan(
     journaling and resume, per-shard observability events, the
     process -> thread -> serial degradation ladder, and the final
     completeness check.  ``plan`` may be any frozen dataclass with a
-    ``shards`` tuple of protocol shards (``index``/``units``/
-    ``group_key``/``label``/``obs_fields``); ``runner`` anything with
-    ``run(shard)`` and ``validate(shard, results)`` (plus a picklable
-    ``spec`` for the process executor); ``codec`` a
+    ``shards`` tuple of protocol shards (``index``/``units``/``label``/
+    ``obs_fields``); ``runner`` anything with ``run(shard)`` and
+    ``validate(shard, results)`` (plus ``fork_runner()``,
+    ``shm_spec(shards, store)`` or a picklable ``spec`` for the process
+    executor, see :class:`ProcessExecutor`); ``codec`` a
     :class:`~repro.core.checkpoint.JournalCodec` when shard results are
     not :class:`~repro.core.results.DieMeasurement` records.
 
@@ -1798,7 +1477,7 @@ def run_plan(
         requested = getattr(primary, "requested_workers", None)
         if requested is None and not isinstance(primary, AutoExecutor):
             requested = getattr(primary, "workers", None)
-    cpus = os.cpu_count() or 1
+    cpus = _usable_cpus()
     if isinstance(requested, int) and requested > cpus:
         message = (
             f"{requested} workers requested but only {cpus} CPU core(s) "

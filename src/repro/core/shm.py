@@ -1,12 +1,10 @@
 """Zero-copy worker state: shared-memory segments and fork inheritance.
 
-The process executor's original protocol shipped a tiny picklable spec
-and had every worker *rebuild* its modules (calibration solver and all)
-and every per-die cell stack from scratch.  That made the pool safe but
-slow: the parent already holds all of that state, and the workers'
-rebuild time dwarfed the measurement work (``BENCH_sweep.json`` recorded
-the 4-worker pool *losing* to serial).  This module gives the executor
-two zero-copy ways to hand the parent's state to its workers:
+Process-pool workers need the parent's modules and per-die cell stacks.
+Rebuilding them in every worker (calibration solver and all) costs more
+than the measurement work itself, and the parent already holds all of
+that state.  This module gives the executor two zero-copy ways to hand
+it to its workers:
 
 Fork inheritance (the fast path)
 --------------------------------
@@ -210,10 +208,10 @@ def attach_stacked_die(
     )
 
 
-#: Per-process attach cache: a worker measuring several shards of one
-#: die (straggler splits) attaches its segment once.  The entries keep
-#: the segments referenced for the worker's lifetime; worker exit closes
-#: the mappings, and the parent owns unlinking.
+#: Per-process attach cache: a worker attaches each segment once, however
+#: many runners it builds from one spec.  The entries keep the segments
+#: referenced for the worker's lifetime (the die views borrow their
+#: pages); worker exit closes the mappings, and the parent owns unlinking.
 _ATTACHED: Dict[str, Tuple[shared_memory.SharedMemory, StackedDie]] = {}
 
 

@@ -210,7 +210,7 @@ class MitigationShard:
     fresh chip), but keeping a series on one worker keeps the journal's
     entries aligned with the table's row groups.  Implements the shard
     protocol of :mod:`repro.core.engine` (``index``/``units`` plus
-    ``group_key``/``label``/``obs_fields``).
+    ``label``/``obs_fields``).
     """
 
     index: int
@@ -218,11 +218,6 @@ class MitigationShard:
     mitigation: str
     pattern: AccessPattern
     units: Tuple[MitigationWorkUnit, ...]
-
-    @property
-    def group_key(self) -> str:
-        """Chunking affinity: series of one chip stay on one worker."""
-        return self.chip_key
 
     @property
     def label(self) -> str:
@@ -510,10 +505,10 @@ class MitigationResults:
 class MitigationWorkerSpec:
     """Picklable recipe a process worker rebuilds its runner from.
 
-    The mitigation-campaign counterpart of
-    :class:`~repro.core.engine.CharacterizationWorkerSpec`: carries only
-    value-typed search knobs, so it crosses the pool boundary cheaply
-    and its ``repr`` fingerprints the campaign configuration.
+    Carries only value-typed search knobs, so it crosses the pool
+    boundary cheaply (the process executor pickles it when workers
+    cannot fork) and its ``repr`` fingerprints the campaign
+    configuration.
 
     Attributes:
         base_row: pattern placement row on the evaluation chips.

@@ -721,10 +721,10 @@ def check_cross_executor(
 
     Runs the same (modules, t_values, trials) sweep on each named
     executor (``"serial"``, ``"thread"``, ``"process"``,
-    ``"process-fork"`` / ``"process-shm"`` / ``"process-pickle"`` for a
-    pinned share mode, or ``"auto"``) with independent caches and
-    compares canonical digests; raises :class:`InvariantViolationError`
-    on a mismatch and returns the common digest otherwise.  The probe is
+    ``"process-fork"`` / ``"process-shm"`` for a pinned share mode, or
+    ``"auto"``) with independent caches and compares canonical digests;
+    raises :class:`InvariantViolationError` on a mismatch and returns
+    the common digest otherwise.  The probe is
     deliberately small (one module, two points by default): determinism
     is a property of the named-RNG derivation, not of campaign size.
     The default pair stays in-process; include a process variant to also
@@ -765,9 +765,6 @@ def check_cross_executor(
         "process": lambda: ProcessExecutor(workers),
         "process-fork": lambda: ProcessExecutor(workers, share_mode="fork"),
         "process-shm": lambda: ProcessExecutor(workers, share_mode="shm"),
-        "process-pickle": lambda: ProcessExecutor(
-            workers, share_mode="pickle"
-        ),
         "auto": lambda: AutoExecutor(workers),
     }
     if len(executors) < 2:

@@ -11,12 +11,18 @@ bit-identical to an uninterrupted run.
 
 from __future__ import annotations
 
+import os
+import sys
+import time
+
 import pytest
 
+from repro.core import engine as engine_mod
 from repro.core.checkpoint import CheckpointJournal, plan_fingerprint
 from repro.core.engine import (
     ProcessExecutor,
     SerialExecutor,
+    ShardRunner,
     SweepEngine,
     SweepPlan,
     ThreadExecutor,
@@ -30,6 +36,7 @@ from repro.core.faults import (
     validate_shard_result,
 )
 from repro.core.results import ResultSet
+from repro.core.shm import fork_sharing_available
 from repro.errors import (
     CalibrationError,
     CheckpointError,
@@ -294,6 +301,89 @@ def test_process_fault_plan_requires_state_dir(fast_config, s0_module):
             policy=FAST_POLICY,
             fault_plan=fault,
         )
+
+
+def test_pool_retry_delays_are_salted_per_shard(
+    fast_config, s0_module, tmp_path, monkeypatch
+):
+    """Shards retrying on the pool back off by their own jittered delay
+    (salted by shard label, as on the serial path), not in lockstep."""
+    shards = SweepPlan.build(
+        [s0_module], T_VALUES, ALL_PATTERNS, trials=1
+    ).shards[:4]
+    fault = FaultPlan(
+        [FaultSpec(shard_index=s.index, kind="raise", times=1) for s in shards],
+        state_dir=tmp_path,
+    )
+    policy = RetryPolicy(max_retries=1, backoff_base=0.1, jitter_seed=7)
+    delays = []
+    real_sleep = time.sleep
+
+    def record_engine_sleeps(seconds):
+        if sys._getframe(1).f_globals.get("__name__") == engine_mod.__name__:
+            delays.append(seconds)
+        else:
+            real_sleep(seconds)
+
+    monkeypatch.setattr(engine_mod.time, "sleep", record_engine_sleeps)
+    _run(
+        fast_config,
+        [s0_module],
+        executor=ProcessExecutor(workers=2),
+        policy=policy,
+        fault_plan=fault,
+    )
+    expected = [
+        policy.backoff_delay(1, salt=f"shard {s.index} ({s.label})")
+        for s in shards
+    ]
+    assert sorted(delays) == sorted(expected)
+    assert len(set(delays)) == len(delays)
+
+
+class _WorkerBoom(RuntimeError):
+    """Raised inside pool workers only; the parent must see this type."""
+
+
+def _patch_worker_run(monkeypatch, in_worker):
+    """Make ``ShardRunner.run`` call ``in_worker(shard)`` in forked
+    workers (which inherit the patch) while the parent runs normally."""
+    if not fork_sharing_available():
+        pytest.skip("fork start method unavailable")
+    parent = os.getpid()
+    real_run = ShardRunner.run
+
+    def run(self, shard):
+        if os.getpid() != parent:
+            in_worker(shard)
+        return real_run(self, shard)
+
+    monkeypatch.setattr(ShardRunner, "run", run)
+
+
+def test_pool_without_policy_reraises_worker_exception(
+    fast_config, s0_module, monkeypatch
+):
+    def boom(shard):
+        raise _WorkerBoom(f"shard {shard.index}")
+
+    _patch_worker_run(monkeypatch, boom)
+    with pytest.raises(_WorkerBoom):
+        _run(fast_config, [s0_module], executor=ProcessExecutor(workers=2))
+
+
+def test_pool_break_without_policy_degrades_to_thread(
+    fast_config, s0_module, baseline, monkeypatch
+):
+    _patch_worker_run(monkeypatch, lambda shard: os._exit(1))
+    with pytest.warns(UserWarning, match="degrading to the thread"):
+        engine, results = _run(
+            fast_config, [s0_module], executor=ProcessExecutor(workers=2)
+        )
+    assert list(results) == list(baseline)
+    report = engine.last_report
+    assert report.executors[:2] == ["process", "thread"]
+    assert report.n_pool_restarts == 0
 
 
 # ------------------------------------------------------ checkpoint/resume

@@ -118,7 +118,6 @@ def test_plan_canonical_order():
     ]
     for i, shard in enumerate(plan.shards):
         assert shard.index == i
-        assert shard.group_key == "E0"
         assert shard.obs_fields["mitigation"] == shard.mitigation
         assert [u.t_on for u in shard.units] == list(T_SMALL)
 

@@ -200,7 +200,7 @@ def test_process_executor_counters_and_identity(fast_config, s0_module):
     # The registry never crosses the pickle boundary, so in-worker cache
     # traffic is not aggregated.
     assert not any(name.startswith("cache.") for name in counters)
-    assert "chunk.wall_seconds" in obs.metrics.snapshot()["timers"]
+    assert "shard.wall_seconds" in obs.metrics.snapshot()["timers"]
 
 
 def test_measurement_cache_hits_on_revisit(fast_config, s0_module):

@@ -196,9 +196,9 @@ def test_shm_segments_unlinked_after_keyboard_interrupt(
         raise KeyboardInterrupt()
 
     monkeypatch.setattr(SharedDieStore, "publish", tracking_publish)
-    # _adaptive_tasks runs after worker state is built: interrupting
+    # The pool is created after worker state is built: interrupting
     # there simulates Ctrl-C landing mid-campaign, segments live.
-    monkeypatch.setattr(engine_mod, "_adaptive_tasks", interrupt)
+    monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", interrupt)
     with pytest.raises(KeyboardInterrupt):
         _run(fast_config, [s0_module], ProcessExecutor(2, share_mode="shm"))
     assert published, "the campaign never reached the shm publish step"
@@ -241,7 +241,7 @@ def test_shm_kill_and_resume_bit_identical(
 # -------------------------------------------------- cross-mode identity
 
 
-@pytest.mark.parametrize("mode", ["fork", "shm", "pickle"])
+@pytest.mark.parametrize("mode", ["fork", "shm"])
 def test_share_modes_bit_identical(
     fast_config, s0_module, serial_baseline, mode
 ):
@@ -254,8 +254,10 @@ def test_share_modes_bit_identical(
 
 
 def test_invalid_share_mode_rejected():
-    with pytest.raises(ExperimentError, match="share_mode"):
-        ProcessExecutor(2, share_mode="carrier-pigeon")
+    # Worker state is derived; only "fork" and "shm" can be pinned.
+    for mode in ("carrier-pigeon", "pickle", "auto"):
+        with pytest.raises(ExperimentError, match="share_mode"):
+            ProcessExecutor(2, share_mode=mode)
 
 
 # ------------------------------------------------------- auto executor
@@ -272,7 +274,7 @@ def test_make_executor_accepts_auto():
 def test_auto_picks_serial_on_one_core(
     fast_config, s0_module, serial_baseline, monkeypatch
 ):
-    monkeypatch.setattr(engine_mod.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(engine_mod, "_usable_cpus", lambda: 1)
     executor = AutoExecutor()
     engine, results = _run(fast_config, [s0_module], executor)
     assert list(results) == list(serial_baseline)
@@ -284,18 +286,33 @@ def test_auto_picks_serial_on_one_core(
 def test_auto_picks_pool_when_cores_and_work_abound(
     fast_config, s0_module, serial_baseline, monkeypatch
 ):
-    monkeypatch.setattr(engine_mod.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(engine_mod, "_usable_cpus", lambda: 4)
     executor = AutoExecutor()
     # Make any estimated remaining work worth parallelizing.
     monkeypatch.setattr(executor, "min_parallel_seconds", 0.0)
     engine, results = _run(fast_config, [s0_module], executor)
     assert list(results) == list(serial_baseline)
     decision = engine.last_report.auto_decision
-    assert decision is not None and decision["chosen"] in (
-        "process",
-        "thread",
-    )
+    assert decision is not None and decision["chosen"] == "process"
     assert live_segment_names() == frozenset()
+
+
+def test_auto_counts_usable_cpus_not_installed_ones(
+    fast_config, s0_module, serial_baseline, monkeypatch
+):
+    # A 1-CPU affinity mask (``taskset -c 0``) on a 4-core machine: the
+    # pool would contend for the one CPU the process may use.
+    monkeypatch.setattr(engine_mod.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(
+        engine_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False
+    )
+    executor = AutoExecutor()
+    monkeypatch.setattr(executor, "min_parallel_seconds", 0.0)
+    engine, results = _run(fast_config, [s0_module], executor)
+    assert list(results) == list(serial_baseline)
+    decision = engine.last_report.auto_decision
+    assert decision["chosen"] == "serial"
+    assert decision["cpu_count"] == 1
 
 
 def test_auto_runs_fully_memoized_plan_serially(fast_config, s0_module):
