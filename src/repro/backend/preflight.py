@@ -1,16 +1,21 @@
 """Mandatory session preflight: the paper's methodology checks (§3).
 
-Before a session measures anything, three properties of the rig must be
+Before a session measures anything, four properties of the rig must be
 verified -- ported from the characterization methodology so they run
 against *any* :class:`~repro.backend.base.DeviceBackend`:
 
-1. **Refresh-window bound** -- the per-measurement runtime bound must
+1. **Thermal settle** -- the PID heater loop
+   (:class:`~repro.thermal.TemperatureController`) must hold the
+   configured temperature (paper: 50 C) within +/-0.2 C; a loop that
+   cannot settle (e.g. a setpoint beyond the heater's reach) would
+   confound every temperature-sensitive count.
+2. **Refresh-window bound** -- the per-measurement runtime bound must
    fit inside tREFW, or "no bitflip within the bound" would be
    confounded by refresh.
-2. **TRR / ECC disabled** -- every device must report target-row
+3. **TRR / ECC disabled** -- every device must report target-row
    refresh off, and no die of the module may have on-die ECC armed
    (disturbance counts would be silently corrected away).
-3. **Mapping reverse-engineering** -- hammer a probe row on a scratch
+4. **Mapping reverse-engineering** -- hammer a probe row on a scratch
    chip that carries the module's row remapping, through the backend's
    own command path (:mod:`repro.core.reverse_engineer`), and require
    the observed physical neighbors to match the mapping the analysis
@@ -29,7 +34,8 @@ from __future__ import annotations
 import time
 from typing import Dict
 
-from repro.errors import PreflightError
+from repro.errors import ExperimentError, PreflightError
+from repro.thermal import TemperatureController
 
 __all__ = [
     "run_preflight",
@@ -46,6 +52,19 @@ PROBE_ROWS = 32
 PROBE_COLS = 16
 PROBE_AGGRESSOR = 12
 PROBE_ITERATIONS = 400
+
+
+def _check_thermal(config) -> Dict[str, object]:
+    controller = TemperatureController(setpoint_c=config.temperature_c)
+    try:
+        settle_steps = controller.settle()
+    except ExperimentError as exc:
+        raise PreflightError(f"thermal settle failed: {exc}") from exc
+    return {
+        "passed": True,
+        "settle_steps": int(settle_steps),
+        "temperature_c": float(controller.read()),
+    }
 
 
 def _check_refresh_window(config) -> Dict[str, object]:
@@ -163,9 +182,10 @@ def _check_mapping(session, module) -> Dict[str, object]:
 
 
 def run_preflight(session, module, config) -> Dict[str, object]:
-    """All three methodology checks for one module; raises on failure."""
+    """All four methodology checks for one module; raises on failure."""
     t0 = time.monotonic()
     outcome = {
+        "thermal": _check_thermal(config),
         "refresh_window": _check_refresh_window(config),
         "protections": _check_protections(session, module),
         "mapping": _check_mapping(session, module),

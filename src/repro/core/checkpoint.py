@@ -1,9 +1,35 @@
-"""Checkpoint journal: crash-safe persistence of completed shards.
+"""Crash-safe append-only journals, and the campaign checkpoint built on one.
 
-Long campaigns (14 modules x dies x patterns x tAggON points x trials)
-must be resumable: the litex-rowhammer-tester harnesses this repo is
-modeled on checkpoint per-row progress for exactly this reason.  The
-journal is a JSONL file:
+:class:`AppendJournal` is the one write discipline behind every durable
+JSONL journal in the repository -- the campaign checkpoint
+(:class:`CheckpointJournal`) and the campaign service's job queue
+(:class:`repro.service.queue.QueueJournal`):
+
+* the header is written through :func:`repro.atomicio.atomic_write_text`
+  (write-temp + ``os.replace``), so it is never observable half-written;
+* every record is one *append* (``open("a")`` + write + flush +
+  ``fsync``), O(len(record)) bytes -- not a rewrite of the whole file,
+  which would make a campaign's total journal I/O quadratic in its
+  record count and widen the crash window as the file grows;
+* an :class:`AdvisoryLock` keeps a second live writer from interleaving
+  appends;
+* with ``digest=True`` a running sha256 of the content is restamped into
+  a ``<path>.sha256`` sidecar after every append, without re-reading the
+  file; a journal that already has a sidecar keeps it maintained.
+
+**Commit-on-newline.**  A record is committed once its terminating
+``\\n`` is on disk.  The failure mode of an append is a *torn trailing
+line* (the process died mid-``write``): :func:`split_journal` treats any
+bytes after the final newline as torn, whether or not they parse, and
+:meth:`AppendJournal.read` truncates them away with a logged warning so
+the next append starts on a clean line (a crashed append never returned,
+so its record was never acknowledged).  An unparseable committed line --
+or a torn header, which is written atomically -- is real corruption and
+raises :class:`~repro.errors.CheckpointError`.  ``repro-characterize
+validate`` applies the same :func:`split_journal`, turning the torn
+tail into a warning.
+
+The checkpoint journal's own format is:
 
 * line 1 -- a header ``{"format": "repro-checkpoint-v1", "fingerprint":
   ..., "n_shards": ...}``; the fingerprint is a SHA-256 digest of the
@@ -13,26 +39,6 @@ journal is a JSONL file:
 * one line per completed shard -- ``{"shard": index, "measurements":
   [...]}`` with censuses included, so resumed measurements are
   bit-identical to freshly computed ones.
-
-Write discipline
-----------------
-
-:meth:`CheckpointJournal.start` writes the header through
-:func:`repro.atomicio.atomic_write_text` (write-temp + ``os.replace``);
-:meth:`CheckpointJournal.record` then *appends* each shard line
-(``open("a")`` + write + flush + ``fsync``), so journaling shard *k*
-costs O(len(shard k)) bytes -- not a rewrite of the whole journal, which
-would make a campaign's total checkpoint I/O quadratic in its shard
-count and widen the crash window as the file grows.
-
-The failure mode of an append is a *torn trailing line* (the process
-died mid-``write``).  :meth:`CheckpointJournal.load` tolerates exactly
-that: an unparseable **last** line after a valid header is skipped with
-a logged warning (the shard it described is simply re-measured), and the
-file is truncated back to the last complete line so subsequent appends
-extend a consistent journal.  An unparseable line anywhere *else* -- or
-a torn header -- is real corruption and still raises
-:class:`~repro.errors.CheckpointError`.
 
 All lines are encoded with ``allow_nan=False`` (non-finite measurement
 fields are converted to ``None`` at record-encode time), so a journal is
@@ -69,6 +75,8 @@ __all__ = [
     "JournalCodec",
     "MEASUREMENT_CODEC",
     "AdvisoryLock",
+    "split_journal",
+    "AppendJournal",
     "CheckpointJournal",
 ]
 
@@ -94,8 +102,7 @@ class AdvisoryLock:
     :meth:`verify` fails instead of letting it interleave appends.  A
     lock whose owner is dead -- a killed process, or a same-pid owner
     object that was garbage-collected -- is reclaimed with a logged
-    warning.  Shared by :class:`CheckpointJournal` and the campaign
-    service's queue journal (:mod:`repro.service.queue`).
+    warning.  Held by every :class:`AppendJournal`.
     """
 
     def __init__(
@@ -266,6 +273,208 @@ class AdvisoryLock:
             pass
 
 
+def split_journal(
+    raw: bytes,
+) -> Tuple[List[Tuple[int, object]], Optional[int]]:
+    """Split journal bytes into committed records and a torn tail.
+
+    Returns ``(records, torn)``: ``records`` holds ``(line_number,
+    parsed)`` pairs (1-based; whitespace-only lines are skipped) for
+    every newline-terminated line, and ``torn`` is the byte offset where
+    an unterminated final line starts (``None`` when the bytes end on a
+    newline).  This is the one torn-line rule: a record is committed
+    only once its ``\\n`` is on disk, so an unterminated tail is torn
+    whether or not it parses.  Works on bytes, so a line torn inside a
+    multi-byte UTF-8 sequence is simply torn.
+
+    Raises :class:`~repro.errors.ArtifactCorruptError` for a committed
+    line that is not JSON, and for a torn first line -- the header is
+    written atomically, so it cannot be torn by a crash.
+    """
+    end = raw.rfind(b"\n") + 1
+    torn = end if end < len(raw) else None
+    records: List[Tuple[int, object]] = []
+    for number, line in enumerate(raw[:end].split(b"\n")[:-1], start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append((number, json.loads(line.decode("utf-8"))))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ArtifactCorruptError(
+                f"line {number} is not parseable JSON ({exc})"
+            ) from exc
+    if torn is not None and not records:
+        raise ArtifactCorruptError(
+            "line 1 (the header) is torn: it has no terminating newline"
+        )
+    return records, torn
+
+
+class AppendJournal:
+    """Crash-safe append-only JSONL journal (see the module docstring).
+
+    Owns the advisory lock, the atomic header write
+    (:meth:`_write_header`), the fsync'd O(1) append (:meth:`_append`),
+    the running sha256 sidecar, and :meth:`read`: verify the sidecar,
+    split the lines, repair a torn tail, re-prime the hash.  Subclasses
+    supply the header fields and the record semantics, and call
+    :meth:`_open_for_append` once a load has checked them.
+
+    With ``digest=True`` the header carries a provenance stamp and the
+    sidecar is restamped after every append; :meth:`read` verifies the
+    bytes first (a flipped bit raises
+    :class:`~repro.errors.CheckpointError`), tolerating the two legal
+    crash windows: a torn append, and an append durable before its
+    restamp.  An existing sidecar stays maintained even with the flag
+    off, so a digest-less resume cannot invalidate it.
+    """
+
+    #: How log lines and errors name this kind of journal.
+    what = "journal"
+    _log = logger
+
+    def __init__(
+        self,
+        path: Union[str, os.PathLike],
+        digest: bool = False,
+        steal_lock: bool = False,
+    ) -> None:
+        self._path = Path(path)
+        self._digest = digest
+        self._hash = None  # running sha256 of the journal's content
+        self._started = False
+        self._lock = AdvisoryLock(self._path, steal=steal_lock, what=self.what)
+
+    @property
+    def path(self) -> Path:
+        return self._path
+
+    @property
+    def lock_path(self) -> Path:
+        """The advisory lockfile guarding this journal's appends."""
+        return self._lock.lock_path
+
+    def exists(self) -> bool:
+        return self._path.exists()
+
+    def release(self) -> None:
+        """Release the advisory append lock (idempotent).
+
+        Only removes the lockfile if this journal still owns it -- a
+        stolen lock is left to its new owner.  (No ``__del__`` here: the
+        lock's own finalizer releases an unreleased journal's lockfile.)
+        """
+        self._lock.release()
+
+    def __enter__(self) -> "AppendJournal":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.release()
+
+    def _write_header(self, header: Dict) -> None:
+        """Begin a fresh journal (truncating any previous one)."""
+        self._lock.acquire()
+        if self._digest:
+            header = {**header, "provenance": provenance_stamp()}
+        text = json.dumps(header) + "\n"
+        atomic_write_text(self._path, text)
+        self._started = True
+        self._hash = None
+        if self._digest:
+            self._hash = hashlib.sha256(text.encode("utf-8"))
+            write_digest(self._path, self._hash.hexdigest())
+
+    def _append(self, record: Dict) -> None:
+        """Journal one record with a single durable append.
+
+        Flushed and fsync'd before returning, so a record acknowledged
+        to a caller is never lost to a SIGKILL.
+        """
+        if not self._started:
+            raise CheckpointError(
+                f"{self.what} must be start()ed or load()ed before appending"
+            )
+        self._lock.acquire()
+        self._lock.verify()
+        line = json.dumps(record, allow_nan=False) + "\n"
+        with open(self._path, "a", encoding="utf-8") as handle:
+            handle.write(line)
+            handle.flush()
+            os.fsync(handle.fileno())
+        if self._hash is not None:
+            # Fold the appended line into the running hash and restamp
+            # the sidecar -- O(len(line)), never a re-read of the file.
+            # A crash between the append and the restamp leaves a stale
+            # sidecar covering everything but the final line, which
+            # read() recognizes and repairs.
+            self._hash.update(line.encode("utf-8"))
+            write_digest(self._path, self._hash.hexdigest())
+
+    def read(self) -> List[Tuple[int, object]]:
+        """Verify, split and repair the journal; returns its records.
+
+        Returns every committed ``(line_number, record)`` pair, the
+        header first.  Reading is the first half of an open-for-append
+        (it may truncate a torn tail), so the advisory lock is taken
+        first: a journal being written by another live process raises
+        :class:`~repro.errors.CheckpointBusyError`.
+        """
+        self._lock.acquire()
+        try:
+            raw = self._path.read_bytes()
+        except OSError as exc:
+            raise CheckpointError(
+                f"cannot read {self.what} {self._path}: {exc}"
+            ) from exc
+        if has_digest(self._path):
+            try:
+                _, note = verify_journal_bytes(self._path, raw)
+            except ArtifactCorruptError as exc:
+                raise CheckpointError(str(exc)) from exc
+            if note:
+                self._log.warning("%s %s: %s", self.what, self._path, note)
+            self._digest = True
+        try:
+            records, torn = split_journal(raw)
+        except ArtifactCorruptError as exc:
+            raise CheckpointError(
+                f"{self.what} {self._path} is malformed: {exc}"
+            ) from exc
+        if not records:
+            raise CheckpointError(f"{self.what} {self._path} is empty")
+        if torn is not None:
+            self._log.warning(
+                "%s %s has a torn trailing line (crash mid-append); "
+                "dropping it and keeping the %d complete record(s)",
+                self.what,
+                self._path,
+                len(records) - 1,
+            )
+            try:
+                with open(self._path, "r+b") as handle:
+                    handle.truncate(torn)
+            except OSError as exc:
+                raise CheckpointError(
+                    f"cannot repair torn {self.what} {self._path}: {exc}"
+                ) from exc
+            raw = raw[:torn]
+        if self._digest:
+            # Re-prime the running hash from the surviving bytes;
+            # _open_for_append() restamps once the records check out.
+            self._hash = hashlib.sha256(raw)
+        return records
+
+    def _open_for_append(self) -> None:
+        """Prime a loaded journal for appends, once its records checked out.
+
+        Restamps the sidecar so it covers exactly the current content.
+        """
+        self._started = True
+        if self._hash is not None:
+            write_digest(self._path, self._hash.hexdigest())
+
+
 def plan_fingerprint(config, plan) -> str:
     """Deterministic fingerprint of (configuration, plan order).
 
@@ -312,26 +521,15 @@ MEASUREMENT_CODEC = JournalCodec(
 )
 
 
-class CheckpointJournal:
+class CheckpointJournal(AppendJournal):
     """Append-only journal of completed shards.
 
-    ``start()`` writes the header atomically; every ``record()`` is one
-    O(1) append (write + flush + fsync).  ``load()`` is byte-compatible
-    with journals written by the earlier rewrite-the-world
-    implementation -- the on-disk format is unchanged.
-
-    With ``digest=True`` the journal maintains a running sha256 of its
-    content in a ``<path>.sha256`` sidecar (restamped atomically after
-    every append, without re-reading the file) and the header carries a
-    provenance stamp; ``load()`` then verifies the bytes before trusting
-    them -- any flipped bit raises
-    :class:`~repro.errors.ArtifactCorruptError` -- tolerating the two
-    legal crash windows (torn append; append durable but sidecar stale).
-    A journal that already has a sidecar keeps it maintained even when
-    the flag is off, so a digest-less resume cannot silently invalidate
-    an earlier run's integrity cover.  With the flag off and no sidecar
-    present, the bytes written are identical to earlier releases.
+    ``start()`` writes the header; every ``record()`` is one durable
+    append.  ``load()`` is byte-compatible with journals written by
+    every earlier implementation -- the on-disk format is unchanged.
     """
+
+    what = "checkpoint journal"
 
     def __init__(
         self,
@@ -340,57 +538,11 @@ class CheckpointJournal:
         codec: Optional[JournalCodec] = None,
         steal_lock: bool = False,
     ) -> None:
-        self._path = Path(path)
-        self._started = False
-        self._digest = digest
+        super().__init__(path, digest=digest, steal_lock=steal_lock)
         self._codec = codec if codec is not None else MEASUREMENT_CODEC
-        self._hash = None  # running sha256 of the journal's content
-        self._lock = AdvisoryLock(
-            self._path, steal=steal_lock, what="checkpoint journal"
-        )
-
-    @property
-    def path(self) -> Path:
-        return self._path
-
-    @property
-    def lock_path(self) -> Path:
-        """The advisory lockfile guarding this journal's appends."""
-        return self._lock.lock_path
-
-    def exists(self) -> bool:
-        return self._path.exists()
-
-    # ----------------------------------------------------------- locking
-
-    def _acquire_lock(self) -> None:
-        self._lock.acquire()
-
-    def _verify_lock(self) -> None:
-        self._lock.verify()
-
-    def release(self) -> None:
-        """Release the advisory append lock (idempotent).
-
-        Only removes the lockfile if this journal still owns it -- a
-        stolen lock is left to its new owner.
-        """
-        self._lock.release()
-
-    def __enter__(self) -> "CheckpointJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
-
-    # (no __del__ here: the AdvisoryLock's own finalizer releases the
-    # lockfile when an unreleased journal is collected)
-
-    # ----------------------------------------------------------- writing
 
     def start(self, fingerprint: str, n_shards: int) -> None:
         """Begin a fresh journal (truncating any previous one)."""
-        self._acquire_lock()
         header = {
             "format": JOURNAL_FORMAT,
             "fingerprint": fingerprint,
@@ -398,84 +550,32 @@ class CheckpointJournal:
         }
         if self._codec.entries is not None:
             header["entries"] = self._codec.entries
-        if self._digest:
-            header["provenance"] = provenance_stamp()
-        text = json.dumps(header) + "\n"
-        atomic_write_text(self._path, text)
-        self._started = True
-        if self._digest:
-            self._hash = hashlib.sha256(text.encode("utf-8"))
-            write_digest(self._path, self._hash.hexdigest())
+        self._write_header(header)
 
     def record(self, shard_index: int, measurements: Sequence) -> None:
         """Journal one completed shard with a single durable append."""
-        if not self._started:
-            raise CheckpointError(
-                "journal must be start()ed or load()ed before recording"
-            )
-        self._acquire_lock()
-        self._verify_lock()
-        entry = {
-            "shard": shard_index,
-            "measurements": [self._codec.encode(m) for m in measurements],
-        }
-        line = json.dumps(entry, allow_nan=False) + "\n"
-        with open(self._path, "a", encoding="utf-8") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
-        if self._hash is not None:
-            # Fold the appended line into the running hash and restamp
-            # the sidecar -- O(len(line)), never a re-read of the file.
-            # A crash between the append and the restamp leaves a stale
-            # sidecar covering everything but the final line, which
-            # load() recognizes and repairs.
-            self._hash.update(line.encode("utf-8"))
-            write_digest(self._path, self._hash.hexdigest())
-
-    # ----------------------------------------------------------- reading
+        self._append(
+            {
+                "shard": shard_index,
+                "measurements": [self._codec.encode(m) for m in measurements],
+            }
+        )
 
     def load(self, expected_fingerprint: str) -> Dict[int, List[DieMeasurement]]:
         """Load completed shards, verifying the plan fingerprint.
 
         Returns ``{shard_index: measurements}`` and primes the journal
-        so subsequent :meth:`record` calls extend the same file.  A torn
-        trailing line (crash mid-append) is skipped with a warning and
-        truncated away; corruption anywhere else raises
-        :class:`~repro.errors.CheckpointError`.
-
-        Loading is an open-for-append (the journal is primed for
-        :meth:`record` and may truncate-repair a torn line), so the
-        advisory lock is taken first: a journal being written by another
-        live process raises :class:`~repro.errors.CheckpointBusyError`.
+        so subsequent :meth:`record` calls extend the same file (see
+        :meth:`AppendJournal.read` for the torn-tail repair and the
+        lock).
         """
-        self._acquire_lock()
-        try:
-            raw = self._path.read_bytes()
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot read checkpoint journal {self._path}: {exc}"
-            ) from exc
-        if has_digest(self._path):
-            # A sidecar means a digest-enabled run wrote this journal:
-            # verify before trusting, and keep maintaining the sidecar
-            # for the rest of this run even if our flag is off --
-            # otherwise our appends would silently invalidate it.
-            try:
-                _, note = verify_journal_bytes(self._path, raw)
-            except ArtifactCorruptError as exc:
-                raise CheckpointError(str(exc)) from exc
-            if note:
-                logger.warning("checkpoint journal %s: %s", self._path, note)
-            self._digest = True
-        parsed = self._parse(raw)
-        if not parsed:
-            raise CheckpointError(f"checkpoint journal {self._path} is empty")
-        header = parsed[0]
-        if header.get("format") != JOURNAL_FORMAT:
+        records = self.read()
+        header = records[0][1]
+        found = header.get("format") if isinstance(header, dict) else header
+        if found != JOURNAL_FORMAT:
             raise CheckpointError(
                 f"checkpoint journal {self._path} has unknown format "
-                f"{header.get('format')!r} (expected {JOURNAL_FORMAT!r})"
+                f"{found!r} (expected {JOURNAL_FORMAT!r})"
             )
         entries = header.get("entries")
         if entries != self._codec.entries:
@@ -496,12 +596,12 @@ class CheckpointJournal:
                 f"or drop --resume to start over)"
             )
         completed: Dict[int, List] = {}
-        for entry in parsed[1:]:
-            index = entry.get("shard")
+        for number, entry in records[1:]:
+            index = entry.get("shard") if isinstance(entry, dict) else None
             if not isinstance(index, int):
                 raise CheckpointError(
-                    f"checkpoint journal {self._path} has a shard entry "
-                    f"without an index"
+                    f"checkpoint journal {self._path} line {number} is a "
+                    f"shard entry without an index"
                 )
             if index in completed:
                 raise CheckpointError(
@@ -520,62 +620,5 @@ class CheckpointJournal:
                     self._path,
                     drift,
                 )
-        self._started = True
-        if self._digest:
-            # Re-prime the running hash from the surviving bytes (the
-            # torn-line repair may have truncated) and restamp so the
-            # sidecar covers exactly the current content.
-            self._hash = hashlib.sha256(self._path.read_bytes())
-            write_digest(self._path, self._hash.hexdigest())
+        self._open_for_append()
         return completed
-
-    def _parse(self, raw: bytes) -> List[dict]:
-        """Parse the journal's lines, handling a torn trailing line.
-
-        Works on bytes so a line torn inside a multi-byte UTF-8 sequence
-        is recognized as torn instead of crashing the decode.
-        """
-        segments = raw.split(b"\n")
-        lines = [
-            (position, segment)
-            for position, segment in enumerate(segments)
-            if segment.strip()
-        ]
-        parsed: List[dict] = []
-        for ordinal, (position, segment) in enumerate(lines):
-            try:
-                parsed.append(json.loads(segment.decode("utf-8")))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                last = ordinal == len(lines) - 1
-                if last and ordinal > 0:
-                    # Crash mid-append: the final line is torn.  Drop it
-                    # (its shard will simply be re-measured) and truncate
-                    # the file so the next append starts on a clean line.
-                    # str(exc): a retained log record must not pin this
-                    # journal (and its advisory lock) alive through the
-                    # exception's traceback frames.
-                    logger.warning(
-                        "checkpoint journal %s has a torn trailing line "
-                        "(%s); dropping it and resuming from the %d "
-                        "complete shard record(s)",
-                        self._path,
-                        str(exc),
-                        len(parsed) - 1,
-                    )
-                    self._truncate_to(segments, position)
-                    break
-                raise CheckpointError(
-                    f"checkpoint journal {self._path} is malformed: {exc}"
-                ) from exc
-        return parsed
-
-    def _truncate_to(self, segments: List[bytes], position: int) -> None:
-        """Cut the file back to the byte offset where line ``position`` starts."""
-        keep = sum(len(segment) + 1 for segment in segments[:position])
-        try:
-            with open(self._path, "r+b") as handle:
-                handle.truncate(keep)
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot repair torn checkpoint journal {self._path}: {exc}"
-            ) from exc

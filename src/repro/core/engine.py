@@ -1807,9 +1807,10 @@ class SweepEngine:
         session = self._session
         if session is not None:
             session.attach(obs, report)
-            # Mandatory methodology preflight (refresh-window bound,
-            # TRR/ECC off, mapping reverse-engineering) for every
-            # module, before any shard is dispatched.  Cached per
+            # Mandatory methodology preflight (thermal settle,
+            # refresh-window bound, TRR/ECC off, mapping
+            # reverse-engineering) for every module, before any shard
+            # is dispatched.  Cached per
             # module key, so repeated sweeps pay it once.
             for module in modules:
                 session.ensure_preflight(module, self._config)

@@ -1,15 +1,16 @@
 """Crash-safe persistent job queue for the campaign service.
 
 The queue's durable form is a ``repro-service-queue-v1`` JSONL journal
-(:class:`QueueJournal`) with the same write discipline as the campaign
-checkpoint journal: an atomically written header, one fsync'd append
-per state transition, a running sha256 sidecar restamped after every
-append, a torn-trailing-line repair on replay, and the
-:class:`~repro.core.checkpoint.AdvisoryLock` keeping a second service
-process from interleaving appends.
+(:class:`QueueJournal`), an :class:`~repro.core.checkpoint.AppendJournal`
+like the campaign checkpoint: an atomically written header, one fsync'd
+append per state transition, a running sha256 sidecar restamped after
+every append, the commit-on-newline torn-tail repair on replay, and the
+advisory lock keeping a second service process from interleaving
+appends.
 
 Event vocabulary (validated by
-:func:`repro.validate.schema.validate_queue_event` and replayed by
+:func:`repro.validate.schema.validate_queue_event`; :func:`replay_queue`
+is the one state machine, run by both :meth:`QueueJournal.load` and
 ``repro-characterize validate``):
 
 * ``submit``  -- a job enters the queue (tenant, kind, spec recorded);
@@ -32,35 +33,33 @@ bounded and a sealed journal is never appended to.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
 import os
 import re
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.atomicio import atomic_write_text, write_digest
-from repro.core.checkpoint import AdvisoryLock
+from repro.core.checkpoint import AppendJournal
 from repro.errors import (
-    ArtifactCorruptError,
     CheckpointError,
     JobNotFoundError,
     ServiceDrainingError,
     ServiceOverloadError,
     ServiceProtocolError,
 )
-from repro.validate.integrity import has_digest, verify_journal_bytes
-from repro.validate.provenance import provenance_stamp
-from repro.validate.schema import KNOWN_JOB_KINDS, QUEUE_FORMAT
+from repro.validate.schema import (
+    KNOWN_JOB_KINDS,
+    KNOWN_QUEUE_OPS,
+    QUEUE_FORMAT,
+)
 
 __all__ = [
     "QUEUE_FORMAT",
     "JobRecord",
     "QueueJournal",
+    "replay_queue",
     "JobQueue",
     "validate_tenant",
 ]
@@ -126,229 +125,144 @@ class JobRecord:
         return payload
 
 
-class QueueJournal:
+def replay_queue(
+    events: Iterable[Tuple[int, object]], source: str
+) -> Tuple[Dict[str, JobRecord], bool]:
+    """The queue state machine: replay journaled events into job records.
+
+    ``events`` are the ``(line_number, event)`` pairs after the header.
+    Returns ``(jobs, sealed)`` with ``jobs`` in submit order.  An
+    inconsistent history -- a duplicate submit, a transition of a job
+    that was never submitted or already reached a terminal state, any
+    event after the seal, or an unknown op -- raises
+    :class:`~repro.errors.CheckpointError` naming ``source`` and the
+    line.
+    """
+    jobs: Dict[str, JobRecord] = {}
+    sealed_at: Optional[int] = None
+    for number, event in events:
+        where = f"{source}: line {number}"
+        if not isinstance(event, dict):
+            raise CheckpointError(f"{where}: is not a queue event object")
+        op = event.get("op")
+        job_id = event.get("job")
+        if sealed_at is not None:
+            raise CheckpointError(
+                f"{where}: $.op {op!r} follows the seal on line "
+                f"{sealed_at}; a sealed journal admits no more events"
+            )
+        if op not in KNOWN_QUEUE_OPS:
+            raise CheckpointError(f"{where}: $.op has unknown op {op!r}")
+        if op == "seal":
+            sealed_at = number
+            continue
+        if op == "submit":
+            if not isinstance(job_id, str) or job_id in jobs:
+                raise CheckpointError(
+                    f"{where}: $.job {job_id!r} is malformed or was "
+                    f"already submitted (duplicate job id)"
+                )
+            jobs[job_id] = JobRecord(
+                job_id=job_id,
+                tenant=event.get("tenant", ""),
+                kind=event.get("kind", ""),
+                spec=event.get("spec", {}),
+                submitted_t=event.get("t", 0.0),
+            )
+            continue
+        record = jobs.get(job_id)
+        if record is None:
+            raise CheckpointError(
+                f"{where}: $.op {op!r} names job {job_id!r}, which was "
+                f"never submitted"
+            )
+        if record.state in TERMINAL_STATES:
+            raise CheckpointError(
+                f"{where}: $.op {op!r} transitions job {job_id!r}, which "
+                f"already reached terminal state {record.state!r}"
+            )
+        if op == "lease":
+            record.state = "running"
+            record.attempt += 1
+            record.worker = event.get("worker")
+        elif op == "requeue":
+            record.state = "queued"
+            record.worker = None
+            record.requeues += 1
+            record.reason = event.get("reason")
+        else:  # a terminal op
+            record.state = op
+            record.worker = None
+            if op == "complete":
+                record.result = event.get("result")
+            elif op == "fail":
+                record.result = {"error": event.get("error")}
+                record.reason = event.get("error")
+    return jobs, sealed_at is not None
+
+
+class QueueJournal(AppendJournal):
     """Append-only, digest-stamped journal of queue state transitions.
 
-    Mirrors :class:`~repro.core.checkpoint.CheckpointJournal`'s write
-    discipline exactly (atomic header, fsync'd O(1) appends, running
-    sha256 sidecar, torn-trailing-line repair, advisory append lock) --
-    the queue is a campaign artifact like any other and
-    ``repro-characterize validate`` replays it.
+    An :class:`~repro.core.checkpoint.AppendJournal` that is always
+    digest-stamped -- the queue is a campaign artifact like any other
+    and ``repro-characterize validate`` replays it -- plus the seal
+    flag: a drained journal admits no more events.
     """
+
+    what = "queue journal"
+    _log = logger
 
     def __init__(
         self,
         path: Union[str, os.PathLike],
         steal_lock: bool = False,
     ) -> None:
-        self._path = Path(path)
-        self._lock = AdvisoryLock(
-            self._path, steal=steal_lock, what="service queue journal"
-        )
-        self._hash: Optional["hashlib._Hash"] = None
-        self._started = False
+        super().__init__(path, digest=True, steal_lock=steal_lock)
         self._sealed = False
-
-    @property
-    def path(self) -> Path:
-        return self._path
 
     @property
     def sealed(self) -> bool:
         return self._sealed
 
-    def exists(self) -> bool:
-        return self._path.exists()
-
-    def release(self) -> None:
-        self._lock.release()
-
-    # --------------------------------------------------------- writing
-
     def start(self) -> None:
         """Begin a fresh journal (truncating any previous one)."""
-        self._lock.acquire()
-        header = {
-            "format": QUEUE_FORMAT,
-            "provenance": provenance_stamp(),
-        }
-        text = json.dumps(header) + "\n"
-        atomic_write_text(self._path, text)
-        self._hash = hashlib.sha256(text.encode("utf-8"))
-        write_digest(self._path, self._hash.hexdigest())
-        self._started = True
+        self._write_header({"format": QUEUE_FORMAT})
         self._sealed = False
 
     def append(self, event: Dict) -> None:
-        """Journal one queue event with a single durable append.
-
-        The append is flushed and fsync'd before this method returns,
-        so a transition acknowledged to a client is never lost to a
-        SIGKILL.
-        """
-        if not self._started:
-            raise CheckpointError(
-                "queue journal must be start()ed or load()ed before "
-                "appending"
-            )
+        """Journal one queue event with a single durable append."""
         if self._sealed:
             raise CheckpointError(
                 f"queue journal {self._path} is sealed; a drained "
                 f"journal admits no more events"
             )
-        self._lock.acquire()
-        self._lock.verify()
-        line = json.dumps(event, allow_nan=False) + "\n"
-        with open(self._path, "a", encoding="utf-8") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
-        if self._hash is not None:
-            self._hash.update(line.encode("utf-8"))
-            write_digest(self._path, self._hash.hexdigest())
+        self._append(event)
         if event.get("op") == "seal":
             self._sealed = True
-
-    # --------------------------------------------------------- reading
 
     def load(self) -> Tuple[Dict[str, JobRecord], bool]:
         """Replay the journal into job records.
 
-        Returns ``(jobs, sealed)`` with ``jobs`` in submit order.  A
-        torn trailing line (SIGKILL mid-append) is dropped and truncated
-        away, exactly like a checkpoint resume; corruption anywhere
-        else raises :class:`~repro.errors.CheckpointError`.  Loading
-        takes the advisory lock (the replayed journal is about to be
-        rotated by this process).
+        Returns ``(jobs, sealed)`` (see :func:`replay_queue`).  The
+        torn-tail repair, sidecar check and lock are
+        :meth:`~repro.core.checkpoint.AppendJournal.read`'s; the
+        replayed journal is about to be rotated by this process.
         """
-        self._lock.acquire()
-        try:
-            raw = self._path.read_bytes()
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot read queue journal {self._path}: {exc}"
-            ) from exc
-        if has_digest(self._path):
-            try:
-                _, note = verify_journal_bytes(self._path, raw)
-            except ArtifactCorruptError as exc:
-                raise CheckpointError(str(exc)) from exc
-            if note:
-                logger.warning("queue journal %s: %s", self._path, note)
-        parsed = self._parse(raw)
-        if not parsed:
-            raise CheckpointError(f"queue journal {self._path} is empty")
-        header = parsed[0]
-        if header.get("format") != QUEUE_FORMAT:
+        records = self.read()
+        header = records[0][1]
+        found = header.get("format") if isinstance(header, dict) else header
+        if found != QUEUE_FORMAT:
             raise CheckpointError(
                 f"queue journal {self._path} has unknown format "
-                f"{header.get('format')!r} (expected {QUEUE_FORMAT!r})"
+                f"{found!r} (expected {QUEUE_FORMAT!r})"
             )
-        jobs: Dict[str, JobRecord] = {}
-        sealed = False
-        for event in parsed[1:]:
-            op = event.get("op")
-            if sealed:
-                raise CheckpointError(
-                    f"queue journal {self._path} has events after its "
-                    f"seal; the journal was corrupted"
-                )
-            if op == "seal":
-                sealed = True
-                continue
-            job_id = event.get("job")
-            if op == "submit":
-                if not isinstance(job_id, str) or job_id in jobs:
-                    raise CheckpointError(
-                        f"queue journal {self._path} has a malformed or "
-                        f"duplicate submit for job {job_id!r}"
-                    )
-                jobs[job_id] = JobRecord(
-                    job_id=job_id,
-                    tenant=event.get("tenant", ""),
-                    kind=event.get("kind", ""),
-                    spec=event.get("spec", {}),
-                    submitted_t=event.get("t", 0.0),
-                )
-                continue
-            record = jobs.get(job_id)
-            if record is None:
-                raise CheckpointError(
-                    f"queue journal {self._path} transitions job "
-                    f"{job_id!r}, which was never submitted"
-                )
-            if record.state in TERMINAL_STATES:
-                raise CheckpointError(
-                    f"queue journal {self._path} transitions job "
-                    f"{job_id!r} past its terminal state {record.state!r}"
-                )
-            if op == "lease":
-                record.state = "running"
-                record.attempt += 1
-                record.worker = event.get("worker")
-            elif op == "requeue":
-                record.state = "queued"
-                record.worker = None
-                record.requeues += 1
-                record.reason = event.get("reason")
-            elif op in TERMINAL_STATES:
-                record.state = op
-                record.worker = None
-                if op == "complete":
-                    record.result = event.get("result")
-                elif op == "fail":
-                    record.result = {"error": event.get("error")}
-                    record.reason = event.get("error")
-            else:
-                raise CheckpointError(
-                    f"queue journal {self._path} has unknown op {op!r}"
-                )
-        self._started = True
+        jobs, sealed = replay_queue(
+            records[1:], source=f"queue journal {self._path}"
+        )
+        self._open_for_append()
         self._sealed = sealed
-        # Re-prime the running hash from the surviving bytes (the torn
-        # repair may have truncated) so later appends -- after a
-        # rotation -- keep the sidecar consistent.
-        self._hash = hashlib.sha256(self._path.read_bytes())
-        write_digest(self._path, self._hash.hexdigest())
         return jobs, sealed
-
-    def _parse(self, raw: bytes) -> List[dict]:
-        """Parse the journal's lines, repairing a torn trailing line."""
-        segments = raw.split(b"\n")
-        lines = [
-            (position, segment)
-            for position, segment in enumerate(segments)
-            if segment.strip()
-        ]
-        parsed: List[dict] = []
-        for ordinal, (position, segment) in enumerate(lines):
-            try:
-                parsed.append(json.loads(segment.decode("utf-8")))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                last = ordinal == len(lines) - 1
-                if last and ordinal > 0:
-                    logger.warning(
-                        "queue journal %s has a torn trailing line (%s); "
-                        "dropping it and replaying the intact prefix",
-                        self._path,
-                        str(exc),
-                    )
-                    self._truncate_to(segments, position)
-                    break
-                raise CheckpointError(
-                    f"queue journal {self._path} is malformed: {exc}"
-                ) from exc
-        return parsed
-
-    def _truncate_to(self, segments: List[bytes], position: int) -> None:
-        keep = sum(len(segment) + 1 for segment in segments[:position])
-        try:
-            with open(self._path, "r+b") as handle:
-                handle.truncate(keep)
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot repair torn queue journal {self._path}: {exc}"
-            ) from exc
 
 
 class JobQueue:

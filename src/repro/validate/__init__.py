@@ -38,6 +38,7 @@ from repro.errors import (
     ArtifactCorruptError,
     ArtifactError,
     ArtifactInvalidError,
+    CheckpointError,
 )
 from repro.validate import integrity
 from repro.validate.provenance import check_provenance, provenance_stamp
@@ -334,7 +335,7 @@ def validate_artifact(
                 source=str(path),
             )
     elif kind == "checkpoint":
-        report.n_records, warnings = _validate_journal_text(path, text)
+        report.n_records, warnings = _validate_journal_text(path, raw)
         report.warnings.extend(warnings)
     elif kind == "metrics":
         payload = _parse_json(path, text)
@@ -343,10 +344,10 @@ def validate_artifact(
         if "provenance" in payload:
             report.warnings.extend(check_provenance(payload["provenance"]))
     elif kind == "trace":
-        report.n_records, warnings = _validate_trace_text(path, text)
+        report.n_records, warnings = _validate_trace_text(path, raw)
         report.warnings.extend(warnings)
     elif kind == "queue":
-        report.n_records, warnings = _validate_queue_text(path, text)
+        report.n_records, warnings = _validate_queue_text(path, raw)
         report.warnings.extend(warnings)
     elif kind == "manifest":
         payload = _parse_json(path, text)
@@ -426,40 +427,48 @@ def _validate_sidecar(path: PathLike) -> ArtifactReport:
     )
 
 
+def _journal_records(
+    path: PathLike, raw: bytes, what: str, torn_note: str
+) -> Tuple[List[Tuple[int, object]], List[str]]:
+    """Split JSONL bytes through the loaders' own torn-line rule.
+
+    :func:`repro.core.checkpoint.split_journal` decides what is
+    committed; a torn tail becomes a warning ending in ``torn_note``.
+    """
+    from repro.core.checkpoint import split_journal
+
+    try:
+        records, torn = split_journal(raw)
+    except ArtifactCorruptError as exc:
+        raise ArtifactCorruptError(
+            f"{path}: {what} is corrupted: {exc}"
+        ) from exc
+    if not records:
+        raise ArtifactInvalidError(f"{path}: {what} is empty")
+    warnings: List[str] = []
+    if torn is not None:
+        number = raw.count(b"\n", 0, torn) + 1
+        warnings.append(
+            f"line {number} is torn (crash mid-append: no terminating "
+            f"newline); {torn_note}"
+        )
+    return records, warnings
+
+
 def _validate_journal_text(
-    path: PathLike, text: str
+    path: PathLike, raw: bytes
 ) -> Tuple[int, List[str]]:
     """Schema-validate a checkpoint journal line by line."""
-    warnings: List[str] = []
-    lines = [
-        (number, line)
-        for number, line in enumerate(text.split("\n"), start=1)
-        if line.strip()
-    ]
-    if not lines:
-        raise ArtifactInvalidError(f"{path}: checkpoint journal is empty")
-    header = _parse_json(path, lines[0][1], what="journal header (line 1)")
-    validate_journal_header(header, source=str(path))
+    lines, warnings = _journal_records(
+        path, raw, "checkpoint journal",
+        "a resume will drop it and re-measure its shard",
+    )
+    header = validate_journal_header(lines[0][1], source=str(path))
     if "provenance" in header:
         warnings.extend(check_provenance(header["provenance"]))
     n_shards = header["n_shards"]
     seen: Dict[int, int] = {}
-    for ordinal, (number, line) in enumerate(lines[1:], start=1):
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if ordinal == len(lines) - 1:
-                # Crash mid-append: identical tolerance to
-                # CheckpointJournal.load -- the shard is re-measured.
-                warnings.append(
-                    f"line {number} is torn (crash mid-append: {exc}); a "
-                    f"resume will drop it and re-measure its shard"
-                )
-                break
-            raise ArtifactCorruptError(
-                f"{path}: line {number} is not parseable JSON ({exc}) and "
-                f"is not the trailing line; the journal was corrupted"
-            ) from exc
+    for number, entry in lines[1:]:
         shard = validate_journal_entry(
             entry, number, source=str(path), entries=header.get("entries")
         )
@@ -477,115 +486,47 @@ def _validate_journal_text(
     return len(seen), warnings
 
 
-def _validate_trace_text(path: PathLike, text: str) -> Tuple[int, List[str]]:
+def _validate_trace_text(path: PathLike, raw: bytes) -> Tuple[int, List[str]]:
     """Schema-validate a JSONL trace line by line."""
-    warnings: List[str] = []
-    lines = [
-        (number, line)
-        for number, line in enumerate(text.split("\n"), start=1)
-        if line.strip()
-    ]
-    count = 0
-    for ordinal, (number, line) in enumerate(lines):
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if ordinal == len(lines) - 1 and ordinal > 0:
-                warnings.append(
-                    f"line {number} is torn (campaign killed mid-event: "
-                    f"{exc}); every preceding event is intact"
-                )
-                break
-            raise ArtifactCorruptError(
-                f"{path}: line {number} is not parseable JSON ({exc}); "
-                f"the trace was corrupted"
-            ) from exc
+    lines, warnings = _journal_records(
+        path, raw, "trace", "every preceding event is intact"
+    )
+    for number, event in lines:
         validate_trace_event(event, number, source=str(path))
-        count += 1
-    return count, warnings
+    return len(lines), warnings
 
 
-def _validate_queue_text(path: PathLike, text: str) -> Tuple[int, List[str]]:
+def _validate_queue_text(path: PathLike, raw: bytes) -> Tuple[int, List[str]]:
     """Schema-validate a service queue journal and replay its history.
 
-    Beyond per-line schema checks, the replay enforces the queue state
-    machine: every ``lease``/``requeue``/terminal op must name a
-    submitted job, a terminal job never transitions again, and at most
-    one trailing ``seal`` closes the journal.  Returns ``(n_jobs,
-    warnings)``.
+    Beyond per-line schema checks, the journal is replayed through the
+    loader's own state machine (:func:`repro.service.queue.replay_queue`).
+    Returns ``(n_jobs, warnings)``.
     """
-    warnings: List[str] = []
-    lines = [
-        (number, line)
-        for number, line in enumerate(text.split("\n"), start=1)
-        if line.strip()
-    ]
-    if not lines:
-        raise ArtifactInvalidError(f"{path}: queue journal is empty")
-    header = _parse_json(path, lines[0][1], what="queue header (line 1)")
-    validate_queue_header(header, source=str(path))
+    from repro.service.queue import OPEN_STATES, replay_queue
+
+    lines, warnings = _journal_records(
+        path, raw, "queue journal",
+        "a restart will drop it and replay the intact prefix",
+    )
+    header = validate_queue_header(lines[0][1], source=str(path))
     if "provenance" in header:
         warnings.extend(check_provenance(header["provenance"]))
-    states: Dict[str, str] = {}
-    sealed_at: Optional[int] = None
-    for ordinal, (number, line) in enumerate(lines[1:], start=1):
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if ordinal == len(lines) - 1:
-                # Crash mid-append: identical tolerance to the
-                # checkpoint journal -- replay drops the torn line.
-                warnings.append(
-                    f"line {number} is torn (crash mid-append: {exc}); a "
-                    f"restart will drop it and replay the intact prefix"
-                )
-                break
-            raise ArtifactCorruptError(
-                f"{path}: line {number} is not parseable JSON ({exc}) and "
-                f"is not the trailing line; the queue journal was corrupted"
-            ) from exc
-        op, job = validate_queue_event(event, number, source=str(path))
-        if sealed_at is not None:
-            raise ArtifactInvalidError(
-                f"{path}: line {number}: $.op {op!r} follows the seal on "
-                f"line {sealed_at}; a sealed journal admits no more events"
-            )
-        if op == "seal":
-            sealed_at = number
-            continue
-        state = states.get(job)
-        if op == "submit":
-            if state is not None:
-                raise ArtifactInvalidError(
-                    f"{path}: line {number}: $.job {job!r} was already "
-                    f"submitted (duplicate job id)"
-                )
-            states[job] = "queued"
-            continue
-        if state is None:
-            raise ArtifactInvalidError(
-                f"{path}: line {number}: $.op {op!r} names job {job!r}, "
-                f"which was never submitted"
-            )
-        if state in ("complete", "fail", "cancel"):
-            raise ArtifactInvalidError(
-                f"{path}: line {number}: $.op {op!r} transitions job "
-                f"{job!r}, which already reached terminal state {state!r}"
-            )
-        states[job] = "running" if op == "lease" else (
-            "queued" if op == "requeue" else op
-        )
-    if sealed_at is None:
+    for number, event in lines[1:]:
+        validate_queue_event(event, number, source=str(path))
+    try:
+        jobs, sealed = replay_queue(lines[1:], source=str(path))
+    except CheckpointError as exc:
+        raise ArtifactInvalidError(str(exc)) from exc
+    if not sealed:
         warnings.append(
             "journal is not sealed (the service was killed or is still "
             "running); a restart with --resume re-adopts its open jobs"
         )
-    open_jobs = sum(
-        1 for s in states.values() if s in ("queued", "running")
-    )
+    open_jobs = sum(1 for job in jobs.values() if job.state in OPEN_STATES)
     if open_jobs:
         warnings.append(f"{open_jobs} job(s) still open (queued or running)")
-    return len(states), warnings
+    return len(jobs), warnings
 
 
 def validate_paths(

@@ -15,6 +15,7 @@ Covers the three pillars of the backend subsystem:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 
@@ -398,6 +399,7 @@ def test_preflight_passes_and_is_cached(fast_config, s0_module):
     session = build_session("sim")
     session.attach(None, report)
     outcome = session.ensure_preflight(s0_module, fast_config)
+    assert outcome["thermal"]["passed"]
     assert outcome["refresh_window"]["passed"]
     assert outcome["protections"]["passed"]
     assert outcome["mapping"]["passed"]
@@ -406,6 +408,29 @@ def test_preflight_passes_and_is_cached(fast_config, s0_module):
     session.snapshot_into(report)
     assert report.preflight["modules"] == ["S0"]
     assert report.device_health["backend"] == "sim"
+
+
+def test_preflight_settles_the_thermal_loop(fast_config, s0_module):
+    """The §3 PID settle runs first: the chips hold 50 C +/- 0.2 C, and
+    the outcome (plain numbers) reaches the run report."""
+    report = RunReport(n_shards=0)
+    session = build_session("sim")
+    session.attach(None, report)
+    thermal = session.ensure_preflight(s0_module, fast_config)["thermal"]
+    assert thermal["passed"]
+    assert type(thermal["settle_steps"]) is int and thermal["settle_steps"] > 0
+    assert type(thermal["temperature_c"]) is float
+    assert abs(thermal["temperature_c"] - 50.0) <= 0.2
+    session.snapshot_into(report)
+    assert report.preflight["checks"]["S0"]["thermal"] == thermal
+
+
+def test_preflight_rejects_an_unreachable_setpoint(fast_config, s0_module):
+    # The heater tops out at 25 + 0.6 x 100 = 85 C: a 90 C setpoint
+    # never settles, and the campaign must not start.
+    hot = dataclasses.replace(fast_config, temperature_c=90.0)
+    with pytest.raises(PreflightError, match="thermal settle failed"):
+        build_session("sim").ensure_preflight(s0_module, hot)
 
 
 class _TrrBackend(SimBackend):

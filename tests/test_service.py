@@ -153,6 +153,55 @@ def test_queue_journal_mid_file_corruption_rejected(tmp_path):
     journal.release()
 
 
+def _event(op, job="job-0001", t=1.0):
+    event = {"op": op, "t": t, "job": job}
+    if op == "submit":
+        event.update(tenant="alice", kind="characterize", spec={})
+    return event
+
+
+@pytest.mark.parametrize(
+    "history",
+    [
+        pytest.param(
+            [_event("submit"), _event("submit")], id="duplicate-submit"
+        ),
+        pytest.param(
+            [_event("submit"), _event("lease", "job-0002")],
+            id="never-submitted",
+        ),
+        pytest.param(
+            [_event("submit"), _event("cancel"), _event("lease")],
+            id="after-terminal",
+        ),
+        pytest.param(
+            [_event("submit"), {"op": "seal", "t": 2.0}, _event("lease")],
+            id="after-seal",
+        ),
+        pytest.param(
+            [_event("submit"), _event("frobnicate")], id="unknown-op"
+        ),
+    ],
+)
+def test_queue_state_machine_rejections(tmp_path, history):
+    """The loader and the validator replay through one state machine:
+    both reject an inconsistent history, naming its final line."""
+    from repro.errors import ArtifactInvalidError, CheckpointError
+    from repro.validate import validate_artifact
+    from repro.validate.schema import QUEUE_FORMAT
+
+    path = tmp_path / "queue.jsonl"
+    lines = [{"format": QUEUE_FORMAT}] + history
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    where = f"line {len(lines)}: "
+    journal = QueueJournal(path)
+    with pytest.raises(CheckpointError, match=where):
+        journal.load()
+    journal.release()
+    with pytest.raises(ArtifactInvalidError, match=where):
+        validate_artifact(path)
+
+
 def test_queue_second_writer_gets_typed_busy(tmp_path):
     queue = _queue(tmp_path)
     with pytest.raises(CheckpointBusyError, match="live writer"):

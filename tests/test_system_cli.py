@@ -59,6 +59,32 @@ def test_cli_campaign(capsys):
     assert "S1 RH @ 36ns" in out
 
 
+def test_cli_campaign_honours_runner_flags(tmp_path, capsys):
+    """``campaign`` runs through the runner: --checkpoint writes a
+    journal that validates, and --resume over it reruns nothing and
+    reproduces the same digest."""
+    from repro.core.results import ResultSet
+    from repro.validate.invariants import results_digest
+
+    journal = tmp_path / "campaign.jsonl"
+    base = [
+        "campaign", "--modules", "S1", "--trials", "1", "--workers", "0",
+        "--validate", "--checkpoint", str(journal),
+    ]
+    fresh, resumed = tmp_path / "fresh.json", tmp_path / "resumed.json"
+    assert main(base + ["--dump", str(fresh)]) == 0
+    fresh_out = capsys.readouterr().out
+    assert main(["validate", str(journal), str(fresh)]) == 0
+    capsys.readouterr()
+    assert main(base + ["--resume", "--dump", str(resumed)]) == 0
+    captured = capsys.readouterr()
+    assert "8 total, 8 resumed from checkpoint, 0 executed" in captured.err
+    assert captured.out == fresh_out
+    assert results_digest(ResultSet.load(resumed)) == results_digest(
+        ResultSet.load(fresh)
+    )
+
+
 def test_cli_fig6_ascii(capsys):
     code = main([
         "fig6", "--modules", "S0", "--points", "2", "--trials", "1",
