@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import signal
 import sys
 from typing import List, Optional
 
@@ -84,16 +85,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "artifact",
         choices=(
             "table1", "table2", "fig4", "fig5", "fig6", "report", "campaign",
-            "mitigate", "validate", "export", "query", "serve", "patterns",
+            "mitigate", "validate", "export", "query", "patterns",
         ),
         help="which paper artifact to regenerate, 'mitigate' to run the "
         "mitigation stress-evaluation campaign, 'validate' to check "
         "previously written artifacts, 'export' to stream a campaign "
         "into a sharded out-of-core population, 'query' to compute "
-        "streaming rollups over a stored population, 'serve' to run "
-        "the multi-tenant campaign service (line-JSON socket API, "
-        "crash-safe job queue, graceful drain on SIGTERM), or "
-        "'patterns' to list/compile/lint pattern-DSL specs",
+        "streaming rollups over a stored population, or 'patterns' to "
+        "list/compile/lint pattern-DSL specs",
     )
     parser.add_argument(
         "paths",
@@ -321,52 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep point",
     )
     parser.add_argument(
-        "--root",
-        metavar="DIR",
-        default=None,
-        help="serve mode: service state directory -- the crash-safe queue "
-        "journal lives at <root>/queue.jsonl and each job's artifacts "
-        "under <root>/tenants/<tenant>/jobs/<job>/ (required for serve)",
-    )
-    parser.add_argument(
-        "--socket",
-        metavar="PATH",
-        default=None,
-        help="serve mode: unix socket the service listens on "
-        "(default: <root>/service.sock)",
-    )
-    parser.add_argument(
-        "--service-workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="serve mode: concurrent campaign workers (default: 2)",
-    )
-    parser.add_argument(
-        "--max-queued",
-        type=int,
-        default=16,
-        metavar="N",
-        help="serve mode: global queued-job bound; submissions beyond it "
-        "are rejected with a typed overload error (default: 16)",
-    )
-    parser.add_argument(
-        "--max-queued-per-tenant",
-        type=int,
-        default=8,
-        metavar="N",
-        help="serve mode: per-tenant queued-job bound (default: 8)",
-    )
-    parser.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="serve mode: a running job whose worker has not heartbeat "
-        "for this long is reclaimed and resumed from its checkpoint "
-        "by another worker (default: 30)",
-    )
-    parser.add_argument(
         "--log-level",
         choices=("debug", "info", "warning", "error"),
         default=None,
@@ -376,19 +329,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a nonzero exit code on library errors."""
+    """CLI entry point; returns a nonzero exit code on library errors.
+
+    SIGTERM takes the Ctrl-C path: every shard journaled so far stays
+    durable, so ``--checkpoint ... --resume`` finishes the campaign
+    bit-identically.
+    """
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         return _run(argv)
     except ReproError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except KeyboardInterrupt:
-        # Shared-memory segments are unlinked by the engine's cleanup
-        # handlers as the interrupt unwinds; exit on the shell
+        # The pool, shared-memory segments and the checkpoint journal's
+        # lock are released as the interrupt unwinds; exit on the shell
         # convention for SIGINT (128 + 2).
         sys.stderr.write("interrupted\n")
         return 130
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def _backend(args) -> BackendSpec:
@@ -503,11 +468,6 @@ def _run(argv: Optional[List[str]] = None) -> int:
         return 2
     if args.artifact == "patterns":
         return _run_patterns(args)
-    if args.artifact == "serve":
-        # The service owns its queue journal under --root; the campaign
-        # flags (--checkpoint and friends) do not apply, and --resume
-        # means "re-adopt the open jobs of the previous server".
-        return _run_serve(args)
     if args.resume and not args.checkpoint:
         # A usage error, reported on the argparse convention: message on
         # stderr, exit code 2 (pinned by tests/test_obs.py).
@@ -659,32 +619,6 @@ def _run_patterns(args) -> int:
             f"{text}\n"
         )
     return 0
-
-
-def _run_serve(args) -> int:
-    """The ``serve`` mode: run the multi-tenant campaign service.
-
-    Blocks until SIGTERM/SIGINT or a client ``drain`` request, then
-    drains gracefully: admission stops, in-flight campaigns checkpoint
-    at their next shard boundary and are requeued, the queue journal is
-    sealed, and the process exits 0.  ``--resume`` re-adopts every job
-    the previous server left open (queued or running) and finishes it
-    from its campaign checkpoint.
-    """
-    from repro.service.server import serve
-
-    if not args.root:
-        sys.stderr.write("error: serve requires --root DIR\n")
-        return 2
-    return serve(
-        args.root,
-        socket_path=args.socket,
-        resume=args.resume,
-        workers=args.service_workers,
-        max_queued=args.max_queued,
-        max_queued_per_tenant=args.max_queued_per_tenant,
-        lease_ttl=args.lease_ttl,
-    )
 
 
 def _run_mitigate(args, obs: Optional[Observability]) -> int:

@@ -1,9 +1,7 @@
-"""Crash-safe append-only journals, and the campaign checkpoint built on one.
+"""The campaign checkpoint: a crash-safe, append-only JSONL journal.
 
-:class:`AppendJournal` is the one write discipline behind every durable
-JSONL journal in the repository -- the campaign checkpoint
-(:class:`CheckpointJournal`) and the campaign service's job queue
-(:class:`repro.service.queue.QueueJournal`):
+:class:`CheckpointJournal` journals every completed shard of a campaign
+so an interrupted run can be resumed bit-identically:
 
 * the header is written through :func:`repro.atomicio.atomic_write_text`
   (write-temp + ``os.replace``), so it is never observable half-written;
@@ -21,15 +19,15 @@ JSONL journal in the repository -- the campaign checkpoint
 ``\\n`` is on disk.  The failure mode of an append is a *torn trailing
 line* (the process died mid-``write``): :func:`split_journal` treats any
 bytes after the final newline as torn, whether or not they parse, and
-:meth:`AppendJournal.read` truncates them away with a logged warning so
-the next append starts on a clean line (a crashed append never returned,
-so its record was never acknowledged).  An unparseable committed line --
-or a torn header, which is written atomically -- is real corruption and
-raises :class:`~repro.errors.CheckpointError`.  ``repro-characterize
-validate`` applies the same :func:`split_journal`, turning the torn
-tail into a warning.
+:meth:`CheckpointJournal.load` truncates them away with a logged warning
+so the next append starts on a clean line (a crashed append never
+returned, so its record was never acknowledged).  An unparseable
+committed line -- or a torn header, which is written atomically -- is
+real corruption and raises :class:`~repro.errors.CheckpointError`.
+``repro-characterize validate`` applies the same :func:`split_journal`,
+turning the torn tail into a warning.
 
-The checkpoint journal's own format is:
+The journal's format is:
 
 * line 1 -- a header ``{"format": "repro-checkpoint-v1", "fingerprint":
   ..., "n_shards": ...}``; the fingerprint is a SHA-256 digest of the
@@ -76,7 +74,6 @@ __all__ = [
     "MEASUREMENT_CODEC",
     "AdvisoryLock",
     "split_journal",
-    "AppendJournal",
     "CheckpointJournal",
 ]
 
@@ -96,24 +93,16 @@ class AdvisoryLock:
 
     One live writer per journal: the lockfile ``<target>.lock`` holds
     ``"<pid> <token>"``.  A lock held by a *live* writer makes
-    :meth:`acquire` raise :class:`~repro.errors.CheckpointBusyError`
-    unless ``steal=True`` (lease reclaim), in which case the lockfile is
-    atomically replaced and the displaced writer's next
-    :meth:`verify` fails instead of letting it interleave appends.  A
+    :meth:`acquire` raise :class:`~repro.errors.CheckpointBusyError`.  A
     lock whose owner is dead -- a killed process, or a same-pid owner
-    object that was garbage-collected -- is reclaimed with a logged
-    warning.  Held by every :class:`AppendJournal`.
+    object that was garbage-collected -- is atomically reclaimed with a
+    logged warning; :meth:`verify` refuses an append once the lockfile
+    no longer carries this owner's token.  Held by every
+    :class:`CheckpointJournal`.
     """
 
-    def __init__(
-        self,
-        target: Union[str, os.PathLike],
-        steal: bool = False,
-        what: str = "journal",
-    ) -> None:
+    def __init__(self, target: Union[str, os.PathLike]) -> None:
         self._target = Path(target)
-        self._steal = steal
-        self._what = what
         self._token: Optional[str] = None
 
     @property
@@ -178,31 +167,19 @@ class AdvisoryLock:
                     continue  # released between our open and read: retry
                 owner_pid, owner_token = owner
                 if self._owner_alive(owner_pid, owner_token):
-                    if not self._steal:
-                        raise CheckpointBusyError(
-                            f"{self._what} {self._target} is locked by "
-                            f"a live writer (pid {owner_pid}, lockfile "
-                            f"{self.lock_path.name}); a second writer "
-                            f"appending would interleave records -- "
-                            f"release the other writer, or open with "
-                            f"steal_lock=True to revoke it (lease reclaim)"
-                        )
-                    logger.warning(
-                        "%s %s: stealing the append lock from live "
-                        "writer pid %s (lease reclaim); its next append "
-                        "will be refused",
-                        self._what,
-                        self._target,
-                        owner_pid,
+                    raise CheckpointBusyError(
+                        f"checkpoint journal {self._target} is locked by a "
+                        f"live writer (pid {owner_pid}, lockfile "
+                        f"{self.lock_path.name}); a second writer "
+                        f"appending would interleave records -- release "
+                        f"the other writer first"
                     )
-                else:
-                    logger.warning(
-                        "%s %s: reclaiming a stale append lock left by "
-                        "dead writer pid %s",
-                        self._what,
-                        self._target,
-                        owner_pid,
-                    )
+                logger.warning(
+                    "checkpoint journal %s: reclaiming a stale append lock "
+                    "left by dead writer pid %s",
+                    self._target,
+                    owner_pid,
+                )
                 # Atomic takeover: replace the lockfile in one rename so
                 # no third writer can slip in through a missing-lock gap.
                 tmp_fd, tmp_name = tempfile.mkstemp(
@@ -242,17 +219,16 @@ class AdvisoryLock:
         if owner is None or owner[1] != self._token:
             holder = "no writer" if owner is None else f"pid {owner[0]}"
             raise CheckpointBusyError(
-                f"{self._what} {self._target} append lock was revoked "
-                f"(now held by {holder}): this writer's lease was "
-                f"reclaimed; refusing to append a record that would "
-                f"interleave with the new owner's"
+                f"checkpoint journal {self._target} append lock was revoked "
+                f"(now held by {holder}); refusing to append a record "
+                f"that would interleave with the new owner's"
             )
 
     def release(self) -> None:
         """Release the lock (idempotent).
 
         Only removes the lockfile if this object still owns it -- a
-        stolen lock is left to its new owner.
+        reclaimed lock is left to its new owner.
         """
         token = self._token
         if token is None:
@@ -310,171 +286,6 @@ def split_journal(
     return records, torn
 
 
-class AppendJournal:
-    """Crash-safe append-only JSONL journal (see the module docstring).
-
-    Owns the advisory lock, the atomic header write
-    (:meth:`_write_header`), the fsync'd O(1) append (:meth:`_append`),
-    the running sha256 sidecar, and :meth:`read`: verify the sidecar,
-    split the lines, repair a torn tail, re-prime the hash.  Subclasses
-    supply the header fields and the record semantics, and call
-    :meth:`_open_for_append` once a load has checked them.
-
-    With ``digest=True`` the header carries a provenance stamp and the
-    sidecar is restamped after every append; :meth:`read` verifies the
-    bytes first (a flipped bit raises
-    :class:`~repro.errors.CheckpointError`), tolerating the two legal
-    crash windows: a torn append, and an append durable before its
-    restamp.  An existing sidecar stays maintained even with the flag
-    off, so a digest-less resume cannot invalidate it.
-    """
-
-    #: How log lines and errors name this kind of journal.
-    what = "journal"
-    _log = logger
-
-    def __init__(
-        self,
-        path: Union[str, os.PathLike],
-        digest: bool = False,
-        steal_lock: bool = False,
-    ) -> None:
-        self._path = Path(path)
-        self._digest = digest
-        self._hash = None  # running sha256 of the journal's content
-        self._started = False
-        self._lock = AdvisoryLock(self._path, steal=steal_lock, what=self.what)
-
-    @property
-    def path(self) -> Path:
-        return self._path
-
-    @property
-    def lock_path(self) -> Path:
-        """The advisory lockfile guarding this journal's appends."""
-        return self._lock.lock_path
-
-    def exists(self) -> bool:
-        return self._path.exists()
-
-    def release(self) -> None:
-        """Release the advisory append lock (idempotent).
-
-        Only removes the lockfile if this journal still owns it -- a
-        stolen lock is left to its new owner.  (No ``__del__`` here: the
-        lock's own finalizer releases an unreleased journal's lockfile.)
-        """
-        self._lock.release()
-
-    def __enter__(self) -> "AppendJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
-
-    def _write_header(self, header: Dict) -> None:
-        """Begin a fresh journal (truncating any previous one)."""
-        self._lock.acquire()
-        if self._digest:
-            header = {**header, "provenance": provenance_stamp()}
-        text = json.dumps(header) + "\n"
-        atomic_write_text(self._path, text)
-        self._started = True
-        self._hash = None
-        if self._digest:
-            self._hash = hashlib.sha256(text.encode("utf-8"))
-            write_digest(self._path, self._hash.hexdigest())
-
-    def _append(self, record: Dict) -> None:
-        """Journal one record with a single durable append.
-
-        Flushed and fsync'd before returning, so a record acknowledged
-        to a caller is never lost to a SIGKILL.
-        """
-        if not self._started:
-            raise CheckpointError(
-                f"{self.what} must be start()ed or load()ed before appending"
-            )
-        self._lock.acquire()
-        self._lock.verify()
-        line = json.dumps(record, allow_nan=False) + "\n"
-        with open(self._path, "a", encoding="utf-8") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
-        if self._hash is not None:
-            # Fold the appended line into the running hash and restamp
-            # the sidecar -- O(len(line)), never a re-read of the file.
-            # A crash between the append and the restamp leaves a stale
-            # sidecar covering everything but the final line, which
-            # read() recognizes and repairs.
-            self._hash.update(line.encode("utf-8"))
-            write_digest(self._path, self._hash.hexdigest())
-
-    def read(self) -> List[Tuple[int, object]]:
-        """Verify, split and repair the journal; returns its records.
-
-        Returns every committed ``(line_number, record)`` pair, the
-        header first.  Reading is the first half of an open-for-append
-        (it may truncate a torn tail), so the advisory lock is taken
-        first: a journal being written by another live process raises
-        :class:`~repro.errors.CheckpointBusyError`.
-        """
-        self._lock.acquire()
-        try:
-            raw = self._path.read_bytes()
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot read {self.what} {self._path}: {exc}"
-            ) from exc
-        if has_digest(self._path):
-            try:
-                _, note = verify_journal_bytes(self._path, raw)
-            except ArtifactCorruptError as exc:
-                raise CheckpointError(str(exc)) from exc
-            if note:
-                self._log.warning("%s %s: %s", self.what, self._path, note)
-            self._digest = True
-        try:
-            records, torn = split_journal(raw)
-        except ArtifactCorruptError as exc:
-            raise CheckpointError(
-                f"{self.what} {self._path} is malformed: {exc}"
-            ) from exc
-        if not records:
-            raise CheckpointError(f"{self.what} {self._path} is empty")
-        if torn is not None:
-            self._log.warning(
-                "%s %s has a torn trailing line (crash mid-append); "
-                "dropping it and keeping the %d complete record(s)",
-                self.what,
-                self._path,
-                len(records) - 1,
-            )
-            try:
-                with open(self._path, "r+b") as handle:
-                    handle.truncate(torn)
-            except OSError as exc:
-                raise CheckpointError(
-                    f"cannot repair torn {self.what} {self._path}: {exc}"
-                ) from exc
-            raw = raw[:torn]
-        if self._digest:
-            # Re-prime the running hash from the surviving bytes;
-            # _open_for_append() restamps once the records check out.
-            self._hash = hashlib.sha256(raw)
-        return records
-
-    def _open_for_append(self) -> None:
-        """Prime a loaded journal for appends, once its records checked out.
-
-        Restamps the sidecar so it covers exactly the current content.
-        """
-        self._started = True
-        if self._hash is not None:
-            write_digest(self._path, self._hash.hexdigest())
-
-
 def plan_fingerprint(config, plan) -> str:
     """Deterministic fingerprint of (configuration, plan order).
 
@@ -521,12 +332,23 @@ MEASUREMENT_CODEC = JournalCodec(
 )
 
 
-class CheckpointJournal(AppendJournal):
-    """Append-only journal of completed shards.
+class CheckpointJournal:
+    """Append-only journal of completed shards (see the module docstring).
 
     ``start()`` writes the header; every ``record()`` is one durable
-    append.  ``load()`` is byte-compatible with journals written by
-    every earlier implementation -- the on-disk format is unchanged.
+    append; ``load()`` verifies the sidecar, splits the lines, repairs a
+    torn tail and checks the header, then primes the journal so later
+    ``record()`` calls extend the same file.  The on-disk format is
+    byte-compatible with journals written by every earlier
+    implementation.
+
+    With ``digest=True`` the header carries a provenance stamp and the
+    sidecar is restamped after every append; :meth:`load` verifies the
+    bytes first (a flipped bit raises
+    :class:`~repro.errors.CheckpointError`), tolerating the two legal
+    crash windows: a torn append, and an append durable before its
+    restamp.  An existing sidecar stays maintained even with the flag
+    off, so a digest-less resume cannot invalidate it.
     """
 
     what = "checkpoint journal"
@@ -536,10 +358,40 @@ class CheckpointJournal(AppendJournal):
         path: Union[str, os.PathLike],
         digest: bool = False,
         codec: Optional[JournalCodec] = None,
-        steal_lock: bool = False,
     ) -> None:
-        super().__init__(path, digest=digest, steal_lock=steal_lock)
+        self._path = Path(path)
+        self._digest = digest
         self._codec = codec if codec is not None else MEASUREMENT_CODEC
+        self._hash = None  # running sha256 of the journal's content
+        self._started = False
+        self._lock = AdvisoryLock(self._path)
+
+    @property
+    def path(self) -> Path:
+        return self._path
+
+    @property
+    def lock_path(self) -> Path:
+        """The advisory lockfile guarding this journal's appends."""
+        return self._lock.lock_path
+
+    def exists(self) -> bool:
+        return self._path.exists()
+
+    def release(self) -> None:
+        """Release the advisory append lock (idempotent).
+
+        Only removes the lockfile if this journal still owns it.  (No
+        ``__del__`` here: the lock's own finalizer releases an
+        unreleased journal's lockfile.)
+        """
+        self._lock.release()
+
+    def __enter__(self) -> "CheckpointJournal":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.release()
 
     def start(self, fingerprint: str, n_shards: int) -> None:
         """Begin a fresh journal (truncating any previous one)."""
@@ -550,26 +402,109 @@ class CheckpointJournal(AppendJournal):
         }
         if self._codec.entries is not None:
             header["entries"] = self._codec.entries
-        self._write_header(header)
+        self._lock.acquire()
+        if self._digest:
+            header["provenance"] = provenance_stamp()
+        text = json.dumps(header) + "\n"
+        atomic_write_text(self._path, text)
+        self._started = True
+        self._hash = None
+        if self._digest:
+            self._hash = hashlib.sha256(text.encode("utf-8"))
+            write_digest(self._path, self._hash.hexdigest())
 
     def record(self, shard_index: int, measurements: Sequence) -> None:
-        """Journal one completed shard with a single durable append."""
-        self._append(
-            {
-                "shard": shard_index,
-                "measurements": [self._codec.encode(m) for m in measurements],
-            }
-        )
+        """Journal one completed shard with a single durable append.
+
+        Flushed and fsync'd before returning, so a shard acknowledged
+        to the campaign is never lost to a SIGKILL.
+        """
+        if not self._started:
+            raise CheckpointError(
+                f"{self.what} must be start()ed or load()ed before appending"
+            )
+        self._lock.acquire()
+        self._lock.verify()
+        entry = {
+            "shard": shard_index,
+            "measurements": [self._codec.encode(m) for m in measurements],
+        }
+        line = json.dumps(entry, allow_nan=False) + "\n"
+        with open(self._path, "a", encoding="utf-8") as handle:
+            handle.write(line)
+            handle.flush()
+            os.fsync(handle.fileno())
+        if self._hash is not None:
+            # Fold the appended line into the running hash and restamp
+            # the sidecar -- O(len(line)), never a re-read of the file.
+            # A crash between the append and the restamp leaves a stale
+            # sidecar covering everything but the final line, which
+            # load() recognizes and repairs.
+            self._hash.update(line.encode("utf-8"))
+            write_digest(self._path, self._hash.hexdigest())
+
+    def _read(self) -> List[Tuple[int, object]]:
+        """Verify, split and repair the journal; returns its records.
+
+        Returns every committed ``(line_number, record)`` pair, the
+        header first.  Reading is the first half of an open-for-append
+        (it may truncate a torn tail), so the advisory lock is taken
+        first: a journal being written by another live process raises
+        :class:`~repro.errors.CheckpointBusyError`.
+        """
+        self._lock.acquire()
+        try:
+            raw = self._path.read_bytes()
+        except OSError as exc:
+            raise CheckpointError(
+                f"cannot read {self.what} {self._path}: {exc}"
+            ) from exc
+        if has_digest(self._path):
+            try:
+                _, note = verify_journal_bytes(self._path, raw)
+            except ArtifactCorruptError as exc:
+                raise CheckpointError(str(exc)) from exc
+            if note:
+                logger.warning("%s %s: %s", self.what, self._path, note)
+            self._digest = True
+        try:
+            records, torn = split_journal(raw)
+        except ArtifactCorruptError as exc:
+            raise CheckpointError(
+                f"{self.what} {self._path} is malformed: {exc}"
+            ) from exc
+        if not records:
+            raise CheckpointError(f"{self.what} {self._path} is empty")
+        if torn is not None:
+            logger.warning(
+                "%s %s has a torn trailing line (crash mid-append); "
+                "dropping it and keeping the %d complete record(s)",
+                self.what,
+                self._path,
+                len(records) - 1,
+            )
+            try:
+                with open(self._path, "r+b") as handle:
+                    handle.truncate(torn)
+            except OSError as exc:
+                raise CheckpointError(
+                    f"cannot repair torn {self.what} {self._path}: {exc}"
+                ) from exc
+            raw = raw[:torn]
+        if self._digest:
+            # Re-prime the running hash from the surviving bytes; load()
+            # restamps once the records check out.
+            self._hash = hashlib.sha256(raw)
+        return records
 
     def load(self, expected_fingerprint: str) -> Dict[int, List[DieMeasurement]]:
         """Load completed shards, verifying the plan fingerprint.
 
         Returns ``{shard_index: measurements}`` and primes the journal
-        so subsequent :meth:`record` calls extend the same file (see
-        :meth:`AppendJournal.read` for the torn-tail repair and the
-        lock).
+        so subsequent :meth:`record` calls extend the same file, with
+        the sidecar restamped to cover exactly the current content.
         """
-        records = self.read()
+        records = self._read()
         header = records[0][1]
         found = header.get("format") if isinstance(header, dict) else header
         if found != JOURNAL_FORMAT:
@@ -620,5 +555,7 @@ class CheckpointJournal(AppendJournal):
                     self._path,
                     drift,
                 )
-        self._open_for_append()
+        self._started = True
+        if self._hash is not None:
+            write_digest(self._path, self._hash.hexdigest())
         return completed

@@ -106,7 +106,6 @@ from repro.core.stacked import DEFAULT_OFFSETS, StackedDie, build_stacked_die
 from repro.dram.module import Module
 from repro.obs import Observability
 from repro.errors import (
-    CampaignInterruptedError,
     CheckpointError,
     ExecutorError,
     ExperimentError,
@@ -1422,8 +1421,6 @@ def run_plan(
     report: Optional[RunReport] = None,
     obs: Optional[Observability] = None,
     sink=None,
-    stop_check: Optional[Callable[[], bool]] = None,
-    steal_lock: bool = False,
 ) -> Dict[int, List]:
     """Execute a shard plan through an executor ladder.
 
@@ -1448,15 +1445,6 @@ def run_plan(
     whether or not the campaign was interrupted.  The sink must be
     idempotent under replay (FlipSink is); the caller owns flushing and
     closing it.
-
-    ``stop_check`` is the graceful-drain seam: a zero-argument callable
-    polled at every shard boundary (after the finished shard is
-    journaled and streamed).  When it answers true the run raises
-    :class:`~repro.errors.CampaignInterruptedError` -- every completed
-    shard is already durable, so a later ``resume=True`` run finishes
-    the campaign bit-identically.  ``steal_lock`` forcibly takes over
-    the checkpoint journal's advisory append lock (lease reclaim of a
-    wedged writer); the displaced writer's next append is refused.
 
     Returns completed shard results keyed by shard index (including
     journal-resumed shards); raises
@@ -1492,9 +1480,7 @@ def run_plan(
             )
 
     journal = (
-        CheckpointJournal(
-            checkpoint, digest=digest, codec=codec, steal_lock=steal_lock
-        )
+        CheckpointJournal(checkpoint, digest=digest, codec=codec)
         if checkpoint is not None
         else None
     )
@@ -1502,7 +1488,7 @@ def run_plan(
         return _run_plan_journaled(
             plan, runner, ladder, fingerprint, policy=policy,
             fault_plan=fault_plan, resume=resume, report=report, obs=obs,
-            sink=sink, stop_check=stop_check, journal=journal,
+            sink=sink, journal=journal,
         )
     finally:
         if journal is not None:
@@ -1523,7 +1509,6 @@ def _run_plan_journaled(
     report: RunReport,
     obs: Optional[Observability],
     sink,
-    stop_check: Optional[Callable[[], bool]],
     journal: Optional[CheckpointJournal],
 ) -> Dict[int, List]:
     """The journal-holding body of :func:`run_plan` (lock released there)."""
@@ -1564,16 +1549,6 @@ def _run_plan_journaled(
         for index in sorted(completed):
             sink.accept(completed[index])
 
-    def check_stop(boundary: str) -> None:
-        if stop_check is not None and stop_check():
-            raise CampaignInterruptedError(
-                f"campaign stopped {boundary}: "
-                f"{len(completed)}/{report.n_shards} shard(s) are "
-                f"journaled; resume to finish bit-identically"
-            )
-
-    check_stop("before dispatch")
-
     def on_shard(shard, results) -> None:
         completed[shard.index] = results
         report.n_executed += 1
@@ -1603,9 +1578,6 @@ def _run_plan_journaled(
                 elapsed_s=round(elapsed, 3),
                 eta_s=None if eta is None else round(eta, 3),
             )
-        # Drain seam: the finished shard above is already journaled and
-        # streamed, so stopping here loses no work.
-        check_stop(f"at the shard boundary after shard {shard.index}")
 
     for position, executor in enumerate(ladder):
         remaining = tuple(
@@ -1748,8 +1720,6 @@ class SweepEngine:
         fault_plan: Optional[FaultPlan] = None,
         validate: bool = False,
         sink=None,
-        stop_check=None,
-        steal_lock: bool = False,
     ) -> ResultSet:
         """Run a full campaign and return its canonical ResultSet.
 
@@ -1773,10 +1743,6 @@ class SweepEngine:
         out-of-core store as the campaign runs (see
         :class:`~repro.core.flipdb.FlipSink` and :func:`run_plan`); the
         sink is flushed -- but not closed -- before this method returns.
-
-        ``stop_check`` / ``steal_lock`` are the campaign-service seams
-        (graceful drain at shard boundaries, lease reclaim of a wedged
-        writer's journal); see :func:`run_plan`.
         """
         plan = SweepPlan.build(
             modules,
@@ -1840,8 +1806,6 @@ class SweepEngine:
             report=report,
             obs=obs,
             sink=sink,
-            stop_check=stop_check,
-            steal_lock=steal_lock,
         )
         if sink is not None:
             sink.flush()

@@ -167,8 +167,6 @@ class CharacterizationRunner:
         fault_plan: Optional[FaultPlan] = None,
         validate: bool = False,
         sink=None,
-        stop_check=None,
-        steal_lock: bool = False,
     ) -> ResultSet:
         """Full sweep over one module."""
         return self._engine(workers, executor).run(
@@ -186,8 +184,6 @@ class CharacterizationRunner:
             fault_plan=fault_plan,
             validate=validate,
             sink=sink,
-            stop_check=stop_check,
-            steal_lock=steal_lock,
         )
 
     def characterize(
@@ -204,8 +200,6 @@ class CharacterizationRunner:
         fault_plan: Optional[FaultPlan] = None,
         validate: bool = False,
         sink=None,
-        stop_check=None,
-        steal_lock: bool = False,
     ) -> ResultSet:
         """Full sweep over several modules.
 
@@ -227,12 +221,6 @@ class CharacterizationRunner:
         every completed shard's measurements as the sweep runs, so
         fleet-scale populations land in an out-of-core store instead of
         only in the returned ResultSet.
-
-        ``stop_check`` (a zero-arg callable polled at shard boundaries)
-        cooperatively interrupts the sweep with
-        :class:`~repro.errors.CampaignInterruptedError` for graceful
-        drain; ``steal_lock=True`` reclaims the checkpoint journal's
-        advisory lock from a wedged writer (lease reclaim).
         """
         return self._engine(workers, executor).run(
             modules,
@@ -248,6 +236,4 @@ class CharacterizationRunner:
             fault_plan=fault_plan,
             validate=validate,
             sink=sink,
-            stop_check=stop_check,
-            steal_lock=steal_lock,
         )

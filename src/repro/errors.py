@@ -103,16 +103,6 @@ class ShardFailedError(ExecutorError):
     budget is exhausted.  Raised with the underlying cause chained."""
 
 
-class CampaignInterruptedError(ExecutorError):
-    """A campaign was cooperatively stopped at a shard boundary.
-
-    Raised by :func:`repro.core.engine.run_plan` when its ``stop_check``
-    callback answers true (graceful drain, job cancellation): every
-    completed shard is already journaled, so a later ``resume=True`` run
-    finishes the campaign bit-identically.  Not a failure -- the caller
-    (the campaign service's worker loop) re-queues the job."""
-
-
 class DeviceError(ReproError):
     """A device backend failed to execute an operation.
 
@@ -178,42 +168,10 @@ class CheckpointBusyError(CheckpointError):
     Two writers appending to one journal would interleave shard records
     (duplicate-shard corruption on the next load), so the journal takes
     an ``O_EXCL`` lockfile on open-for-append and raises this instead.
-    A lock whose owning process is dead is reclaimed silently; a *live*
-    owner can only be displaced by an explicit ``steal_lock=True``
-    takeover (lease reclaim), after which the displaced writer's next
-    append raises this error rather than interleaving."""
-
-
-class ServiceError(ReproError):
-    """The campaign service failed to accept or execute a request.
-
-    Base class of the service failure domain (:mod:`repro.service`); see
-    :class:`ServiceOverloadError` (backpressure),
-    :class:`ServiceDrainingError` (graceful shutdown),
-    :class:`JobNotFoundError`, and :class:`ServiceProtocolError`.
-    """
-
-
-class ServiceOverloadError(ServiceError):
-    """The service's admission control rejected a submission because a
-    bounded queue is full (globally or for the submitting tenant).
-    Backpressure, not OOM: the client should retry later, with backoff.
-    """
-
-
-class ServiceDrainingError(ServiceError):
-    """The service is draining (SIGTERM/SIGINT or an explicit drain
-    request): no new submissions are admitted; queued and in-flight jobs
-    are checkpointed and re-adopted by the next ``serve --resume``."""
-
-
-class JobNotFoundError(ServiceError):
-    """The named job id is unknown to the service."""
-
-
-class ServiceProtocolError(ServiceError):
-    """A request (or response) violates the line-JSON wire protocol or
-    names an invalid tenant/kind/spec."""
+    A lock whose owning process is dead is reclaimed with a logged
+    warning; a *live* owner is never displaced, and a writer whose
+    lockfile no longer carries its token has its next append refused
+    with this error rather than interleaving."""
 
 
 class ArtifactError(ReproError):

@@ -826,8 +826,6 @@ class MitigationCampaign:
         resume: bool = False,
         fault_plan=None,
         validate: bool = False,
-        stop_check=None,
-        steal_lock: bool = False,
     ) -> MitigationResults:
         """Run a full mitigation campaign in canonical order.
 
@@ -884,8 +882,6 @@ class MitigationCampaign:
             codec=MITIGATION_CODEC,
             report=report,
             obs=obs,
-            stop_check=stop_check,
-            steal_lock=steal_lock,
         )
 
         results = MitigationResults()

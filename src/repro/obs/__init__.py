@@ -65,12 +65,6 @@ class Observability:
         reporters: event sinks fed every :meth:`emit`.
         profile_dir: when set, in-process shard executions run under
             cProfile and dump per-shard ``.pstats`` files there.
-        campaign_id: when set, every emitted event carries a
-            ``campaign_id`` field (and :class:`StderrProgress` prefixes
-            its lines with it), so interleaved output from concurrent
-            jobs sharing a process -- the campaign-service case -- stays
-            attributable.  ``None`` (the default) emits exactly the
-            pre-service event shape.
     """
 
     def __init__(
@@ -78,11 +72,9 @@ class Observability:
         metrics: Optional[MetricsRegistry] = None,
         reporters: Sequence[ProgressReporter] = (),
         profile_dir: Optional[Union[str, os.PathLike]] = None,
-        campaign_id: Optional[str] = None,
     ) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.reporters: List[ProgressReporter] = list(reporters)
-        self.campaign_id = campaign_id
         self.profiler = (
             ShardProfiler(profile_dir) if profile_dir is not None else None
         )
@@ -101,8 +93,6 @@ class Observability:
         ``obs.emit_errors`` counter and otherwise ignored.
         """
         record: Dict = {"event": event, "t": round(time.time(), 6)}
-        if self.campaign_id is not None:
-            record["campaign_id"] = self.campaign_id
         record.update(fields)
         for reporter in self.reporters:
             try:

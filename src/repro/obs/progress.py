@@ -60,13 +60,7 @@ def _eta_text(event: Dict) -> str:
 
 
 class StderrProgress(ProgressReporter):
-    """Line-oriented progress on a text stream (stderr by default).
-
-    Events carrying a ``campaign_id`` (concurrent service jobs sharing
-    one stderr) get their lines prefixed with ``[<campaign_id>]`` so
-    interleaved output stays attributable; events without one render
-    exactly as before.
-    """
+    """Line-oriented progress on a text stream (stderr by default)."""
 
     def __init__(self, stream: Optional[IO[str]] = None) -> None:
         self._stream = stream if stream is not None else sys.stderr
@@ -78,23 +72,15 @@ class StderrProgress(ProgressReporter):
 
     def emit(self, event: Dict) -> None:
         kind = event.get("event")
-        campaign_id = event.get("campaign_id")
-        if campaign_id is None:
-            write = self._write
-        else:
-
-            def write(line: str) -> None:
-                self._write(f"[{campaign_id}] {line}")
-
         if kind == "campaign_start":
-            write(
+            self._write(
                 f"campaign {event.get('fingerprint')}: "
                 f"{event.get('n_shards')} shards "
                 f"({event.get('n_measurements')} measurements) on the "
                 f"{event.get('executor')} executor"
             )
         elif kind == "campaign_resume":
-            write(
+            self._write(
                 f"resumed {event.get('n_resumed')} shard(s) from "
                 f"{event.get('checkpoint')}"
             )
@@ -105,22 +91,22 @@ class StderrProgress(ProgressReporter):
             label = event.get("label")
             if label is None:
                 label = f"{event.get('module')} die {event.get('die')}"
-            write(
+            self._write(
                 f"[{done:>4}/{total}] shard {event.get('shard')} "
                 f"({label}) done{_eta_text(event)}"
             )
         elif kind == "shard_retry":
-            write(
+            self._write(
                 f"retry: {event.get('label')} failure "
                 f"{event.get('failures')}: {event.get('error')}"
             )
         elif kind == "executor_degraded":
-            write(
+            self._write(
                 f"degraded: {event.get('from_executor')} -> "
                 f"{event.get('to_executor')} ({event.get('reason')})"
             )
         elif kind == "campaign_finish":
-            write(
+            self._write(
                 f"campaign done in {event.get('seconds')}s: "
                 f"{event.get('n_executed')} executed, "
                 f"{event.get('n_resumed')} resumed, "

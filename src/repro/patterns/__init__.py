@@ -18,8 +18,8 @@ rows, refresh gaps, and repeat counts.  A :class:`~.dsl.PatternSpec` is
 duck-compatible with :class:`AccessPattern`: it *places* onto a base
 physical row exactly the same way, *compiles* to DRAM Bender programs
 through the same compiler, and exposes the same closed-form
-contributions, so specs flow through the engine, campaign service, and
-mitigation evaluator unchanged.  The paper's three patterns (and the
+contributions, so specs flow through the engine and the mitigation
+evaluator unchanged.  The paper's three patterns (and the
 many-sided generalization) re-expressed in the DSL compile to
 byte-identical programs -- see ``tests/test_dsl_differential.py``.
 

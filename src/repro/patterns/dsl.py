@@ -170,8 +170,8 @@ class PatternSpec:
 
     Duck-compatible with :class:`~repro.patterns.base.AccessPattern`
     (``name`` / ``solo`` / ``place`` / ``iteration_contributions``), so
-    specs flow through the engine, the campaign service, the mitigation
-    evaluator, and the honest prober unchanged.  Additionally exposes
+    specs flow through the engine, the mitigation evaluator, and the
+    honest prober unchanged.  Additionally exposes
     ``victim_offsets`` so the closed-form fast path can build stacks
     over the spec's exact footprint
     (:func:`repro.core.acmin.pattern_footprint`).

@@ -38,7 +38,6 @@ from repro.errors import (
     ArtifactCorruptError,
     ArtifactError,
     ArtifactInvalidError,
-    CheckpointError,
 )
 from repro.validate import integrity
 from repro.validate.provenance import check_provenance, provenance_stamp
@@ -49,7 +48,6 @@ from repro.validate.schema import (
     METRICS_FORMAT,
     MITIGATION_FORMAT,
     PATTERNSPEC_FORMAT,
-    QUEUE_FORMAT,
     RESULTS_FORMAT,
     validate_bench_payload,
     validate_journal_entry,
@@ -58,8 +56,6 @@ from repro.validate.schema import (
     validate_metrics_payload,
     validate_mitigation_payload,
     validate_patternspec_payload,
-    validate_queue_event,
-    validate_queue_header,
     validate_results_payload,
     validate_trace_event,
 )
@@ -87,7 +83,7 @@ __all__ = [
 #: Artifact kinds :func:`detect_kind` can identify.
 ARTIFACT_KINDS = (
     "results", "mitigation", "checkpoint", "metrics", "trace", "bench",
-    "manifest", "queue", "patternspec", "sidecar",
+    "manifest", "patternspec", "sidecar",
 )
 
 #: Names re-exported from the lazily imported invariants module.
@@ -186,8 +182,6 @@ def detect_kind(path: PathLike, raw: Optional[bytes] = None) -> str:
         # trace) parse as a single document too -- classify by shape.
         if payload.get("format") == JOURNAL_FORMAT:
             return "checkpoint"
-        if payload.get("format") == QUEUE_FORMAT:
-            return "queue"
         if "event" in payload and "t" in payload:
             return "trace"
     if isinstance(payload, list):
@@ -218,8 +212,6 @@ def detect_kind(path: PathLike, raw: Optional[bytes] = None) -> str:
     first = _parse_json(path, lines[0], what="first line")
     if isinstance(first, dict) and first.get("format") == JOURNAL_FORMAT:
         return "checkpoint"
-    if isinstance(first, dict) and first.get("format") == QUEUE_FORMAT:
-        return "queue"
     if isinstance(first, dict) and "event" in first and "t" in first:
         return "trace"
     raise ArtifactInvalidError(
@@ -277,8 +269,8 @@ def validate_artifact(
     if kind == "sidecar":
         return _validate_sidecar(path)
     report = ArtifactReport(path=str(path), kind=kind)
-    if kind in ("checkpoint", "queue"):
-        # Both are append-only journals with the crash-window-tolerant
+    if kind == "checkpoint":
+        # An append-only journal with the crash-window-tolerant
         # running-hash sidecar discipline.
         verified, note = integrity.verify_journal_bytes(path, raw)
         report.digest_verified = verified
@@ -345,9 +337,6 @@ def validate_artifact(
             report.warnings.extend(check_provenance(payload["provenance"]))
     elif kind == "trace":
         report.n_records, warnings = _validate_trace_text(path, raw)
-        report.warnings.extend(warnings)
-    elif kind == "queue":
-        report.n_records, warnings = _validate_queue_text(path, raw)
         report.warnings.extend(warnings)
     elif kind == "manifest":
         payload = _parse_json(path, text)
@@ -494,39 +483,6 @@ def _validate_trace_text(path: PathLike, raw: bytes) -> Tuple[int, List[str]]:
     for number, event in lines:
         validate_trace_event(event, number, source=str(path))
     return len(lines), warnings
-
-
-def _validate_queue_text(path: PathLike, raw: bytes) -> Tuple[int, List[str]]:
-    """Schema-validate a service queue journal and replay its history.
-
-    Beyond per-line schema checks, the journal is replayed through the
-    loader's own state machine (:func:`repro.service.queue.replay_queue`).
-    Returns ``(n_jobs, warnings)``.
-    """
-    from repro.service.queue import OPEN_STATES, replay_queue
-
-    lines, warnings = _journal_records(
-        path, raw, "queue journal",
-        "a restart will drop it and replay the intact prefix",
-    )
-    header = validate_queue_header(lines[0][1], source=str(path))
-    if "provenance" in header:
-        warnings.extend(check_provenance(header["provenance"]))
-    for number, event in lines[1:]:
-        validate_queue_event(event, number, source=str(path))
-    try:
-        jobs, sealed = replay_queue(lines[1:], source=str(path))
-    except CheckpointError as exc:
-        raise ArtifactInvalidError(str(exc)) from exc
-    if not sealed:
-        warnings.append(
-            "journal is not sealed (the service was killed or is still "
-            "running); a restart with --resume re-adopts its open jobs"
-        )
-    open_jobs = sum(1 for job in jobs.values() if job.state in OPEN_STATES)
-    if open_jobs:
-        warnings.append(f"{open_jobs} job(s) still open (queued or running)")
-    return len(jobs), warnings
 
 
 def validate_paths(

@@ -41,21 +41,16 @@ __all__ = [
     "MANIFEST_FORMAT",
     "MITIGATION_FORMAT",
     "MITIGATION_POINT_FORMAT",
-    "QUEUE_FORMAT",
     "PATTERNSPEC_FORMAT",
     "KNOWN_PATTERNS",
     "is_known_pattern_name",
     "KNOWN_MITIGATIONS",
     "KNOWN_JOURNAL_ENTRIES",
-    "KNOWN_QUEUE_OPS",
-    "KNOWN_JOB_KINDS",
     "validate_results_payload",
     "validate_journal_header",
     "validate_journal_entry",
     "validate_metrics_payload",
     "validate_trace_event",
-    "validate_queue_header",
-    "validate_queue_event",
     "validate_bench_payload",
     "validate_measurement_record",
     "validate_mitigation_record",
@@ -75,7 +70,6 @@ BENCH_FORMAT = "repro-bench-v1"
 MANIFEST_FORMAT = "repro-flipshards-v1"
 MITIGATION_FORMAT = "repro-mitigation-v1"
 MITIGATION_POINT_FORMAT = "repro-mitigation-point-v1"
-QUEUE_FORMAT = "repro-service-queue-v1"
 PATTERNSPEC_FORMAT = "repro-patternspec-v1"
 
 #: The paper's three access patterns (Section 3).  Records are no
@@ -635,104 +629,7 @@ def validate_trace_event(
     _require_finite(t, f"{path}.t", source)
     if t < 0:
         _fail(source, f"{path}.t", f"must be a wall-clock timestamp, got {t!r}")
-    if "campaign_id" in event:
-        # Service-era traces tag every event with the owning job; old
-        # traces without the field stay valid (forward-extensible).
-        _require(
-            event["campaign_id"], f"{path}.campaign_id", str, source,
-            "a string",
-        )
     return name
-
-
-# ----------------------------------------------------------- service queue
-
-
-#: Operations the campaign service's queue journal records.  The replay
-#: state machine (DESIGN.md §12): ``submit`` creates a job, ``lease``
-#: moves it to running, ``requeue`` returns it to queued (drain or lease
-#: reclaim), ``complete``/``fail``/``cancel`` are terminal, and ``seal``
-#: marks a graceful shutdown (no job field).
-KNOWN_QUEUE_OPS = (
-    "submit",
-    "lease",
-    "requeue",
-    "complete",
-    "fail",
-    "cancel",
-    "seal",
-)
-
-#: Job kinds the service executes.
-KNOWN_JOB_KINDS = ("characterize", "mitigate", "export")
-
-
-def validate_queue_header(header, source: Optional[str] = None) -> Dict:
-    """Validate a service queue journal's header line (parsed)."""
-    _require_dict(header, "$", source)
-    fmt = _get(header, "format", "$", source)
-    if fmt != QUEUE_FORMAT:
-        _fail(
-            source, "$.format",
-            f"has unknown queue format {fmt!r} "
-            f"(this library reads {QUEUE_FORMAT!r})",
-        )
-    if "provenance" in header:
-        _require_dict(header["provenance"], "$.provenance", source)
-    return header
-
-
-def validate_queue_event(
-    event, line_no: int, source: Optional[str] = None
-) -> Tuple[str, Optional[str]]:
-    """Validate one parsed queue journal event line.
-
-    Returns ``(op, job_id)`` (``job_id`` is ``None`` for ``seal``) so the
-    caller can replay the queue state machine and reject inconsistent
-    histories (a lease of an unknown job, a double-terminal job, ...).
-    """
-    path = f"line {line_no}: $"
-    _require_dict(event, path, source)
-    op = _require(
-        _get(event, "op", path, source), f"{path}.op", str, source, "a string"
-    )
-    if op not in KNOWN_QUEUE_OPS:
-        _fail(
-            source, f"{path}.op",
-            f"has unknown queue op {op!r} "
-            f"(this library reads {list(KNOWN_QUEUE_OPS)})",
-        )
-    t = _get(event, "t", path, source)
-    _require_finite(t, f"{path}.t", source)
-    if t < 0:
-        _fail(source, f"{path}.t", f"must be a wall-clock timestamp, got {t!r}")
-    if op == "seal":
-        return op, None
-    job = _require(
-        _get(event, "job", path, source),
-        f"{path}.job", str, source, "a string",
-    )
-    if not job:
-        _fail(source, f"{path}.job", "must be a non-empty job id")
-    if op == "submit":
-        tenant = _require(
-            _get(event, "tenant", path, source),
-            f"{path}.tenant", str, source, "a string",
-        )
-        if not tenant:
-            _fail(source, f"{path}.tenant", "must be a non-empty tenant name")
-        kind = _require(
-            _get(event, "kind", path, source),
-            f"{path}.kind", str, source, "a string",
-        )
-        if kind not in KNOWN_JOB_KINDS:
-            _fail(
-                source, f"{path}.kind",
-                f"has unknown job kind {kind!r} "
-                f"(this library runs {list(KNOWN_JOB_KINDS)})",
-            )
-        _require_dict(_get(event, "spec", path, source), f"{path}.spec", source)
-    return op, job
 
 
 # ------------------------------------------------------------------- bench

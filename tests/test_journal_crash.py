@@ -1,13 +1,13 @@
-"""Crash states of the append-only journals.
+"""Crash states of the append-only checkpoint journal, and its lock.
 
-Both journal kinds -- the campaign checkpoint and the service queue --
-are cut at every byte offset, under each sidecar state a crash can leave
-behind: no sidecar, a sidecar stamped at the last complete line, and the
-window between a durable append and its sidecar restamp.  Every load
-must either raise a typed error or return exactly the records whose
-terminating newline is on disk (commit-on-newline), and every
-successful load must extend cleanly: one more append and a reload return
-that prefix plus the new record, and ``validate`` accepts the result.
+The journal is cut at every byte offset, under each sidecar state a
+crash can leave behind: no sidecar, a sidecar stamped at the last
+complete line, and the window between a durable append and its sidecar
+restamp.  Every load must either raise a typed error or return exactly
+the records whose terminating newline is on disk (commit-on-newline),
+and every successful load must extend cleanly: one more append and a
+reload return that prefix plus the new record, and ``validate`` accepts
+the result.  A second live writer is refused with a typed error.
 """
 
 from __future__ import annotations
@@ -18,85 +18,28 @@ import pytest
 
 from repro.atomicio import digest_path, write_digest
 from repro.core.checkpoint import CheckpointJournal
-from repro.errors import CheckpointError
-from repro.service.queue import QueueJournal
+from repro.errors import CheckpointBusyError, CheckpointError
 from repro.validate import validate_artifact
 
 pytestmark = pytest.mark.faults
 
-QUEUE_EVENTS = [
-    {"op": "submit", "t": 1.0, "job": "job-0001", "tenant": "alice",
-     "kind": "characterize", "spec": {}},
-    {"op": "submit", "t": 2.0, "job": "job-0002", "tenant": "bob",
-     "kind": "mitigate", "spec": {}},
-    {"op": "lease", "t": 3.0, "job": "job-0001", "worker": "w0",
-     "attempt": 1},
-]
-NEW_EVENT = {"op": "submit", "t": 4.0, "job": "job-0009", "tenant": "carol",
-             "kind": "export", "spec": {}}
-#: The queue state after each prefix of QUEUE_EVENTS.
-QUEUE_PREFIXES = [
-    {},
-    {"job-0001": ("queued", 0)},
-    {"job-0001": ("queued", 0), "job-0002": ("queued", 0)},
-    {"job-0001": ("running", 1), "job-0002": ("queued", 0)},
-]
+
+def _write(path, digest):
+    """A three-shard journal of a four-shard plan."""
+    journal = CheckpointJournal(path, digest=digest)
+    journal.start("fp", 4)
+    for shard in range(3):
+        journal.record(shard, [])
+    journal.release()
 
 
-class _Checkpoint:
-    """Write / load / extend a three-shard checkpoint journal."""
-
-    def write(self, path, digest):
-        journal = CheckpointJournal(path, digest=digest)
-        journal.start("fp", 4)
-        for shard in range(3):
-            journal.record(shard, [])
+def _load(path):
+    journal = CheckpointJournal(path)
+    try:
+        return journal, sorted(journal.load("fp"))
+    except BaseException:
         journal.release()
-
-    def load(self, path):
-        journal = CheckpointJournal(path)
-        try:
-            return journal, sorted(journal.load("fp"))
-        except BaseException:
-            journal.release()
-            raise
-
-    def extend(self, journal):
-        journal.record(3, [])
-
-    def expected(self, n_records, extended=False):
-        return list(range(n_records)) + ([3] if extended else [])
-
-
-class _Queue:
-    """Write / load / extend a three-event service queue journal."""
-
-    def write(self, path, digest):
-        journal = QueueJournal(path)
-        journal.start()
-        for event in QUEUE_EVENTS:
-            journal.append(event)
-        journal.release()
-
-    def load(self, path):
-        journal = QueueJournal(path)
-        try:
-            jobs, _ = journal.load()
-        except BaseException:
-            journal.release()
-            raise
-        return journal, {
-            job_id: (job.state, job.attempt) for job_id, job in jobs.items()
-        }
-
-    def extend(self, journal):
-        journal.append(NEW_EVENT)
-
-    def expected(self, n_records, extended=False):
-        jobs = dict(QUEUE_PREFIXES[n_records])
-        if extended:
-            jobs[NEW_EVENT["job"]] = ("queued", 0)
-        return jobs
+        raise
 
 
 def _crash_states(full: bytes, with_sidecar: bool):
@@ -116,19 +59,16 @@ def _crash_states(full: bytes, with_sidecar: bool):
 
 
 @pytest.mark.parametrize(
-    "kind,digest",
-    [(_Checkpoint, False), (_Checkpoint, True), (_Queue, True)],
-    ids=["checkpoint", "checkpoint-digest", "queue"],
+    "digest", [False, True], ids=["checkpoint", "checkpoint-digest"]
 )
 def test_every_crash_state_loads_a_prefix_that_extends(
-    tmp_path, monkeypatch, kind, digest
+    tmp_path, monkeypatch, digest
 ):
     # The crash states are synthesized byte by byte, so durability is
-    # not under test here: skip the fsyncs to keep ~1300 states fast.
+    # not under test here: skip the fsyncs to keep the states fast.
     monkeypatch.setattr("os.fsync", lambda fd: None)
-    journal_kind = kind()
     source = tmp_path / "full.jsonl"
-    journal_kind.write(source, digest)
+    _write(source, digest)
     full = source.read_bytes()
     path = tmp_path / "crashed.jsonl"
     n_states = 0
@@ -141,15 +81,36 @@ def test_every_crash_state_loads_a_prefix_that_extends(
         committed = prefix.count(b"\n")  # header included
         if committed == 0:
             with pytest.raises(CheckpointError):
-                journal_kind.load(path)
+                _load(path)
             continue
-        journal, loaded = journal_kind.load(path)
+        journal, loaded = _load(path)
         state = (len(prefix), sidecar)
-        assert loaded == journal_kind.expected(committed - 1), state
-        journal_kind.extend(journal)
+        assert loaded == list(range(committed - 1)), state
+        journal.record(3, [])
         journal.release()
-        journal, reloaded = journal_kind.load(path)
+        journal, reloaded = _load(path)
         journal.release()
-        assert reloaded == journal_kind.expected(committed - 1, True), state
+        assert reloaded == list(range(committed - 1)) + [3], state
         assert validate_artifact(path).n_records == len(reloaded), state
     assert n_states > len(full)
+
+
+def test_second_live_writer_is_refused_until_release(tmp_path):
+    path = tmp_path / "campaign.jsonl"
+    writer = CheckpointJournal(path)
+    writer.start("fp", 4)
+    writer.record(0, [])
+    assert writer.lock_path.exists()
+    with pytest.raises(CheckpointBusyError, match="live writer"):
+        CheckpointJournal(path).load("fp")
+    with pytest.raises(CheckpointBusyError, match="live writer"):
+        CheckpointJournal(path).start("fp", 4)
+    writer.release()
+    assert not writer.lock_path.exists()
+    with CheckpointJournal(path) as second:
+        assert sorted(second.load("fp")) == [0]
+        second.record(1, [])
+    assert not writer.lock_path.exists()
+    reader, loaded = _load(path)
+    reader.release()
+    assert loaded == [0, 1]

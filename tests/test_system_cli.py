@@ -145,3 +145,92 @@ def test_cli_keyboard_interrupt_exits_130(monkeypatch, capsys):
     assert code == 130
     assert "interrupted" in capsys.readouterr().err
     assert not shm.live_segment_names()
+
+
+#: Runs the CLI in a child process that parks for up to a minute right
+#: after journaling its first shard, so the test can signal it at a
+#: known point: one shard durable, the rest not yet run.
+_PARKED_CLI = """
+import sys
+import time
+
+from repro.cli import main
+from repro.core.checkpoint import CheckpointJournal
+
+record = CheckpointJournal.record
+
+
+def record_then_park(self, *args, **kwargs):
+    record(self, *args, **kwargs)
+    CheckpointJournal.record = record
+    time.sleep(60)
+
+
+CheckpointJournal.record = record_then_park
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.faults
+@pytest.mark.parametrize(
+    "signum,workers",
+    [("SIGTERM", "0"), ("SIGTERM", "2"), ("SIGKILL", "0")],
+    ids=["sigterm-serial", "sigterm-workers2", "sigkill-serial"],
+)
+def test_cli_killed_campaign_resumes_bit_identically(
+    tmp_path, capsys, signum, workers
+):
+    """SIGTERM unwinds like Ctrl-C (exit 130, lock released); SIGKILL
+    leaves a stale lock that --resume reclaims.  Either way the resumed
+    dump is byte-identical to an uninterrupted run's."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    import repro
+
+    journal = tmp_path / "campaign.jsonl"
+    lock = tmp_path / "campaign.jsonl.lock"
+    base = [
+        "table2", "--modules", "S1", "--trials", "1", "--workers", workers,
+        "--checkpoint", str(journal),
+    ]
+    resumed, fresh = tmp_path / "resumed.json", tmp_path / "fresh.json"
+    # The child imports the same repro package this test runs against.
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.Popen(
+        [sys.executable, "-c", _PARKED_CLI, *base, "--dump", str(resumed)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        # Header plus one shard record: the child is parked.
+        while not journal.exists() or journal.read_bytes().count(b"\n") < 2:
+            assert child.poll() is None, child.communicate()
+            assert time.monotonic() < deadline, "no shard was ever journaled"
+            time.sleep(0.02)
+        child.send_signal(getattr(signal, signum))
+        _, err = child.communicate(timeout=60)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+
+    if signum == "SIGTERM":
+        assert child.returncode == 130, err
+        assert "interrupted" in err
+        assert not lock.exists()
+    else:
+        assert child.returncode == -signal.SIGKILL
+        assert lock.exists()  # the dead writer's lock is left behind
+    assert not resumed.exists()
+
+    assert main(base + ["--resume", "--dump", str(resumed)]) == 0
+    assert "1 resumed from checkpoint, 7 executed" in capsys.readouterr().err
+    assert not lock.exists()
+    assert main(["table2", "--modules", "S1", "--trials", "1", "--workers",
+                 "0", "--dump", str(fresh)]) == 0
+    assert resumed.read_bytes() == fresh.read_bytes()
