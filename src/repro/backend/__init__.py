@@ -1,43 +1,19 @@
-"""Pluggable device backends and the hardened device-session layer.
+"""The characterization rig and its mandatory methodology preflight.
 
-See :mod:`repro.backend.base` for the :class:`DeviceBackend` protocol,
-:mod:`repro.backend.sim` / :mod:`repro.backend.noisy` for the two
-shipped backends, :mod:`repro.backend.session` for the health-hardened
-:class:`DeviceSession`, and :mod:`repro.backend.preflight` for the
-mandatory methodology preflight.
+See :mod:`repro.backend.base` for the simulated rig
+(:class:`SimBackend`) and :func:`build_session`,
+:mod:`repro.backend.session` for the :class:`DeviceSession` that
+preflights each module once, and :mod:`repro.backend.preflight` for the
+paper's four §3 checks.
 """
 
-from repro.backend.base import (
-    BackendSpec,
-    DeviceBackend,
-    DeviceOp,
-    NoiseProfile,
-    ProgramExecution,
-    SessionWorkerSpec,
-    build_session,
-    demo_noise,
-    make_backends,
-    worker_session,
-)
-from repro.backend.noisy import NoisySiliconBackend
+from repro.backend.base import SimBackend, build_session
 from repro.backend.preflight import run_preflight
-from repro.backend.session import DeviceHealth, DeviceSession
-from repro.backend.sim import SimBackend
+from repro.backend.session import DeviceSession
 
 __all__ = [
-    "BackendSpec",
-    "DeviceBackend",
-    "DeviceHealth",
-    "DeviceOp",
     "DeviceSession",
-    "NoiseProfile",
-    "NoisySiliconBackend",
-    "ProgramExecution",
-    "SessionWorkerSpec",
     "SimBackend",
     "build_session",
-    "demo_noise",
-    "make_backends",
     "run_preflight",
-    "worker_session",
 ]

@@ -1,8 +1,7 @@
 """Mandatory session preflight: the paper's methodology checks (§3).
 
 Before a session measures anything, four properties of the rig must be
-verified -- ported from the characterization methodology so they run
-against *any* :class:`~repro.backend.base.DeviceBackend`:
+verified -- ported from the characterization methodology:
 
 1. **Thermal settle** -- the PID heater loop
    (:class:`~repro.thermal.TemperatureController`) must hold the
@@ -12,20 +11,17 @@ against *any* :class:`~repro.backend.base.DeviceBackend`:
 2. **Refresh-window bound** -- the per-measurement runtime bound must
    fit inside tREFW, or "no bitflip within the bound" would be
    confounded by refresh.
-3. **TRR / ECC disabled** -- every device must report target-row
-   refresh off, and no die of the module may have on-die ECC armed
+3. **TRR / ECC disabled** -- the rig must report target-row refresh
+   off, and no die of the module may have on-die ECC armed
    (disturbance counts would be silently corrected away).
 4. **Mapping reverse-engineering** -- hammer a probe row on a scratch
-   chip that carries the module's row remapping, through the backend's
-   own command path (:mod:`repro.core.reverse_engineer`), and require
-   the observed physical neighbors to match the mapping the analysis
-   layer will assume.
+   chip that carries the module's row remapping, through the rig's own
+   command path (:mod:`repro.core.reverse_engineer`), and require the
+   observed physical neighbors to match the mapping the analysis layer
+   will assume.
 
 The probe runs on a synthetic low-threshold scratch chip so preflight
-never disturbs campaign state; the mapping check goes through
-``DeviceSession.call`` so a noisy backend's faults (and the session's
-retry/quarantine machinery) apply to preflight exactly as they do to
-measurements.  Any failed check raises
+never disturbs campaign state.  Any failed check raises
 :class:`~repro.errors.PreflightError` (permanent -- fail fast).
 """
 
@@ -84,25 +80,23 @@ def _check_refresh_window(config) -> Dict[str, object]:
     }
 
 
-def check_device_protections(session) -> Dict[str, object]:
-    """Device-level protection check: every device must report TRR off.
+def check_device_protections(device) -> Dict[str, object]:
+    """Device-level protection check: the rig must report TRR off.
 
     The module-independent half of the protections preflight -- also run
     standalone by campaigns that measure synthetic chips instead of
     modules (the mitigation campaign).
     """
-    for device in session.devices:
-        description = device.describe()
-        if description.get("trr_enabled"):
-            raise PreflightError(
-                f"device {device.device_id} reports target-row refresh "
-                f"enabled; disable TRR before characterizing"
-            )
-    return {"passed": True, "n_devices": len(session.devices)}
+    if device.describe().get("trr_enabled"):
+        raise PreflightError(
+            f"device {device.device_id} reports target-row refresh "
+            f"enabled; disable TRR before characterizing"
+        )
+    return {"passed": True, "device": device.device_id}
 
 
-def _check_protections(session, module) -> Dict[str, object]:
-    check_device_protections(session)
+def _check_protections(device, module) -> Dict[str, object]:
+    outcome = check_device_protections(device)
     ecc_dies = [
         die for die in range(module.n_dies)
         if module.chip(die).on_die_ecc is not None
@@ -113,90 +107,61 @@ def _check_protections(session, module) -> Dict[str, object]:
             f"{ecc_dies}; characterization requires raw (uncorrected) "
             f"readback"
         )
-    return {"passed": True, "n_devices": len(session.devices)}
+    return outcome
 
 
-def _check_mapping(session, module) -> Dict[str, object]:
+def _check_mapping(device, module) -> Dict[str, object]:
     from repro.core.reverse_engineer import find_physical_neighbors
     from repro.testing import make_synthetic_chip
 
     mapping = module.mapping
-    expected = tuple(
-        sorted(
-            row
-            for row in mapping.physical_neighbors(PROBE_AGGRESSOR, PROBE_ROWS)
-            if row is not None
-        )
+    expected = sorted(
+        row
+        for row in mapping.physical_neighbors(PROBE_AGGRESSOR, PROBE_ROWS)
+        if row is not None
     )
-
-    def probe():
-        # A fresh scratch chip per attempt: hammering mutates cell
-        # state, so a retried probe must not see a half-hammered array.
-        chip = make_synthetic_chip(
-            rows=PROBE_ROWS,
-            cols=PROBE_COLS,
-            key=f"PROBE-{module.key}",
-            mapping=mapping,
-        )
-        for device in session.devices:
-            if session.health(device.device_id).state != "lost":
-                break
-        else:
-            from repro.errors import DeviceLostError
-
-            raise DeviceLostError("no device left to open a probe session")
-        observation = find_physical_neighbors(
-            device.open_session(chip),
-            PROBE_AGGRESSOR,
-            window=4,
-            iterations=PROBE_ITERATIONS,
-            t_on=7_800.0,
-        )
-        observed = sorted(observation.flipped_logical_rows)
-        # Compare inside the op, on the honest pre-transfer data: a
-        # garbled *readback* of the probe result must surface as a
-        # transient corruption (and retry), never as a mapping verdict.
-        if tuple(observed) != expected:
-            raise PreflightError(
-                f"mapping reverse-engineering failed for module "
-                f"{module.key}: hammering logical row {PROBE_AGGRESSOR} "
-                f"flipped rows {observed}, but the declared mapping "
-                f"({type(mapping).__name__}) predicts {list(expected)}; "
-                f"the analysis would mis-pair aggressors and victims"
-            )
-        return observed
-
-    observed = tuple(
-        session.call(
-            ("preflight", module.key, "mapping"),
-            probe,
-            expect=len(expected),
-        )
+    chip = make_synthetic_chip(
+        rows=PROBE_ROWS,
+        cols=PROBE_COLS,
+        key=f"PROBE-{module.key}",
+        mapping=mapping,
     )
+    observation = find_physical_neighbors(
+        device.open_session(chip),
+        PROBE_AGGRESSOR,
+        window=4,
+        iterations=PROBE_ITERATIONS,
+        t_on=7_800.0,
+    )
+    observed = sorted(observation.flipped_logical_rows)
+    if observed != expected:
+        raise PreflightError(
+            f"mapping reverse-engineering failed for module "
+            f"{module.key}: hammering logical row {PROBE_AGGRESSOR} "
+            f"flipped rows {observed}, but the declared mapping "
+            f"({type(mapping).__name__}) predicts {expected}; "
+            f"the analysis would mis-pair aggressors and victims"
+        )
     return {
         "passed": True,
         "aggressor": PROBE_AGGRESSOR,
-        "neighbors": list(observed),
+        "neighbors": observed,
         "mapping": type(mapping).__name__,
     }
 
 
-def run_preflight(session, module, config) -> Dict[str, object]:
-    """All four methodology checks for one module; raises on failure."""
+def run_preflight(device, module, config) -> Dict[str, object]:
+    """All four methodology checks for one module on one rig.
+
+    Raises :class:`~repro.errors.PreflightError` on the first failed
+    check.
+    """
     t0 = time.monotonic()
     outcome = {
         "thermal": _check_thermal(config),
         "refresh_window": _check_refresh_window(config),
-        "protections": _check_protections(session, module),
-        "mapping": _check_mapping(session, module),
+        "protections": _check_protections(device, module),
+        "mapping": _check_mapping(device, module),
     }
     outcome["seconds"] = round(time.monotonic() - t0, 4)
-    if session._obs is not None:
-        session._obs.metrics.inc("preflight.modules")
-        session._obs.emit(
-            "preflight",
-            module=module.key,
-            passed=True,
-            seconds=outcome["seconds"],
-        )
     return outcome

@@ -1,371 +1,36 @@
-"""DeviceSession: the hardened layer between the engine and the devices.
+"""DeviceSession: one characterization rig and its preflight record.
 
-Wraps a pool of :class:`~repro.backend.base.DeviceBackend` devices with
-the fault handling a multi-day characterization campaign needs:
-
-* **Classification + retry** -- transient device faults
-  (:class:`~repro.errors.TransientDeviceError`, per
-  :func:`repro.core.faults.is_transient`) are retried with exponential
-  backoff up to the spec's ``max_op_retries``; permanent errors fail
-  fast.
-* **Watchdog deadlines** -- with ``watchdog_s`` set, each device call
-  runs under a wall-clock deadline; a hung readback surfaces as a
-  transient :class:`~repro.errors.ReadbackTimeoutError`.
-* **Health ledger** -- per-device error-rate EWMA plus per-die fault
-  attribution; a device whose EWMA crosses ``quarantine_threshold`` is
-  quarantined and its work re-routed onto the healthy devices (results
-  are pure functions of identity, so routing never affects values).
-* **Re-admission probing** -- a quarantined device sits out
-  ``readmit_after`` session calls, then the next op is routed to it as
-  a probe: success re-admits it, failure doubles its cooldown.
-* **Device loss** -- a :class:`~repro.errors.DeviceLostError` retires
-  the device permanently; the session only fails once no device is
-  left.
-* **Readback integrity** -- list results are length-checked against
-  the op's expectation; truncated/duplicated transfers surface as
-  transient :class:`~repro.errors.ReadbackCorruptError` *before* any
-  corrupt data reaches the engine.
-
-Everything is surfaced through the obs stream (``device_fault`` /
-``device_quarantine`` / ``device_readmit`` / ``device_lost`` /
-``device_reroute`` events, ``device.*`` counters) and snapshotted into
-the campaign's :class:`~repro.core.faults.RunReport`.
+Before a campaign measures anything, the session runs the paper's
+mandatory methodology preflight (:mod:`repro.backend.preflight`) for
+every module on its one rig, caches each outcome per module key, and
+records the outcomes on the campaign's
+:class:`~repro.core.faults.RunReport` (``report.preflight``).  The
+measurements themselves never pass through the session.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Dict
 
-from repro.backend.base import BackendSpec, DeviceBackend, DeviceOp, stable_hash
-from repro.core.faults import call_with_timeout, is_transient
-from repro.errors import (
-    DeviceLostError,
-    ReadbackCorruptError,
-    ReadbackTimeoutError,
-    ShardTimeoutError,
-)
+from repro.backend.base import SimBackend
 
-T = TypeVar("T")
-
-__all__ = ["DeviceHealth", "DeviceSession"]
-
-
-@dataclass
-class DeviceHealth:
-    """Health-ledger entry of one device."""
-
-    device_id: str
-    state: str = "healthy"  # healthy | quarantined | lost
-    ewma: float = 0.0
-    n_ok: int = 0
-    n_faults: int = 0
-    n_quarantines: int = 0
-    n_readmissions: int = 0
-    cooldown: int = 0
-    cooldown_base: int = 0
-    faults_by_die: Dict[str, int] = field(default_factory=dict)
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "device_id": self.device_id,
-            "state": self.state,
-            "error_ewma": round(self.ewma, 4),
-            "n_ok": self.n_ok,
-            "n_faults": self.n_faults,
-            "n_quarantines": self.n_quarantines,
-            "n_readmissions": self.n_readmissions,
-            "faults_by_die": dict(self.faults_by_die),
-        }
+__all__ = ["DeviceSession"]
 
 
 class DeviceSession:
-    """Routes operations across a device pool with health hardening."""
+    """One rig (a :class:`SimBackend` by default) plus its preflights."""
 
-    def __init__(
-        self,
-        devices: Sequence[DeviceBackend],
-        spec: BackendSpec,
-        obs=None,
-        report=None,
-    ) -> None:
-        if not devices:
-            raise DeviceLostError("a device session needs at least one device")
-        self._devices = list(devices)
-        self._spec = spec
-        self._obs = obs
-        self._report = report
-        self._lock = threading.Lock()
-        self._ledger: Dict[str, DeviceHealth] = {
-            d.device_id: DeviceHealth(d.device_id) for d in devices
-        }
+    def __init__(self, device=None) -> None:
+        self.device = device if device is not None else SimBackend()
+        self._obs = None
         self._preflighted: Dict[str, Dict] = {}
-        self._preflight_disabled = False
-        if report is not None and report.backend is None:
-            report.backend = spec.kind
 
-    # -------------------------------------------------------------- access
-
-    @property
-    def spec(self) -> BackendSpec:
-        return self._spec
-
-    @property
-    def devices(self) -> List[DeviceBackend]:
-        return list(self._devices)
-
-    def health(self, device_id: str) -> DeviceHealth:
-        return self._ledger[device_id]
-
-    def attach(self, obs, report) -> None:
-        """Late-bind the obs bundle / run report (engine per-run wiring)."""
+    def attach(self, obs) -> None:
+        """Late-bind the obs bundle preflight events go to."""
         self._obs = obs
-        self._report = report
-        if report is not None and report.backend is None:
-            report.backend = self._spec.kind
-
-    def mark_preflight_done(self) -> None:
-        """Skip preflight (worker-side sessions: the parent already ran it)."""
-        self._preflight_disabled = True
-
-    def worker_clone(self) -> "DeviceSession":
-        """A session for fork-inherited workers.
-
-        Shares the devices by reference (copy-on-write after the fork)
-        but carries no obs/report plumbing -- those must never be
-        touched from a worker -- and starts a fresh ledger; preflight
-        already ran in the parent.
-        """
-        clone = DeviceSession(self._devices, self._spec, obs=None, report=None)
-        clone.mark_preflight_done()
-        return clone
-
-    # ------------------------------------------------------------- routing
-
-    def _pick(self, key) -> DeviceBackend:
-        """Route one op: preferred device by stable hash, health permitting.
-
-        Must be called with the lock held.  Raises
-        :class:`~repro.errors.DeviceLostError` when every device is
-        lost -- the one permanent, fail-fast outcome of routing.
-        """
-        n = len(self._devices)
-        preferred = stable_hash(key) % n
-        probe: Optional[DeviceBackend] = None
-        healthy: Optional[tuple] = None
-        for offset in range(n):
-            device = self._devices[(preferred + offset) % n]
-            entry = self._ledger[device.device_id]
-            if entry.state == "healthy":
-                if healthy is None:
-                    healthy = (offset, device)
-            elif entry.state == "quarantined":
-                entry.cooldown -= 1
-                if entry.cooldown <= 0 and probe is None:
-                    probe = device
-        if probe is not None:
-            # Cooldown elapsed: deliberately route this op to the
-            # quarantined device as its re-admission probe.
-            self._emit("device_probe", device=probe.device_id)
-            return probe
-        if healthy is not None:
-            offset, device = healthy
-            if offset:
-                self._count_event("device.reroutes", "n_reroutes")
-                self._emit(
-                    "device_reroute",
-                    from_device=self._devices[preferred].device_id,
-                    to_device=device.device_id,
-                )
-            return device
-        quarantined = [
-            d for d in self._devices
-            if self._ledger[d.device_id].state == "quarantined"
-        ]
-        if quarantined:
-            # Every healthy device is gone and no cooldown has elapsed:
-            # probe the least-recently-quarantined device rather than
-            # fail a retryable op.
-            return min(
-                quarantined,
-                key=lambda d: self._ledger[d.device_id].cooldown,
-            )
-        raise DeviceLostError(
-            f"all {n} device(s) of the {self._spec.kind} backend are lost"
-        )
-
-    # ----------------------------------------------------------- execution
-
-    def call(
-        self,
-        key,
-        fn: Callable[[], T],
-        expect: Optional[int] = None,
-    ) -> T:
-        """Execute one operation through the hardened path.
-
-        Routes to a device, applies the watchdog, verifies readback
-        length, updates the health ledger, and retries transient
-        faults (re-routing around quarantined/lost devices) up to the
-        spec's ``max_op_retries``.
-        """
-        op = DeviceOp(key=tuple(key), fn=fn, expect=expect)
-        spec = self._spec
-        failures = 0
-        while True:
-            with self._lock:
-                device = self._pick(op.key)
-            try:
-                result = self._execute(device, op)
-                if (
-                    expect is not None
-                    and isinstance(result, list)
-                    and len(result) != expect
-                ):
-                    raise ReadbackCorruptError(
-                        f"device {device.device_id} returned "
-                        f"{len(result)}/{expect} records for op {op.key}: "
-                        f"garbled readback"
-                    )
-            except Exception as exc:  # noqa: BLE001 - classified below
-                self._on_failure(device, op, exc)
-                if isinstance(exc, DeviceLostError):
-                    # The op itself is innocent: re-route without
-                    # charging the retry budget (loss is a device
-                    # property, not an op property).  _pick raises once
-                    # no device remains.
-                    continue
-                if not is_transient(exc):
-                    raise
-                failures += 1
-                if failures > spec.max_op_retries:
-                    raise
-                self._count_event("device.retries", "n_device_retries")
-                time.sleep(
-                    spec.backoff_base * spec.backoff_factor ** (failures - 1)
-                )
-                continue
-            self._on_success(device)
-            return result
-
-    def _execute(self, device: DeviceBackend, op: DeviceOp):
-        """One guarded device call (watchdog applied when configured)."""
-        watchdog = self._spec.watchdog_s
-        if watchdog is None:
-            return device.execute(op)
-        try:
-            return call_with_timeout(lambda: device.execute(op), watchdog)
-        except ShardTimeoutError:
-            raise ReadbackTimeoutError(
-                f"device {device.device_id} exceeded the {watchdog:g}s "
-                f"watchdog deadline on op {op.key}"
-            ) from None
-
-    # -------------------------------------------------------------- ledger
-
-    def _on_success(self, device: DeviceBackend) -> None:
-        with self._lock:
-            entry = self._ledger[device.device_id]
-            entry.n_ok += 1
-            entry.ewma *= 1.0 - self._spec.ewma_alpha
-            if entry.state == "quarantined":
-                entry.state = "healthy"
-                entry.ewma = 0.0
-                entry.n_readmissions += 1
-                self._count_event("device.readmissions", "n_readmissions")
-                self._emit("device_readmit", device=device.device_id)
-
-    def _on_failure(
-        self, device: DeviceBackend, op: DeviceOp, exc: Exception
-    ) -> None:
-        with self._lock:
-            entry = self._ledger[device.device_id]
-            entry.n_faults += 1
-            if len(op.key) >= 3 and op.key[0] in ("measure", "program"):
-                die_key = f"{op.key[1]}/{op.key[2]}"
-                entry.faults_by_die[die_key] = (
-                    entry.faults_by_die.get(die_key, 0) + 1
-                )
-            self._count_event("device.faults", "n_device_faults")
-            self._emit(
-                "device_fault",
-                device=device.device_id,
-                op=repr(op.key),
-                error=type(exc).__name__,
-                transient=is_transient(exc),
-            )
-            if isinstance(exc, DeviceLostError):
-                if entry.state != "lost":
-                    entry.state = "lost"
-                    self._count_event("device.lost", "n_devices_lost")
-                    self._emit("device_lost", device=device.device_id)
-                return
-            spec = self._spec
-            entry.ewma = (
-                entry.ewma * (1.0 - spec.ewma_alpha) + spec.ewma_alpha
-            )
-            total = entry.n_ok + entry.n_faults
-            if (
-                entry.state == "healthy"
-                and total >= spec.min_ops_before_quarantine
-                and entry.ewma >= spec.quarantine_threshold
-            ):
-                entry.state = "quarantined"
-                entry.n_quarantines += 1
-                entry.cooldown_base = max(1, spec.readmit_after) * max(
-                    1, entry.n_quarantines
-                )
-                entry.cooldown = entry.cooldown_base
-                self._count_event("device.quarantines", "n_quarantines")
-                self._emit(
-                    "device_quarantine",
-                    device=device.device_id,
-                    error_ewma=round(entry.ewma, 4),
-                    cooldown=entry.cooldown,
-                )
-            elif entry.state == "quarantined":
-                # A failed re-admission probe: back off harder.
-                entry.cooldown_base *= 2
-                entry.cooldown = entry.cooldown_base
-
-    # ----------------------------------------------------------- telemetry
-
-    def _emit(self, event: str, **fields) -> None:
-        if self._obs is not None:
-            self._obs.emit(event, **fields)
-
-    def _count_event(self, counter: str, report_field: str) -> None:
-        if self._obs is not None:
-            self._obs.metrics.inc(counter)
-        if self._report is not None:
-            setattr(
-                self._report,
-                report_field,
-                getattr(self._report, report_field) + 1,
-            )
-
-    def health_snapshot(self) -> Dict[str, object]:
-        """Ledger plus per-device backend telemetry."""
-        with self._lock:
-            return {
-                "backend": self._spec.kind,
-                "devices": [
-                    {
-                        **self._ledger[d.device_id].snapshot(),
-                        "telemetry": d.health_snapshot(),
-                    }
-                    for d in self._devices
-                ],
-            }
 
     def snapshot_into(self, report) -> None:
-        """Record the session's health state on a run report."""
-        if report is None:
-            return
-        report.backend = self._spec.kind
-        report.device_health = self.health_snapshot()
+        """Record the preflight outcomes on a run report."""
         if self._preflighted:
             report.preflight = {
                 "modules": sorted(self._preflighted),
@@ -375,41 +40,45 @@ class DeviceSession:
                 },
             }
 
-    # ----------------------------------------------------------- preflight
-
-    def ensure_device_protections(self) -> Optional[Dict]:
+    def ensure_device_protections(self) -> Dict:
         """Run the device-level protections check (no module required).
 
         For campaigns over synthetic chips (the mitigation campaign),
         where the module-scoped checks do not apply but a TRR-armed
         device would still invalidate every disturbance count.
         """
-        if self._preflight_disabled or not self._spec.preflight:
-            return None
         cached = self._preflighted.get("__devices__")
         if cached is not None:
             return cached
         from repro.backend.preflight import check_device_protections
 
-        outcome = {"protections": check_device_protections(self)}
+        outcome = {"protections": check_device_protections(self.device)}
         self._preflighted["__devices__"] = outcome
-        self._emit("preflight", module="__devices__", passed=True)
+        if self._obs is not None:
+            self._obs.emit("preflight", module="__devices__", passed=True)
         return outcome
 
-    def ensure_preflight(self, module, config) -> Optional[Dict]:
+    def ensure_preflight(self, module, config) -> Dict:
         """Run the methodology preflight once per module (see preflight.py).
 
-        Mandatory on every session: campaigns call this for each module
-        before dispatching shards.  Results are cached per module key;
-        worker-side sessions skip it (:meth:`mark_preflight_done`).
+        Campaigns call this for each module before dispatching shards;
+        outcomes are cached per module key, so repeated sweeps pay it
+        once.  A failed check raises :class:`~repro.errors.PreflightError`
+        and caches nothing.
         """
-        if self._preflight_disabled or not self._spec.preflight:
-            return None
         cached = self._preflighted.get(module.key)
         if cached is not None:
             return cached
         from repro.backend.preflight import run_preflight
 
-        outcome = run_preflight(self, module, config)
+        outcome = run_preflight(self.device, module, config)
         self._preflighted[module.key] = outcome
+        if self._obs is not None:
+            self._obs.metrics.inc("preflight.modules")
+            self._obs.emit(
+                "preflight",
+                module=module.key,
+                passed=True,
+                seconds=outcome["seconds"],
+            )
         return outcome

@@ -42,7 +42,6 @@ import numpy as np
 from repro.analysis.ascii_plot import ascii_line_plot
 from repro.analysis.figures import fig4_series, fig5_series, fig6_series, series_to_csv
 from repro.analysis.tables import format_table, table1_inventory, table2_rows
-from repro.backend import BackendSpec, demo_noise
 from repro.constants import T_AGG_ON_MAX, T_AGG_ON_TRAS
 from repro.core.experiment import CharacterizationConfig
 from repro.core.faults import RetryPolicy
@@ -150,34 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="patterns compile mode: physical base row the spec is "
         "placed on (default: the smallest row that keeps the whole "
         "footprint on the bank)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("sim", "noisy"),
-        default="sim",
-        help="device backend campaigns run against: 'sim' (default) is "
-        "the simulated rig behind the hardened device session "
-        "(mandatory preflight, fault classification, health ledger); "
-        "'noisy' wraps it with seeded fault injection on a two-device "
-        "pool (command drops, garbled/timed-out readbacks, a flaky die, "
-        "one device lost mid-campaign) -- results are bit-identical "
-        "either way",
-    )
-    parser.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="seed of the noisy backend's fault injection (default: 0); "
-        "two runs with the same seed misbehave identically",
-    )
-    parser.add_argument(
-        "--quarantine-threshold",
-        type=float,
-        default=0.6,
-        metavar="EWMA",
-        help="per-device error-rate EWMA above which the session "
-        "quarantines a device and re-routes its work (default: 0.6)",
     )
     parser.add_argument(
         "--chips",
@@ -356,21 +327,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         signal.signal(signal.SIGTERM, previous)
 
 
-def _backend(args) -> BackendSpec:
-    """The device-backend recipe the CLI flags describe."""
-    if args.backend == "noisy":
-        return BackendSpec(
-            kind="noisy",
-            n_devices=2,
-            seed=args.fault_seed,
-            noise=demo_noise(args.modules[0]),
-            quarantine_threshold=args.quarantine_threshold,
-        )
-    return BackendSpec(
-        kind="sim", quarantine_threshold=args.quarantine_threshold
-    )
-
-
 def _resilience(args, runner: CharacterizationRunner) -> dict:
     """Shared fault-tolerance kwargs of every sweep invocation."""
     policy = RetryPolicy(
@@ -417,13 +373,7 @@ def _report_summary(runner) -> None:
     report = runner.last_report
     if report is None:
         return
-    if (
-        report.n_resumed
-        or report.n_retries
-        or report.degradations
-        or report.n_device_faults
-        or report.n_devices_lost
-    ):
+    if report.n_resumed or report.n_retries or report.degradations:
         sys.stderr.write(report.summary() + "\n")
 
 
@@ -633,7 +583,7 @@ def _run_mitigate(args, obs: Optional[Observability]) -> int:
 
     campaign = MitigationCampaign(
         executor=make_executor(args.workers), obs=obs,
-        backend=_backend(args),
+        backend="sim",
     )
     policy = RetryPolicy(
         max_retries=args.max_retries, shard_timeout=args.shard_timeout
@@ -700,7 +650,7 @@ def _run_export(args, obs: Optional[Observability]) -> int:
 
     config = CharacterizationConfig()
     modules = build_modules(args.modules, config)
-    runner = CharacterizationRunner(config, obs=obs, backend=_backend(args))
+    runner = CharacterizationRunner(config, obs=obs, backend="sim")
     t_values = sweep_points(args.points, args.t_max)
     with FlipSink(store, metrics=metrics) as sink:
         results = runner.characterize(
@@ -803,7 +753,7 @@ def _run_query(args, obs: Optional[Observability]) -> int:
 def _run_campaign(args, obs: Optional[Observability]) -> int:
     config = CharacterizationConfig()
     modules = build_modules(args.modules, config)
-    runner = CharacterizationRunner(config, obs=obs, backend=_backend(args))
+    runner = CharacterizationRunner(config, obs=obs, backend="sim")
 
     if args.artifact == "table2":
         results = runner.characterize(

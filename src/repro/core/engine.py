@@ -387,8 +387,6 @@ class ShardRunner:
             Callable[[str, int, Tuple[int, ...]], StackedDie]
         ] = None,
         weights_tables: Optional[Dict[str, Dict]] = None,
-        session=None,
-        backend_spec=None,
     ) -> None:
         self._config = config
         self._module_provider = module_provider
@@ -398,17 +396,7 @@ class ShardRunner:
         self._metrics = metrics
         self._stacked_provider = stacked_provider
         self._weights_tables = weights_tables
-        self._session = session
-        self._backend_spec = backend_spec
         self._footprints: Dict[str, Tuple[int, ...]] = {}
-
-    def attach_session(self, session) -> None:
-        """Route this runner's measurements through a device session.
-
-        Worker-side wiring: :class:`~repro.backend.base.SessionWorkerSpec`
-        re-attaches the (worker-cached) session after ``build_runner``.
-        """
-        self._session = session
 
     #: Result-integrity check executors apply to this runner's results
     #: (identity tuples must match the shard's units, in order).
@@ -424,8 +412,7 @@ class ShardRunner:
         Shares this runner's modules and caches by reference
         (copy-on-write after the fork) but carries no metrics registry:
         the parent's registry lock must never be touched from a forked
-        worker.  A device session travels as a worker clone (same
-        devices, no obs/report plumbing back to the parent).
+        worker.
         """
         return ShardRunner(
             self._config,
@@ -436,12 +423,6 @@ class ShardRunner:
             metrics=None,
             stacked_provider=self._stacked_provider,
             weights_tables=self._weights_tables,
-            session=(
-                self._session.worker_clone()
-                if self._session is not None
-                else None
-            ),
-            backend_spec=self._backend_spec,
         )
 
     def shm_spec(
@@ -478,14 +459,9 @@ class ShardRunner:
             )
             for key, (patterns, t_values) in points.items()
         }
-        spec = ShmCharacterizationSpec(
+        return ShmCharacterizationSpec(
             self._config, models, store.handles, tables
         )
-        if self._backend_spec is None:
-            return spec
-        from repro.backend.base import SessionWorkerSpec
-
-        return SessionWorkerSpec(spec, self._backend_spec)
 
     def cached_units(
         self, shard: Shard
@@ -621,8 +597,8 @@ class ShardRunner:
                         module = self._module_provider(shard.module_key)
                     analyzer = self.analyzer(module, shard.die, offsets)
                     analyzers[offsets] = analyzer
-                analyses = self._measure_point(
-                    shard, analyzer, pattern, t_on, missing
+                analyses = analyzer.analyze_trials(
+                    pattern, t_on, list(missing), cfg.jitter_sigma
                 )
                 for trial, analysis in zip(missing, analyses):
                     measurement = measurement_from_analysis(
@@ -642,34 +618,6 @@ class ShardRunner:
                         ] = measurement
             out.extend(measured[trial] for trial in trials)
         return out
-
-    def _measure_point(
-        self,
-        shard: Shard,
-        analyzer: DieSweepAnalyzer,
-        pattern: AccessPattern,
-        t_on: float,
-        missing: Sequence[int],
-    ) -> List:
-        """Analyze one (pattern, tAggON) point's missing trials.
-
-        Without a device session this is the direct analyzer call --
-        zero overhead, bit-identical to the pre-backend path.  With one,
-        the operation routes through the session's hardened device path
-        (fault classification, retries, watchdog, quarantine/reroute);
-        the result is the same analyses because measurements are pure
-        functions of their identity, whatever device computes them.
-        """
-        evaluate = lambda: analyzer.analyze_trials(  # noqa: E731
-            pattern, t_on, list(missing), self._config.jitter_sigma
-        )
-        if self._session is None:
-            return evaluate()
-        return self._session.call(
-            ("measure", shard.module_key, shard.die, pattern.name, t_on),
-            evaluate,
-            expect=len(missing),
-        )
 
 
 def _grouped_points(
@@ -901,9 +849,7 @@ class ProcessExecutor:
             if obs is not None:
                 obs.metrics.inc("worker_state.fork")
                 obs.emit("worker_state", mode="fork", token=token)
-            spec = ForkWorkerSpec(
-                token, inner=getattr(runner, "fork_check_spec", None)
-            )
+            spec = ForkWorkerSpec(token, inner=getattr(runner, "spec", None))
             return spec, lambda: discard_fork_state(token)
         if mode == "shm":
             factory = getattr(runner, "shm_spec", None)
@@ -1653,7 +1599,10 @@ class SweepEngine:
     and ``resume=True`` skips journaled shards on a restart.  Repeated
     process-pool breakage degrades the executor process -> thread ->
     serial instead of aborting; :attr:`last_report` summarizes what
-    happened.
+    happened.  With a ``session``
+    (:class:`~repro.backend.session.DeviceSession`) every module passes
+    the §3 methodology preflight before any shard is dispatched, and the
+    outcomes land on ``last_report.preflight``.
     """
 
     def __init__(
@@ -1673,7 +1622,7 @@ class SweepEngine:
 
     @property
     def session(self):
-        """The attached device session (``None``: direct model access)."""
+        """The attached device session (``None``: no preflight)."""
         return self._session
 
     @property
@@ -1772,12 +1721,12 @@ class SweepEngine:
 
         session = self._session
         if session is not None:
-            session.attach(obs, report)
+            session.attach(obs)
             # Mandatory methodology preflight (thermal settle,
             # refresh-window bound, TRR/ECC off, mapping
             # reverse-engineering) for every module, before any shard
-            # is dispatched.  Cached per
-            # module key, so repeated sweeps pay it once.
+            # is dispatched.  Cached per module key, so repeated sweeps
+            # pay it once.
             for module in modules:
                 session.ensure_preflight(module, self._config)
 
@@ -1789,8 +1738,6 @@ class SweepEngine:
             measurement_cache,
             analyzer_cache,
             metrics=obs.metrics if obs is not None else None,
-            session=session,
-            backend_spec=session.spec if session is not None else None,
         )
 
         completed = run_plan(

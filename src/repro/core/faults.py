@@ -47,7 +47,6 @@ from repro.errors import (
     ResultIntegrityError,
     ShardFailedError,
     ShardTimeoutError,
-    TransientDeviceError,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
@@ -137,25 +136,16 @@ class RetryPolicy:
 def is_transient(exc: BaseException) -> bool:
     """Transient-vs-permanent failure classification.
 
-    Timeouts, result-integrity violations, pool breakage, and transient
-    device faults (command drops, readback timeouts/garbling,
-    intermittent dies -- :class:`~repro.errors.TransientDeviceError`)
-    are retryable by construction (measurements are pure functions of
-    the plan).  Any *other* :class:`~repro.errors.ReproError` --
-    including :class:`~repro.errors.DeviceLostError` and
+    Timeouts, result-integrity violations and pool breakage are
+    retryable by construction (measurements are pure functions of the
+    plan).  Any *other* :class:`~repro.errors.ReproError` -- including
     :class:`~repro.errors.PreflightError` -- is a deterministic library
     failure: a retry would recur, so it is permanent.  Unknown
     exceptions (a worker dying mid-shard surfaces as a plain
     ``RuntimeError``/``EOFError``) are presumed transient.
     """
     if isinstance(
-        exc,
-        (
-            ShardTimeoutError,
-            ResultIntegrityError,
-            PoolBrokenError,
-            TransientDeviceError,
-        ),
+        exc, (ShardTimeoutError, ResultIntegrityError, PoolBrokenError)
     ):
         return True
     if isinstance(exc, BrokenProcessPool):
@@ -419,15 +409,7 @@ class RunReport:
     auto_decision: Optional[Dict] = None
     metrics: Optional[Dict] = None
     provenance: Optional[Dict] = None
-    # Device-session fields (None / 0 when no backend was selected).
-    backend: Optional[str] = None
-    n_device_faults: int = 0
-    n_device_retries: int = 0
-    n_reroutes: int = 0
-    n_quarantines: int = 0
-    n_readmissions: int = 0
-    n_devices_lost: int = 0
-    device_health: Optional[Dict] = None
+    # Per-module methodology preflight outcomes (None without a session).
     preflight: Optional[Dict] = None
     _warning_slots: Dict[str, int] = field(
         default_factory=dict, repr=False, compare=False
@@ -459,14 +441,6 @@ class RunReport:
             f"checkpoint, {self.n_executed} executed; retries: "
             f"{self.n_retries}; pool restarts: {self.n_pool_restarts}"
         )
-        if self.backend is not None:
-            line += (
-                f"; backend: {self.backend} ({self.n_device_faults} device "
-                f"fault(s), {self.n_quarantines} quarantine(s), "
-                f"{self.n_readmissions} readmission(s), "
-                f"{self.n_reroutes} reroute(s), "
-                f"{self.n_devices_lost} lost)"
-            )
         if self.auto_decision:
             line += (
                 f"; auto executor: {self.auto_decision.get('chosen', '?')}"

@@ -36,15 +36,12 @@ class CharacterizationRunner:
     reporters.  With the default ``None`` nothing is recorded and the
     hot path performs zero observability operations.
 
-    ``backend`` selects the device backend sweeps run against: ``None``
-    (default) measures the model directly, exactly as before backends
-    existed; ``"sim"`` / ``"noisy"``, a
-    :class:`~repro.backend.BackendSpec`, or a prebuilt
-    :class:`~repro.backend.DeviceSession` route every measurement
-    through the hardened session layer (mandatory preflight, fault
-    classification + retry, health ledger with quarantine/re-admission,
-    re-scheduling off sick devices).  Results are bit-identical across
-    all of these -- measurements are pure functions of their identity.
+    ``backend`` selects the rig sweeps are preflighted on: ``None``
+    (default) skips the preflight; ``"sim"`` or a prebuilt
+    :class:`~repro.backend.DeviceSession` runs the paper's §3
+    methodology preflight for every module before its first sweep.
+    Results are bit-identical either way -- measurements are pure
+    functions of their identity.
     """
 
     def __init__(
@@ -73,7 +70,7 @@ class CharacterizationRunner:
 
     @property
     def session(self):
-        """The device session sweeps run through (``None``: direct)."""
+        """The device session sweeps are preflighted on (``None``: none)."""
         return self._session
 
     @property

@@ -31,10 +31,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from statistics import NormalDist
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.constants import DEFAULT_TIMINGS
 from repro.core.experiment import CharacterizationConfig
@@ -84,6 +84,29 @@ _COMBINED_WEIGHT = 3.0
 # ---------------------------------------------------------------------------
 
 
+#: Standard-normal quantiles at the 8-die midpoints ``(d + 0.5) / 8``,
+#: pinned bit for bit: ``NormalDist().inv_cdf`` lands up to 2 ulp away
+#: from the values every calibrated 8-die module (and so every pinned
+#: campaign digest) was derived from.
+_Z_8_DIES = tuple(
+    float.fromhex(h)
+    for h in (
+        "-0x1.88bc1fbe1dabep+0", "-0x1.c63812e37d717p-1",
+        "-0x1.f481cdb32cce8p-2", "-0x1.422c1aadb2493p-3",
+        "0x1.422c1aadb2493p-3", "0x1.f481cdb32cce8p-2",
+        "0x1.c63812e37d717p-1", "0x1.88bc1fbe1dabep+0",
+    )
+)
+
+
+def die_quantiles(n_dies: int) -> np.ndarray:
+    """Standard-normal quantiles at the die midpoints ``(d + 0.5) / n``."""
+    if n_dies == 8:
+        return np.array(_Z_8_DIES)
+    inv_cdf = NormalDist().inv_cdf
+    return np.array([inv_cdf((d + 0.5) / n_dies) for d in range(n_dies)])
+
+
 def solve_die_scales(n_dies: int, min_avg_ratio: float) -> Tuple[float, ...]:
     """Deterministic per-die threshold scales with mean 1.
 
@@ -98,7 +121,7 @@ def solve_die_scales(n_dies: int, min_avg_ratio: float) -> Tuple[float, ...]:
         raise CalibrationError("min/avg ratio must be in (0, 1]")
     if n_dies == 1 or min_avg_ratio == 1.0:
         return tuple([1.0] * n_dies)
-    z = norm.ppf((np.arange(n_dies) + 0.5) / n_dies)
+    z = die_quantiles(n_dies)
 
     def ratio(sigma: float) -> float:
         s = np.exp(sigma * z)

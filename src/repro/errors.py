@@ -103,57 +103,12 @@ class ShardFailedError(ExecutorError):
     budget is exhausted.  Raised with the underlying cause chained."""
 
 
-class DeviceError(ReproError):
-    """A device backend failed to execute an operation.
-
-    Base class of the device failure domain (:mod:`repro.backend`); see
-    :class:`TransientDeviceError` for the retryable kinds and
-    :class:`DeviceLostError` / :class:`PreflightError` for the
-    permanent ones.
-    """
-
-
-class TransientDeviceError(DeviceError):
-    """A retryable device fault: re-issuing the operation (possibly on
-    another device) is expected to succeed.  Classified *transient* by
-    :func:`repro.core.faults.is_transient`."""
-
-
-class CommandDropError(TransientDeviceError):
-    """The device dropped an issued command sequence (an ACT/PRE train
-    that never reached the array); the operation produced no result."""
-
-
-class ReadbackTimeoutError(TransientDeviceError):
-    """The device accepted the operation but its readback never arrived
-    within the session watchdog deadline."""
-
-
-class ReadbackCorruptError(TransientDeviceError):
-    """The device's readback failed the session integrity check
-    (truncated or duplicated records -- a garbled transfer, not a real
-    measurement)."""
-
-
-class IntermittentDieError(TransientDeviceError):
-    """A die failed intermittently (per-die marginal contact or thermal
-    flakiness): operations touching it fail at an elevated rate while
-    the rest of the device keeps working."""
-
-
-class DeviceLostError(DeviceError):
-    """A device is permanently gone (power loss, link down, bricked
-    FPGA).  Not retryable on the same device; the session reacts by
-    re-scheduling its work onto the remaining healthy devices and only
-    raises this once *no* device is left."""
-
-
-class PreflightError(DeviceError):
-    """A mandatory session preflight check failed: the refresh-window
-    bound does not hold, TRR/ECC is not verified off, or the mapping
-    reverse-engineered through the backend contradicts the module's
-    declared row remapping.  Permanent: measurements taken on such a
-    session would not be trustworthy."""
+class PreflightError(ReproError):
+    """A mandatory session preflight check failed: the thermal loop did
+    not settle, the refresh-window bound does not hold, TRR/ECC is not
+    verified off, or the mapping reverse-engineered through the rig
+    contradicts the module's declared row remapping.  Permanent:
+    measurements taken on such a rig would not be trustworthy."""
 
 
 class CheckpointError(ReproError):

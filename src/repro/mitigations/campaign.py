@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.atomicio import atomic_write_text, verify_digest, write_digest
-from repro.backend.base import SessionWorkerSpec, build_session
+from repro.backend.base import build_session
 from repro.constants import (
     DEFAULT_TIMINGS,
     T_AGG_ON_TRAS,
@@ -563,35 +563,10 @@ class MitigationShardRunner:
     worker runs a shard and when.
     """
 
-    def __init__(
-        self,
-        spec: MitigationWorkerSpec,
-        session=None,
-        backend_spec=None,
-    ) -> None:
-        self._spec = spec
-        self._session = session
-        self._backend_spec = backend_spec
-
-    def attach_session(self, session) -> None:
-        """Route this runner's evaluations through a device session.
-
-        Worker-side wiring: :class:`~repro.backend.base.SessionWorkerSpec`
-        re-attaches the (worker-cached) session after ``build_runner``.
-        """
-        self._session = session
-
-    @property
-    def spec(self):
-        """The picklable worker recipe (backend-wrapped when selected)."""
-        if self._backend_spec is None:
-            return self._spec
-        return SessionWorkerSpec(self._spec, self._backend_spec)
-
-    @property
-    def fork_check_spec(self) -> MitigationWorkerSpec:
-        """Vocabulary validator fork-mode executors run before dispatch."""
-        return self._spec
+    def __init__(self, spec: MitigationWorkerSpec) -> None:
+        #: The picklable worker recipe; fork-mode executors also run its
+        #: vocabulary check before dispatch.
+        self.spec = spec
 
     def fork_runner(self) -> "MitigationShardRunner":
         """A runner for fork-inherited workers.
@@ -601,15 +576,7 @@ class MitigationShardRunner:
         inherit it copy-on-write and nothing crosses the pool boundary
         but the registry token.
         """
-        return MitigationShardRunner(
-            self._spec,
-            session=(
-                self._session.worker_clone()
-                if self._session is not None
-                else None
-            ),
-            backend_spec=self._backend_spec,
-        )
+        return MitigationShardRunner(self.spec)
 
     @staticmethod
     def validate(
@@ -628,40 +595,16 @@ class MitigationShardRunner:
             )
 
     def run(self, shard: MitigationShard) -> List[MitigationPoint]:
-        spec = self._spec
+        spec = self.spec
         chip_factory = lambda: build_eval_chip(shard.chip_key)  # noqa: E731
         evaluator = MitigationEvaluator(chip_factory, spec.base_row)
         kind, factory = MITIGATION_KINDS[shard.mitigation]
         out: List[MitigationPoint] = []
         for unit in shard.units:
             out.append(
-                self._measure_unit(unit, evaluator, kind, factory)
+                self._evaluate_point(unit, evaluator, kind, factory)
             )
         return out
-
-    def _measure_unit(
-        self,
-        unit: MitigationWorkUnit,
-        evaluator: MitigationEvaluator,
-        kind: str,
-        factory: Callable,
-    ) -> MitigationPoint:
-        """Evaluate one point, through the device session when attached."""
-        evaluate = lambda: self._evaluate_point(  # noqa: E731
-            unit, evaluator, kind, factory
-        )
-        if self._session is None:
-            return evaluate()
-        return self._session.call(
-            (
-                "mitigate",
-                unit.chip_key,
-                unit.mitigation,
-                unit.pattern.name,
-                unit.t_on,
-            ),
-            evaluate,
-        )
 
     def _evaluate_point(
         self,
@@ -670,7 +613,7 @@ class MitigationShardRunner:
         kind: str,
         factory: Callable,
     ) -> MitigationPoint:
-        spec = self._spec
+        spec = self.spec
         baseline = measure_location_honest(
             SoftMCSession(build_eval_chip(unit.chip_key)),
             unit.pattern,
@@ -808,7 +751,7 @@ class MitigationCampaign:
 
     @property
     def session(self):
-        """The device session evaluations run through (``None``: direct)."""
+        """The device session that preflights the rig (``None``: none)."""
         return self._session
 
     @property
@@ -859,16 +802,12 @@ class MitigationCampaign:
 
         session = self._session
         if session is not None:
-            session.attach(obs, report)
+            session.attach(obs)
             # The module-scoped preflight checks (refresh-window bound,
             # mapping reverse-engineering) do not apply to the synthetic
             # evaluation chips; protections are still verified.
             session.ensure_device_protections()
-        runner = MitigationShardRunner(
-            self._spec,
-            session=session,
-            backend_spec=session.spec if session is not None else None,
-        )
+        runner = MitigationShardRunner(self._spec)
         completed = run_plan(
             plan,
             runner,

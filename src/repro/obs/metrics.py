@@ -262,18 +262,8 @@ class MetricsReport:
                 "auto_decision": report.auto_decision,
                 "summary": report.summary(),
             }
-            if report.backend is not None:
-                payload["run"]["backend"] = {
-                    "kind": report.backend,
-                    "n_device_faults": report.n_device_faults,
-                    "n_device_retries": report.n_device_retries,
-                    "n_reroutes": report.n_reroutes,
-                    "n_quarantines": report.n_quarantines,
-                    "n_readmissions": report.n_readmissions,
-                    "n_devices_lost": report.n_devices_lost,
-                    "device_health": report.device_health,
-                    "preflight": report.preflight,
-                }
+            if report.preflight is not None:
+                payload["run"]["preflight"] = report.preflight
         if provenance:
             stamp = (
                 report.provenance if report is not None else None

@@ -714,7 +714,6 @@ def check_cross_executor(
     trials: int = 1,
     workers: int = 2,
     executors: Sequence[str] = ("serial", "thread"),
-    backends: Sequence = (None,),
     patterns: Optional[Sequence] = None,
 ) -> str:
     """Prove cross-executor determinism on a small probe campaign.
@@ -729,15 +728,6 @@ def check_cross_executor(
     is a property of the named-RNG derivation, not of campaign size.
     The default pair stays in-process; include a process variant to also
     prove the pool path (a few seconds of pool spin-up).
-
-    ``backends`` extends the matrix to executor x backend permutations:
-    each entry is a backend selection per
-    :func:`repro.backend.base.build_session` (``None`` for the direct
-    path, ``"sim"`` / ``"noisy"``, or a
-    :class:`~repro.backend.BackendSpec`), and every permutation must
-    digest identically -- measurements are pure functions of identity,
-    so routing, retries, quarantine, and fault injection must never
-    change results.
 
     ``patterns`` restricts (or extends) the probe's pattern set: each
     entry is an :class:`~repro.patterns.base.AccessPattern` /
@@ -773,13 +763,6 @@ def check_cross_executor(
         )
     if config is None:
         config = CharacterizationConfig()
-    if not backends:
-        raise ExperimentError(
-            "check_cross_executor needs at least one backend (use (None,) "
-            "for the direct path)"
-        )
-    from repro.backend.base import build_session
-
     if patterns is None:
         resolved_patterns = None
     else:
@@ -789,40 +772,29 @@ def check_cross_executor(
             resolve_pattern(p) if isinstance(p, str) else p for p in patterns
         )
     modules = build_modules(module_keys, config)
-    digests: Dict[Tuple[str, str], str] = {}
+    digests: Dict[str, str] = {}
     for name in executors:
         if name not in factories:
             raise ExperimentError(
                 f"unknown executor {name!r} (expected one of "
                 f"{sorted(factories)})"
             )
-        for backend in backends:
-            backend_label = "direct" if backend is None else str(
-                getattr(backend, "kind", backend)
+        engine = SweepEngine(config, executor=factories[name]())
+        if resolved_patterns is None:
+            results = engine.run(modules, t_values, trials=trials)
+        else:
+            results = engine.run(
+                modules, t_values, resolved_patterns, trials=trials
             )
-            engine = SweepEngine(
-                config,
-                executor=factories[name](),
-                session=build_session(backend),
-            )
-            if resolved_patterns is None:
-                results = engine.run(modules, t_values, trials=trials)
-            else:
-                results = engine.run(
-                    modules, t_values, resolved_patterns, trials=trials
-                )
-            digests[(name, backend_label)] = results_digest(results)
-    permutations = list(digests)
-    reference_key = permutations[0]
-    reference = digests[reference_key]
-    for key in permutations[1:]:
-        if digests[key] != reference:
+        digests[name] = results_digest(results)
+    reference_name = executors[0]
+    reference = digests[reference_name]
+    for name, digest in digests.items():
+        if digest != reference:
             raise InvariantViolationError(
                 f"cross-executor determinism violated: the same campaign "
-                f"digests to sha256:{reference} on "
-                f"{reference_key[0]}/{reference_key[1]} but "
-                f"sha256:{digests[key]} on {key[0]}/{key[1]}; named-RNG "
-                f"derivation, canonical merge order, or the device-session "
-                f"layer is broken"
+                f"digests to sha256:{reference} on {reference_name} but "
+                f"sha256:{digest} on {name}; named-RNG derivation or "
+                f"canonical merge order is broken"
             )
     return reference

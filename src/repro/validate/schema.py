@@ -589,32 +589,6 @@ def validate_metrics_payload(payload, source: Optional[str] = None) -> Dict:
 # ------------------------------------------------------------------- trace
 
 
-#: Event names the engine emits (DESIGN.md §6); unknown names are
-#: tolerated (traces are forward-extensible), but the envelope is not.
-_TRACE_EVENTS = frozenset(
-    (
-        "campaign_start",
-        "campaign_resume",
-        "shard_start",
-        "shard_finish",
-        "shard_retry",
-        "pool_restart",
-        "executor_degraded",
-        "campaign_finish",
-        "validate",
-        # Device-session events (DESIGN.md, "Device backends & session
-        # hardening"):
-        "preflight",
-        "device_fault",
-        "device_reroute",
-        "device_probe",
-        "device_quarantine",
-        "device_readmit",
-        "device_lost",
-    )
-)
-
-
 def validate_trace_event(
     event, line_no: int, source: Optional[str] = None
 ) -> str:

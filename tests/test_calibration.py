@@ -7,6 +7,7 @@ from repro.disturb.calibration import (
     _press_shape_targets,
     calibrate_module,
     calibrated_modules,
+    die_quantiles,
     solve_die_scales,
 )
 from repro.errors import CalibrationError
@@ -27,6 +28,20 @@ def test_die_scales_single_die():
 
 def test_die_scales_ratio_one_is_uniform():
     assert solve_die_scales(4, 1.0) == (1.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("n_dies", [1, 2, 4, 8])
+def test_die_quantiles_match_the_standard_normal(n_dies):
+    """The pinned 8-die quantiles (and the computed ones) sit within
+    2 ulp of ``NormalDist().inv_cdf`` at the die midpoints."""
+    from statistics import NormalDist
+
+    z = die_quantiles(n_dies)
+    exact = np.array(
+        [NormalDist().inv_cdf((d + 0.5) / n_dies) for d in range(n_dies)]
+    )
+    assert np.all(np.abs(z - exact) <= 2 * np.spacing(np.abs(exact)))
+    assert np.array_equal(z, -z[::-1])  # symmetric about the median
 
 
 def test_die_scales_validation():

@@ -13,9 +13,9 @@ Four proofs, layered:
    command-level execution (bender program -> interpreter -> tracker)
    agrees with the closed-form analysis on ACmin and on the flip
    census, across data patterns and tAggON values.
-4. **Cross-executor/backend digests** -- ``check_cross_executor``
-   extended with DSL pattern sets proves bit-identical ResultSet
-   digests across executors and device backends.
+4. **Cross-executor digests** -- ``check_cross_executor`` extended
+   with DSL pattern sets proves bit-identical ResultSet digests across
+   executors.
 
 Golden fixture regeneration (only after an *intentional* compiler
 change; review the diff of the fixture text before committing)::
@@ -283,7 +283,7 @@ def test_decoy_flood_thrashes_trr_sampler():
     assert _flips_under_trr(decoy_flood_spec(6)) > 0
 
 
-# --------------------------------------- 4. cross-executor/backend digests
+# ----------------------------------------------- 4. cross-executor digests
 
 
 def test_cross_executor_digests_on_dsl_patterns():
@@ -297,7 +297,6 @@ def test_cross_executor_digests_on_dsl_patterns():
         config=config,
         t_values=(36.0, 636.0),
         executors=("serial", "thread"),
-        backends=(None, "sim"),
         patterns=("double-sided", "half-double", "4-sided-combined",
                   decoy_flood_spec(3)),
     )

@@ -303,11 +303,15 @@ def test_stderr_progress_lines(fast_config, s0_module):
 
 def test_trace_schema_accepts_unknown_event_fields():
     """Traces written with extra per-event fields (e.g. the retired
-    ``campaign_id`` tag) still validate: the schema is forward-open."""
+    ``campaign_id`` tag) or retired event names (e.g. the device
+    session's ``device_quarantine``) still validate: the schema is
+    forward-open."""
     from repro.validate.schema import validate_trace_event
 
     event = {"event": "campaign_start", "t": 1.5, "campaign_id": "job-0042"}
     assert validate_trace_event(event, 1, "trace.jsonl") == "campaign_start"
+    retired = {"event": "device_quarantine", "t": 2.0, "device": "noisy1"}
+    assert validate_trace_event(retired, 2, "trace.jsonl") == "device_quarantine"
 
 
 def test_jsonl_trace_is_strict_json(fast_config, s0_module, tmp_path):

@@ -96,40 +96,6 @@ def test_cli_fig6_ascii(capsys):
     assert "single-sided" in out
 
 
-def test_cli_noisy_backend_matches_fault_free_run(tmp_path, capsys):
-    """A chaos campaign (quarantine, loss) must equal the clean one."""
-    import json
-
-    from repro.core.results import ResultSet
-    from repro.validate.invariants import results_digest
-
-    base = [
-        "fig5", "--modules", "S0", "--points", "2", "--trials", "1",
-        "--t-max", "7800", "--csv", "--workers", "0",
-    ]
-    clean_dump = tmp_path / "clean.json"
-    noisy_dump = tmp_path / "noisy.json"
-    trace = tmp_path / "trace.jsonl"
-    assert main(base + ["--dump", str(clean_dump)]) == 0
-    clean_out = capsys.readouterr().out
-    assert main(base + [
-        "--backend", "noisy", "--fault-seed", "7",
-        "--dump", str(noisy_dump), "--trace", str(trace), "--validate",
-    ]) == 0
-    assert capsys.readouterr().out == clean_out
-    events = [
-        json.loads(line)["event"]
-        for line in trace.read_text().splitlines()
-    ]
-    assert "device_quarantine" in events
-    assert "device_lost" in events
-    assert "preflight" in events
-    assert results_digest(ResultSet.load(clean_dump)) == results_digest(
-        ResultSet.load(noisy_dump)
-    )
-    assert main(["validate", str(noisy_dump), str(trace)]) == 0
-
-
 def test_cli_keyboard_interrupt_exits_130(monkeypatch, capsys):
     from repro.core import shm
     from repro.core.runner import CharacterizationRunner
