@@ -649,7 +649,7 @@ def _run_export(args, obs: Optional[Observability]) -> int:
     metrics = obs.metrics if obs is not None else MetricsRegistry()
 
     config = CharacterizationConfig()
-    modules = build_modules(args.modules, config)
+    modules = _build_modules(args.modules, config, obs)
     runner = CharacterizationRunner(config, obs=obs, backend="sim")
     t_values = sweep_points(args.points, args.t_max)
     with FlipSink(store, metrics=metrics) as sink:
@@ -750,9 +750,21 @@ def _run_query(args, obs: Optional[Observability]) -> int:
     return 0
 
 
+def _build_modules(
+    keys: List[str], config: CharacterizationConfig,
+    obs: Optional[Observability],
+) -> list:
+    """``build_modules``, timed as ``profile.setup.calibrate`` when
+    observability is on (calibration is nearly all of it)."""
+    if obs is None:
+        return build_modules(keys, config)
+    with obs.profile("setup.calibrate"):
+        return build_modules(keys, config)
+
+
 def _run_campaign(args, obs: Optional[Observability]) -> int:
     config = CharacterizationConfig()
-    modules = build_modules(args.modules, config)
+    modules = _build_modules(args.modules, config, obs)
     runner = CharacterizationRunner(config, obs=obs, backend="sim")
 
     if args.artifact == "table2":

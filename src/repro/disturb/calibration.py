@@ -78,6 +78,11 @@ _ALPHA_CAP = 1.0
 #: solve (the combined pattern is the paper's headline contribution).
 _COMBINED_WEIGHT = 3.0
 
+#: Alpha rows per (alpha, die, P) cube in the joint anchor solve: keeps
+#: each cube near 0.16 MB (8 dies x 321 press candidates), so scoring
+#: the grid barely moves peak memory.
+_ALPHA_BLOCK = 8
+
 
 # ---------------------------------------------------------------------------
 # Die spread
@@ -153,14 +158,13 @@ class _DieAggregates:
     """Extreme-value aggregates of one die's stacked victim population.
 
     All quantities are expressed with hammer kick ``h = 1``; the press
-    loss ``P`` and asymmetry ``alpha`` enter the ACmin formulas as
-    scalars, so candidate evaluations are O(1) (plus one vector min for
-    the alpha-dependent double-sided inner path).
+    loss ``P``, asymmetry ``alpha`` and solo press efficiency ``gamma``
+    enter the ACmin formulas as scalars, so the solvers evaluate every
+    path over a whole alpha or gamma grid in one numpy broadcast.
     """
 
     # Hammer (gain) path minima of theta / gain-combination:
     a_inner_both: float  # inner victim, both aggressors: theta/(ghlo+ghhi)
-    a_inner_lo: float  # inner victim, single aggressor below: theta/ghlo
     a_outer_lo: float  # outer-lo victim: theta/ghhi
     a_outer_hi: float  # outer-hi victim: theta/ghlo
     # Press (loss) path minima of theta / press-coupling:
@@ -188,12 +192,23 @@ class _DieAggregates:
         """Hammer-path iteration minimum over all two-sided victims."""
         return min(self.a_inner_both, self.a_outer_lo, self.a_outer_hi)
 
-    def ds_inner_press_min(self, alpha: float) -> float:
-        """min over charged inner cells of theta / (gplo + alpha*gphi)."""
-        if not self.inner_theta_c.size:
-            return math.inf
-        denom = self.inner_gplo_c + alpha * self.inner_gphi_c
-        return float((self.inner_theta_c / denom).min())
+    def ds_inner_press_grid(self, alphas: np.ndarray) -> np.ndarray:
+        """Per alpha (all > 0): min over charged inner cells of
+        ``theta / (gplo + alpha*gphi)``.
+
+        With non-negative couplings each cell's value is non-increasing in
+        alpha (correctly rounded ``*``, ``+`` and ``/`` are monotone), so
+        a cell whose value at the largest alpha is still above the
+        smallest-alpha minimum can never be the minimum anywhere on the
+        grid: dropping it is exact.
+        """
+        theta, lo, hi = self.inner_theta_c, self.inner_gplo_c, self.inner_gphi_c
+        if not theta.size:
+            return np.full(alphas.shape, math.inf)
+        ceiling = (theta / (lo + alphas.min() * hi)).min()
+        keep = theta / (lo + alphas.max() * hi) <= ceiling
+        theta, lo, hi = theta[keep], lo[keep], hi[keep]
+        return (theta / (lo + alphas[:, None] * hi)).min(axis=1)
 
     # -------------------------------------------------------- ACmin formulas
 
@@ -201,69 +216,60 @@ class _DieAggregates:
         """Double-sided RowHammer ACmin (activations, continuous)."""
         return 2.0 * self.hammer_min
 
-    def combined_press_min(self, alpha: float) -> float:
-        """Press-path minimum (per unit P) of the combined pattern."""
-        out = self.b_inner_lo
-        if alpha > 0:
-            out = min(out, self.b_outer_lo / alpha)
-        return out
+    def combined_press_grid(self, alphas: np.ndarray) -> np.ndarray:
+        """Press-path minimum (per unit P) of the combined pattern, per
+        alpha (all > 0)."""
+        return np.minimum(self.b_inner_lo, self.b_outer_lo / alphas)
 
-    def ds_press_min(self, alpha: float) -> float:
-        """Press-path minimum (per unit P) of the double-sided pattern."""
-        out = min(self.ds_inner_press_min(alpha), self.b_outer_hi)
-        if alpha > 0:
-            out = min(out, self.b_outer_lo / alpha)
-        return out
+    def ds_press_grid(self, alphas: np.ndarray) -> np.ndarray:
+        """Press-path minimum (per unit P) of the double-sided pattern, per
+        alpha (all > 0)."""
+        out = np.minimum(self.ds_inner_press_grid(alphas), self.b_outer_hi)
+        return np.minimum(out, self.b_outer_lo / alphas)
 
-    def combined(self, press: float, alpha: float) -> float:
-        paths = [self.hammer_min]
-        if press > 0:
-            paths.append(self.combined_press_min(alpha) / press)
-        return 2.0 * min(paths)
-
-    def double_sided(self, press: float, alpha: float) -> float:
-        paths = [self.hammer_min]
-        if press > 0:
-            paths.append(self.ds_press_min(alpha) / press)
-        return 2.0 * min(paths)
-
-    def ss_press_min(self, alpha: float, gamma: float) -> float:
-        """Press-path minimum (per unit P) of the single-sided pattern.
+    def ss_press_grid(self, alpha: float, gammas: np.ndarray) -> np.ndarray:
+        """Press-path minimum (per unit P) of the single-sided pattern, per
+        gamma (all > 0).
 
         Each cell's solo press coupling is ``g_p * gamma**e``, so the
         path value is ``min_j r_j * gamma**(-e_j)`` over the reduced
-        candidate set.
+        candidate set.  Unlike the alpha grid this is not pruned: SIMD
+        ``pow`` is not guaranteed monotone, so no envelope test is exact.
         """
-        if gamma <= 0:
-            return math.inf
-        out = math.inf
+
+        def power_min(r: np.ndarray, e: np.ndarray) -> np.ndarray:
+            # One (candidates, gammas) temporary: multiplied in place.
+            values = gammas[None, :] ** (-e)[:, None]
+            values *= r[:, None]
+            return values.min(axis=0)
+
+        out = np.full(gammas.shape, math.inf)
         if self.ss_inner_r.size:
-            out = float((self.ss_inner_r * gamma ** (-self.ss_inner_e)).min())
+            out = power_min(self.ss_inner_r, self.ss_inner_e)
         if alpha > 0 and self.ss_outer_r.size:
-            out = min(
-                out,
-                float((self.ss_outer_r * gamma ** (-self.ss_outer_e)).min())
-                / alpha,
+            out = np.minimum(
+                out, power_min(self.ss_outer_r, self.ss_outer_e) / alpha
             )
         return out
 
-    def single_sided(
-        self, press: float, alpha: float, gamma: float, delta: float
-    ) -> float:
-        """Conventional single-sided RowPress ACmin.
+    def single_sided_grid(
+        self, press: float, alpha: float, gammas: np.ndarray, delta: float
+    ) -> np.ndarray:
+        """Conventional single-sided RowPress ACmin, per gamma (all > 0).
 
         ``delta`` is the solo-activation hammer efficiency and ``gamma``
         the solo-activation press efficiency (all single-sided
         activations are back-to-back re-opens of the same row).
         """
-        paths = []
+        hammer = math.inf
         if delta > 0:
-            paths.extend(
-                [self.a_inner_lo_solo / delta, self.a_outer_lo_solo / delta]
+            hammer = min(
+                self.a_inner_lo_solo / delta, self.a_outer_lo_solo / delta
             )
+        out = np.full(gammas.shape, hammer)
         if press > 0:
-            paths.append(self.ss_press_min(alpha, gamma) / press)
-        return 1.0 * min(paths) if paths else math.inf
+            out = np.minimum(out, self.ss_press_grid(alpha, gammas) / press)
+        return out
 
     # ---------------------------------------------------------------- scaling
 
@@ -271,7 +277,6 @@ class _DieAggregates:
         """Aggregates with every threshold multiplied by ``factor``."""
         return _DieAggregates(
             a_inner_both=self.a_inner_both * factor,
-            a_inner_lo=self.a_inner_lo * factor,
             a_outer_lo=self.a_outer_lo * factor,
             a_outer_hi=self.a_outer_hi * factor,
             b_inner_lo=self.b_inner_lo * factor,
@@ -293,7 +298,6 @@ class _DieAggregates:
         press scale (press-path ACmin divides by it)."""
         return _DieAggregates(
             a_inner_both=self.a_inner_both,
-            a_inner_lo=self.a_inner_lo,
             a_outer_lo=self.a_outer_lo,
             a_outer_hi=self.a_outer_hi,
             b_inner_lo=self.b_inner_lo / press_scale,
@@ -370,7 +374,6 @@ def _die_aggregates(
         a_inner_both=_safe_min(
             (inner.theta / (inner.g_h_lo + inner.g_h_hi))[inner_d]
         ),
-        a_inner_lo=_safe_min((inner.theta / inner.g_h_lo)[inner_d]),
         a_outer_lo=_safe_min(
             (outer_lo.theta / outer_lo.g_h_hi)[~outer_lo.charged]
         ),
@@ -536,19 +539,19 @@ def _press_shape_targets(
 # ---------------------------------------------------------------------------
 
 
-def _censored_mean(values: np.ndarray, budget: float) -> float:
-    """Mean of values within the budget, or inf if none qualify."""
-    mask = values <= budget
-    if not mask.any():
-        return math.inf
-    return float(values[mask].mean())
+def _censored_mean_dies(
+    values: np.ndarray, budget: float, axis: int
+) -> np.ndarray:
+    """Censored mean over the die axis ``axis`` (inf where no die fits).
 
-
-def _censored_mean_cols(values: np.ndarray, budget: float) -> np.ndarray:
-    """Column-wise censored mean of a (n_dies, n_cols) matrix."""
+    ``values`` is C-contiguous with the die axis ahead of the last
+    (column) axis.  numpy's summation order over dies then depends only
+    on the column count, so a stack of (n_dies, n_cols) matrices sums
+    bit for bit like each matrix on its own.
+    """
     mask = values <= budget
-    counts = mask.sum(axis=0)
-    sums = np.where(mask, values, 0.0).sum(axis=0)
+    counts = mask.sum(axis=axis)
+    sums = np.where(mask, values, 0.0).sum(axis=axis)
     with np.errstate(invalid="ignore", divide="ignore"):
         means = sums / counts
     means[counts == 0] = math.inf
@@ -577,13 +580,15 @@ def _solve_anchor_joint(
     mean (or, for a "No Bitflip" double-sided cell, a penalty unless the
     weakest die stays above the double-sided activation budget).
 
-    The grid evaluation is vectorized: for a fixed alpha, every per-die
-    ACmin is ``2 * min(hammer_min, press_min(alpha) / P)``, so a whole
-    row of P candidates costs two numpy broadcasts.
+    The grid evaluation is vectorized: every per-die ACmin is
+    ``2 * min(hammer_min, press_min(alpha) / P)``, so a block of alpha
+    rows costs a few numpy broadcasts over an (alpha, die, P) cube.
+    Alpha rows are scanned in grid order and the first strictly best
+    finite row wins.
     """
     comb_budget = _comb_budget_acts(t_on, runtime_bound_ns)
     ds_budget = _ds_budget_acts(t_on, runtime_bound_ns)
-    hammer = np.array([a.hammer_min for a in aggs])
+    hammer = np.array([a.hammer_min for a in aggs])[None, :, None]
 
     alpha_grid = np.concatenate([[1e-4], np.logspace(-2, 0, 120)])
     alpha_grid = alpha_grid[alpha_grid <= _ALPHA_CAP]
@@ -592,36 +597,41 @@ def _solve_anchor_joint(
     else:
         base = 2.0 * float(np.median([a.b_inner_lo for a in aggs])) / comb_target
         press_grid = base * np.logspace(-2.5, 2.5, 321)
+    # (n_alpha, n_dies) press-path minima.
+    comb_press = np.stack([a.combined_press_grid(alpha_grid) for a in aggs], 1)
+    ds_press = np.stack([a.ds_press_grid(alpha_grid) for a in aggs], 1)
+
+    def acmin(press_min: np.ndarray) -> np.ndarray:
+        """C-contiguous (n_rows, n_dies, n_press) ACmin cube."""
+        return 2.0 * np.minimum(
+            hammer, press_min[:, :, None] / press_grid[None, None, :]
+        )
 
     best: Optional[Tuple[float, float, float]] = None  # (score, press, alpha)
-    for alpha in alpha_grid:
-        comb_press = np.array([a.combined_press_min(alpha) for a in aggs])
-        ds_press = np.array([a.ds_press_min(alpha) for a in aggs])
-        # (n_dies, n_press) ACmin matrices.
-        comb_vals = 2.0 * np.minimum(
-            hammer[:, None], comb_press[:, None] / press_grid[None, :]
-        )
-        ds_vals = 2.0 * np.minimum(
-            hammer[:, None], ds_press[:, None] / press_grid[None, :]
-        )
-        comb_means = _censored_mean_cols(comb_vals, comb_budget)
+    for start in range(0, alpha_grid.size, _ALPHA_BLOCK):
+        rows = slice(start, start + _ALPHA_BLOCK)
+        comb_vals = acmin(comb_press[rows])
+        ds_vals = acmin(ds_press[rows])
+        comb_means = _censored_mean_dies(comb_vals, comb_budget, axis=1)
         with np.errstate(invalid="ignore"):
             comb_err = np.abs(comb_means - comb_target) / comb_target
         if ds_target is not None:
-            ds_means = _censored_mean_cols(ds_vals, ds_budget)
+            ds_means = _censored_mean_dies(ds_vals, ds_budget, axis=1)
             with np.errstate(invalid="ignore"):
                 ds_err = np.abs(ds_means - ds_target) / ds_target
             ds_err[~np.isfinite(ds_means)] = 4.0  # nothing flips: poor fit
         else:
             # "No Bitflip": penalize if the weakest die would flip.
-            ds_min = ds_vals.min(axis=0)
+            ds_min = ds_vals.min(axis=1)
             margin = ds_min / (ds_budget * _NO_BITFLIP_HEADROOM)
             ds_err = np.where(margin >= 1.0, 0.0, 2.0 * (1.0 - margin))
         score = _COMBINED_WEIGHT * comb_err + ds_err
         score[~np.isfinite(comb_means)] = math.inf
-        idx = int(np.argmin(score))
-        if math.isfinite(score[idx]) and (best is None or score[idx] < best[0]):
-            best = (float(score[idx]), float(press_grid[idx]), float(alpha))
+        for alpha, row, idx in zip(
+            alpha_grid[rows], score, np.argmin(score, axis=1)
+        ):
+            if math.isfinite(row[idx]) and (best is None or row[idx] < best[0]):
+                best = (float(row[idx]), float(press_grid[idx]), float(alpha))
     if best is None:
         raise CalibrationError(
             f"cannot solve {what}: no (press, alpha) candidate produced a "
@@ -642,13 +652,13 @@ def _solve_gamma(
     """Gamma whose censored single-sided mean is closest to the target."""
     budget = _ss_budget_acts(t_on, runtime_bound_ns)
     gamma_grid = np.logspace(-3, 3, 361)
-    ss_vals = np.empty((len(aggs), gamma_grid.size))
-    for i, agg in enumerate(aggs):
-        for j, gamma in enumerate(gamma_grid):
-            ss_vals[i, j] = agg.single_sided(
-                press, alpha, float(gamma), _SOLO_HAMMER_FACTOR
-            )
-    means = _censored_mean_cols(ss_vals, budget)
+    ss_vals = np.array(
+        [
+            agg.single_sided_grid(press, alpha, gamma_grid, _SOLO_HAMMER_FACTOR)
+            for agg in aggs
+        ]
+    )
+    means = _censored_mean_dies(ss_vals, budget, axis=0)
     with np.errstate(invalid="ignore"):
         err = np.abs(means - ss_target) / ss_target
     err[~np.isfinite(means)] = math.inf

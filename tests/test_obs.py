@@ -602,8 +602,11 @@ def test_cli_observability_artifacts(tmp_path, capsys):
     assert payload["counters"]["shards.completed"] > 0
     assert payload["run"]["n_retries"] == 0
     assert "cache_hit_rates" in payload
+    # Module calibration is timed as its own set-up span.
+    assert payload["timers"]["profile.setup.calibrate"]["count"] == 1
 
     events = [_strict_loads(line) for line in trace_path.read_text().splitlines()]
     assert events[0]["event"] == "campaign_start"
     assert events[-1]["event"] == "campaign_finish"
     assert journal_path.exists()
+    assert main(["validate", str(metrics_path)]) == 0
