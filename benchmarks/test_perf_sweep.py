@@ -3,7 +3,7 @@
 Times the paper's full 14-module characterization protocol -- the 7-point
 tAggON sweep and the Table 2 anchor points, each measurement repeated
 ``TRIALS_PER_MEASUREMENT`` (3) times as in the paper's methodology --
-through five execution paths:
+through four execution paths:
 
 * ``seed``: a frozen replica of the pre-engine serial loop (per-row cell
   draws, per-measurement role weights, per-trial jitter regeneration,
@@ -11,10 +11,9 @@ through five execution paths:
   file so the baseline cannot silently inherit later optimizations;
 * ``engine_serial``: the :class:`~repro.core.engine.SweepEngine` with the
   serial executor (workers=1) and the batched multi-trial fast path;
-* ``engine_workers4``: the same engine with ``workers=4`` and the default
-  share mode (fork-inherited worker state on Linux);
-* ``engine_workers_shm``: ``workers=4`` pinned to the shared-memory
-  segment path (the portable zero-copy mode);
+* ``engine_workers4``: the same engine with ``workers=4`` on the process
+  pool (fork-inherited worker state on Linux, the pickled worker spec
+  elsewhere);
 * ``engine_auto``: the CLI-default :class:`~repro.core.engine.AutoExecutor`
   -- calibration probe, then serial / thread / process per its decision.
 
@@ -24,7 +23,7 @@ numbers, speedups, per-executor worker counts, and the auto executor's
 calibration decision are recorded in ``BENCH_sweep.json`` at the repo
 root.  Gates: the best engine configuration must clear the >= 3x
 acceptance bar everywhere; with >= 2 cores (or ``REPRO_BENCH_GATE=workers``,
-the CI perf-smoke setting) the parallel paths must also beat the serial
+the CI perf-smoke setting) the process pool must also beat the serial
 engine; on a single core the auto executor must have *chosen* serial --
 the pool can only add overhead there, and the calibration probe exists
 precisely to avoid paying it.
@@ -384,23 +383,14 @@ def test_disabled_observability_is_zero_overhead(bench_config, modules, monkeypa
 @pytest.mark.perf
 def test_sweep_engine_speedup(bench_config, modules):
     """Engine + batch fast path >= 3x over the seed loop, recorded."""
-    from repro.core.engine import AutoExecutor, ProcessExecutor
-    from repro.core.shm import fork_sharing_available
+    from repro.core.engine import AutoExecutor, fork_sharing_available
 
     cpu_count = os.cpu_count() or 1
-    pool_workers = min(4, max(2, cpu_count))
     auto_reports: List[object] = []
     sides: Dict[str, object] = {
         "seed": lambda: _campaign_seed(bench_config, modules),
         "engine_serial": lambda: _campaign_engine(bench_config, modules, 1),
         "engine_workers4": lambda: _campaign_engine(bench_config, modules, 4),
-        "engine_workers_shm": lambda: _campaign_engine(
-            bench_config,
-            modules,
-            executor_factory=lambda: ProcessExecutor(
-                pool_workers, share_mode="shm"
-            ),
-        ),
         "engine_auto": lambda: _campaign_engine(
             bench_config,
             modules,
@@ -456,11 +446,7 @@ def test_sweep_engine_speedup(bench_config, modules):
             "engine_serial": {"workers": 1},
             "engine_workers4": {
                 "workers": 4,
-                "share_mode": "fork" if fork_sharing_available() else "shm",
-            },
-            "engine_workers_shm": {
-                "workers": pool_workers,
-                "share_mode": "shm",
+                "worker_state": "fork" if fork_sharing_available() else "spec",
             },
             "engine_auto": {
                 "workers": "auto",
@@ -493,13 +479,11 @@ def test_sweep_engine_speedup(bench_config, modules):
         assert auto_decision["chosen"] == "serial", auto_decision
     gate_workers = os.environ.get("REPRO_BENCH_GATE", "") == "workers"
     if cpu_count >= 2 or gate_workers:
-        # With real cores the zero-copy pool must actually win: no slower
+        # With real cores the process pool must actually win: no slower
         # than the serial engine (strict in CI gate mode, 10% timing-noise
         # allowance elsewhere).
         margin = 1.0 if gate_workers else 1.10
-        parallel_best = min(
-            best["engine_workers4"], best["engine_workers_shm"]
-        )
+        parallel_best = best["engine_workers4"]
         assert parallel_best <= best["engine_serial"] * margin, (
             f"parallel engine best {parallel_best:.2f}s does not beat "
             f"serial engine {best['engine_serial']:.2f}s on "

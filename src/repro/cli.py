@@ -318,9 +318,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except KeyboardInterrupt:
-        # The pool, shared-memory segments and the checkpoint journal's
-        # lock are released as the interrupt unwinds; exit on the shell
-        # convention for SIGINT (128 + 2).
+        # The pool, the fork-state registration and the checkpoint
+        # journal's lock are released as the interrupt unwinds; exit on
+        # the shell convention for SIGINT (128 + 2).
         sys.stderr.write("interrupted\n")
         return 130
     finally:

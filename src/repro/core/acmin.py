@@ -137,33 +137,6 @@ def _cached_role_weights(
     return _role_weights(pattern, t_on, model, temperature_c, timings)
 
 
-def build_role_weight_table(
-    patterns: Sequence[AccessPattern],
-    t_values: Sequence[float],
-    model: DisturbanceModel,
-    temperature_c: float = CHARACTERIZATION_TEMPERATURE_C,
-    timings: DDR4Timings = DEFAULT_TIMINGS,
-) -> Dict:
-    """Precompute (placement, weights) for every (pattern, tAggON) point.
-
-    The table is keyed by ``(pattern.name, t_on)`` -- *not* by model
-    identity -- so the parent process can evaluate the weights once and
-    hand them to pool workers (the table is a few scalars per point and
-    pickles in microseconds), instead of every worker re-walking the
-    pattern placement per point.  Identical values to
-    :func:`_cached_role_weights` by construction: it is computed through
-    it.
-    """
-    table: Dict = {}
-    by_key = {pattern.name: pattern for pattern in patterns}
-    for pattern in by_key.values():
-        for t_on in t_values:
-            table[(pattern.name, t_on)] = _cached_role_weights(
-                pattern, t_on, model, temperature_c, timings
-            )
-    return table
-
-
 @dataclass
 class DieAnalysis:
     """Per-die closed-form analysis of one (pattern, tAggON, trial) point.
@@ -341,13 +314,11 @@ class DieSweepAnalyzer:
         model: DisturbanceModel,
         temperature_c: float = CHARACTERIZATION_TEMPERATURE_C,
         timings: DDR4Timings = DEFAULT_TIMINGS,
-        weights_table: Optional[Dict] = None,
     ) -> None:
         self._stacked = stacked
         self._model = model
         self._temperature_c = temperature_c
         self._timings = timings
-        self._weights_table = weights_table
         self._gains: Dict[str, np.ndarray] = {}
         self._bases: Dict[Tuple[str, float], np.ndarray] = {}
 
@@ -415,17 +386,9 @@ class DieSweepAnalyzer:
 
     def _base(self, pattern: AccessPattern, t_on: float):
         """Placement, role weights, and the trial-0 fused n_iters stack."""
-        entry = (
-            self._weights_table.get((pattern.name, t_on))
-            if self._weights_table is not None
-            else None
+        placement, weights = _cached_role_weights(
+            pattern, t_on, self._model, self._temperature_c, self._timings
         )
-        if entry is not None:
-            placement, weights = entry
-        else:
-            placement, weights = _cached_role_weights(
-                pattern, t_on, self._model, self._temperature_c, self._timings
-            )
         cached = self._bases.get((pattern.name, t_on))
         if cached is not None:
             return placement, weights, cached

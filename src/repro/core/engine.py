@@ -21,14 +21,14 @@ Structure
   :class:`AutoExecutor` -- the default behind ``--workers auto`` -- which
   probes the first unmemoized shard and picks serial or process per
   campaign from the measured cost.
-* Process workers get their state zero-copy (:mod:`repro.core.shm`):
-  under the ``fork`` start method they inherit the parent runner --
-  modules, stacked dies, analyzer caches, and memoized measurements --
-  via a fork-state token; elsewhere the parent publishes each die's
-  fused cell stack into a shared-memory segment and workers attach
-  read-only views through a picklable handle, with the role-weight
-  tables precomputed parent-side.  Cell arrays never cross the pool
-  boundary.  The pool submits one task per shard through one loop.
+* Process workers get the parent's state without rebuilding it.  Under
+  the ``fork`` start method they inherit the parent runner -- modules,
+  stacked dies, analyzer caches, and memoized measurements -- through a
+  fork-state token; under any other start method each worker receives
+  the runner's value-only :class:`CharacterizationWorkerSpec` (config
+  plus modules, no cell arrays), pickled once per worker, and builds its
+  own stacks from it.  The pool submits one task per shard through one
+  loop.
 * Results stream back per shard and are reassembled in canonical order:
   modules in call order, dies ascending, then patterns x tAggON x trials
   exactly as the serial 5-deep loop would have emitted them.
@@ -60,8 +60,10 @@ note in :attr:`SweepEngine.last_report`) instead of aborting.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
+import multiprocessing
 import os
 import time
 import warnings as _warnings
@@ -76,21 +78,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.acmin import (
-    DieAnalysis,
-    DieSweepAnalyzer,
-    build_role_weight_table,
-    pattern_footprint,
-)
-from repro.core.shm import (
-    SharedDieStore,
-    StackedDieHandle,
-    attached_stacked,
-    discard_fork_state,
-    fork_sharing_available,
-    fork_state,
-    install_fork_state,
-)
+from repro.core.acmin import DieAnalysis, DieSweepAnalyzer, pattern_footprint
 from repro.core.checkpoint import CheckpointJournal, plan_fingerprint
 from repro.core.experiment import CharacterizationConfig
 from repro.core.faults import (
@@ -121,7 +109,7 @@ __all__ = [
     "Shard",
     "SweepPlan",
     "ForkWorkerSpec",
-    "ShmCharacterizationSpec",
+    "CharacterizationWorkerSpec",
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
@@ -263,101 +251,100 @@ def measurement_from_analysis(
     )
 
 
+# ------------------------------------------------------ fork-state registry
+
+
+_FORK_TOKENS = itertools.count(1)
+_FORK_STATE: Dict[int, object] = {}
+
+
+def fork_sharing_available() -> bool:
+    """Whether pool workers inherit this process's memory (fork start)."""
+    try:
+        return multiprocessing.get_start_method() == "fork"
+    except Exception:  # pragma: no cover - exotic platforms
+        return False
+
+
+def install_fork_state(payload: object) -> int:
+    """Register a payload for fork-inherited pickup; returns its token.
+
+    Must be called *before* the pool is created: workers snapshot the
+    registry when they fork.  Pair with :func:`discard_fork_state` in a
+    ``finally`` so the parent-side registry does not pin the payload
+    beyond the campaign.
+    """
+    token = next(_FORK_TOKENS)
+    _FORK_STATE[token] = payload
+    return token
+
+
+def fork_state(token: int) -> object:
+    """Look up a fork-inherited payload inside a worker."""
+    try:
+        return _FORK_STATE[token]
+    except KeyError:
+        raise ExperimentError(
+            f"fork-inherited worker state {token} is not present in this "
+            f"process; the pool was started with a non-fork start method "
+            f"or the state was discarded before the worker forked"
+        ) from None
+
+
+def discard_fork_state(token: int) -> None:
+    """Drop a payload from the parent-side registry (idempotent)."""
+    _FORK_STATE.pop(token, None)
+
+
 @dataclass(frozen=True)
 class ForkWorkerSpec:
     """Fork-inherited worker state: only a registry token crosses the pool.
 
     The parent installs its live runner (module objects, stacked dies,
     analyzer caches, memoized measurements -- everything) in the
-    fork-state registry (:mod:`repro.core.shm`) before creating the
-    pool; forked workers read the very same objects back copy-on-write.
-    Nothing is rebuilt and nothing but this spec is pickled, so
-    hand-assembled modules work as well as profiled ones.
-
-    ``inner`` optionally carries a campaign spec whose ``check_shards``
-    still applies (the mitigation campaign validates shard vocabulary
-    regardless of how worker state travels).
+    fork-state registry before creating the pool; forked workers read
+    the very same objects back copy-on-write.  Nothing is rebuilt and
+    nothing but this spec is pickled, so hand-assembled modules work as
+    well as profiled ones.
     """
 
     token: int
-    inner: Optional[object] = None
-
-    def check_shards(self, shards: Sequence) -> None:
-        if self.inner is not None:
-            self.inner.check_shards(shards)
 
     def build_runner(self):
         return fork_state(self.token)
 
 
 @dataclass(frozen=True)
-class _SharedModuleState:
-    """What a shared-memory worker needs of a module: key and model.
+class CharacterizationWorkerSpec:
+    """Value-only worker recipe for start methods other than ``fork``.
 
-    The cell arrays live in shared memory and the stacked dies are
-    attached by handle, so workers never call ``module.chip``; the
-    model (a few scalars) rides along in the spec.
-    """
-
-    key: str
-    model: object
-
-
-@dataclass(frozen=True)
-class ShmCharacterizationSpec:
-    """Shared-memory worker recipe: attach, don't rebuild.
-
-    Carries per-die segment handles (name + layout manifest), the
-    per-module disturbance models (hundreds of bytes each), and the
-    parent-precomputed role-weight tables.  Workers reassemble read-only
-    :class:`~repro.core.stacked.StackedDie` views over the parent's
-    segments -- no calibration solver, no cell-array generation, no
-    pickled arrays.
+    Carries the campaign configuration and the modules by key.  A
+    calibrated module pickles to a few kilobytes -- its chips draw cell
+    arrays on demand -- so each worker receives the whole spec once and
+    builds its own stacked dies, exactly as the serial path does.
     """
 
     config: CharacterizationConfig
-    models: Dict[str, object]
-    handles: Dict[Tuple[str, int, Tuple[int, ...]], StackedDieHandle]
-    weights_tables: Dict[str, Dict]
+    modules: Dict[str, Module]
 
     def check_shards(self, shards: Sequence[Shard]) -> None:
-        timings = self.config.timings
-        needed = {
-            (u.module_key, u.die, pattern_footprint(u.pattern, timings))
-            for s in shards
-            for u in s.units
-        }
-        missing = sorted(needed - set(self.handles))
+        """Refuse shards a worker could not run from this spec."""
+        missing = sorted({s.module_key for s in shards} - set(self.modules))
         if missing:
             raise ExperimentError(
-                f"shared-memory worker spec has no published segment for "
-                f"(die, footprint) {missing[:4]}; publish every dispatched "
-                f"die at every needed footprint before building the spec"
+                f"worker spec has no module for shard key(s) {missing} "
+                f"(spec modules: {sorted(self.modules)})"
             )
 
     def build_runner(self) -> "ShardRunner":
-        modules = {
-            key: _SharedModuleState(key, model)
-            for key, model in self.models.items()
-        }
-        return ShardRunner(
-            self.config,
-            modules.__getitem__,
-            stacked_provider=lambda key, die, offsets: attached_stacked(
-                self.handles[(key, die, offsets)]
-            ),
-            weights_tables=self.weights_tables,
-        )
+        return ShardRunner(self.config, self.modules)
 
 
 class ShardRunner:
     """Executes shards against modules, caching one StackedDie per die.
 
-    ``module_provider`` maps a module key to its :class:`Module`; the
-    in-process executors use the caller's modules directly, fork workers
-    inherit them, and shared-memory workers get their disturbance models
-    from :class:`ShmCharacterizationSpec`.  ``stacked_cache`` /
-    ``analyzer_cache`` may be shared with a
+    ``modules`` maps a module key to its :class:`Module`.
+    ``stacked_cache`` / ``analyzer_cache`` may be shared with a
     :class:`~repro.core.runner.CharacterizationRunner` so engine and
     facade reuse the same per-die populations and analyzer caches (the
     analyzers carry the per-pattern gain and per-point base caches, which
@@ -372,7 +359,7 @@ class ShardRunner:
     def __init__(
         self,
         config: CharacterizationConfig,
-        module_provider: Callable[[str], Module],
+        modules: Dict[str, Module],
         stacked_cache: Optional[
             Dict[Tuple[str, int, Tuple[int, ...]], StackedDie]
         ] = None,
@@ -383,19 +370,13 @@ class ShardRunner:
             Dict[Tuple[str, int, Tuple[int, ...]], DieSweepAnalyzer]
         ] = None,
         metrics=None,
-        stacked_provider: Optional[
-            Callable[[str, int, Tuple[int, ...]], StackedDie]
-        ] = None,
-        weights_tables: Optional[Dict[str, Dict]] = None,
     ) -> None:
         self._config = config
-        self._module_provider = module_provider
+        self._modules = modules
         self._stacked_cache = stacked_cache if stacked_cache is not None else {}
         self._measurement_cache = measurement_cache
         self._analyzer_cache = analyzer_cache if analyzer_cache is not None else {}
         self._metrics = metrics
-        self._stacked_provider = stacked_provider
-        self._weights_tables = weights_tables
         self._footprints: Dict[str, Tuple[int, ...]] = {}
 
     #: Result-integrity check executors apply to this runner's results
@@ -405,6 +386,11 @@ class ShardRunner:
     @property
     def config(self) -> CharacterizationConfig:
         return self._config
+
+    @property
+    def spec(self) -> CharacterizationWorkerSpec:
+        """The picklable recipe non-fork pool workers rebuild from."""
+        return CharacterizationWorkerSpec(self._config, self._modules)
 
     def fork_runner(self) -> "ShardRunner":
         """The zero-copy clone fork-started workers inherit.
@@ -416,51 +402,10 @@ class ShardRunner:
         """
         return ShardRunner(
             self._config,
-            self._module_provider,
+            self._modules,
             self._stacked_cache,
             self._measurement_cache,
             self._analyzer_cache,
-            metrics=None,
-            stacked_provider=self._stacked_provider,
-            weights_tables=self._weights_tables,
-        )
-
-    def shm_spec(
-        self, shards: Sequence[Shard], store: SharedDieStore
-    ) -> ShmCharacterizationSpec:
-        """Publish every dispatched die and build the attach-side spec.
-
-        The parent builds (or reuses from its cache) each shard's
-        stacked die, copies its fused arrays into a shared-memory
-        segment owned by ``store``, and precomputes the role-weight
-        tables for every (pattern, tAggON) point of the dispatched
-        shards -- so workers start measuring immediately on attach.
-        """
-        models: Dict[str, object] = {}
-        points: Dict[str, Tuple[Dict[str, AccessPattern], set]] = {}
-        for shard in shards:
-            module = self._module_provider(shard.module_key)
-            for offsets in sorted(
-                {self.footprint(unit.pattern) for unit in shard.units}
-            ):
-                store.publish(self.stacked(module, shard.die, offsets))
-            models.setdefault(module.key, module.model)
-            patterns, t_values = points.setdefault(module.key, ({}, set()))
-            for unit in shard.units:
-                patterns.setdefault(unit.pattern.name, unit.pattern)
-                t_values.add(unit.t_on)
-        tables = {
-            key: build_role_weight_table(
-                list(patterns.values()),
-                sorted(t_values),
-                models[key],
-                self._config.temperature_c,
-                self._config.timings,
-            )
-            for key, (patterns, t_values) in points.items()
-        }
-        return ShmCharacterizationSpec(
-            self._config, models, store.handles, tables
         )
 
     def cached_units(
@@ -510,18 +455,13 @@ class ShardRunner:
                 else "cache.stacked.misses"
             )
         if stacked is None:
-            if self._stacked_provider is not None:
-                # Shared-memory workers attach the parent-published
-                # segment instead of regenerating cell arrays.
-                stacked = self._stacked_provider(module.key, die, offsets)
-            else:
-                stacked = build_stacked_die(
-                    module.chip(die),
-                    self._config.bank,
-                    self._config.selection,
-                    self._config.data_pattern,
-                    offsets=offsets,
-                )
+            stacked = build_stacked_die(
+                module.chip(die),
+                self._config.bank,
+                self._config.selection,
+                self._config.data_pattern,
+                offsets=offsets,
+            )
             self._stacked_cache[key] = stacked
         return stacked
 
@@ -552,11 +492,6 @@ class ShardRunner:
                 module.model,
                 temperature_c=self._config.temperature_c,
                 timings=self._config.timings,
-                weights_table=(
-                    self._weights_tables.get(module.key)
-                    if self._weights_tables is not None
-                    else None
-                ),
             )
             self._analyzer_cache[key] = analyzer
         return analyzer
@@ -594,7 +529,7 @@ class ShardRunner:
                 analyzer = analyzers.get(offsets)
                 if analyzer is None:  # lazily: fully cached shards skip it
                     if module is None:
-                        module = self._module_provider(shard.module_key)
+                        module = self._modules[shard.module_key]
                     analyzer = self.analyzer(module, shard.die, offsets)
                     analyzers[offsets] = analyzer
                 analyses = analyzer.analyze_trials(
@@ -777,119 +712,28 @@ class ThreadExecutor:
 
 
 class ProcessExecutor:
-    """Runs shards on a process pool with zero-copy worker state.
+    """Runs shards on a process pool, worker state picked by platform.
 
-    Worker state is derived from the platform and the runner:
-
-    * fork -- under the ``fork`` start method, a runner exposing
+    * fork -- under the ``fork`` start method the runner's
       ``fork_runner()`` is inherited by the workers copy-on-write
       (modules, stacked dies, analyzer caches, memoized measurements);
       only a registry token is pickled.
-    * shm -- otherwise a runner exposing ``shm_spec(shards, store)``
-      (characterization) publishes each dispatched die's fused cell
-      stack into a :mod:`multiprocessing.shared_memory` segment
-      (:mod:`repro.core.shm`); workers attach read-only views via
-      picklable handles and get the role-weight tables precomputed.
-    * otherwise the runner's value-only ``spec`` (the mitigation
-      campaign, whose worker state is a few scalars) is pickled and
-      workers build their runner from it.
+    * spec -- under any other start method the runner's value-only
+      ``spec`` is pickled once per worker (through the pool
+      initializer), and each worker builds its runner from it.
 
-    ``share_mode`` of ``"fork"`` or ``"shm"`` pins one of the first two,
-    so the shared-memory path can be exercised on fork platforms too.
-
+    Either way the parent first runs ``runner.spec.check_shards`` on the
+    plan, so a shard no worker could run fails before the pool starts.
     Every call runs the same per-shard loop: one pool task per shard,
     results validated and streamed back as they land.  Results are
-    bit-identical in every mode -- measurements are pure functions of
+    bit-identical in both modes -- measurements are pure functions of
     their identity.
     """
 
     name = "process"
 
-    _SHARE_MODES = ("fork", "shm")
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        share_mode: Optional[str] = None,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         self.workers = workers or _usable_cpus()
-        if share_mode is not None and share_mode not in self._SHARE_MODES:
-            raise ExperimentError(
-                f"unknown share_mode {share_mode!r} "
-                f"(expected None or one of {self._SHARE_MODES})"
-            )
-        self.share_mode = share_mode
-
-    # ------------------------------------------------------- worker state
-
-    def _worker_state(
-        self, runner, shards: Sequence[Shard], obs: Optional[Observability]
-    ) -> Tuple[object, Callable[[], None]]:
-        """Prepare worker state; returns (spec, cleanup).
-
-        ``cleanup`` must run in a ``finally`` -- it discards the
-        fork-state registration or unlinks the shared-memory segments,
-        whichever the mode created.
-        """
-        mode = self.share_mode
-        if mode is None:
-            if fork_sharing_available() and hasattr(runner, "fork_runner"):
-                mode = "fork"
-            elif hasattr(runner, "shm_spec"):
-                mode = "shm"
-        if mode == "fork":
-            factory = getattr(runner, "fork_runner", None)
-            if factory is None or not fork_sharing_available():
-                raise ExperimentError(
-                    "share_mode='fork' needs the fork start method and a "
-                    "runner exposing fork_runner(); use share_mode='shm' "
-                    "or leave it unset"
-                )
-            token = install_fork_state(factory())
-            if obs is not None:
-                obs.metrics.inc("worker_state.fork")
-                obs.emit("worker_state", mode="fork", token=token)
-            spec = ForkWorkerSpec(token, inner=getattr(runner, "spec", None))
-            return spec, lambda: discard_fork_state(token)
-        if mode == "shm":
-            factory = getattr(runner, "shm_spec", None)
-            if factory is None:
-                raise ExperimentError(
-                    "share_mode='shm' needs a runner exposing "
-                    "shm_spec(shards, store); leave share_mode unset for "
-                    "this runner"
-                )
-            store = SharedDieStore()
-            try:
-                spec = factory(shards, store)
-            except BaseException:
-                store.close()
-                raise
-            if obs is not None:
-                obs.metrics.inc("shm.segments_published", len(store))
-                obs.emit(
-                    "shm_publish", segments=len(store), nbytes=store.nbytes
-                )
-
-            def cleanup() -> None:
-                segments = len(store)
-                store.close()
-                if obs is not None:
-                    obs.metrics.inc("shm.segments_unlinked", segments)
-                    obs.emit("shm_unlink", segments=segments)
-
-            return spec, cleanup
-        spec = getattr(runner, "spec", None)
-        if spec is None:
-            raise ExperimentError(
-                "the process executor needs a runner exposing fork_runner(), "
-                "shm_spec(shards, store), or a picklable worker spec "
-                "(runner.spec); use the serial or thread executor for this "
-                "runner"
-            )
-        return spec, lambda: None
-
-    # ----------------------------------------------------------- dispatch
 
     def map_shards(
         self,
@@ -911,14 +755,28 @@ class ProcessExecutor:
                     "boundary"
                 )
             policy = policy or RetryPolicy()
-        spec, cleanup = self._worker_state(runner, plan.shards, obs)
+        spec = runner.spec
+        spec.check_shards(plan.shards)
+        fork = fork_sharing_available()
+        if obs is not None:
+            mode = "fork" if fork else "spec"
+            obs.metrics.inc(f"worker_state.{mode}")
+            obs.emit("worker_state", mode=mode)
+        token = install_fork_state(runner.fork_runner()) if fork else None
         try:
-            spec.check_shards(plan.shards)
             return self._map_resilient(
-                plan, runner, spec, policy, fault_plan, on_shard, report, obs
+                plan,
+                runner,
+                spec if token is None else ForkWorkerSpec(token),
+                policy,
+                fault_plan,
+                on_shard,
+                report,
+                obs,
             )
         finally:
-            cleanup()
+            if token is not None:
+                discard_fork_state(token)
 
     def _map_resilient(
         self,
@@ -948,11 +806,10 @@ class ProcessExecutor:
         break raises :class:`~repro.errors.PoolBrokenError` so the
         degradation ladder takes over.
 
-        ``spec`` is the prepared worker spec (fork token, shm handles,
-        or the runner's value-only recipe), handed to each worker once
-        by the pool initializer; pool restarts reuse it -- re-forked
-        workers still find the fork state installed, and shm segments
-        stay linked until the caller's cleanup runs.
+        ``spec`` is the prepared worker spec (fork token or the runner's
+        value-only recipe), handed to each worker once by the pool
+        initializer; pool restarts reuse it -- re-forked workers still
+        find the fork state installed until the caller's cleanup runs.
         """
         shard_timeout = policy.shard_timeout if policy is not None else None
         failures: Dict[int, int] = {shard.index: 0 for shard in plan.shards}
@@ -1109,8 +966,8 @@ class ProcessExecutor:
 
 #: Pool-worker state: the spec the worker's pool was created with, and
 #: the runner built from it on the worker's first shard.  One runner per
-#: worker, not per shard, keeps the spec (on the shm path every die's
-#: segment handle and every module's weight tables) off each task.
+#: worker, not per shard, keeps the spec (on the spec path every
+#: module) off each task.
 _WORKER_SPEC = None
 _WORKER_RUNNER = None
 
@@ -1377,9 +1234,9 @@ def run_plan(
     completeness check.  ``plan`` may be any frozen dataclass with a
     ``shards`` tuple of protocol shards (``index``/``units``/``label``/
     ``obs_fields``); ``runner`` anything with ``run(shard)`` and
-    ``validate(shard, results)`` (plus ``fork_runner()``,
-    ``shm_spec(shards, store)`` or a picklable ``spec`` for the process
-    executor, see :class:`ProcessExecutor`); ``codec`` a
+    ``validate(shard, results)`` (plus ``fork_runner()`` and a
+    picklable ``spec`` for the process executor, see
+    :class:`ProcessExecutor`); ``codec`` a
     :class:`~repro.core.checkpoint.JournalCodec` when shard results are
     not :class:`~repro.core.results.DieMeasurement` records.
 
@@ -1730,10 +1587,9 @@ class SweepEngine:
             for module in modules:
                 session.ensure_preflight(module, self._config)
 
-        by_key = {module.key: module for module in modules}
         runner = ShardRunner(
             self._config,
-            by_key.__getitem__,
+            {module.key: module for module in modules},
             stacked_cache,
             measurement_cache,
             analyzer_cache,

@@ -37,7 +37,7 @@ ride on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -78,10 +78,9 @@ def role_names(offsets: Tuple[int, ...]) -> Tuple[str, ...]:
     """Role names of a footprint, in stack (offset-tuple) order."""
     return tuple(role_name(offset) for offset in offsets)
 
-#: Array fields of :class:`RoleArrays`, in the order they are packed
-#: when a fused stack is serialized (e.g. into a shared-memory segment
-#: by :mod:`repro.core.shm`).  ``rows`` is 1-D; every other field is a
-#: ``(rows, n_cells)`` stack.
+#: Array fields of :class:`RoleArrays`; each per-role view slices every
+#: one of them out of the fused stack.  ``rows`` is 1-D; every other
+#: field is a ``(rows, n_cells)`` stack.
 FUSED_FIELDS: Tuple[str, ...] = (
     "rows",
     "theta",
@@ -265,30 +264,6 @@ def build_stacked_die(
         press_hi=np.where(charged, block["g_p_hi"], 0.0),
         stored_bool=stored_bool,
     )
-    return stacked_from_fused(
-        chip.module_key, chip.die_index, bank, tuple(base_rows), fused,
-        offsets=offsets,
-    )
-
-
-def stacked_from_fused(
-    module_key: str,
-    die_index: int,
-    bank: int,
-    base_rows: Tuple[int, ...],
-    fused: RoleArrays,
-    offsets: Tuple[int, ...] = DEFAULT_OFFSETS,
-) -> StackedDie:
-    """Assemble a :class:`StackedDie` around an existing fused stack.
-
-    The per-role :class:`RoleArrays` are views into ``fused`` (role-major
-    slices in the footprint's offset order).  Both the build path
-    (:func:`build_stacked_die`) and the shared-memory attach path
-    (:mod:`repro.core.shm`) go through this constructor, so the two can
-    never disagree about the stack layout.
-    """
-    offsets = tuple(offsets)
-    n_loc = len(base_rows)
     roles: Dict[str, RoleArrays] = {}
     for k, role in enumerate(role_names(offsets)):
         sl = slice(k * n_loc, (k + 1) * n_loc)
@@ -297,10 +272,10 @@ def stacked_from_fused(
             **{name: getattr(fused, name)[sl] for name in FUSED_FIELDS},
         )
     return StackedDie(
-        module_key=module_key,
-        die_index=die_index,
+        module_key=chip.module_key,
+        die_index=chip.die_index,
         bank=bank,
-        base_rows=base_rows,
+        base_rows=tuple(base_rows),
         roles=roles,
         fused=fused,
         role_offsets=offsets,

@@ -564,8 +564,8 @@ class MitigationShardRunner:
     """
 
     def __init__(self, spec: MitigationWorkerSpec) -> None:
-        #: The picklable worker recipe; fork-mode executors also run its
-        #: vocabulary check before dispatch.
+        #: The picklable worker recipe; the process executor runs its
+        #: vocabulary check before dispatch, whatever the worker mode.
         self.spec = spec
 
     def fork_runner(self) -> "MitigationShardRunner":

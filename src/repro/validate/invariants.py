@@ -719,9 +719,9 @@ def check_cross_executor(
     """Prove cross-executor determinism on a small probe campaign.
 
     Runs the same (modules, t_values, trials) sweep on each named
-    executor (``"serial"``, ``"thread"``, ``"process"``,
-    ``"process-fork"`` / ``"process-shm"`` for a pinned share mode, or
-    ``"auto"``) with independent caches and compares canonical digests;
+    executor (``"serial"``, ``"thread"``, ``"process"`` -- the pool in
+    whatever worker-state mode this platform uses -- or ``"auto"``) with
+    independent caches and compares canonical digests;
     raises :class:`InvariantViolationError` on a mismatch and returns
     the common digest otherwise.  The probe is
     deliberately small (one module, two points by default): determinism
@@ -753,13 +753,17 @@ def check_cross_executor(
         "serial": SerialExecutor,
         "thread": lambda: ThreadExecutor(workers),
         "process": lambda: ProcessExecutor(workers),
-        "process-fork": lambda: ProcessExecutor(workers, share_mode="fork"),
-        "process-shm": lambda: ProcessExecutor(workers, share_mode="shm"),
         "auto": lambda: AutoExecutor(workers),
     }
     if len(executors) < 2:
         raise ExperimentError(
             "check_cross_executor needs at least two executors to compare"
+        )
+    unknown = [name for name in executors if name not in factories]
+    if unknown:
+        raise ExperimentError(
+            f"unknown executor(s) {unknown} (expected one of "
+            f"{sorted(factories)})"
         )
     if config is None:
         config = CharacterizationConfig()
@@ -774,11 +778,6 @@ def check_cross_executor(
     modules = build_modules(module_keys, config)
     digests: Dict[str, str] = {}
     for name in executors:
-        if name not in factories:
-            raise ExperimentError(
-                f"unknown executor {name!r} (expected one of "
-                f"{sorted(factories)})"
-            )
         engine = SweepEngine(config, executor=factories[name]())
         if resolved_patterns is None:
             results = engine.run(modules, t_values, trials=trials)

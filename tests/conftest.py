@@ -19,24 +19,6 @@ from repro.testing import make_synthetic_chip, make_synthetic_model
 __all__ = ["make_synthetic_chip", "make_synthetic_model"]
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _no_leaked_shm_segments():
-    """Fail the session if any shared-memory segment outlives its campaign.
-
-    Every ``SharedDieStore`` unlinks its segments on close/interruption;
-    a name still live at teardown means some code path leaked kernel
-    resources that would accumulate across real campaigns.
-    """
-    from repro.core import shm
-
-    yield
-    leaked = sorted(shm.live_segment_names())
-    assert not leaked, (
-        f"shared-memory segments leaked by the test session: {leaked}; "
-        f"a SharedDieStore was not closed/unlinked"
-    )
-
-
 @pytest.fixture
 def synthetic_model() -> CalibratedDisturbanceModel:
     return make_synthetic_model()

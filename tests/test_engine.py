@@ -7,25 +7,48 @@ no matter which executor runs it.  These tests assert that on a
 the supporting invariants: canonical plan order, the seeded trial
 jitter's independence from execution context, and the runner-level
 measurement memoization.
+
+The process pool has two worker-state modes, picked from the platform:
+fork inheritance, and the pickled :class:`CharacterizationWorkerSpec`
+everywhere else.  Tests reach the spec mode on fork platforms by
+monkeypatching ``engine.fork_sharing_available``; the auto executor's
+serial-vs-pool choice is tested here too.
 """
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
+import os
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
+from repro.core import engine as engine_mod
 from repro.core.engine import (
+    AutoExecutor,
     ProcessExecutor,
     SerialExecutor,
+    ShardRunner,
     SweepEngine,
     SweepPlan,
     ThreadExecutor,
+    discard_fork_state,
+    fork_sharing_available,
+    fork_state,
+    install_fork_state,
     make_executor,
 )
+from repro.core.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.core.runner import CharacterizationRunner
 from repro.core.stacked import ROLE_ORDER, build_stacked_die
 from repro.disturb.population import trial_jitter
+from repro.errors import ExperimentError, ShardFailedError
+from repro.obs import Observability, ProgressReporter
 from repro.patterns import ALL_PATTERNS
+from repro.patterns.dsl import resolve_pattern
 
 T_VALUES = [36.0, 7_800.0]
 
@@ -35,9 +58,26 @@ def two_modules(s0_module, m4_module):
     return [s0_module, m4_module]
 
 
-def _run(config, modules, executor):
+def _run(config, modules, executor, **kwargs):
     engine = SweepEngine(config, executor=executor)
-    return engine.run(modules, T_VALUES, ALL_PATTERNS, trials=2)
+    return engine.run(modules, T_VALUES, ALL_PATTERNS, trials=2, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def serial_baseline(fast_config, s0_module):
+    return _run(fast_config, [s0_module], SerialExecutor())
+
+
+@pytest.fixture
+def spec_mode(monkeypatch):
+    """Send pool workers the pickled spec even where fork is available."""
+    monkeypatch.setattr(engine_mod, "fork_sharing_available", lambda: False)
+
+
+@pytest.fixture
+def fork_mode():
+    if not fork_sharing_available():
+        pytest.skip("fork start method unavailable")
 
 
 # ------------------------------------------------------------- determinism
@@ -182,3 +222,257 @@ def test_make_executor_selection():
     assert isinstance(make_executor(4), ProcessExecutor)
     assert isinstance(make_executor(4, kind="thread"), ThreadExecutor)
     assert isinstance(make_executor(None, kind="process"), ProcessExecutor)
+
+
+def test_make_executor_accepts_auto():
+    assert isinstance(make_executor("auto"), AutoExecutor)
+    assert isinstance(make_executor("4"), ProcessExecutor)
+    assert isinstance(make_executor("1"), SerialExecutor)
+    with pytest.raises(ExperimentError):
+        make_executor("several")
+
+
+# ------------------------------------------------------ fork-state registry
+
+
+def test_fork_state_round_trip():
+    payload = object()
+    token = install_fork_state(payload)
+    try:
+        assert fork_state(token) is payload
+    finally:
+        discard_fork_state(token)
+    with pytest.raises(ExperimentError, match="fork-inherited"):
+        fork_state(token)
+    discard_fork_state(token)  # idempotent
+
+
+def test_fork_state_discarded_after_worker_failure(
+    fast_config, s0_module, tmp_path, fork_mode
+):
+    fault = FaultPlan(
+        [FaultSpec(shard_index=0, kind="raise", times=99)],
+        state_dir=tmp_path,
+    )
+    with pytest.raises(ShardFailedError):
+        SweepEngine(fast_config, executor=ProcessExecutor(2)).run(
+            [s0_module],
+            T_VALUES,
+            ALL_PATTERNS,
+            trials=1,
+            policy=RetryPolicy(max_retries=1, backoff_base=0.0),
+            fault_plan=fault,
+        )
+    assert engine_mod._FORK_STATE == {}
+
+
+def test_fork_state_discarded_after_keyboard_interrupt(
+    fast_config, s0_module, monkeypatch, fork_mode
+):
+    installed = []
+    real_install = engine_mod.install_fork_state
+
+    def tracking_install(payload):
+        installed.append(real_install(payload))
+        return installed[-1]
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt()
+
+    monkeypatch.setattr(engine_mod, "install_fork_state", tracking_install)
+    # The pool is created after worker state is installed: interrupting
+    # there simulates Ctrl-C landing mid-campaign, fork state live.
+    monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        _run(fast_config, [s0_module], ProcessExecutor(2))
+    assert installed, "the campaign never installed its fork state"
+    assert engine_mod._FORK_STATE == {}
+
+
+# ------------------------------------------------------------ worker spec
+
+
+@pytest.mark.parametrize("mode", ["fork", "spec"])
+def test_worker_state_modes_bit_identical(
+    fast_config, s0_module, serial_baseline, monkeypatch, mode
+):
+    if mode == "fork" and not fork_sharing_available():
+        pytest.skip("fork start method unavailable")
+    if mode == "spec":
+        monkeypatch.setattr(
+            engine_mod, "fork_sharing_available", lambda: False
+        )
+    events = []
+    reporter = ProgressReporter()
+    reporter.emit = events.append
+    obs = Observability(reporters=[reporter])
+    results = SweepEngine(
+        fast_config, executor=ProcessExecutor(2), obs=obs
+    ).run([s0_module], T_VALUES, ALL_PATTERNS, trials=2)
+    assert list(results) == list(serial_baseline)
+    assert obs.metrics.counter(f"worker_state.{mode}") == 1
+    other = "spec" if mode == "fork" else "fork"
+    assert obs.metrics.counter(f"worker_state.{other}") == 0
+    assert [e["mode"] for e in events if e["event"] == "worker_state"] == [
+        mode
+    ]
+
+
+def test_worker_spec_pickles_without_cell_arrays(fast_config, s0_module):
+    runner = ShardRunner(fast_config, {s0_module.key: s0_module})
+    plan = SweepPlan.build([s0_module], T_VALUES, ALL_PATTERNS, trials=1)
+    runner.run(plan.shards[0])  # the parent now holds die 0's stack
+    payload = pickle.dumps(runner.spec)
+    # The modules cross the pool boundary; the cell arrays must not.
+    assert len(payload) < runner.stacked(s0_module, 0).fused.theta.nbytes
+    rebuilt = pickle.loads(payload).build_runner()
+    assert rebuilt.run(plan.shards[1]) == runner.run(plan.shards[1])
+
+
+def test_process_executor_checks_shards_before_the_pool(
+    fast_config, s0_module, m4_module, monkeypatch
+):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("pool started for a plan no worker can run")
+
+    monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", no_pool)
+    runner = ShardRunner(fast_config, {s0_module.key: s0_module})
+    plan = SweepPlan.build(
+        [s0_module, m4_module], T_VALUES, ALL_PATTERNS, dies=[0]
+    )
+    with pytest.raises(ExperimentError, match="no module"):
+        ProcessExecutor(2).map_shards(plan, runner)
+    assert engine_mod._FORK_STATE == {}
+
+
+def test_spec_mode_kill_and_resume_bit_identical(
+    fast_config, s0_module, serial_baseline, tmp_path, spec_mode
+):
+    journal = tmp_path / "campaign.jsonl"
+    fault = FaultPlan(
+        [FaultSpec(shard_index=3, kind="raise", times=99)],
+        state_dir=tmp_path,
+    )
+    with pytest.raises(ShardFailedError):
+        _run(
+            fast_config,
+            [s0_module],
+            ProcessExecutor(2),
+            policy=RetryPolicy(max_retries=1, backoff_base=0.0),
+            fault_plan=fault,
+            checkpoint=str(journal),
+        )
+    engine = SweepEngine(fast_config, executor=ProcessExecutor(2))
+    resumed = engine.run(
+        [s0_module],
+        T_VALUES,
+        ALL_PATTERNS,
+        trials=2,
+        checkpoint=str(journal),
+        resume=True,
+    )
+    assert list(resumed) == list(serial_baseline)
+    assert engine.last_report.n_resumed > 0
+
+
+@pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(),
+    reason="forkserver start method unavailable",
+)
+def test_spec_mode_under_forkserver_with_wide_footprints(
+    fast_config, s0_module, monkeypatch, spec_mode
+):
+    """Real non-fork workers unpickle the spec and build every stack --
+    including DSL patterns whose victims reach past the canonical
+    triple -- bit-identically to the serial path."""
+    monkeypatch.setattr(
+        engine_mod,
+        "ProcessPoolExecutor",
+        functools.partial(
+            ProcessPoolExecutor,
+            mp_context=multiprocessing.get_context("forkserver"),
+        ),
+    )
+    patterns = tuple(ALL_PATTERNS) + tuple(
+        resolve_pattern(name) for name in ("half-double", "4-sided-combined")
+    )
+
+    def run(executor):
+        return SweepEngine(fast_config, executor=executor).run(
+            [s0_module], T_VALUES[:1], patterns, dies=[0, 1], trials=2
+        )
+
+    assert list(run(ProcessExecutor(2))) == list(run(SerialExecutor()))
+
+
+# ------------------------------------------------------------ auto executor
+
+
+def test_auto_picks_serial_on_one_core(
+    fast_config, s0_module, serial_baseline, monkeypatch
+):
+    monkeypatch.setattr(engine_mod, "_usable_cpus", lambda: 1)
+    executor = AutoExecutor()
+    engine = SweepEngine(fast_config, executor=executor)
+    results = engine.run([s0_module], T_VALUES, ALL_PATTERNS, trials=2)
+    assert list(results) == list(serial_baseline)
+    decision = engine.last_report.auto_decision
+    assert decision is not None and decision["chosen"] == "serial"
+    assert executor.last_decision == decision
+
+
+def test_auto_picks_pool_when_cores_and_work_abound(
+    fast_config, s0_module, serial_baseline, monkeypatch
+):
+    monkeypatch.setattr(engine_mod, "_usable_cpus", lambda: 4)
+    executor = AutoExecutor()
+    # Make any estimated remaining work worth parallelizing.
+    monkeypatch.setattr(executor, "min_parallel_seconds", 0.0)
+    engine = SweepEngine(fast_config, executor=executor)
+    results = engine.run([s0_module], T_VALUES, ALL_PATTERNS, trials=2)
+    assert list(results) == list(serial_baseline)
+    decision = engine.last_report.auto_decision
+    assert decision is not None and decision["chosen"] == "process"
+
+
+def test_auto_counts_usable_cpus_not_installed_ones(
+    fast_config, s0_module, serial_baseline, monkeypatch
+):
+    # A 1-CPU affinity mask (``taskset -c 0``) on a 4-core machine: the
+    # pool would contend for the one CPU the process may use.
+    monkeypatch.setattr(engine_mod.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(
+        engine_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False
+    )
+    executor = AutoExecutor()
+    monkeypatch.setattr(executor, "min_parallel_seconds", 0.0)
+    engine = SweepEngine(fast_config, executor=executor)
+    results = engine.run([s0_module], T_VALUES, ALL_PATTERNS, trials=2)
+    assert list(results) == list(serial_baseline)
+    decision = engine.last_report.auto_decision
+    assert decision["chosen"] == "serial"
+    assert decision["cpu_count"] == 1
+
+
+def test_auto_runs_fully_memoized_plan_serially(fast_config, s0_module):
+    runner = CharacterizationRunner(fast_config)
+    first = runner.characterize(
+        [s0_module], T_VALUES, ALL_PATTERNS, trials=2, workers=0
+    )
+    executor = AutoExecutor(4)
+    warm = runner.characterize(
+        [s0_module], T_VALUES, ALL_PATTERNS, trials=2, executor=executor
+    )
+    assert list(warm) == list(first)
+    assert executor.last_decision is not None
+    assert executor.last_decision["chosen"] == "serial"
+
+
+def test_oversubscription_warns_and_lands_in_report(fast_config, s0_module):
+    workers = (os.cpu_count() or 1) + 2
+    engine = SweepEngine(fast_config, executor=ProcessExecutor(workers))
+    with pytest.warns(UserWarning, match="oversubscribe"):
+        engine.run([s0_module], T_VALUES, ALL_PATTERNS, trials=2)
+    report = engine.last_report
+    assert any("oversubscribe" in w for w in report.warnings)
+    assert "oversubscribe" in report.summary()

@@ -26,6 +26,7 @@ from repro.core.engine import (
     SweepEngine,
     SweepPlan,
     ThreadExecutor,
+    fork_sharing_available,
 )
 from repro.core.experiment import CharacterizationConfig
 from repro.core.faults import (
@@ -36,7 +37,6 @@ from repro.core.faults import (
     validate_shard_result,
 )
 from repro.core.results import ResultSet
-from repro.core.shm import fork_sharing_available
 from repro.errors import (
     CalibrationError,
     CheckpointError,

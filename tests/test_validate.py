@@ -599,15 +599,28 @@ def test_check_cross_executor_covers_the_process_pool(fast_config):
     assert digest == check_cross_executor(config=fast_config)
 
 
-def test_check_cross_executor_rejects_bad_arguments(fast_config):
+def test_check_cross_executor_rejects_bad_arguments(fast_config, monkeypatch):
     from repro.errors import ExperimentError
 
+    campaigns = []
+
+    def no_campaign(self, *args, **kwargs):
+        campaigns.append(args)
+        raise AssertionError("a campaign ran before the arguments were checked")
+
+    monkeypatch.setattr(SweepEngine, "run", no_campaign)
     with pytest.raises(ExperimentError, match="at least two"):
         check_cross_executor(config=fast_config, executors=("serial",))
     with pytest.raises(ExperimentError, match="unknown executor"):
         check_cross_executor(
             config=fast_config, executors=("serial", "quantum")
         )
+    # "process" is the platform's pool; no name pins a worker-state mode.
+    with pytest.raises(ExperimentError, match="unknown executor"):
+        check_cross_executor(
+            config=fast_config, executors=("serial", "process-shm")
+        )
+    assert campaigns == []
 
 
 # ============================================================= provenance
