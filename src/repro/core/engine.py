@@ -32,6 +32,10 @@ Structure
 * Results stream back per shard and are reassembled in canonical order:
   modules in call order, dies ascending, then patterns x tAggON x trials
   exactly as the serial 5-deep loop would have emitted them.
+* :func:`start_campaign` and :func:`finish_campaign` are the campaign
+  envelope around :func:`run_plan` -- run report, start/finish events,
+  the ``validate=True`` self-check, metrics snapshot -- shared by
+  :class:`SweepEngine` and the mitigation campaign.
 
 Determinism
 -----------
@@ -85,7 +89,7 @@ from repro.core.faults import (
     FaultPlan,
     RetryPolicy,
     RunReport,
-    is_transient,
+    charge_failure,
     run_attempts,
     validate_shard_result,
 )
@@ -97,9 +101,9 @@ from repro.errors import (
     CheckpointError,
     ExecutorError,
     ExperimentError,
+    InvariantViolationError,
     PoolBrokenError,
     ResultIntegrityError,
-    ShardFailedError,
     ShardTimeoutError,
 )
 from repro.patterns.base import ALL_PATTERNS, AccessPattern
@@ -117,6 +121,8 @@ __all__ = [
     "make_executor",
     "executor_ladder",
     "run_plan",
+    "start_campaign",
+    "finish_campaign",
     "SweepEngine",
     "measurement_from_analysis",
 ]
@@ -822,27 +828,10 @@ class ProcessExecutor:
             if policy is None:
                 raise exc
             failures[shard.index] += 1
-            count = failures[shard.index]
-            label = f"shard {shard.index} ({shard.label})"
-            if obs is not None and isinstance(exc, ShardTimeoutError):
-                obs.metrics.inc("shards.timed_out")
-            if not is_transient(exc):
-                raise ShardFailedError(
-                    f"{label} failed permanently on attempt {count}: {exc}"
-                ) from exc
-            if count > policy.max_retries:
-                raise ShardFailedError(
-                    f"{label} failed {count} times; retry budget "
-                    f"({policy.max_retries}) exhausted: {exc}"
-                ) from exc
-            if report is not None:
-                report.n_retries += 1
-            if obs is not None:
-                obs.metrics.inc("shards.retried")
-                obs.emit(
-                    "shard_retry", label=label, failures=count, error=str(exc)
-                )
-            time.sleep(policy.backoff_delay(count, salt=label))
+            charge_failure(
+                exc, failures[shard.index], policy,
+                f"shard {shard.index} ({shard.label})", report, obs,
+            )
             pending.append(shard)
 
         while len(done) < len(plan.shards):
@@ -1154,44 +1143,28 @@ class AutoExecutor:
         return out
 
 
-def make_executor(
-    workers: Union[int, str, None] = None, kind: Optional[str] = None
-):
-    """Build an executor from a worker count and optional kind.
+def make_executor(workers: Union[int, str, None] = None):
+    """Build an executor from a worker count.
 
     ``workers`` of ``None``, 0, or 1 select the serial executor (one
-    worker has nothing to parallelize); more workers default to the
-    process executor, the only one that escapes the GIL.  ``workers``
-    of ``"auto"`` -- the CLI default -- selects the self-calibrating
-    :class:`AutoExecutor`.  ``kind`` forces ``"serial"``, ``"thread"``,
-    ``"process"``, or ``"auto"``.
+    worker has nothing to parallelize); more workers select the process
+    executor, the only one that escapes the GIL.  ``workers`` of
+    ``"auto"`` -- the CLI default -- selects the self-calibrating
+    :class:`AutoExecutor`.  Construct :class:`ThreadExecutor` directly
+    for an in-process pool.
     """
+    if workers == "auto":
+        return AutoExecutor()
     if isinstance(workers, str):
-        if workers == "auto":
-            workers = None
-            if kind is None:
-                kind = "auto"
-        else:
-            try:
-                workers = int(workers)
-            except ValueError:
-                raise ExperimentError(
-                    f"workers must be an integer or 'auto', got {workers!r}"
-                ) from None
-    if kind is None:
-        kind = "serial" if not workers or workers <= 1 else "process"
-    if kind == "serial":
+        try:
+            workers = int(workers)
+        except ValueError:
+            raise ExperimentError(
+                f"workers must be an integer or 'auto', got {workers!r}"
+            ) from None
+    if not workers or workers <= 1:
         return SerialExecutor()
-    if kind == "thread":
-        return ThreadExecutor(workers)
-    if kind == "process":
-        return ProcessExecutor(workers)
-    if kind == "auto":
-        return AutoExecutor(workers)
-    raise ExperimentError(
-        f"unknown executor kind {kind!r} "
-        f"(expected serial, thread, process, or auto)"
-    )
+    return ProcessExecutor(workers)
 
 
 def executor_ladder(executor) -> List:
@@ -1439,6 +1412,91 @@ def _run_plan_journaled(
     return completed
 
 
+# ----------------------------------------------------------------- envelope
+
+
+def start_campaign(plan, fingerprint: str, executor, obs, session) -> RunReport:
+    """Open one campaign run; the envelope both campaign kinds share.
+
+    Creates the provenance-stamped :class:`RunReport`, starts the
+    campaign clock, emits ``campaign_start`` and binds the device
+    session (if any) to ``obs`` so its preflight events join the same
+    stream.  The caller then runs its own preflight, :func:`run_plan`
+    and :func:`finish_campaign`.
+    """
+    from repro.validate.provenance import provenance_stamp
+
+    report = RunReport(n_shards=len(plan.shards), fingerprint=fingerprint)
+    report.provenance = provenance_stamp()
+    if obs is not None:
+        obs.campaign_t0 = time.monotonic()
+        obs.last_run_report = report
+        obs.emit(
+            "campaign_start",
+            fingerprint=fingerprint,
+            n_shards=len(plan.shards),
+            n_measurements=plan.n_measurements,
+            executor=executor.name,
+        )
+    if session is not None:
+        session.attach(obs)
+    return report
+
+
+def finish_campaign(
+    plan,
+    completed: Dict[int, List],
+    results,
+    report: RunReport,
+    obs: Optional[Observability],
+    session,
+    invariants: Optional[Callable] = None,
+):
+    """Close one campaign run and return ``results``, filled.
+
+    Records the session's preflight outcomes on ``report``, merges the
+    completed shard results into the empty ``results`` container in
+    canonical plan order, and -- with ``invariants`` (a ``require_*``
+    guard of :mod:`repro.validate.invariants`, the ``validate=True``
+    path) -- self-checks them, counting ``validate.passed`` /
+    ``validate.failed`` and emitting a ``validate`` event before any
+    re-raise, so a failing campaign's metrics record *that* it failed.
+    With observability on it then sets the ``campaign.*`` gauges,
+    snapshots the metrics into ``report.metrics`` and emits
+    ``campaign_finish``.
+    """
+    if session is not None:
+        session.snapshot_into(report)
+    for shard in plan.shards:
+        results.extend(completed[shard.index])
+    if invariants is not None:
+        try:
+            invariants(results)
+        except InvariantViolationError as exc:
+            if obs is not None:
+                obs.metrics.inc("validate.failed")
+                obs.emit("validate", passed=False, error=str(exc))
+            raise
+        if obs is not None:
+            obs.metrics.inc("validate.passed")
+            obs.emit("validate", passed=True)
+    if obs is not None:
+        seconds = time.monotonic() - obs.campaign_t0
+        obs.metrics.gauge("campaign.seconds", round(seconds, 6))
+        obs.metrics.gauge("campaign.n_measurements", plan.n_measurements)
+        report.metrics = obs.metrics.snapshot()
+        obs.emit(
+            "campaign_finish",
+            seconds=round(seconds, 3),
+            n_shards=report.n_shards,
+            n_resumed=report.n_resumed,
+            n_executed=report.n_executed,
+            n_retries=report.n_retries,
+            n_pool_restarts=report.n_pool_restarts,
+        )
+    return results
+
+
 # ------------------------------------------------------------------- engine
 
 
@@ -1557,28 +1615,14 @@ class SweepEngine:
             dies=dies,
             trials=trials if trials is not None else self._config.trials,
         )
-        policy = policy if policy is not None else self._policy
         fingerprint = plan_fingerprint(self._config, plan)
-        report = RunReport(n_shards=len(plan.shards), fingerprint=fingerprint)
-        from repro.validate.provenance import provenance_stamp
-
-        report.provenance = provenance_stamp()
-        self._last_report = report
         obs = self._obs
-        if obs is not None:
-            obs.campaign_t0 = time.monotonic()
-            obs.last_run_report = report
-            obs.emit(
-                "campaign_start",
-                fingerprint=fingerprint,
-                n_shards=len(plan.shards),
-                n_measurements=plan.n_measurements,
-                executor=self._executor.name,
-            )
-
         session = self._session
+        report = start_campaign(
+            plan, fingerprint, self._executor, obs, session
+        )
+        self._last_report = report
         if session is not None:
-            session.attach(obs)
             # Mandatory methodology preflight (thermal settle,
             # refresh-window bound, TRR/ECC off, mapping
             # reverse-engineering) for every module, before any shard
@@ -1601,7 +1645,7 @@ class SweepEngine:
             runner,
             self._ladder(),
             fingerprint,
-            policy=policy,
+            policy=policy if policy is not None else self._policy,
             fault_plan=fault_plan,
             checkpoint=checkpoint,
             resume=resume,
@@ -1612,59 +1656,23 @@ class SweepEngine:
         )
         if sink is not None:
             sink.flush()
-
-        if session is not None:
-            session.snapshot_into(report)
-
-        results = ResultSet()
-        for shard in plan.shards:
-            results.extend(completed[shard.index])
         if measurement_cache is not None:
             # Executors that run in other processes (the process pool)
             # bypass the caller-side runner, so fold the streamed-back
             # measurements into the cache here.
-            for m in results:
-                measurement_cache[
-                    (m.module_key, m.die, m.pattern, m.t_on, m.trial)
-                ] = m
+            for shard in plan.shards:
+                for m in completed[shard.index]:
+                    measurement_cache[
+                        (m.module_key, m.die, m.pattern, m.t_on, m.trial)
+                    ] = m
         if validate:
-            self._self_check(results, obs)
-        if obs is not None:
-            seconds = time.monotonic() - obs.campaign_t0
-            obs.metrics.gauge("campaign.seconds", round(seconds, 6))
-            obs.metrics.gauge("campaign.n_measurements", plan.n_measurements)
-            report.metrics = obs.metrics.snapshot()
-            obs.emit(
-                "campaign_finish",
-                seconds=round(seconds, 3),
-                n_shards=report.n_shards,
-                n_resumed=report.n_resumed,
-                n_executed=report.n_executed,
-                n_retries=report.n_retries,
-                n_pool_restarts=report.n_pool_restarts,
-            )
-        return results
-
-    def _self_check(
-        self, results: ResultSet, obs: Optional[Observability]
-    ) -> None:
-        """Post-run invariant self-check (the ``validate=True`` path).
-
-        Counts the outcome into the metrics registry
-        (``validate.passed`` / ``validate.failed``) and emits a
-        ``validate`` event before re-raising, so a failing campaign's
-        metrics artifact records *that* it failed validation.
-        """
-        from repro.errors import InvariantViolationError
-        from repro.validate.invariants import require_result_invariants
-
-        try:
-            require_result_invariants(results)
-        except InvariantViolationError as exc:
-            if obs is not None:
-                obs.metrics.inc("validate.failed")
-                obs.emit("validate", passed=False, error=str(exc))
-            raise
-        if obs is not None:
-            obs.metrics.inc("validate.passed")
-            obs.emit("validate", passed=True)
+            from repro.validate import invariants
+        return finish_campaign(
+            plan,
+            completed,
+            ResultSet(),
+            report,
+            obs,
+            session,
+            invariants.require_result_invariants if validate else None,
+        )

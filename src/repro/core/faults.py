@@ -15,6 +15,9 @@ vocabulary:
   exceptions are retryable; deterministic :class:`~repro.errors.ReproError`
   failures (bad configuration, calibration bugs) recur on retry and are
   permanent.
+* :func:`charge_failure` -- the one retry ledger every executor charges a
+  failed shard attempt to: classification, retry budget, retry counters
+  and events, backoff.
 * :func:`validate_shard_result` -- merge-time integrity validation: a
   shard's measurements must match its work units one-to-one and in
   order (missing / duplicated / out-of-order / mislabeled detection).
@@ -29,7 +32,6 @@ vocabulary:
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 import multiprocessing
@@ -63,6 +65,7 @@ __all__ = [
     "is_transient",
     "validate_shard_result",
     "call_with_timeout",
+    "charge_failure",
     "run_attempts",
 ]
 
@@ -87,12 +90,6 @@ class RetryPolicy:
             a broken pool before giving up with
             :class:`~repro.errors.PoolBrokenError` (which the engine
             answers by degrading process -> thread -> serial).
-        jitter_seed: when set, backoff delays are scaled by a
-            deterministic per-(seed, salt, failure) factor in
-            ``[0.5, 1.5)`` so concurrent campaigns sharing a worker pool
-            don't retry in lockstep (a retry stampede after a shared
-            transient).  ``None`` (the default) disables jitter and
-            keeps delays bit-identical to earlier releases.
     """
 
     max_retries: int = 2
@@ -100,7 +97,6 @@ class RetryPolicy:
     backoff_factor: float = 2.0
     shard_timeout: Optional[float] = None
     max_pool_restarts: int = 2
-    jitter_seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -112,25 +108,11 @@ class RetryPolicy:
         if self.max_pool_restarts < 0:
             raise ExperimentError("max_pool_restarts must be >= 0")
 
-    def backoff_delay(self, failures: int, salt: str = "") -> float:
-        """Backoff before the retry following the ``failures``-th failure.
-
-        ``salt`` decorrelates the jitter of concurrent retriers (the
-        shard/job label); with ``jitter_seed=None`` it has no effect and
-        the exact pre-jitter exponential delays are returned.
-        """
+    def backoff_delay(self, failures: int) -> float:
+        """Backoff before the retry following the ``failures``-th failure."""
         if failures < 1:
             return 0.0
-        delay = self.backoff_base * self.backoff_factor ** (failures - 1)
-        if self.jitter_seed is None:
-            return delay
-        digest = hashlib.sha256(
-            f"{self.jitter_seed}|{salt}|{failures}".encode("utf-8")
-        ).digest()
-        # 8 digest bytes -> uniform [0, 1) -> scale factor [0.5, 1.5):
-        # full desynchronization while preserving the exponential mean.
-        unit = int.from_bytes(digest[:8], "big") / float(1 << 64)
-        return delay * (0.5 + unit)
+        return self.backoff_base * self.backoff_factor ** (failures - 1)
 
 
 def is_transient(exc: BaseException) -> bool:
@@ -220,52 +202,64 @@ def call_with_timeout(fn: Callable[[], T], timeout: Optional[float]) -> T:
         pool.shutdown(wait=False)
 
 
+def charge_failure(
+    exc: Exception,
+    failures: int,
+    policy: RetryPolicy,
+    label: str,
+    report: Optional["RunReport"] = None,
+    obs=None,
+) -> None:
+    """Account a shard's ``failures``-th failed attempt; the one retry ledger.
+
+    Raises :class:`~repro.errors.ShardFailedError` (cause chained) on a
+    permanent error or an exhausted budget; otherwise counts the retry
+    into ``report.n_retries`` and sleeps the policy's backoff, after
+    which the caller runs the shard again.  With an
+    :class:`~repro.obs.Observability` attached, every failure counts
+    into the metrics registry (``shards.retried``, ``shards.timed_out``)
+    and retries emit ``shard_retry`` events.  Every executor charges its
+    failures here: :func:`run_attempts` in-process, the process pool per
+    shard on the parent side.
+    """
+    if obs is not None and isinstance(exc, ShardTimeoutError):
+        obs.metrics.inc("shards.timed_out")
+    if not is_transient(exc):
+        raise ShardFailedError(
+            f"{label} failed permanently on attempt {failures}: {exc}"
+        ) from exc
+    if failures > policy.max_retries:
+        raise ShardFailedError(
+            f"{label} failed {failures} times; retry budget "
+            f"({policy.max_retries}) exhausted: {exc}"
+        ) from exc
+    if report is not None:
+        report.n_retries += 1
+    if obs is not None:
+        obs.metrics.inc("shards.retried")
+        obs.emit("shard_retry", label=label, failures=failures, error=str(exc))
+    time.sleep(policy.backoff_delay(failures))
+
+
 def run_attempts(
     attempt: Callable[[], T],
     policy: RetryPolicy,
     report: Optional["RunReport"] = None,
     label: str = "shard",
-    sleep: Callable[[float], None] = time.sleep,
     obs=None,
 ) -> T:
     """Run ``attempt`` under a retry policy (used by serial/thread executors).
 
-    Retries transient failures with exponential backoff up to
-    ``policy.max_retries``; raises
-    :class:`~repro.errors.ShardFailedError` (cause chained) on a
-    permanent error or an exhausted budget.  With an
-    :class:`~repro.obs.Observability` attached, every failure counts
-    into the metrics registry (``shards.retried``, ``shards.timed_out``)
-    and retries emit ``shard_retry`` events.
+    Each failure is charged through :func:`charge_failure`, which either
+    raises or backs off before the next attempt.
     """
     failures = 0
     while True:
         try:
             return call_with_timeout(attempt, policy.shard_timeout)
-        except Exception as exc:  # noqa: BLE001 - classification below
+        except Exception as exc:  # noqa: BLE001 - classification in the ledger
             failures += 1
-            if obs is not None and isinstance(exc, ShardTimeoutError):
-                obs.metrics.inc("shards.timed_out")
-            if not is_transient(exc):
-                raise ShardFailedError(
-                    f"{label} failed permanently on attempt {failures}: {exc}"
-                ) from exc
-            if failures > policy.max_retries:
-                raise ShardFailedError(
-                    f"{label} failed {failures} times; retry budget "
-                    f"({policy.max_retries}) exhausted: {exc}"
-                ) from exc
-            if report is not None:
-                report.n_retries += 1
-            if obs is not None:
-                obs.metrics.inc("shards.retried")
-                obs.emit(
-                    "shard_retry",
-                    label=label,
-                    failures=failures,
-                    error=str(exc),
-                )
-            sleep(policy.backoff_delay(failures, salt=label))
+            charge_failure(exc, failures, policy, label, report, obs)
 
 
 # ------------------------------------------------------------ fault harness

@@ -69,7 +69,7 @@ class DieMeasurement:
         return self.time_to_first_ns / 1e6
 
 
-def _finite_or_none(value):
+def finite_or_none(value):
     """Non-finite floats become ``None``: JSON has no NaN/Infinity.
 
     Python's permissive ``json.dumps`` default would emit bare ``NaN`` /
@@ -91,7 +91,7 @@ def measurement_to_record(
     the checkpoint journal (:mod:`repro.core.checkpoint`); finite floats
     round-trip exactly through :mod:`json`, so decode(encode(m)) == m,
     and non-finite values are converted to ``None`` at encode time (see
-    :func:`_finite_or_none`).
+    :func:`finite_or_none`).
     """
     m = measurement
     rec = {
@@ -99,10 +99,10 @@ def measurement_to_record(
         "manufacturer": m.manufacturer,
         "die": m.die,
         "pattern": m.pattern,
-        "t_on": _finite_or_none(m.t_on),
+        "t_on": finite_or_none(m.t_on),
         "trial": m.trial,
-        "acmin": _finite_or_none(m.acmin),
-        "time_to_first_ns": _finite_or_none(m.time_to_first_ns),
+        "acmin": finite_or_none(m.acmin),
+        "time_to_first_ns": finite_or_none(m.time_to_first_ns),
     }
     if include_census:
         has = m.census is not None
@@ -146,6 +146,43 @@ def _census_from_record(
         frozenset(tuple(k) for k in ones or []),
         frozenset(tuple(k) for k in zeros or []),
     )
+
+
+def read_dump_text(path: Union[str, os.PathLike], what: str) -> str:
+    """Read a campaign dump as text, verifying any sha256 sidecar first.
+
+    The one reader behind :meth:`ResultSet.load` and
+    :meth:`~repro.mitigations.campaign.MitigationResults.load`; ``what``
+    names the artifact kind in errors.  A digest mismatch, an unreadable
+    file or non-UTF-8 bytes raise
+    :class:`~repro.errors.ArtifactCorruptError` naming ``path``.
+    """
+    verify_digest(path)
+    try:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    except OSError as exc:
+        raise ArtifactCorruptError(f"{path}: cannot read {what}: {exc}") from exc
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ArtifactCorruptError(
+            f"{path}: {what} is not valid UTF-8 ({exc}); the "
+            f"file was truncated or corrupted"
+        ) from exc
+
+
+def parse_dump_json(text: str, what: str, source: Optional[str] = None):
+    """Parse a dump's JSON text; unparseable text is
+    :class:`~repro.errors.ArtifactCorruptError` naming ``source``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        where = f"{source}: " if source else ""
+        raise ArtifactCorruptError(
+            f"{where}{what} is not parseable JSON ({exc}); the "
+            f"content was truncated or corrupted"
+        ) from exc
 
 
 class ResultSet:
@@ -265,22 +302,9 @@ class ResultSet:
         :class:`~repro.errors.ArtifactInvalidError` -- never a raw
         ``json``/``KeyError``.
         """
-        verify_digest(path)
-        try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except OSError as exc:
-            raise ArtifactCorruptError(
-                f"{path}: cannot read results dump: {exc}"
-            ) from exc
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ArtifactCorruptError(
-                f"{path}: results dump is not valid UTF-8 ({exc}); the "
-                f"file was truncated or corrupted"
-            ) from exc
-        return ResultSet.from_json(text, source=str(path))
+        return ResultSet.from_json(
+            read_dump_text(path, "results dump"), source=str(path)
+        )
 
     @staticmethod
     def from_json(text: str, source: Optional[str] = None) -> "ResultSet":
@@ -294,14 +318,7 @@ class ResultSet:
         offending field; unparseable text raises
         :class:`~repro.errors.ArtifactCorruptError`.
         """
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            where = f"{source}: " if source else ""
-            raise ArtifactCorruptError(
-                f"{where}results dump is not parseable JSON ({exc}); the "
-                f"content was truncated or corrupted"
-            ) from exc
+        payload = parse_dump_json(text, "results dump", source)
         outcome = validate_results_payload(payload, source=source)
         if outcome["legacy"]:
             logger.warning(

@@ -3,13 +3,14 @@
 Answers the paper's closing question (Section 5, "Implications")
 quantitatively: *how much stronger must activation-count mitigations get
 as ``tAggON`` grows?*  The campaign sweeps {mitigation x pattern x
-tAggON x evaluation-chip profile} through the same execution substrate
-the characterization campaigns use -- the shard planner and executors of
-:mod:`repro.core.engine`, the checkpoint journal of
-:mod:`repro.core.checkpoint` (with a mitigation-point codec), the retry/
-degradation machinery of :mod:`repro.core.faults`, and the
-observability layer of :mod:`repro.obs` -- and emits a versioned
-``repro-mitigation-v1`` artifact of per-point critical parameters.
+tAggON x evaluation-chip profile} and emits a versioned
+``repro-mitigation-v1`` artifact of per-point critical parameters.  It
+is a second campaign kind on the characterization engine
+(:mod:`repro.core.engine`): this module owns only the plan, the shard
+runner, the point codec and the result container, and the engine's
+campaign envelope (``start_campaign`` / ``run_plan`` /
+``finish_campaign``) supplies checkpoint/resume, retries, the
+degradation ladder, observability and the ``validate=True`` self-check.
 
 Per point, the campaign measures:
 
@@ -28,8 +29,7 @@ Per point, the campaign measures:
 Determinism: every quantity derives from seeded RNG streams and a fresh
 chip per protected run, never from execution order, so the campaign is
 bit-identical across the serial/thread/process executors and across
-checkpoint/resume -- exactly the property the characterization engine
-guarantees, now extended to the mitigation layer.
+checkpoint/resume.
 """
 
 from __future__ import annotations
@@ -37,12 +37,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.atomicio import atomic_write_text, verify_digest, write_digest
+from repro.atomicio import atomic_write_text, write_digest
 from repro.backend.base import build_session
 from repro.constants import (
     DEFAULT_TIMINGS,
@@ -52,14 +50,20 @@ from repro.constants import (
     T_AGG_ON_9TREFI,
 )
 from repro.core.checkpoint import JournalCodec
-from repro.core.engine import SerialExecutor, executor_ladder, run_plan
+from repro.core.engine import (
+    SerialExecutor,
+    executor_ladder,
+    finish_campaign,
+    run_plan,
+    start_campaign,
+)
 from repro.core.faults import RetryPolicy, RunReport
 from repro.core.honest import measure_location_honest
+from repro.core.results import finite_or_none, parse_dump_json, read_dump_text
 from repro.bender.softmc import SoftMCSession
 from repro.dram.chip import Chip
 from repro.dram.datapattern import CHECKERBOARD
 from repro.errors import (
-    ArtifactCorruptError,
     ExperimentError,
     MitigationError,
     ResultIntegrityError,
@@ -337,12 +341,6 @@ class MitigationPoint:
         return (self.chip_key, self.mitigation, self.pattern, self.t_on)
 
 
-def _finite_or_none(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
 def point_to_record(point: MitigationPoint) -> Dict:
     """Encode one point as a JSON-safe record (exact float round-trip)."""
     p = point
@@ -350,13 +348,13 @@ def point_to_record(point: MitigationPoint) -> Dict:
         "chip_key": p.chip_key,
         "mitigation": p.mitigation,
         "pattern": p.pattern,
-        "t_on": _finite_or_none(p.t_on),
+        "t_on": finite_or_none(p.t_on),
         "baseline_acmin": p.baseline_acmin,
         "baseline_iterations": p.baseline_iterations,
-        "time_to_first_ns": _finite_or_none(p.time_to_first_ns),
-        "critical_value": _finite_or_none(p.critical_value),
-        "protects_at": _finite_or_none(p.protects_at),
-        "fails_at": _finite_or_none(p.fails_at),
+        "time_to_first_ns": finite_or_none(p.time_to_first_ns),
+        "critical_value": finite_or_none(p.critical_value),
+        "protects_at": finite_or_none(p.protects_at),
+        "fails_at": finite_or_none(p.fails_at),
         "n_runs": p.n_runs,
         "cap_hit": p.cap_hit,
         "defeated": p.defeated,
@@ -400,9 +398,10 @@ MITIGATION_CODEC = JournalCodec(
 class MitigationResults:
     """An ordered collection of mitigation points (the campaign artifact).
 
-    Serialization mirrors :class:`~repro.core.results.ResultSet`: a
-    versioned ``repro-mitigation-v1`` envelope, atomic dumps with an
-    optional sha256 sidecar, and strict (``allow_nan=False``) JSON.
+    Serialized like :class:`~repro.core.results.ResultSet`, through the
+    same dump reader: a versioned ``repro-mitigation-v1`` envelope,
+    atomic dumps with an optional sha256 sidecar, and strict
+    (``allow_nan=False``) JSON.
     """
 
     def __init__(self, points: Iterable[MitigationPoint] = ()) -> None:
@@ -460,22 +459,9 @@ class MitigationResults:
     @staticmethod
     def load(path) -> "MitigationResults":
         """Restore a dump, verifying any sha256 sidecar first."""
-        verify_digest(path)
-        try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except OSError as exc:
-            raise ArtifactCorruptError(
-                f"{path}: cannot read mitigation dump: {exc}"
-            ) from exc
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ArtifactCorruptError(
-                f"{path}: mitigation dump is not valid UTF-8 ({exc}); the "
-                f"file was truncated or corrupted"
-            ) from exc
-        return MitigationResults.from_json(text, source=str(path))
+        return MitigationResults.from_json(
+            read_dump_text(path, "mitigation dump"), source=str(path)
+        )
 
     @staticmethod
     def from_json(
@@ -484,14 +470,7 @@ class MitigationResults:
         """Decode a dump, validating its format version and schema."""
         from repro.validate.schema import validate_mitigation_payload
 
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            where = f"{source}: " if source else ""
-            raise ArtifactCorruptError(
-                f"{where}mitigation dump is not parseable JSON ({exc}); "
-                f"the content was truncated or corrupted"
-            ) from exc
+        payload = parse_dump_json(text, "mitigation dump", source)
         validate_mitigation_payload(payload, source=source)
         return MitigationResults(
             point_from_record(rec) for rec in payload["points"]
@@ -721,13 +700,13 @@ def mitigation_plan_fingerprint(
 class MitigationCampaign:
     """Executes mitigation stress sweeps through the shared engine core.
 
-    The mitigation-layer counterpart of
-    :class:`~repro.core.engine.SweepEngine`: plans the (chip, mechanism,
-    pattern, tAggON) work-list, dispatches its shards through
-    :func:`repro.core.engine.run_plan` (checkpoint/resume, retries, the
-    process -> thread -> serial degradation ladder, obs events), and
-    reassembles the points in canonical order as a
-    :class:`MitigationResults`.
+    Plans the (chip, mechanism, pattern, tAggON) work-list and runs it
+    inside the engine's campaign envelope
+    (:func:`repro.core.engine.start_campaign`,
+    :func:`~repro.core.engine.run_plan`,
+    :func:`~repro.core.engine.finish_campaign`); only the plan, the
+    fingerprint, the device-protections preflight, the result container
+    and the invariant guard are its own.
     """
 
     def __init__(
@@ -772,7 +751,7 @@ class MitigationCampaign:
     ) -> MitigationResults:
         """Run a full mitigation campaign in canonical order.
 
-        Semantics mirror :meth:`SweepEngine.run`: ``checkpoint`` names a
+        Same semantics as :meth:`SweepEngine.run`: ``checkpoint`` names a
         journal appended after every completed shard (mitigation-point
         codec); ``resume=True`` seeds from it and the final results are
         bit-identical to an uninterrupted run; ``validate=True`` arms
@@ -781,39 +760,24 @@ class MitigationCampaign:
         to hold before results are returned.
         """
         plan = MitigationPlan.build(chips, mitigations, t_values, patterns)
-        policy = policy if policy is not None else self._policy
         fingerprint = mitigation_plan_fingerprint(self._spec, plan)
-        report = RunReport(n_shards=len(plan.shards), fingerprint=fingerprint)
-        from repro.validate.provenance import provenance_stamp
-
-        report.provenance = provenance_stamp()
-        self._last_report = report
         obs = self._obs
-        if obs is not None:
-            obs.campaign_t0 = time.monotonic()
-            obs.last_run_report = report
-            obs.emit(
-                "campaign_start",
-                fingerprint=fingerprint,
-                n_shards=len(plan.shards),
-                n_measurements=plan.n_measurements,
-                executor=self._executor.name,
-            )
-
         session = self._session
+        report = start_campaign(
+            plan, fingerprint, self._executor, obs, session
+        )
+        self._last_report = report
         if session is not None:
-            session.attach(obs)
             # The module-scoped preflight checks (refresh-window bound,
             # mapping reverse-engineering) do not apply to the synthetic
             # evaluation chips; protections are still verified.
             session.ensure_device_protections()
-        runner = MitigationShardRunner(self._spec)
         completed = run_plan(
             plan,
-            runner,
+            MitigationShardRunner(self._spec),
             executor_ladder(self._executor),
             fingerprint,
-            policy=policy,
+            policy=policy if policy is not None else self._policy,
             fault_plan=fault_plan,
             checkpoint=checkpoint,
             resume=resume,
@@ -822,44 +786,14 @@ class MitigationCampaign:
             report=report,
             obs=obs,
         )
-
-        results = MitigationResults()
-        for shard in plan.shards:
-            results.extend(completed[shard.index])
-        if session is not None:
-            session.snapshot_into(report)
         if validate:
-            self._self_check(results, obs)
-        if obs is not None:
-            seconds = time.monotonic() - obs.campaign_t0
-            obs.metrics.gauge("campaign.seconds", round(seconds, 6))
-            obs.metrics.gauge("campaign.n_measurements", plan.n_measurements)
-            report.metrics = obs.metrics.snapshot()
-            obs.emit(
-                "campaign_finish",
-                seconds=round(seconds, 3),
-                n_shards=report.n_shards,
-                n_resumed=report.n_resumed,
-                n_executed=report.n_executed,
-                n_retries=report.n_retries,
-                n_pool_restarts=report.n_pool_restarts,
-            )
-        return results
-
-    def _self_check(
-        self, results: MitigationResults, obs: Optional[Observability]
-    ) -> None:
-        """Post-run invariant self-check (the ``validate=True`` path)."""
-        from repro.errors import InvariantViolationError
-        from repro.validate.invariants import require_mitigation_invariants
-
-        try:
-            require_mitigation_invariants(results)
-        except InvariantViolationError as exc:
-            if obs is not None:
-                obs.metrics.inc("validate.failed")
-                obs.emit("validate", passed=False, error=str(exc))
-            raise
-        if obs is not None:
-            obs.metrics.inc("validate.passed")
-            obs.emit("validate", passed=True)
+            from repro.validate import invariants
+        return finish_campaign(
+            plan,
+            completed,
+            MitigationResults(),
+            report,
+            obs,
+            session,
+            invariants.require_mitigation_invariants if validate else None,
+        )

@@ -220,8 +220,9 @@ def test_make_executor_selection():
     assert isinstance(make_executor(None), SerialExecutor)
     assert isinstance(make_executor(1), SerialExecutor)
     assert isinstance(make_executor(4), ProcessExecutor)
-    assert isinstance(make_executor(4, kind="thread"), ThreadExecutor)
-    assert isinstance(make_executor(None, kind="process"), ProcessExecutor)
+    # No executor-kind knob: a thread pool is built as ThreadExecutor(n).
+    with pytest.raises(TypeError):
+        make_executor(4, kind="thread")
 
 
 def test_make_executor_accepts_auto():

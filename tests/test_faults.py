@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.core import engine as engine_mod
+from repro.core import faults as faults_mod
 from repro.core.checkpoint import CheckpointJournal, plan_fingerprint
 from repro.core.engine import (
     ProcessExecutor,
@@ -106,40 +106,6 @@ def test_retry_policy_validation_and_backoff():
         RetryPolicy(shard_timeout=0.0)
     with pytest.raises(ExperimentError):
         RetryPolicy(backoff_factor=0.5)
-
-
-def test_backoff_jitter_is_seeded_and_decorrelated():
-    policy = RetryPolicy(backoff_base=0.1, backoff_factor=2.0, jitter_seed=7)
-    same = RetryPolicy(backoff_base=0.1, backoff_factor=2.0, jitter_seed=7)
-    other = RetryPolicy(backoff_base=0.1, backoff_factor=2.0, jitter_seed=8)
-    # Deterministic: same (seed, salt, failure) -> same delay.
-    assert policy.backoff_delay(2, salt="shard-a") == same.backoff_delay(
-        2, salt="shard-a"
-    )
-    # Decorrelated: different salts (concurrent retriers) and different
-    # seeds spread out -- no retry stampede in lockstep.
-    delays = {
-        policy.backoff_delay(2, salt=f"shard-{i}") for i in range(8)
-    }
-    assert len(delays) == 8
-    assert policy.backoff_delay(2, salt="shard-a") != other.backoff_delay(
-        2, salt="shard-a"
-    )
-    # Bounded: jitter scales within [0.5, 1.5) of the exponential delay.
-    base = RetryPolicy(backoff_base=0.1, backoff_factor=2.0)
-    for failures in (1, 2, 3):
-        expected = base.backoff_delay(failures)
-        for salt in ("a", "b", "c"):
-            jittered = policy.backoff_delay(failures, salt=salt)
-            assert 0.5 * expected <= jittered < 1.5 * expected
-
-
-def test_backoff_jitter_defaults_off_and_bit_stable():
-    policy = RetryPolicy(backoff_base=0.1, backoff_factor=2.0)
-    # jitter_seed=None: salt has no effect and the exact pre-jitter
-    # exponential delays are returned (existing campaigns bit-stable).
-    assert policy.backoff_delay(1, salt="anything") == pytest.approx(0.1)
-    assert policy.backoff_delay(3, salt="other") == pytest.approx(0.4)
 
 
 # ------------------------------------------------------- result validation
@@ -303,11 +269,12 @@ def test_process_fault_plan_requires_state_dir(fast_config, s0_module):
         )
 
 
-def test_pool_retry_delays_are_salted_per_shard(
+def test_pool_retries_back_off_like_the_serial_path(
     fast_config, s0_module, tmp_path, monkeypatch
 ):
-    """Shards retrying on the pool back off by their own jittered delay
-    (salted by shard label, as on the serial path), not in lockstep."""
+    """The pool charges its failures to the same ledger as the serial
+    path: every retried shard counts once and sleeps the policy's plain
+    exponential backoff."""
     shards = SweepPlan.build(
         [s0_module], T_VALUES, ALL_PATTERNS, trials=1
     ).shards[:4]
@@ -315,30 +282,26 @@ def test_pool_retry_delays_are_salted_per_shard(
         [FaultSpec(shard_index=s.index, kind="raise", times=1) for s in shards],
         state_dir=tmp_path,
     )
-    policy = RetryPolicy(max_retries=1, backoff_base=0.1, jitter_seed=7)
+    policy = RetryPolicy(max_retries=1, backoff_base=0.1)
     delays = []
     real_sleep = time.sleep
 
-    def record_engine_sleeps(seconds):
-        if sys._getframe(1).f_globals.get("__name__") == engine_mod.__name__:
+    def record_ledger_sleeps(seconds):
+        if sys._getframe(1).f_globals.get("__name__") == faults_mod.__name__:
             delays.append(seconds)
         else:
             real_sleep(seconds)
 
-    monkeypatch.setattr(engine_mod.time, "sleep", record_engine_sleeps)
-    _run(
+    monkeypatch.setattr(faults_mod.time, "sleep", record_ledger_sleeps)
+    engine, _ = _run(
         fast_config,
         [s0_module],
         executor=ProcessExecutor(workers=2),
         policy=policy,
         fault_plan=fault,
     )
-    expected = [
-        policy.backoff_delay(1, salt=f"shard {s.index} ({s.label})")
-        for s in shards
-    ]
-    assert sorted(delays) == sorted(expected)
-    assert len(set(delays)) == len(delays)
+    assert delays == [policy.backoff_delay(1)] * len(shards)
+    assert engine.last_report.n_retries == len(shards)
 
 
 class _WorkerBoom(RuntimeError):

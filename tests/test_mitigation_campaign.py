@@ -444,6 +444,10 @@ def test_campaign_strength_rises_with_t_on(small):
 def test_campaign_bit_identical_across_executors(small):
     _, serial = small
     reference = mitigation_results_digest(serial)
+    # Pinned: a refactor that moves every executor alike still fails.
+    assert reference == (
+        "cf9661226d80e75f98b26ebed422e727988dc78f172ff4c94b3e4c90c5f26c44"
+    )
     _, threaded = run_small(executor=ThreadExecutor(workers=2))
     assert mitigation_results_digest(threaded) == reference
     _, processed = run_small(executor=ProcessExecutor(workers=2))

@@ -215,6 +215,78 @@ def test_measurement_cache_hits_on_revisit(fast_config, s0_module):
     assert counters["cache.measurement.misses"] == len(first)
 
 
+#: The campaign envelope of a checkpointed ``validate=True`` serial run,
+#: per campaign kind: (event-name sequence, counter names, dump sha256).
+#: Both kinds share one envelope, so a reordered start/finish, a moved
+#: self-check or a lost counter shows here, not just in the first and
+#: last event.
+_ENVELOPES = {
+    "characterization": (
+        ["campaign_start", "preflight"]
+        + ["shard_start", "shard_finish"] * 8
+        + ["validate", "campaign_finish"],
+        {
+            "cache.analyzer.misses",
+            "cache.stacked.misses",
+            "preflight.modules",
+            "shards.completed",
+            "validate.passed",
+        },
+        "8141f359dfbf0f49a07ce1489b4e60ca5cfea98a514aa813bfb6c66b267d4265",
+    ),
+    "mitigation": (
+        ["campaign_start", "preflight"]
+        + ["shard_start", "shard_finish"] * 3
+        + ["validate", "campaign_finish"],
+        {"shards.completed", "validate.passed"},
+        "e2b4c69eaf62266b3c8a98b864644337b20ec6bbe6678b66655899cff9e4e88d",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ENVELOPES))
+def test_checkpointed_validated_run_envelope(
+    kind, fast_config, s0_module, tmp_path
+):
+    from repro.atomicio import sha256_file
+    from repro.backend.base import build_session
+    from repro.mitigations.campaign import MitigationCampaign
+
+    events, counter_names, dump_sha = _ENVELOPES[kind]
+    reporter = ListReporter()
+    obs = Observability(reporters=[reporter])
+    checkpoint = tmp_path / "run.ckpt"
+    dump = tmp_path / "run.json"
+    if kind == "characterization":
+        campaign = SweepEngine(
+            fast_config, obs=obs, session=build_session("sim")
+        )
+        results = campaign.run(
+            [s0_module], T_VALUES, checkpoint=str(checkpoint), validate=True
+        )
+    else:
+        campaign = MitigationCampaign(obs=obs, backend="sim")
+        results = campaign.run(
+            chips=("E0",), mitigations=("para",), t_values=T_VALUES,
+            checkpoint=str(checkpoint), validate=True,
+        )
+    assert [e["event"] for e in reporter.events] == events
+    report = campaign.last_report
+    snapshot = obs.metrics.snapshot()
+    assert set(snapshot["counters"]) == counter_names
+    # The metrics snapshot lands on the report after the self-check.
+    assert report.metrics["counters"] == snapshot["counters"]
+    assert set(snapshot["gauges"]) == {
+        "campaign.n_measurements", "campaign.seconds",
+    }
+    assert obs.last_run_report is report
+    assert report.executors == ["serial"]
+    assert report.n_executed == report.n_shards == len(events) // 2 - 2
+    assert report.provenance and report.preflight
+    results.dump(dump)
+    assert sha256_file(dump) == dump_sha
+
+
 def test_event_stream_shape_and_eta(fast_config, s0_module):
     reporter = ListReporter()
     runner, results = _characterize(

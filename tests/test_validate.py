@@ -587,7 +587,10 @@ def test_results_digest_is_order_independent():
 
 def test_check_cross_executor_returns_common_digest(fast_config):
     digest = check_cross_executor(config=fast_config)
-    assert len(digest) == 64
+    # Pinned: a refactor that moves serial and thread alike still fails.
+    assert digest == (
+        "b88e784988057c414bba71c66d03dd3785e44241774d9d0cffacdf5ef49483cc"
+    )
     # Deterministic across invocations too.
     assert check_cross_executor(config=fast_config) == digest
 
