@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import signal
 import sys
 from typing import List, Optional
@@ -60,19 +61,26 @@ def sweep_points(n: int, t_max: float = T_AGG_ON_MAX) -> List[float]:
     return sorted(t for t in points if t <= t_max + 1e-9)
 
 
+def _at_least(convert, lowest: float, what: str):
+    """An argparse converter: a finite ``convert(value)`` >= ``lowest``."""
+    def parse(value: str):
+        try:
+            number = convert(value)
+        except ValueError:
+            number = math.nan
+        if not (math.isfinite(number) and number >= lowest):
+            raise argparse.ArgumentTypeError(
+                f"{what} must be a number >= {lowest:g}, got {value!r}"
+            )
+        return number
+    return parse
+
+
 def _workers_arg(value: str):
     """``--workers`` converter: 'auto' or a non-negative worker count."""
     if value.strip().lower() == "auto":
         return "auto"
-    try:
-        workers = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 'auto' or an integer worker count, got {value!r}"
-        ) from None
-    if workers < 0:
-        raise argparse.ArgumentTypeError("worker count must be >= 0")
-    return workers
+    return _at_least(int, 0, "worker count (or 'auto')")(value)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -110,10 +118,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="module keys to characterize (default: all 14)",
     )
     parser.add_argument(
-        "--points", type=int, default=9, help="tAggON sweep points (figures)"
+        "--points",
+        type=_at_least(int, 0, "point count"),
+        default=9,
+        help="tAggON sweep points (figures)",
     )
     parser.add_argument(
-        "--t-max", type=float, default=70_200.0, help="largest tAggON (ns)"
+        "--t-max",
+        type=_at_least(float, T_AGG_ON_TRAS, "largest tAggON (ns)"),
+        default=70_200.0,
+        help="largest tAggON (ns)",
     )
     parser.add_argument(
         "--trials", type=int, default=1, help="trials per measurement"

@@ -18,7 +18,6 @@ from repro.dram.mapping import (
 from repro.dram.bank import Bank
 from repro.dram.chip import Chip
 from repro.dram.module import Module
-from repro.dram.rank import RankReadback, RankView, rank_flip_summary
 from repro.dram.profiles import (
     ModuleProfile,
     MODULE_PROFILES,
@@ -40,9 +39,6 @@ __all__ = [
     "Bank",
     "Chip",
     "Module",
-    "RankReadback",
-    "RankView",
-    "rank_flip_summary",
     "ModuleProfile",
     "MODULE_PROFILES",
     "get_profile",

@@ -1,8 +1,9 @@
-"""Shared fixtures: small synthetic devices and a calibrated module.
+"""Shared fixtures: a small configuration, calibrated modules and a runner.
 
-Most tests use *synthetic* chips with low flip thresholds so command-level
-ACmin searches finish in milliseconds; calibrated-module fixtures (which
-run the Table 2 calibration solver) are session-scoped and reused.
+Most tests use *synthetic* chips with low flip thresholds (from
+:mod:`repro.testing`) so command-level ACmin searches finish in
+milliseconds; calibrated-module fixtures (which run the Table 2
+calibration solver) are session-scoped and reused.
 """
 
 from __future__ import annotations
@@ -14,19 +15,6 @@ from repro.core.runner import CharacterizationRunner
 from repro.dram.rowselect import RowSelection
 from repro.dram.topology import BankGeometry
 from repro.system import build_module
-from repro.testing import make_synthetic_chip, make_synthetic_model
-
-__all__ = ["make_synthetic_chip", "make_synthetic_model"]
-
-
-@pytest.fixture
-def synthetic_model() -> CalibratedDisturbanceModel:
-    return make_synthetic_model()
-
-
-@pytest.fixture
-def synthetic_chip(synthetic_model) -> Chip:
-    return make_synthetic_chip(model=synthetic_model)
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ from repro.dram.datapattern import CHECKERBOARD
 from repro.dram.rowselect import RowSelection
 from repro.patterns import COMBINED, DOUBLE_SIDED, SINGLE_SIDED
 
-from tests.conftest import make_synthetic_chip, make_synthetic_model
+from repro.testing import make_synthetic_chip, make_synthetic_model
 
 SEL = RowSelection(locations_per_region=6, n_regions=1, stride=8)
 

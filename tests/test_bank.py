@@ -7,7 +7,7 @@ from repro.dram.bank import Bank
 from repro.dram.topology import BankGeometry
 from repro.errors import DeviceStateError
 
-from tests.conftest import make_synthetic_chip
+from repro.testing import make_synthetic_chip
 
 GEOM = BankGeometry(rows=32, cols_simulated=16)
 

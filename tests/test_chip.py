@@ -6,7 +6,7 @@ import pytest
 from repro.dram.mapping import XorScrambleMapping
 from repro.errors import DeviceStateError
 
-from tests.conftest import make_synthetic_chip
+from repro.testing import make_synthetic_chip
 
 
 def test_banks_are_lazy_and_cached():

@@ -14,7 +14,7 @@ from repro.patterns.compiler import (
     compile_readback,
 )
 
-from tests.conftest import make_synthetic_chip
+from repro.testing import make_synthetic_chip
 
 
 def test_hammer_loop_activation_count():

@@ -72,7 +72,7 @@ from repro.patterns.dsl import (
     retention_assisted_spec,
     single_sided_spec,
 )
-from tests.conftest import make_synthetic_chip, make_synthetic_model
+from repro.testing import make_synthetic_chip, make_synthetic_model
 
 FIXTURES = Path(__file__).parent / "fixtures" / "golden_programs"
 

@@ -533,6 +533,27 @@ def test_cli_returns_nonzero_on_repro_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--points", "-3"), ("--points", "x"), ("--t-max", "10"),
+     ("--t-max", "-5"), ("--t-max", "nan"), ("--workers", "-1"),
+     ("--workers", "x")],
+)
+def test_cli_rejects_bad_numeric_flags_before_building(
+    flag, value, capsys, monkeypatch
+):
+    import repro.cli as cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("modules built despite a bad flag value")
+
+    monkeypatch.setattr(cli, "build_modules", no_build)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fig4", "--modules", "S0", flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_cli_resume_requires_checkpoint(capsys):
     from repro.cli import main
 

@@ -9,7 +9,7 @@ from repro.constants import DEFAULT_TIMINGS
 from repro.dram.mapping import XorScrambleMapping
 from repro.errors import DeviceStateError, TimingViolationError
 
-from tests.conftest import make_synthetic_chip
+from repro.testing import make_synthetic_chip
 
 
 def write_read_program(row, bits):

@@ -22,7 +22,7 @@ from repro.errors import ExperimentError
 from repro.mitigations import TrrSampler
 from repro.patterns import COMBINED, DOUBLE_SIDED
 
-from tests.conftest import make_synthetic_chip
+from repro.testing import make_synthetic_chip
 
 
 def test_no_ref_means_trr_cannot_interfere():

@@ -28,7 +28,7 @@ from repro.mitigations import (
 )
 from repro.patterns import COMBINED, DOUBLE_SIDED, SINGLE_SIDED
 
-from tests.conftest import make_synthetic_chip, make_synthetic_model
+from repro.testing import make_synthetic_chip, make_synthetic_model
 
 pytestmark = pytest.mark.mitigations
 

@@ -6,7 +6,7 @@ from repro.constants import DEFAULT_TIMINGS
 from repro.errors import ExperimentError
 from repro.patterns import ALL_PATTERNS, COMBINED, DOUBLE_SIDED, SINGLE_SIDED
 
-from tests.conftest import make_synthetic_model
+from repro.testing import make_synthetic_model
 
 T = DEFAULT_TIMINGS
 

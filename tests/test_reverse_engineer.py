@@ -11,7 +11,7 @@ from repro.core.reverse_engineer import (
 from repro.dram.mapping import IdentityMapping, XorScrambleMapping
 from repro.errors import ExperimentError
 
-from tests.conftest import make_synthetic_chip
+from repro.testing import make_synthetic_chip
 
 #: Low thresholds so a few hundred hammer iterations flip the victims.
 THETA = 50.0

@@ -6,7 +6,7 @@ import pytest
 from repro.bender.softmc import SoftMCSession
 from repro.dram.mapping import XorScrambleMapping
 
-from tests.conftest import make_synthetic_chip
+from repro.testing import make_synthetic_chip
 
 
 def test_write_read_row_roundtrip():

@@ -6,7 +6,7 @@ from repro.core.stacked import ROLE_OFFSETS, build_stacked_die
 from repro.dram.datapattern import CHECKERBOARD
 from repro.dram.rowselect import RowSelection
 
-from tests.conftest import make_synthetic_chip
+from repro.testing import make_synthetic_chip
 
 SEL = RowSelection(locations_per_region=4, n_regions=1, stride=8)
 

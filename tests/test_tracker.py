@@ -8,7 +8,7 @@ from repro.disturb.tracker import _MEMO_CAP, DisturbanceTracker
 from repro.dram.bank import Bank
 from repro.dram.topology import BankGeometry
 
-from tests.conftest import make_synthetic_model
+from repro.testing import make_synthetic_model
 
 N_ROWS = 32
 N_CELLS = 256
