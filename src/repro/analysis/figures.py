@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.analysis.aggregate import (
     AggregatePoint,
@@ -80,49 +80,6 @@ def fig4_series(
                 series.t_values.append(t_on)
                 series.points.append(aggregator(sub.where(t_on=t_on)))
             out.append(series)
-    return out
-
-
-def fig4_series_streaming(
-    measurements,
-    metric: str = "time",
-    group_by_manufacturer: bool = True,
-) -> List[Fig4Series]:
-    """Fig. 4 series from one pass over a measurement iterator.
-
-    The out-of-core twin of :func:`fig4_series`: consumes any iterator
-    (e.g. :func:`repro.core.flipdb.iter_shard_measurements`) once,
-    keeping one Welford accumulator per (group, pattern, tAggON) cell
-    (:class:`~repro.analysis.streaming.StreamingMoments`), so the
-    series compute without materializing the population.  Means and
-    stds match the in-memory path up to float accumulation order;
-    ``n``/``n_total`` are exact.
-    """
-    from repro.analysis.streaming import StreamingMoments
-
-    if metric == "time":
-        value_of = lambda m: m.time_to_first_ms  # noqa: E731
-    elif metric == "acmin":
-        value_of = lambda m: None if m.acmin is None else float(m.acmin)  # noqa: E731
-    else:
-        raise ValueError(f"unknown Fig. 4 metric {metric!r}")
-    cells: Dict[tuple, StreamingMoments] = {}
-    for m in measurements:
-        group = m.manufacturer if group_by_manufacturer else m.module_key
-        key = (group, m.pattern, m.t_on)
-        cell = cells.get(key)
-        if cell is None:
-            cell = cells[key] = StreamingMoments()
-        cell.add(value_of(m))
-    out: List[Fig4Series] = []
-    for group, pattern in sorted({(g, p) for g, p, _ in cells}):
-        series = Fig4Series(label=f"{group}/{pattern}")
-        for t_on in sorted(
-            t for g, p, t in cells if (g, p) == (group, pattern)
-        ):
-            series.t_values.append(t_on)
-            series.points.append(cells[(group, pattern, t_on)].point())
-        out.append(series)
     return out
 
 

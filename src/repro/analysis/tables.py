@@ -2,7 +2,9 @@
 
 Table 1 is the static chip inventory; Table 2 is the per-module ACmin and
 time-to-first-bitflip summary at the three anchor on-times, generated from
-measurements and printable side by side with the paper's values.  The
+measurements and printable side by side with the paper's values;
+:func:`population_rows` rolls the same aggregates up per (module,
+pattern, tAggON) for ``repro-characterize query``.  The
 mitigation-strength table (:func:`mitigation_table_rows`) is this
 reproduction's answer to the paper's Section 5 implication: per
 (chip, pattern, tAggON), the critical parameter each evaluated mechanism
@@ -14,10 +16,11 @@ survival calls.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.results import DieMeasurement, ResultSet
+from repro.core.results import ResultSet
 from repro.dram.profiles import (
     MANUFACTURER_NAMES,
     MODULE_PROFILES,
@@ -92,63 +95,39 @@ def table2_rows(results: ResultSet) -> List[Dict[str, object]]:
     return rows
 
 
-def table2_rows_streaming(
-    measurements: Iterable[DieMeasurement],
-) -> List[Dict[str, object]]:
-    """Measured Table 2 from one pass over a measurement iterator.
+def population_rows(results: ResultSet) -> List[Dict[str, object]]:
+    """Per-(module, pattern, tAggON) rollups of a stored population.
 
-    The out-of-core twin of :func:`table2_rows`: consumes any iterator
-    (e.g. :func:`repro.core.flipdb.iter_shard_measurements` over a
-    sealed population) exactly once, keeping only per-(module, anchor)
-    running sums -- never the measurements.  Anchor matching quantizes
-    tAggON (:func:`repro.core.flipdb.quantize_t_on`) so shard-
-    round-tripped on-times still hit their columns, and the avg/min
-    cells carry the same values as the in-memory path (ACmin sums are
-    integer-exact; time sums agree to float accumulation order).
+    The ``query`` table: one row per cell, in sorted key order, with the
+    measurement count, how many flipped, ACmin and time avg (min) in
+    :func:`table2_rows`' tuple shape, and the exact p50/p90 ACmin order
+    statistics (``-`` when nothing flipped).
     """
-    from repro.core.flipdb import quantize_t_on
-
-    anchors = {
-        (pattern, quantize_t_on(t_on)): label
-        for label, pattern, t_on in TABLE2_COLUMNS
-    }
-    # (module, label) -> [sum, n, min] per metric
-    acc_acmin: Dict[Tuple[str, str], List[float]] = {}
-    acc_time: Dict[Tuple[str, str], List[float]] = {}
-    modules = set()
-    for m in measurements:
-        modules.add(m.module_key)
-        label = anchors.get((m.pattern, quantize_t_on(m.t_on)))
-        if label is None:
-            continue
-        if m.acmin is not None:
-            slot = acc_acmin.setdefault((m.module_key, label), [0.0, 0, float("inf")])
-            slot[0] += m.acmin
-            slot[1] += 1
-            slot[2] = min(slot[2], m.acmin)
-        if m.time_to_first_ms is not None:
-            slot = acc_time.setdefault((m.module_key, label), [0.0, 0, float("inf")])
-            slot[0] += m.time_to_first_ms
-            slot[1] += 1
-            slot[2] = min(slot[2], m.time_to_first_ms)
-
-    def cell(acc, key) -> Optional[Tuple[float, float]]:
-        slot = acc.get(key)
-        if slot is None:
-            return None
-        return (slot[0] / slot[1], slot[2])
-
     rows: List[Dict[str, object]] = []
-    for key in sorted(modules):
-        profile = MODULE_PROFILES.get(key)
-        row: Dict[str, object] = {"module": key}
-        for label, pattern, t_on in TABLE2_COLUMNS:
-            row[f"{label} [acmin]"] = cell(acc_acmin, (key, label))
-            row[f"{label} [time ms]"] = cell(acc_time, (key, label))
-            if profile is not None:
-                row[f"{label} [paper acmin]"] = _paper_acmin(profile, pattern, t_on)
-        rows.append(row)
+    cells = results.group_by(lambda m: (m.module_key, m.pattern, m.t_on))
+    for (module, pattern, t_on), cell in sorted(cells.items()):
+        acmins = sorted(m.acmin for m in cell if m.acmin is not None)
+        rows.append(
+            {
+                "group": module,
+                "pattern": pattern,
+                "tAggON": f"{t_on:g} ns",
+                "n": len(cell),
+                "flipped": len(acmins),
+                "acmin avg (min)": _acmin_avg_min(cell),
+                "acmin p50": _order_statistic(acmins, 0.5),
+                "acmin p90": _order_statistic(acmins, 0.9),
+                "time ms avg (min)": _time_avg_min(cell),
+            }
+        )
     return rows
+
+
+def _order_statistic(ordered: Sequence[int], q: float) -> str:
+    """The ``q``-quantile of sorted values, ``ordered[ceil(q n) - 1]``."""
+    if not ordered:
+        return "-"
+    return f"{ordered[max(0, math.ceil(q * len(ordered)) - 1)]:g}"
 
 
 def _paper_acmin(

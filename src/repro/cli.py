@@ -12,8 +12,8 @@ requested artifact:
   PARA probability / Graphene threshold vs tAggON, Section 5);
 * ``export`` -- run the sweep through the streaming flip sink and seal
   the population into per-module shards + a digest manifest;
-* ``query``  -- streaming rollups (and repeatability) over a previously
-  exported or sunk population, without materializing it;
+* ``query``  -- per-(module, pattern, tAggON) rollups (and
+  repeatability) over a previously exported or sunk population;
 * ``patterns`` -- the pattern-DSL toolbox: ``patterns list`` prints the
   registry, ``patterns compile NAME|FILE ...`` lowers specs to DRAM
   Bender hammer-loop programs (disassembly + sha256), and ``patterns
@@ -83,6 +83,27 @@ def _workers_arg(value: str):
     return _at_least(int, 0, "worker count (or 'auto')")(value)
 
 
+def _timeout_arg(value: str) -> float:
+    """``--shard-timeout`` converter: a finite number of seconds > 0."""
+    seconds = _at_least(float, 0, "per-shard timeout (s)")(value)
+    if seconds == 0:
+        raise argparse.ArgumentTypeError(
+            f"per-shard timeout (s) must be > 0, got {value!r}"
+        )
+    return seconds
+
+
+#: The characterization-sweep flags and their defaults.  The parser
+#: leaves them ``None`` so ``mitigate``, which sweeps its own chips and
+#: tAggON points, can tell a given flag from a default one.
+_SWEEP_DEFAULTS = {
+    "modules": tuple(sorted(MODULE_PROFILES)),
+    "points": 9,
+    "t_max": 70_200.0,
+    "trials": 1,
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-characterize",
@@ -98,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "mitigation stress-evaluation campaign, 'validate' to check "
         "previously written artifacts, 'export' to stream a campaign "
         "into a sharded out-of-core population, 'query' to compute "
-        "streaming rollups over a stored population, or 'patterns' to "
+        "rollups over a stored population, or 'patterns' to "
         "list/compile/lint pattern-DSL specs",
     )
     parser.add_argument(
@@ -114,23 +135,26 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--modules",
         nargs="+",
-        default=sorted(MODULE_PROFILES),
+        default=None,
         help="module keys to characterize (default: all 14)",
     )
     parser.add_argument(
         "--points",
         type=_at_least(int, 0, "point count"),
-        default=9,
-        help="tAggON sweep points (figures)",
+        default=None,
+        help="tAggON sweep points (figures; default: 9)",
     )
     parser.add_argument(
         "--t-max",
         type=_at_least(float, T_AGG_ON_TRAS, "largest tAggON (ns)"),
-        default=70_200.0,
-        help="largest tAggON (ns)",
+        default=None,
+        help="largest tAggON (ns; default: 70200)",
     )
     parser.add_argument(
-        "--trials", type=int, default=1, help="trials per measurement"
+        "--trials",
+        type=_at_least(int, 1, "trial count"),
+        default=None,
+        help="trials per measurement (default: 1)",
     )
     parser.add_argument(
         "--workers",
@@ -196,14 +220,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-retries",
-        type=int,
+        type=_at_least(int, 0, "retry count"),
         default=2,
         help="retries per shard after a transient failure (timeout, worker "
         "crash); exponential backoff between attempts (default: 2)",
     )
     parser.add_argument(
         "--shard-timeout",
-        type=float,
+        type=_timeout_arg,
         default=None,
         metavar="SECONDS",
         help="per-shard wall-clock timeout; a timed-out shard is retried "
@@ -430,6 +454,17 @@ def _run(argv: Optional[List[str]] = None) -> int:
             f"patterns modes, not {args.artifact!r}\n"
         )
         return 2
+    given = [name for name in _SWEEP_DEFAULTS if getattr(args, name) is not None]
+    if args.artifact == "mitigate" and given:
+        flags = ", ".join("--" + name.replace("_", "-") for name in given)
+        sys.stderr.write(
+            f"error: mitigate does not take {flags}: it sweeps its own "
+            f"tAggON points on the --chips profiles\n"
+        )
+        return 2
+    for name, default in _SWEEP_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if args.artifact == "patterns":
         return _run_patterns(args)
     if args.resume and not args.checkpoint:
@@ -699,18 +734,19 @@ def _run_export(args, obs: Optional[Observability]) -> int:
 
 
 def _run_query(args, obs: Optional[Observability]) -> int:
-    """The ``query`` mode: streaming rollups over a stored population.
+    """The ``query`` mode: rollups over a stored population.
 
-    Streams the store's measurements (optionally filtered by
-    ``--module/--die/--pattern/--t-on``) through the one-pass
-    aggregation layer (:mod:`repro.analysis.streaming`) -- per-(module,
-    pattern, tAggON) ACmin and time rollups with sketch quantiles --
-    and, when a (module, pattern, tAggON) point is pinned, the per-die
-    cross-trial repeatability.  The population is never materialized.
+    Reads the store's measurements (optionally filtered by
+    ``--module/--die/--pattern/--t-on``, censuses left out) into a
+    :class:`~repro.core.results.ResultSet` and prints per-(module,
+    pattern, tAggON) ACmin and time rollups with exact p50/p90 ACmin
+    (:func:`~repro.analysis.tables.population_rows`), plus, when a
+    (module, pattern, tAggON) point is pinned, the per-die cross-trial
+    repeatability of every die at that point.
     """
     import os
 
-    from repro.analysis.streaming import PopulationStats
+    from repro.analysis.tables import population_rows
     from repro.core.flipdb import BitflipDatabase
 
     if not args.store:
@@ -720,22 +756,20 @@ def _run_query(args, obs: Optional[Observability]) -> int:
         sys.stderr.write(f"error: flip store {args.store} does not exist\n")
         return 2
     with BitflipDatabase(args.store) as db:
-        stats = PopulationStats(group_by="module").consume(
-            db.iter_measurements(
-                module=args.module, die=args.die, pattern=args.pattern,
-                t_on=args.t_on, with_census=False,
-            )
+        results = db.measurements(
+            module=args.module, die=args.die, pattern=args.pattern,
+            t_on=args.t_on, with_census=False,
         )
         if obs is not None:
-            obs.metrics.inc("query.rows_scanned", stats.n_measurements)
-        if stats.n_measurements == 0:
+            obs.metrics.inc("query.rows_scanned", len(results))
+        if not len(results):
             sys.stdout.write("no measurements match the filters\n")
             return 0
         sys.stdout.write(
-            f"{stats.n_measurements} measurement(s) across "
-            f"{len(stats.groups())} module(s) in {args.store}\n"
+            f"{len(results)} measurement(s) across "
+            f"{len(results.module_keys())} module(s) in {args.store}\n"
         )
-        sys.stdout.write(format_table(stats.rows()))
+        sys.stdout.write(format_table(population_rows(results)))
         if args.module and args.pattern and args.t_on is not None:
             dies = sorted(
                 {

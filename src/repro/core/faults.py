@@ -32,6 +32,7 @@ vocabulary:
 
 from __future__ import annotations
 
+import math
 import os
 import time
 import multiprocessing
@@ -103,8 +104,13 @@ class RetryPolicy:
             raise ExperimentError("max_retries must be >= 0")
         if self.backoff_base < 0 or self.backoff_factor < 1.0:
             raise ExperimentError("backoff must be non-negative and non-shrinking")
-        if self.shard_timeout is not None and self.shard_timeout <= 0:
-            raise ExperimentError("shard_timeout must be positive (or None)")
+        if self.shard_timeout is not None and not (
+            math.isfinite(self.shard_timeout) and self.shard_timeout > 0
+        ):
+            raise ExperimentError(
+                "shard_timeout must be finite and positive (or None), "
+                f"got {self.shard_timeout!r}"
+            )
         if self.max_pool_restarts < 0:
             raise ExperimentError("max_pool_restarts must be >= 0")
 

@@ -26,9 +26,8 @@ re-running the sweep.  This module provides that store at fleet scale:
   loading the whole population (see :mod:`repro.validate`).
 * :func:`iter_shard_measurements` -- the read path over a sealed
   export: verifies each shard against the manifest and yields its
-  measurements one shard at a time, so streaming aggregation
-  (:mod:`repro.analysis.streaming`) computes the paper's tables without
-  a materialized :class:`~repro.core.results.ResultSet`.
+  measurements one shard at a time (collect them into a
+  :class:`~repro.core.results.ResultSet` to feed the analysis layer).
 
 tAggON keys are quantized
 -------------------------
@@ -345,12 +344,6 @@ class BitflipDatabase:
     def n_measurements(self) -> int:
         (count,) = self._conn.execute(
             "SELECT COUNT(*) FROM measurements"
-        ).fetchone()
-        return int(count)
-
-    def n_bitflips(self) -> int:
-        (count,) = self._conn.execute(
-            "SELECT COUNT(*) FROM bitflips"
         ).fetchone()
         return int(count)
 
@@ -732,10 +725,9 @@ def iter_shard_measurements(
 
     Loads the manifest, then for each shard verifies its bytes against
     the manifest's sha256 (``verify=False`` skips this) before decoding
-    and yielding its measurements -- at most one shard is ever resident,
-    so the paper's tables and figures compute over arbitrarily large
-    populations.  A shard whose digest or record count disagrees with
-    the manifest raises :class:`~repro.errors.ArtifactCorruptError` /
+    and yielding its measurements -- at most one shard is ever resident.
+    A shard whose digest or record count disagrees with the manifest
+    raises :class:`~repro.errors.ArtifactCorruptError` /
     :class:`~repro.errors.ArtifactInvalidError` before any of its
     records are yielded.
     """

@@ -1,11 +1,11 @@
-"""File-level integrity: sha256 digest stamping and verification.
+"""File-level integrity: sha256 digest verification.
 
-A thin, artifact-agnostic layer over the primitives in
-:mod:`repro.atomicio`: every digest-enabled writer stamps a
-``sha256sum``-compatible ``<path>.sha256`` sidecar, and every loader
-verifies it before trusting the bytes, so a single flipped bit anywhere
-in an artifact raises :class:`~repro.errors.ArtifactCorruptError`
-instead of silently poisoning a resume or a figure.
+Every digest-enabled writer stamps a ``sha256sum``-compatible
+``<path>.sha256`` sidecar through :mod:`repro.atomicio`, and every
+loader verifies it before trusting the bytes, so a single flipped bit
+anywhere in an artifact raises :class:`~repro.errors.ArtifactCorruptError`
+instead of silently poisoning a resume or a figure.  This module holds
+the artifact-agnostic checks layered over those primitives.
 
 Append-only journals get one extra affordance,
 :func:`verify_journal_bytes`: a crash can legally land between the
@@ -20,19 +20,12 @@ import hashlib
 import os
 from typing import Optional, Tuple, Union
 
-from repro.atomicio import (
-    digest_path,
-    read_digest,
-    verify_digest,
-    write_digest,
-)
+from repro.atomicio import digest_path, read_digest
 from repro.errors import ArtifactCorruptError
 
 PathLike = Union[str, os.PathLike]
 
 __all__ = [
-    "stamp",
-    "verify",
     "has_digest",
     "verify_journal_bytes",
     "verify_file_sha256",
@@ -45,19 +38,9 @@ def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def stamp(path: PathLike, hexdigest: Optional[str] = None) -> None:
-    """Stamp ``<path>.sha256`` with the file's content digest."""
-    write_digest(path, hexdigest)
-
-
 def has_digest(path: PathLike) -> bool:
     """Whether a digest sidecar exists for ``path``."""
     return digest_path(path).exists()
-
-
-def verify(path: PathLike, required: bool = False) -> Optional[str]:
-    """Verify ``path`` against its sidecar; see :func:`~repro.atomicio.verify_digest`."""
-    return verify_digest(path, required=required)
 
 
 def verify_file_sha256(

@@ -11,6 +11,7 @@ bit-identical to an uninterrupted run.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import time
@@ -106,6 +107,10 @@ def test_retry_policy_validation_and_backoff():
         RetryPolicy(shard_timeout=0.0)
     with pytest.raises(ExperimentError):
         RetryPolicy(backoff_factor=0.5)
+    # A NaN timeout would time every attempt out at once.
+    for timeout in (math.nan, math.inf):
+        with pytest.raises(ExperimentError, match="finite"):
+            RetryPolicy(shard_timeout=timeout)
 
 
 # ------------------------------------------------------- result validation
@@ -537,7 +542,10 @@ def test_cli_returns_nonzero_on_repro_error(capsys):
     "flag,value",
     [("--points", "-3"), ("--points", "x"), ("--t-max", "10"),
      ("--t-max", "-5"), ("--t-max", "nan"), ("--workers", "-1"),
-     ("--workers", "x")],
+     ("--workers", "x"), ("--trials", "0"), ("--trials", "x"),
+     ("--max-retries", "-1"), ("--shard-timeout", "nan"),
+     ("--shard-timeout", "inf"), ("--shard-timeout", "0"),
+     ("--shard-timeout", "-2")],
 )
 def test_cli_rejects_bad_numeric_flags_before_building(
     flag, value, capsys, monkeypatch

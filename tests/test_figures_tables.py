@@ -1,5 +1,7 @@
 """Tests for figure-series and table generation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.ascii_plot import ascii_line_plot
@@ -10,7 +12,12 @@ from repro.analysis.figures import (
     fig6_series,
     series_to_csv,
 )
-from repro.analysis.tables import format_table, table1_inventory, table2_rows
+from repro.analysis.tables import (
+    format_table,
+    population_rows,
+    table1_inventory,
+    table2_rows,
+)
 from repro.core.bitflips import BitflipCensus
 from repro.core.results import DieMeasurement, ResultSet
 
@@ -97,6 +104,24 @@ def test_table2_rows_include_paper_reference(small_results):
     s0 = next(r for r in rows if r["module"] == "S0")
     assert s0["RH @ 36ns [acmin]"] == (100.0, 100)
     assert s0["RH @ 36ns [paper acmin]"] == (45_000, 22_600)
+
+
+def test_population_rows_exact_order_statistics():
+    rs = ResultSet()
+    for die, acmin in enumerate([50, 10, 40, 20, 30, 100, 90, 80, 70, 60]):
+        rs.add(meas("combined", 36.0, acmin, die=die))
+    rs.add(replace(meas("combined", 7_800.0), acmin=None,
+                   time_to_first_ns=None))
+    first, second = population_rows(rs)
+    assert (first["group"], first["tAggON"]) == ("S0", "36 ns")
+    assert (first["n"], first["flipped"]) == (10, 10)
+    # p = sorted[ceil(q n) - 1]: the 5th and 9th smallest of 10.
+    assert (first["acmin p50"], first["acmin p90"]) == ("50", "90")
+    assert first["acmin avg (min)"] == (55.0, 10)
+    assert (second["n"], second["flipped"]) == (1, 0)
+    assert (second["acmin p50"], second["acmin p90"]) == ("-", "-")
+    assert second["acmin avg (min)"] is None
+    assert "No Bitflip" in format_table([second])
 
 
 def test_format_table_renders_no_bitflip():

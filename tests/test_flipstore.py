@@ -1,4 +1,4 @@
-"""Population-scale flip store: streaming sink, sharded export, streaming stats.
+"""Population-scale flip store: streaming sink, sharded export, ``query``.
 
 The tentpole property: a campaign streamed through :class:`FlipSink`
 during the sweep reproduces the in-memory ``results_digest``
@@ -7,27 +7,10 @@ without materializing the population.
 """
 
 import json
-import math
-import random
+from pathlib import Path
 
 import pytest
 
-from repro.analysis.aggregate import (
-    AggregatePoint,
-    _aggregate,
-    aggregate_acmin,
-    aggregate_streaming,
-    aggregate_time_ms,
-)
-from repro.analysis.figures import fig4_series, fig4_series_streaming
-from repro.analysis.spatial import column_histogram, flips_per_row
-from repro.analysis.streaming import (
-    PopulationStats,
-    QuantileSketch,
-    SpatialAccumulator,
-    StreamingMoments,
-)
-from repro.analysis.tables import table2_rows, table2_rows_streaming
 from repro.core.flipdb import (
     BitflipDatabase,
     FlipSink,
@@ -249,180 +232,6 @@ def test_manifest_schema_rejects_path_traversal():
         )
 
 
-# ------------------------------------------------------ streaming statistics
-
-
-def test_streaming_moments_matches_list_aggregate():
-    rng = random.Random(7)
-    values = [
-        None if rng.random() < 0.2 else rng.uniform(-50.0, 50.0)
-        for _ in range(500)
-    ]
-    expected = _aggregate(values)
-    got = aggregate_streaming(iter(values))
-    assert got.n == expected.n and got.n_total == expected.n_total
-    assert got.mean == pytest.approx(expected.mean, rel=1e-12)
-    assert got.std == pytest.approx(expected.std, rel=1e-9)
-
-
-def test_streaming_moments_merge():
-    rng = random.Random(11)
-    values = [rng.gauss(10.0, 3.0) for _ in range(400)]
-    whole = StreamingMoments()
-    left, right = StreamingMoments(), StreamingMoments()
-    for i, v in enumerate(values):
-        whole.add(v)
-        (left if i < 150 else right).add(v)
-    left.merge(right)
-    assert left.n == whole.n
-    assert left.mean == pytest.approx(whole.mean, rel=1e-12)
-    assert left.std == pytest.approx(whole.std, rel=1e-9)
-
-
-def test_streaming_moments_empty_is_nan_point():
-    point = StreamingMoments().point()
-    assert math.isnan(point.mean) and math.isnan(point.std)
-    assert point.n == 0 and point.n_total == 0
-    assert isinstance(point, AggregatePoint)
-
-
-def test_quantile_sketch_exact_below_capacity():
-    sketch = QuantileSketch(k=128)
-    sketch.extend(range(100))
-    assert sketch.query(0.0) == 0
-    assert sketch.query(1.0) == 99
-    assert sketch.query(0.5) == 49
-
-
-def test_quantile_sketch_bounded_error_and_deterministic():
-    n = 10_000
-    rng = random.Random(3)
-    values = [rng.random() for _ in range(n)]
-    a, b = QuantileSketch(k=128), QuantileSketch(k=128)
-    a.extend(values)
-    b.extend(values)
-    ordered = sorted(values)
-    for q in (0.1, 0.5, 0.9, 0.99):
-        estimate = a.query(q)
-        # Determinism: same stream, same sketch, same answer.
-        assert estimate == b.query(q)
-        # Rank error bounded well under 5% of n for k=128.
-        rank = ordered.index(estimate) if estimate in values else min(
-            range(n), key=lambda i: abs(ordered[i] - estimate)
-        )
-        assert abs(rank - q * n) < 0.05 * n
-    assert a.n == n
-
-
-def test_quantile_sketch_merge_matches_single_stream():
-    rng = random.Random(5)
-    values = [rng.uniform(0, 1000) for _ in range(4_000)]
-    whole = QuantileSketch(k=64)
-    whole.extend(values)
-    left, right = QuantileSketch(k=64), QuantileSketch(k=64)
-    left.extend(values[:2_000])
-    right.extend(values[2_000:])
-    left.merge(right)
-    assert left.n == whole.n == 4_000
-    ordered = sorted(values)
-    for q in (0.25, 0.5, 0.75):
-        exact = ordered[int(q * 4_000)]
-        assert abs(left.query(q) - exact) < 0.1 * 1000
-
-
-def test_population_stats_matches_in_memory_aggregates(population):
-    results = population["results"]
-    stats = PopulationStats(group_by="module").consume(iter(results))
-    assert stats.n_measurements == len(results)
-    for key in results.module_keys():
-        for pattern in results.patterns():
-            for t_on in results.t_values():
-                subset = results.where(
-                    module_key=key, pattern=pattern, t_on=t_on
-                )
-                if not len(subset):
-                    continue
-                expected = aggregate_acmin(subset)
-                got = stats.acmin_point(key, pattern, t_on)
-                assert got.n == expected.n
-                assert got.n_total == expected.n_total
-                if expected.n:
-                    assert got.mean == pytest.approx(expected.mean, rel=1e-12)
-                    assert got.std == pytest.approx(
-                        expected.std, rel=1e-9, abs=1e-9
-                    )
-                expected_t = aggregate_time_ms(subset)
-                got_t = stats.time_ms_point(key, pattern, t_on)
-                assert got_t.n == expected_t.n
-                if expected_t.n:
-                    assert got_t.mean == pytest.approx(
-                        expected_t.mean, rel=1e-12
-                    )
-
-
-def test_population_stats_rows_render(population):
-    from repro.analysis.tables import format_table
-
-    stats = PopulationStats(group_by="manufacturer").consume(
-        iter(population["results"])
-    )
-    rows = stats.rows()
-    assert rows  # one per (manufacturer, pattern, t_on)
-    text = format_table(rows)
-    assert "acmin p50" in text
-
-
-def test_spatial_accumulator_matches_per_census(population, fast_config):
-    n_cols = fast_config.geometry.cols_simulated
-    results = population["results"]
-    acc = SpatialAccumulator(n_cols=n_cols, n_bins=8).consume(iter(results))
-    expected_rows = {}
-    expected_bins = [0] * 8
-    for m in results:
-        if m.census is None:
-            continue
-        for row, count in flips_per_row(m.census).items():
-            expected_rows[row] = expected_rows.get(row, 0) + count
-        for i, count in enumerate(column_histogram(m.census, n_cols, 8)):
-            expected_bins[i] += count
-    assert acc.flips_per_row() == expected_rows
-    assert list(acc.column_histogram()) == expected_bins
-    assert acc.n_flips == sum(expected_bins)
-
-
-def test_table2_streaming_matches_in_memory(population):
-    in_memory = {row["module"]: row for row in table2_rows(population["results"])}
-    streamed_rows = table2_rows_streaming(
-        iter_shard_measurements(population["manifest"])
-    )
-    assert {row["module"] for row in streamed_rows} == set(in_memory)
-    for row in streamed_rows:
-        expected = in_memory[row["module"]]
-        assert set(row) == set(expected)
-        for column, value in expected.items():
-            got = row[column]
-            if isinstance(value, tuple):
-                assert got == pytest.approx(value, rel=1e-9), column
-            else:
-                assert got == value, column
-
-
-def test_fig4_streaming_matches_in_memory(population):
-    for metric in ("time", "acmin"):
-        in_memory = fig4_series(population["results"], metric=metric)
-        streamed = fig4_series_streaming(
-            iter_shard_measurements(population["manifest"]), metric=metric
-        )
-        assert [s.label for s in streamed] == [s.label for s in in_memory]
-        for got, expected in zip(streamed, in_memory):
-            assert got.t_values == expected.t_values
-            for g, e in zip(got.points, expected.points):
-                assert g.n == e.n and g.n_total == e.n_total
-                if e.n:
-                    assert g.mean == pytest.approx(e.mean, rel=1e-9)
-                    assert g.std == pytest.approx(e.std, rel=1e-6, abs=1e-9)
-
-
 # ----------------------------------------------------------------- plumbing
 
 
@@ -441,3 +250,47 @@ def test_store_iteration_order_is_identity_not_insertion(tmp_path):
         db.store(meas(die=0, t_on=7_800.0))
         seen = [(m.die, m.t_on) for m in db.iter_measurements()]
     assert seen == [(0, 36.0), (0, 7_800.0), (1, 7_800.0)]
+
+
+# ------------------------------------------------------------- CLI query
+
+QUERY_GOLDEN = Path(__file__).parent / "fixtures" / "query_golden"
+
+
+@pytest.mark.parametrize(
+    "golden,filters,rows_scanned",
+    [
+        ("all.txt", [], 108),
+        (
+            "S0-combined-7800.txt",
+            ["--module", "S0", "--pattern", "combined", "--t-on", "7800"],
+            8,
+        ),
+    ],
+    ids=["all", "S0-combined-7800"],
+)
+def test_cli_query_matches_golden(
+    golden, filters, rows_scanned, tmp_path, capsys
+):
+    """``query`` over CI's population demo prints the pinned bytes.
+
+    The store path in the header line is normalized to ``<store>``;
+    ``query.rows_scanned`` counts every measurement the filters match.
+    """
+    from repro.cli import main
+
+    store = tmp_path / "flips.sqlite"
+    assert main([
+        "export", "--modules", "S0", "H0", "--points", "2",
+        "--t-max", "7800", "--trials", "1", "--workers", "0",
+        "--out", str(tmp_path / "shards"), "--store", str(store),
+    ]) == 0
+    capsys.readouterr()
+    metrics = tmp_path / "metrics.json"
+    assert main(
+        ["query", "--store", str(store), "--metrics", str(metrics)] + filters
+    ) == 0
+    out = capsys.readouterr().out.replace(f"in {store}\n", "in <store>\n")
+    assert out == (QUERY_GOLDEN / golden).read_text()
+    counters = json.loads(metrics.read_text())["counters"]
+    assert counters["query.rows_scanned"] == rows_scanned

@@ -669,6 +669,28 @@ def test_cli_mitigate_rejects_unknown_mechanism(tmp_path, capsys):
     assert "unknown mitigation" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--modules", "S0"), ("--points", "3"), ("--t-max", "7800"),
+     ("--trials", "2")],
+)
+def test_cli_mitigate_rejects_characterization_flags(
+    flag, value, capsys, monkeypatch
+):
+    """mitigate sweeps its own points: a sweep flag is a usage error,
+    reported before the campaign is built."""
+    import repro.mitigations.campaign as campaign_module
+
+    def no_campaign(*args, **kwargs):
+        raise AssertionError(f"mitigate ran despite {flag}")
+
+    monkeypatch.setattr(campaign_module, "MitigationCampaign", no_campaign)
+    code = main(["mitigate", "--chips", "E0", "--mitigations", "para",
+                 flag, value])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_cli_validate_flags_tampered_dump(tmp_path, capsys):
     results = MitigationResults([make_point()])
     path = tmp_path / "tampered.json"

@@ -59,14 +59,13 @@ def test_observation_2_combined_needs_slightly_more_acts(s0_module, fast_runner)
 
 def test_observation_3_combined_approaches_single_sided(s0_module, fast_runner):
     """Obs. 3: at tAggON = 70.2 us the combined pattern takes a similar
-    time to the single-sided RowPress pattern (within a few percent)."""
+    time to the single-sided RowPress pattern (paper: within a few percent)."""
     results = sweep(fast_runner, s0_module, [70_200.0],
                     patterns=[COMBINED, SINGLE_SIDED])
     t_comb = mean_time_ms(results, "combined", 70_200.0)
     t_ss = mean_time_ms(results, "single-sided", 70_200.0)
-    # "Similar" is qualitative (paper: within ~4%, but per-die censoring
-    # at the 60 ms budget makes the averages noisy); both patterns must
-    # land within a third of each other, far from the ~2x gap at 636 ns.
+    # Measured on the benchmark sweep: +22.8 / +22.1 / +34.1 % vs the
+    # paper's +3-4 % (Mfr. S / H / M); the 636 ns gap is ~4x.
     assert abs(t_comb - t_ss) / t_ss < 0.35
 
 
