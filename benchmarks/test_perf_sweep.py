@@ -9,8 +9,9 @@ through four execution paths:
   draws, per-measurement role weights, per-trial jitter regeneration,
   per-role masked divides, Python-loop census), kept verbatim in this
   file so the baseline cannot silently inherit later optimizations;
-* ``engine_serial``: the :class:`~repro.core.engine.SweepEngine` with the
-  serial executor (workers=1) and the batched multi-trial fast path;
+* ``engine_serial``: :meth:`~repro.core.runner.CharacterizationRunner.characterize`
+  with the serial executor (workers=1) and the batched multi-trial fast
+  path;
 * ``engine_workers4``: the same engine with ``workers=4`` on the process
   pool (fork-inherited worker state on Linux, the pickled worker spec
   elsewhere);
@@ -363,8 +364,8 @@ def _campaign_engine(
 def test_disabled_observability_is_zero_overhead(bench_config, modules, monkeypatch):
     """With no Observability attached, the hot path must perform zero
     observability operations -- enforced by making every MetricsRegistry
-    operation raise and running an uninstrumented campaign.  NullRegistry
-    overrides all of these, so only a stray instrumented call trips it."""
+    operation raise and running an uninstrumented campaign, so only a
+    stray instrumented call trips it."""
     from repro.obs import metrics as metrics_mod
 
     def trip(*args, **kwargs):

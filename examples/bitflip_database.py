@@ -16,7 +16,6 @@ from repro import CharacterizationConfig, CharacterizationRunner, build_module
 from repro.analysis.crossover import convergence_point, peak_advantage
 from repro.analysis.spatial import role_breakdown
 from repro.core.flipdb import BitflipDatabase
-from repro.patterns import ALL_PATTERNS
 
 
 def main() -> None:
@@ -28,7 +27,7 @@ def main() -> None:
     runner = CharacterizationRunner(config)
     t_values = [36.0, 636.0, 7_800.0, 70_200.0]
     print(f"Characterizing {module_key} ({module.n_dies} dies, 3 trials) ...")
-    results = runner.characterize_module(module, t_values, trials=3)
+    results = runner.characterize([module], t_values, trials=3)
 
     with BitflipDatabase(db_path) as db:
         stored = db.store_results(results)

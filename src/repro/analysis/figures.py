@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.analysis.aggregate import (
     AggregatePoint,
@@ -38,10 +38,6 @@ class Fig4Series:
     @property
     def means(self) -> List[float]:
         return [p.mean for p in self.points]
-
-    @property
-    def stds(self) -> List[float]:
-        return [p.std for p in self.points]
 
 
 def fig4_series(

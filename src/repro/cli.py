@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import os
 import signal
 import sys
 from typing import List, Optional
@@ -94,13 +95,21 @@ def _timeout_arg(value: str) -> float:
 
 
 #: The characterization-sweep flags and their defaults.  The parser
-#: leaves them ``None`` so ``mitigate``, which sweeps its own chips and
-#: tAggON points, can tell a given flag from a default one.
+#: leaves them ``None`` so the modes that sweep no modules can tell a
+#: given flag from a default one.
 _SWEEP_DEFAULTS = {
     "modules": tuple(sorted(MODULE_PROFILES)),
     "points": 9,
     "t_max": 70_200.0,
     "trials": 1,
+}
+
+#: Modes that refuse the sweep flags, and why.  ``query`` also refuses
+#: ``--patterns``, which ``mitigate`` sweeps.
+_NO_SWEEP = {
+    "mitigate": "it sweeps its own tAggON points on the --chips profiles",
+    "query": "it reads a stored population; filter it with --module, "
+    "--die, --pattern or --t-on",
 }
 
 
@@ -347,7 +356,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     SIGTERM takes the Ctrl-C path: every shard journaled so far stays
     durable, so ``--checkpoint ... --resume`` finishes the campaign
-    bit-identically.
+    bit-identically.  A closed stdout (``| head``) exits 141 without a
+    traceback.
     """
     previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
@@ -361,6 +371,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         # the shell convention for SIGINT (128 + 2).
         sys.stderr.write("interrupted\n")
         return 130
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at the null device so the
+        # shutdown flush cannot raise again, and exit on the shell
+        # convention for SIGPIPE (128 + 13).
+        sys.stdout = open(os.devnull, "w")
+        return 141
     finally:
         signal.signal(signal.SIGTERM, previous)
 
@@ -455,11 +471,13 @@ def _run(argv: Optional[List[str]] = None) -> int:
         )
         return 2
     given = [name for name in _SWEEP_DEFAULTS if getattr(args, name) is not None]
-    if args.artifact == "mitigate" and given:
+    if args.artifact == "query" and args.patterns is not None:
+        given.append("patterns")
+    if args.artifact in _NO_SWEEP and given:
         flags = ", ".join("--" + name.replace("_", "-") for name in given)
         sys.stderr.write(
-            f"error: mitigate does not take {flags}: it sweeps its own "
-            f"tAggON points on the --chips profiles\n"
+            f"error: {args.artifact} does not take {flags}: "
+            f"{_NO_SWEEP[args.artifact]}\n"
         )
         return 2
     for name, default in _SWEEP_DEFAULTS.items():
@@ -521,7 +539,6 @@ def _load_pattern_operand(operand: str):
     registry.  Returns a list of patterns.
     """
     import json
-    import os
 
     from repro.errors import ArtifactInvalidError
     from repro.patterns.dsl import PatternSpec, resolve_pattern
@@ -744,8 +761,6 @@ def _run_query(args, obs: Optional[Observability]) -> int:
     (module, pattern, tAggON) point is pinned, the per-die cross-trial
     repeatability of every die at that point.
     """
-    import os
-
     from repro.analysis.tables import population_rows
     from repro.core.flipdb import BitflipDatabase
 

@@ -18,8 +18,8 @@
   fault-injection harness the recovery tests drive.
 * :mod:`repro.core.checkpoint` -- the fingerprinted checkpoint journal
   behind ``--checkpoint`` / ``--resume``.
-* :mod:`repro.core.runner` -- sweeps modules x patterns x tAggON (serial
-  facade over the engine).
+* :mod:`repro.core.runner` -- sweeps modules x patterns x tAggON: the
+  one characterization campaign entry point over the engine.
 * :mod:`repro.core.overlap` / :mod:`repro.core.bitflips` -- the bitflip
   set metrics behind Figs. 5 and 6.
 """
@@ -38,7 +38,6 @@ from repro.core.results import DieMeasurement, ResultSet
 from repro.core.engine import (
     ProcessExecutor,
     SerialExecutor,
-    SweepEngine,
     SweepPlan,
     ThreadExecutor,
     make_executor,
@@ -62,7 +61,6 @@ __all__ = [
     "overlap_ratio",
     "DieMeasurement",
     "ResultSet",
-    "SweepEngine",
     "SweepPlan",
     "SerialExecutor",
     "ThreadExecutor",

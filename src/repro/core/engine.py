@@ -35,7 +35,8 @@ Structure
 * :func:`start_campaign` and :func:`finish_campaign` are the campaign
   envelope around :func:`run_plan` -- run report, start/finish events,
   the ``validate=True`` self-check, metrics snapshot -- shared by
-  :class:`SweepEngine` and the mitigation campaign.
+  :meth:`~repro.core.runner.CharacterizationRunner.characterize` and
+  the mitigation campaign.
 
 Determinism
 -----------
@@ -55,11 +56,12 @@ transient shard failures with exponential backoff and enforces an
 optional per-shard timeout; results are integrity-checked on merge
 (missing/duplicate/out-of-order detection).  A checkpoint journal
 (:mod:`repro.core.checkpoint`) persists completed shards keyed by a plan
-fingerprint, so an interrupted campaign resumed with ``run(resume=True,
-checkpoint=...)`` skips finished shards and still produces a
+fingerprint, so an interrupted campaign resumed with ``resume=True,
+checkpoint=...`` skips finished shards and still produces a
 bit-identical ResultSet.  If the process pool breaks repeatedly, the
 engine degrades process -> thread -> serial (with a logged warning and a
-note in :attr:`SweepEngine.last_report`) instead of aborting.
+note in the campaign's :class:`~repro.core.faults.RunReport`) instead
+of aborting.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.acmin import DieAnalysis, DieSweepAnalyzer, pattern_footprint
-from repro.core.checkpoint import CheckpointJournal, plan_fingerprint
+from repro.core.checkpoint import CheckpointJournal
 from repro.core.experiment import CharacterizationConfig
 from repro.core.faults import (
     FaultPlan,
@@ -93,7 +95,7 @@ from repro.core.faults import (
     run_attempts,
     validate_shard_result,
 )
-from repro.core.results import DieMeasurement, ResultSet
+from repro.core.results import DieMeasurement
 from repro.core.stacked import DEFAULT_OFFSETS, StackedDie, build_stacked_die
 from repro.dram.module import Module
 from repro.obs import Observability
@@ -123,7 +125,6 @@ __all__ = [
     "run_plan",
     "start_campaign",
     "finish_campaign",
-    "SweepEngine",
     "measurement_from_analysis",
 ]
 
@@ -349,12 +350,12 @@ class CharacterizationWorkerSpec:
 class ShardRunner:
     """Executes shards against modules, caching one StackedDie per die.
 
-    ``modules`` maps a module key to its :class:`Module`.
-    ``stacked_cache`` / ``analyzer_cache`` may be shared with a
-    :class:`~repro.core.runner.CharacterizationRunner` so engine and
-    facade reuse the same per-die populations and analyzer caches (the
-    analyzers carry the per-pattern gain and per-point base caches, which
-    later campaigns revisiting the same points hit instead of recomputing).
+    ``modules`` maps a module key to its :class:`Module`.  The three
+    caches default to fresh dicts; a
+    :class:`~repro.core.runner.CharacterizationRunner` passes its own so
+    every campaign on it reuses the same per-die populations, analyzers
+    (which carry the per-pattern gain and per-point base caches) and
+    memoized measurements instead of recomputing them.
 
     ``metrics`` (a :class:`~repro.obs.MetricsRegistry`) records
     per-cache hit/miss counters; with the default ``None`` the runner
@@ -380,7 +381,9 @@ class ShardRunner:
         self._config = config
         self._modules = modules
         self._stacked_cache = stacked_cache if stacked_cache is not None else {}
-        self._measurement_cache = measurement_cache
+        self._measurement_cache = (
+            measurement_cache if measurement_cache is not None else {}
+        )
         self._analyzer_cache = analyzer_cache if analyzer_cache is not None else {}
         self._metrics = metrics
         self._footprints: Dict[str, Tuple[int, ...]] = {}
@@ -416,16 +419,13 @@ class ShardRunner:
 
     def cached_units(
         self, shard: Shard
-    ) -> Optional[Tuple[Tuple[WorkUnit, ...], Tuple[WorkUnit, ...]]]:
-        """Split a shard's units into (memoized, missing), or ``None``.
+    ) -> Tuple[Tuple[WorkUnit, ...], Tuple[WorkUnit, ...]]:
+        """Split a shard's units into (memoized, missing).
 
-        ``None`` means no measurement cache is attached and the whole
-        shard is missing.  The auto executor's calibration probe uses
-        this to tell fully memoized shards from ones with real work.
+        The auto executor's calibration probe uses this to tell fully
+        memoized shards from ones with real work.
         """
         cache = self._measurement_cache
-        if cache is None:
-            return None
         hits: List[WorkUnit] = []
         missing: List[WorkUnit] = []
         for unit in shard.units:
@@ -506,10 +506,10 @@ class ShardRunner:
         """Measure every unit of one shard, batching trials per point.
 
         Measurements are pure functions of (config, module, die, pattern,
-        tAggON, trial); when a ``measurement_cache`` is attached, points
-        measured by an earlier campaign (e.g. anchor trials revisiting
-        sweep points) are returned from it, and only the missing trials
-        of a point are analyzed -- still off one base division.
+        tAggON, trial), so points already in the measurement memo (e.g.
+        anchor trials revisiting sweep points) are returned from it, and
+        only the missing trials of a point are analyzed -- still off one
+        base division.
         """
         cfg = self._config
         cache = self._measurement_cache
@@ -519,17 +519,15 @@ class ShardRunner:
         out: List[DieMeasurement] = []
         for pattern, t_on, trials in _grouped_points(shard.units):
             measured: Dict[int, DieMeasurement] = {}
-            missing = trials
-            if cache is not None:
-                for trial in trials:
-                    key = (shard.module_key, shard.die, pattern.name, t_on, trial)
-                    hit = cache.get(key)
-                    if hit is not None:
-                        measured[trial] = hit
-                missing = [t for t in trials if t not in measured]
-                if metrics is not None:
-                    metrics.inc("cache.measurement.hits", len(measured))
-                    metrics.inc("cache.measurement.misses", len(missing))
+            for trial in trials:
+                key = (shard.module_key, shard.die, pattern.name, t_on, trial)
+                hit = cache.get(key)
+                if hit is not None:
+                    measured[trial] = hit
+            missing = [t for t in trials if t not in measured]
+            if metrics is not None:
+                metrics.inc("cache.measurement.hits", len(measured))
+                metrics.inc("cache.measurement.misses", len(missing))
             if missing:
                 offsets = self.footprint(pattern)
                 analyzer = analyzers.get(offsets)
@@ -553,10 +551,9 @@ class ShardRunner:
                         cfg,
                     )
                     measured[trial] = measurement
-                    if cache is not None:
-                        cache[
-                            (shard.module_key, shard.die, pattern.name, t_on, trial)
-                        ] = measurement
+                    cache[
+                        (shard.module_key, shard.die, pattern.name, t_on, trial)
+                    ] = measurement
             out.extend(measured[trial] for trial in trials)
         return out
 
@@ -1041,8 +1038,9 @@ class AutoExecutor:
         cached_units = getattr(runner, "cached_units", None)
 
         def missing_count(shard: Shard) -> int:
-            split = cached_units(shard) if cached_units is not None else None
-            return len(shard.units) if split is None else len(split[1])
+            if cached_units is None:
+                return len(shard.units)
+            return len(cached_units(shard)[1])
 
         # Probe: run leading shards serially until one had real work.
         # Fully memoized shards execute in microseconds and say nothing
@@ -1200,7 +1198,8 @@ def run_plan(
 ) -> Dict[int, List]:
     """Execute a shard plan through an executor ladder.
 
-    The campaign-agnostic core shared by :class:`SweepEngine` and the
+    The campaign-agnostic core shared by
+    :meth:`~repro.core.runner.CharacterizationRunner.characterize` and the
     mitigation campaign (:mod:`repro.mitigations.campaign`): checkpoint
     journaling and resume, per-shard observability events, the
     process -> thread -> serial degradation ladder, and the final
@@ -1495,184 +1494,3 @@ def finish_campaign(
             n_pool_restarts=report.n_pool_restarts,
         )
     return results
-
-
-# ------------------------------------------------------------------- engine
-
-
-class SweepEngine:
-    """Executes characterization campaigns through a pluggable executor.
-
-    The engine is the execution substrate under
-    :class:`~repro.core.runner.CharacterizationRunner` (which remains the
-    serial facade): it plans the work-list, dispatches shards, and merges
-    the streamed-back measurements in canonical order.
-
-    With a :class:`~repro.core.faults.RetryPolicy` (constructor default
-    or per-run override) shards are retried/timed out; with a
-    ``checkpoint`` path, completed shards are journaled as they finish
-    and ``resume=True`` skips journaled shards on a restart.  Repeated
-    process-pool breakage degrades the executor process -> thread ->
-    serial instead of aborting; :attr:`last_report` summarizes what
-    happened.  With a ``session``
-    (:class:`~repro.backend.session.DeviceSession`) every module passes
-    the §3 methodology preflight before any shard is dispatched, and the
-    outcomes land on ``last_report.preflight``.
-    """
-
-    def __init__(
-        self,
-        config: CharacterizationConfig,
-        executor=None,
-        policy: Optional[RetryPolicy] = None,
-        obs: Optional[Observability] = None,
-        session=None,
-    ) -> None:
-        self._config = config
-        self._executor = executor if executor is not None else SerialExecutor()
-        self._policy = policy
-        self._obs = obs
-        self._session = session
-        self._last_report: Optional[RunReport] = None
-
-    @property
-    def session(self):
-        """The attached device session (``None``: no preflight)."""
-        return self._session
-
-    @property
-    def obs(self) -> Optional[Observability]:
-        """The attached observability bundle (``None`` when disabled)."""
-        return self._obs
-
-    @property
-    def config(self) -> CharacterizationConfig:
-        return self._config
-
-    @property
-    def executor(self):
-        return self._executor
-
-    @property
-    def last_report(self) -> Optional[RunReport]:
-        """The :class:`~repro.core.faults.RunReport` of the latest run."""
-        return self._last_report
-
-    def _ladder(self) -> List:
-        """Degradation ladder starting at the configured executor."""
-        return executor_ladder(self._executor)
-
-    def run(
-        self,
-        modules: Sequence[Module],
-        t_values: Sequence[float],
-        patterns: Sequence[AccessPattern] = ALL_PATTERNS,
-        dies: Optional[Sequence[int]] = None,
-        trials: Optional[int] = None,
-        stacked_cache: Optional[
-            Dict[Tuple[str, int, Tuple[int, ...]], StackedDie]
-        ] = None,
-        measurement_cache: Optional[
-            Dict[Tuple[str, int, str, float, int], DieMeasurement]
-        ] = None,
-        analyzer_cache: Optional[
-            Dict[Tuple[str, int, Tuple[int, ...]], DieSweepAnalyzer]
-        ] = None,
-        policy: Optional[RetryPolicy] = None,
-        checkpoint: Optional[str] = None,
-        resume: bool = False,
-        fault_plan: Optional[FaultPlan] = None,
-        validate: bool = False,
-        sink=None,
-    ) -> ResultSet:
-        """Run a full campaign and return its canonical ResultSet.
-
-        ``checkpoint`` names a JSONL journal updated atomically after
-        every completed shard; with ``resume=True`` an existing journal
-        (same plan fingerprint -- anything else raises
-        :class:`~repro.errors.CheckpointError`) seeds the run and its
-        shards are not re-executed.  The final ResultSet is bit-identical
-        to an uninterrupted run: resumed measurements round-trip through
-        the journal losslessly and are merged in canonical plan order.
-
-        ``validate=True`` arms the trust layer: the checkpoint journal
-        maintains a sha256 sidecar and a provenance-stamped header, and
-        the merged ResultSet must pass the physical-invariant guards
-        (:mod:`repro.validate.invariants`) before being returned --
-        :class:`~repro.errors.InvariantViolationError` otherwise.  Off
-        (the default), no validation work happens and every artifact's
-        bytes are identical to an unvalidated run.
-
-        ``sink`` streams every completed shard's measurements into an
-        out-of-core store as the campaign runs (see
-        :class:`~repro.core.flipdb.FlipSink` and :func:`run_plan`); the
-        sink is flushed -- but not closed -- before this method returns.
-        """
-        plan = SweepPlan.build(
-            modules,
-            t_values,
-            patterns,
-            dies=dies,
-            trials=trials if trials is not None else self._config.trials,
-        )
-        fingerprint = plan_fingerprint(self._config, plan)
-        obs = self._obs
-        session = self._session
-        report = start_campaign(
-            plan, fingerprint, self._executor, obs, session
-        )
-        self._last_report = report
-        if session is not None:
-            # Mandatory methodology preflight (thermal settle,
-            # refresh-window bound, TRR/ECC off, mapping
-            # reverse-engineering) for every module, before any shard
-            # is dispatched.  Cached per module key, so repeated sweeps
-            # pay it once.
-            for module in modules:
-                session.ensure_preflight(module, self._config)
-
-        runner = ShardRunner(
-            self._config,
-            {module.key: module for module in modules},
-            stacked_cache,
-            measurement_cache,
-            analyzer_cache,
-            metrics=obs.metrics if obs is not None else None,
-        )
-
-        completed = run_plan(
-            plan,
-            runner,
-            self._ladder(),
-            fingerprint,
-            policy=policy if policy is not None else self._policy,
-            fault_plan=fault_plan,
-            checkpoint=checkpoint,
-            resume=resume,
-            digest=validate,
-            report=report,
-            obs=obs,
-            sink=sink,
-        )
-        if sink is not None:
-            sink.flush()
-        if measurement_cache is not None:
-            # Executors that run in other processes (the process pool)
-            # bypass the caller-side runner, so fold the streamed-back
-            # measurements into the cache here.
-            for shard in plan.shards:
-                for m in completed[shard.index]:
-                    measurement_cache[
-                        (m.module_key, m.die, m.pattern, m.t_on, m.trial)
-                    ] = m
-        if validate:
-            from repro.validate import invariants
-        return finish_campaign(
-            plan,
-            completed,
-            ResultSet(),
-            report,
-            obs,
-            session,
-            invariants.require_result_invariants if validate else None,
-        )

@@ -27,7 +27,7 @@ vocabulary:
   crash the worker process outright.
 * :class:`RunReport` -- the per-run summary (resumed / executed shard
   counts, retries, pool restarts, executor degradations) surfaced by
-  ``SweepEngine.last_report`` and the CLI.
+  ``CharacterizationRunner.last_report`` and the CLI.
 """
 
 from __future__ import annotations
@@ -385,7 +385,7 @@ class FaultPlan:
 
 @dataclass
 class RunReport:
-    """Summary of one engine run, surfaced via ``SweepEngine.last_report``.
+    """Summary of one campaign run, surfaced via ``last_report``.
 
     ``metrics`` carries the end-of-run snapshot of the attached
     :class:`~repro.obs.MetricsRegistry` (counters / gauges / timer

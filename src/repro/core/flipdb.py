@@ -13,7 +13,8 @@ re-running the sweep.  This module provides that store at fleet scale:
   every trial), a standard quantity in the RowHammer literature.
 * :class:`FlipSink` -- the streaming seam the sweep engine writes
   measurements into *during* a campaign (see ``sink=`` on
-  :meth:`repro.core.engine.SweepEngine.run`): measurements are buffered
+  :meth:`repro.core.runner.CharacterizationRunner.characterize`):
+  measurements are buffered
   and committed in batches, accepting a shard twice is idempotent (so a
   checkpoint resume can replay journaled shards into the same store),
   and :meth:`FlipSink.close` is safe to call from a ``finally`` block

@@ -1,26 +1,38 @@
 """Characterization runner: sweeps modules x patterns x tAggON x trials.
 
-The runner is the serial facade over the sweep execution engine
-(:mod:`repro.core.engine`).  It caches the stacked per-die populations,
-honours the 60 ms iteration bound, and emits
-:class:`~repro.core.results.DieMeasurement` records that the analysis
-layer aggregates into the paper's tables and figures.  Sweeps accept a
-``workers`` count (or an explicit executor) to run shards in parallel;
-parallel and serial runs produce identical ResultSets in identical order.
+The runner is the one characterization campaign entry point.  It owns
+the caches every sweep reuses (stacked per-die populations, sweep
+analyzers, memoized measurements), honours the 60 ms iteration bound,
+and emits :class:`~repro.core.results.DieMeasurement` records that the
+analysis layer aggregates into the paper's tables and figures.  Sweeps
+plan their work-list and dispatch it through the execution engine
+(:mod:`repro.core.engine`) with a ``workers`` count or an explicit
+executor; parallel and serial runs produce identical ResultSets in
+identical order.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.backend.base import build_session
 from repro.core.acmin import DieSweepAnalyzer, analyze_die, pattern_footprint
-from repro.core.engine import SweepEngine, make_executor, measurement_from_analysis
+from repro.core.checkpoint import plan_fingerprint
+from repro.core.engine import (
+    ShardRunner,
+    SweepPlan,
+    executor_ladder,
+    finish_campaign,
+    make_executor,
+    measurement_from_analysis,
+    run_plan,
+    start_campaign,
+)
 from repro.core.experiment import CharacterizationConfig
 from repro.core.faults import FaultPlan, RetryPolicy, RunReport
 from repro.core.results import DieMeasurement, ResultSet
-from repro.core.stacked import DEFAULT_OFFSETS, StackedDie, build_stacked_die
+from repro.core.stacked import DEFAULT_OFFSETS, StackedDie
 from repro.dram.module import Module
 from repro.obs import Observability
 from repro.patterns.base import ALL_PATTERNS, AccessPattern
@@ -61,7 +73,7 @@ class CharacterizationRunner:
         self._analyzer_cache: Dict[
             Tuple[str, int, Tuple[int, ...]], DieSweepAnalyzer
         ] = {}
-        self._last_engine: Optional[SweepEngine] = None
+        self._last_report: Optional[RunReport] = None
         self._session = build_session(backend)
 
     @property
@@ -81,9 +93,7 @@ class CharacterizationRunner:
     @property
     def last_report(self) -> Optional[RunReport]:
         """The run report of the most recent sweep (``None`` before one)."""
-        if self._last_engine is None:
-            return None
-        return self._last_engine.last_report
+        return self._last_report
 
     # ------------------------------------------------------------ measurement
 
@@ -94,18 +104,9 @@ class CharacterizationRunner:
         offsets: Tuple[int, ...] = DEFAULT_OFFSETS,
     ) -> StackedDie:
         """The (cached) stacked victim population of one (die, footprint)."""
-        key = (module.key, die, offsets)
-        stacked = self._stacked_cache.get(key)
-        if stacked is None:
-            stacked = build_stacked_die(
-                module.chip(die),
-                self._config.bank,
-                self._config.selection,
-                self._config.data_pattern,
-                offsets=offsets,
-            )
-            self._stacked_cache[key] = stacked
-        return stacked
+        return ShardRunner(
+            self._config, {}, stacked_cache=self._stacked_cache
+        ).stacked(module, die, offsets)
 
     def measure(
         self,
@@ -135,59 +136,12 @@ class CharacterizationRunner:
 
     # ----------------------------------------------------------------- sweeps
 
-    def _engine(
-        self, workers: Optional[Union[int, str]], executor
-    ) -> SweepEngine:
-        if executor is None:
-            executor = make_executor(workers)
-        engine = SweepEngine(
-            self._config,
-            executor=executor,
-            obs=self._obs,
-            session=self._session,
-        )
-        self._last_engine = engine
-        return engine
-
-    def characterize_module(
-        self,
-        module: Module,
-        t_values: Sequence[float],
-        patterns: Sequence[AccessPattern] = ALL_PATTERNS,
-        dies: Optional[Iterable[int]] = None,
-        trials: Optional[int] = None,
-        workers: Optional[Union[int, str]] = None,
-        executor=None,
-        policy: Optional[RetryPolicy] = None,
-        checkpoint: Optional[Union[str, os.PathLike]] = None,
-        resume: bool = False,
-        fault_plan: Optional[FaultPlan] = None,
-        validate: bool = False,
-        sink=None,
-    ) -> ResultSet:
-        """Full sweep over one module."""
-        return self._engine(workers, executor).run(
-            [module],
-            t_values,
-            patterns,
-            dies=list(dies) if dies is not None else None,
-            trials=trials,
-            stacked_cache=self._stacked_cache,
-            measurement_cache=self._measurement_cache,
-            analyzer_cache=self._analyzer_cache,
-            policy=policy,
-            checkpoint=str(checkpoint) if checkpoint is not None else None,
-            resume=resume,
-            fault_plan=fault_plan,
-            validate=validate,
-            sink=sink,
-        )
-
     def characterize(
         self,
         modules: Sequence[Module],
         t_values: Sequence[float],
         patterns: Sequence[AccessPattern] = ALL_PATTERNS,
+        dies: Optional[Sequence[int]] = None,
         trials: Optional[int] = None,
         workers: Optional[Union[int, str]] = None,
         executor=None,
@@ -198,39 +152,110 @@ class CharacterizationRunner:
         validate: bool = False,
         sink=None,
     ) -> ResultSet:
-        """Full sweep over several modules.
+        """Run a full campaign and return its canonical ResultSet.
 
-        ``workers`` selects parallelism (0/1: serial in-process; more: a
-        process pool sharded by (module, die); the string ``"auto"``
-        calibrates a probe and picks serial or a pool sized to the
-        machine); an explicit ``executor`` from :mod:`repro.core.engine`
-        overrides it.  Results are identical to the serial sweep
-        regardless of executor.
+        ``dies`` restricts every module to those dies (default: all of
+        them); ``trials`` defaults to the config's.  ``workers`` selects
+        parallelism (0/1: serial in-process; more: a process pool
+        sharded by (module, die); the string ``"auto"`` calibrates a
+        probe and picks serial or a pool sized to the machine); an
+        explicit ``executor`` from :mod:`repro.core.engine` overrides
+        it.  Results are identical to the serial sweep regardless of
+        executor.  Every measurement is memoized on the runner, so a
+        later sweep revisiting a point (anchor trials after a sweep)
+        reuses it.  Repeated process-pool breakage degrades the
+        executor process -> thread -> serial instead of aborting;
+        :attr:`last_report` summarizes what happened, including the
+        §3 preflight outcome of every module when a backend is attached.
 
-        ``policy`` adds shard retry/timeout behaviour; ``checkpoint`` /
-        ``resume`` journal completed shards and skip them on restart
-        (bit-identical results either way); ``fault_plan`` injects
-        deterministic faults (tests only); ``validate`` arms digest
-        stamping on the journal plus a post-run physical-invariant
-        self-check.  See :meth:`repro.core.engine.SweepEngine.run`.
+        ``policy`` adds shard retry/timeout behaviour; ``fault_plan``
+        injects deterministic faults (tests only).  ``checkpoint`` names
+        a JSONL journal appended after every completed shard; with
+        ``resume=True`` an existing journal (same plan fingerprint --
+        anything else raises :class:`~repro.errors.CheckpointError`)
+        seeds the run and its shards are not re-executed.  The final
+        ResultSet is bit-identical to an uninterrupted run: resumed
+        measurements round-trip through the journal losslessly and are
+        merged in canonical plan order.
+
+        ``validate=True`` arms the trust layer: the journal maintains a
+        sha256 sidecar and a provenance-stamped header, and the merged
+        ResultSet must pass the physical-invariant guards
+        (:mod:`repro.validate.invariants`) before being returned --
+        :class:`~repro.errors.InvariantViolationError` otherwise.  Off
+        (the default), no validation work happens and every artifact's
+        bytes are identical to an unvalidated run.
 
         ``sink`` (e.g. a :class:`~repro.core.flipdb.FlipSink`) receives
-        every completed shard's measurements as the sweep runs, so
-        fleet-scale populations land in an out-of-core store instead of
-        only in the returned ResultSet.
+        every completed shard's measurements as the sweep runs, so a
+        population lands in an out-of-core store as well as in the
+        returned ResultSet; it is flushed -- but not closed -- before
+        this method returns.
         """
-        return self._engine(workers, executor).run(
+        if executor is None:
+            executor = make_executor(workers)
+        cfg = self._config
+        plan = SweepPlan.build(
             modules,
             t_values,
             patterns,
-            trials=trials,
-            stacked_cache=self._stacked_cache,
-            measurement_cache=self._measurement_cache,
-            analyzer_cache=self._analyzer_cache,
+            dies=dies,
+            trials=trials if trials is not None else cfg.trials,
+        )
+        fingerprint = plan_fingerprint(cfg, plan)
+        obs = self._obs
+        session = self._session
+        report = start_campaign(plan, fingerprint, executor, obs, session)
+        self._last_report = report
+        if session is not None:
+            # Mandatory methodology preflight (thermal settle,
+            # refresh-window bound, TRR/ECC off, mapping
+            # reverse-engineering) for every module, before any shard
+            # is dispatched.  Cached per module key, so repeated sweeps
+            # pay it once.
+            for module in modules:
+                session.ensure_preflight(module, cfg)
+
+        runner = ShardRunner(
+            cfg,
+            {module.key: module for module in modules},
+            self._stacked_cache,
+            self._measurement_cache,
+            self._analyzer_cache,
+            metrics=obs.metrics if obs is not None else None,
+        )
+        completed = run_plan(
+            plan,
+            runner,
+            executor_ladder(executor),
+            fingerprint,
             policy=policy,
+            fault_plan=fault_plan,
             checkpoint=str(checkpoint) if checkpoint is not None else None,
             resume=resume,
-            fault_plan=fault_plan,
-            validate=validate,
+            digest=validate,
+            report=report,
+            obs=obs,
             sink=sink,
+        )
+        if sink is not None:
+            sink.flush()
+        # Executors that run in other processes (the process pool)
+        # bypass the caller-side runner, so fold the streamed-back
+        # measurements into the memo here.
+        for shard in plan.shards:
+            for m in completed[shard.index]:
+                self._measurement_cache[
+                    (m.module_key, m.die, m.pattern, m.t_on, m.trial)
+                ] = m
+        if validate:
+            from repro.validate import invariants
+        return finish_campaign(
+            plan,
+            completed,
+            ResultSet(),
+            report,
+            obs,
+            session,
+            invariants.require_result_invariants if validate else None,
         )

@@ -713,13 +713,11 @@ class MitigationCampaign:
         self,
         spec: Optional[MitigationWorkerSpec] = None,
         executor=None,
-        policy: Optional[RetryPolicy] = None,
         obs: Optional[Observability] = None,
         backend=None,
     ) -> None:
         self._spec = spec if spec is not None else MitigationWorkerSpec()
         self._executor = executor if executor is not None else SerialExecutor()
-        self._policy = policy
         self._obs = obs
         self._last_report: Optional[RunReport] = None
         self._session = build_session(backend)
@@ -751,7 +749,9 @@ class MitigationCampaign:
     ) -> MitigationResults:
         """Run a full mitigation campaign in canonical order.
 
-        Same semantics as :meth:`SweepEngine.run`: ``checkpoint`` names a
+        Same semantics as
+        :meth:`~repro.core.runner.CharacterizationRunner.characterize`:
+        ``policy`` adds shard retries and timeouts; ``checkpoint`` names a
         journal appended after every completed shard (mitigation-point
         codec); ``resume=True`` seeds from it and the final results are
         bit-identical to an uninterrupted run; ``validate=True`` arms
@@ -777,7 +777,7 @@ class MitigationCampaign:
             MitigationShardRunner(self._spec),
             executor_ladder(self._executor),
             fingerprint,
-            policy=policy if policy is not None else self._policy,
+            policy=policy,
             fault_plan=fault_plan,
             checkpoint=checkpoint,
             resume=resume,

@@ -4,8 +4,8 @@
 into an auditable process, the way hardware RowHammer/RowPress rigs
 report per-point timing and coverage.  One :class:`Observability` object
 bundles the three concerns and is injected (optionally) into
-:class:`~repro.core.engine.SweepEngine` /
-:class:`~repro.core.runner.CharacterizationRunner`:
+:class:`~repro.core.runner.CharacterizationRunner` /
+:class:`~repro.mitigations.campaign.MitigationCampaign`:
 
 * a :class:`~repro.obs.metrics.MetricsRegistry` that the engine, shard
   runner, fault machinery, and checkpoint journal write counters,
@@ -34,7 +34,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Union
 from repro.obs.metrics import (
     MetricsRegistry,
     MetricsReport,
-    NullRegistry,
     sanitize_nonfinite,
 )
 from repro.obs.profiling import ShardProfiler, profile_span
@@ -43,7 +42,6 @@ from repro.obs.progress import JsonlTrace, ProgressReporter, StderrProgress
 __all__ = [
     "Observability",
     "MetricsRegistry",
-    "NullRegistry",
     "MetricsReport",
     "ProgressReporter",
     "StderrProgress",
@@ -59,9 +57,7 @@ class Observability:
 
     Args:
         metrics: the registry to record into (a fresh
-            :class:`MetricsRegistry` by default; pass a
-            :class:`NullRegistry` to keep events flowing while dropping
-            metrics).
+            :class:`MetricsRegistry` by default).
         reporters: event sinks fed every :meth:`emit`.
         profile_dir: when set, in-process shard executions run under
             cProfile and dump per-shard ``.pstats`` files there.

@@ -15,11 +15,9 @@ flattens everything into a JSON-safe dict.
   min / max / mean and the p50 / p90 order statistics.
 
 The registry is thread-safe (shards run on a thread pool under the
-thread executor), and :class:`NullRegistry` is the disabled twin: same
-API, every method a no-op, so instrumented code can hold either without
-branching.  The engine itself goes one step further -- with no
-observability attached it performs *zero* registry operations on the hot
-path, which ``benchmarks/test_perf_sweep.py`` guards.
+thread executor).  Disabled observability is ``obs=None``: with no
+observability attached the engine performs *zero* registry operations
+on the hot path, which ``benchmarks/test_perf_sweep.py`` guards.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from repro.atomicio import atomic_write_text
 
 __all__ = [
     "MetricsRegistry",
-    "NullRegistry",
     "MetricsReport",
     "sanitize_nonfinite",
 ]
@@ -133,19 +130,6 @@ class MetricsRegistry:
         with self._lock:
             return self._counters.get(name, 0)
 
-    def timer_summary(self, name: str) -> Optional[Dict[str, float]]:
-        """Summary of one timer (count / total / p50 / p90 ...), or
-        ``None`` if nothing was observed under ``name``.
-
-        The adaptive chunker feeds ``shard.execute_seconds`` p50/p90
-        back into shard granularity; it reads through this accessor so
-        disabled observability (:class:`NullRegistry`) degrades to the
-        static heuristics instead of raising.
-        """
-        with self._lock:
-            series = self._timers.get(name)
-            return series.summarize() if series is not None else None
-
     def snapshot(self) -> Dict[str, Dict]:
         """A JSON-safe flat view: counters, gauges, timer summaries."""
         with self._lock:
@@ -181,38 +165,6 @@ class MetricsRegistry:
             total = hits + misses
             rates[kind] = round(hits / total, 4) if total else None
         return rates
-
-
-class NullRegistry(MetricsRegistry):
-    """The disabled registry: identical API, every operation a no-op."""
-
-    def __init__(self) -> None:  # noqa: D401 - no lock, no state
-        pass
-
-    def inc(self, name: str, value: int = 1) -> None:
-        pass
-
-    def gauge(self, name: str, value: float) -> None:
-        pass
-
-    def observe(self, name: str, seconds: float) -> None:
-        pass
-
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        yield
-
-    def counter(self, name: str) -> int:
-        return 0
-
-    def timer_summary(self, name: str) -> Optional[Dict[str, float]]:
-        return None
-
-    def counters_with_prefix(self, prefix: str) -> Dict[str, int]:
-        return {}
-
-    def snapshot(self) -> Dict[str, Dict]:
-        return {"counters": {}, "gauges": {}, "timers": {}}
 
 
 # ------------------------------------------------------------------ report

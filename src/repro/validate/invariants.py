@@ -742,11 +742,13 @@ def check_cross_executor(
         AutoExecutor,
         ProcessExecutor,
         SerialExecutor,
-        SweepEngine,
         ThreadExecutor,
     )
     from repro.core.experiment import CharacterizationConfig
+    from repro.core.runner import CharacterizationRunner
     from repro.errors import ExperimentError
+    from repro.patterns.base import ALL_PATTERNS
+    from repro.patterns.dsl import resolve_pattern
     from repro.system import build_modules
 
     factories = {
@@ -768,23 +770,17 @@ def check_cross_executor(
     if config is None:
         config = CharacterizationConfig()
     if patterns is None:
-        resolved_patterns = None
-    else:
-        from repro.patterns.dsl import resolve_pattern
-
-        resolved_patterns = tuple(
-            resolve_pattern(p) if isinstance(p, str) else p for p in patterns
-        )
+        patterns = ALL_PATTERNS
+    resolved_patterns = tuple(
+        resolve_pattern(p) if isinstance(p, str) else p for p in patterns
+    )
     modules = build_modules(module_keys, config)
     digests: Dict[str, str] = {}
     for name in executors:
-        engine = SweepEngine(config, executor=factories[name]())
-        if resolved_patterns is None:
-            results = engine.run(modules, t_values, trials=trials)
-        else:
-            results = engine.run(
-                modules, t_values, resolved_patterns, trials=trials
-            )
+        results = CharacterizationRunner(config).characterize(
+            modules, t_values, resolved_patterns, trials=trials,
+            executor=factories[name](),
+        )
         digests[name] = results_digest(results)
     reference_name = executors[0]
     reference = digests[reference_name]

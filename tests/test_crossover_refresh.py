@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.crossover import (
-    AdvantagePoint,
     advantage_series,
     convergence_point,
     peak_advantage,
@@ -78,8 +77,8 @@ def test_crossover_on_calibrated_module(s0_module, fast_runner):
     """On the calibrated S0 module the combined pattern's peak advantage
     falls in the sub-microsecond band (Observation 1) and the combined
     and single-sided curves converge by the 70.2 us anchor."""
-    results = fast_runner.characterize_module(
-        s0_module, [36.0, 636.0, 7_800.0, 70_200.0], trials=1
+    results = fast_runner.characterize(
+        [s0_module], [36.0, 636.0, 7_800.0, 70_200.0], trials=1
     )
     peak = peak_advantage(results)
     assert peak is not None
@@ -129,8 +128,8 @@ def test_refresh_window_on_calibrated_module(s0_module, fast_runner):
     """With the calibrated S0 numbers: doubling the refresh rate (32 ms
     window) beats the 70.2 us combined corner (~45 ms to first flip) but
     not the 636 ns corner (~9 ms)."""
-    results = fast_runner.characterize_module(
-        s0_module, [636.0, 70_200.0], patterns=[COMBINED], trials=1
+    results = fast_runner.characterize(
+        [s0_module], [636.0, 70_200.0], patterns=[COMBINED], trials=1
     )
     half_window_ms = DEFAULT_TIMINGS.tREFW / 2.0 / 1e6
 

@@ -32,7 +32,6 @@ from repro.core.engine import (
     ProcessExecutor,
     SerialExecutor,
     ShardRunner,
-    SweepEngine,
     SweepPlan,
     ThreadExecutor,
     discard_fork_state,
@@ -59,8 +58,9 @@ def two_modules(s0_module, m4_module):
 
 
 def _run(config, modules, executor, **kwargs):
-    engine = SweepEngine(config, executor=executor)
-    return engine.run(modules, T_VALUES, ALL_PATTERNS, trials=2, **kwargs)
+    return CharacterizationRunner(config).characterize(
+        modules, T_VALUES, ALL_PATTERNS, trials=2, executor=executor, **kwargs
+    )
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +93,7 @@ def test_serial_thread_process_identical(fast_config, two_modules):
 
 
 def test_engine_matches_runner_facade(fast_config, two_modules):
-    """The engine's canonical order is the serial facade's loop order."""
+    """An explicit serial executor matches the default ``workers`` path."""
     engine_results = _run(fast_config, two_modules, SerialExecutor())
     runner = CharacterizationRunner(fast_config)
     facade = runner.characterize(two_modules, T_VALUES, ALL_PATTERNS, trials=2)
@@ -194,8 +194,8 @@ def test_jitter_matches_population_stream(fast_config, s0_module):
 def test_measurement_cache_returns_identical_results(fast_config, s0_module):
     """Re-running a campaign on one runner hits the measurement cache."""
     runner = CharacterizationRunner(fast_config)
-    first = runner.characterize_module(s0_module, T_VALUES, dies=[0], trials=2)
-    second = runner.characterize_module(s0_module, T_VALUES, dies=[0], trials=2)
+    first = runner.characterize([s0_module], T_VALUES, dies=[0], trials=2)
+    second = runner.characterize([s0_module], T_VALUES, dies=[0], trials=2)
     assert list(first) == list(second)
     # The second run returns the memoized record objects themselves.
     assert all(a is b for a, b in zip(first, second))
@@ -204,11 +204,11 @@ def test_measurement_cache_returns_identical_results(fast_config, s0_module):
 def test_measurement_cache_consistent_with_fresh_runner(fast_config, s0_module):
     """Cache reuse across campaigns never changes the reported values."""
     warm = CharacterizationRunner(fast_config)
-    warm.characterize_module(s0_module, T_VALUES, dies=[0, 1], trials=1)
+    warm.characterize([s0_module], T_VALUES, dies=[0, 1], trials=1)
     # Anchor-style revisit: same points plus extra trials, partially cached.
-    revisit = warm.characterize_module(s0_module, [36.0], dies=[0, 1], trials=3)
-    fresh = CharacterizationRunner(fast_config).characterize_module(
-        s0_module, [36.0], dies=[0, 1], trials=3
+    revisit = warm.characterize([s0_module], [36.0], dies=[0, 1], trials=3)
+    fresh = CharacterizationRunner(fast_config).characterize(
+        [s0_module], [36.0], dies=[0, 1], trials=3
     )
     assert list(revisit) == list(fresh)
 
@@ -256,11 +256,12 @@ def test_fork_state_discarded_after_worker_failure(
         state_dir=tmp_path,
     )
     with pytest.raises(ShardFailedError):
-        SweepEngine(fast_config, executor=ProcessExecutor(2)).run(
+        CharacterizationRunner(fast_config).characterize(
             [s0_module],
             T_VALUES,
             ALL_PATTERNS,
             trials=1,
+            executor=ProcessExecutor(2),
             policy=RetryPolicy(max_retries=1, backoff_base=0.0),
             fault_plan=fault,
         )
@@ -307,9 +308,10 @@ def test_worker_state_modes_bit_identical(
     reporter = ProgressReporter()
     reporter.emit = events.append
     obs = Observability(reporters=[reporter])
-    results = SweepEngine(
-        fast_config, executor=ProcessExecutor(2), obs=obs
-    ).run([s0_module], T_VALUES, ALL_PATTERNS, trials=2)
+    results = CharacterizationRunner(fast_config, obs=obs).characterize(
+        [s0_module], T_VALUES, ALL_PATTERNS, trials=2,
+        executor=ProcessExecutor(2),
+    )
     assert list(results) == list(serial_baseline)
     assert obs.metrics.counter(f"worker_state.{mode}") == 1
     other = "spec" if mode == "fork" else "fork"
@@ -363,17 +365,18 @@ def test_spec_mode_kill_and_resume_bit_identical(
             fault_plan=fault,
             checkpoint=str(journal),
         )
-    engine = SweepEngine(fast_config, executor=ProcessExecutor(2))
-    resumed = engine.run(
+    runner = CharacterizationRunner(fast_config)
+    resumed = runner.characterize(
         [s0_module],
         T_VALUES,
         ALL_PATTERNS,
         trials=2,
+        executor=ProcessExecutor(2),
         checkpoint=str(journal),
         resume=True,
     )
     assert list(resumed) == list(serial_baseline)
-    assert engine.last_report.n_resumed > 0
+    assert runner.last_report.n_resumed > 0
 
 
 @pytest.mark.skipif(
@@ -399,8 +402,9 @@ def test_spec_mode_under_forkserver_with_wide_footprints(
     )
 
     def run(executor):
-        return SweepEngine(fast_config, executor=executor).run(
-            [s0_module], T_VALUES[:1], patterns, dies=[0, 1], trials=2
+        return CharacterizationRunner(fast_config).characterize(
+            [s0_module], T_VALUES[:1], patterns, dies=[0, 1], trials=2,
+            executor=executor,
         )
 
     assert list(run(ProcessExecutor(2))) == list(run(SerialExecutor()))
@@ -414,10 +418,12 @@ def test_auto_picks_serial_on_one_core(
 ):
     monkeypatch.setattr(engine_mod, "_usable_cpus", lambda: 1)
     executor = AutoExecutor()
-    engine = SweepEngine(fast_config, executor=executor)
-    results = engine.run([s0_module], T_VALUES, ALL_PATTERNS, trials=2)
+    runner = CharacterizationRunner(fast_config)
+    results = runner.characterize(
+        [s0_module], T_VALUES, ALL_PATTERNS, trials=2, executor=executor
+    )
     assert list(results) == list(serial_baseline)
-    decision = engine.last_report.auto_decision
+    decision = runner.last_report.auto_decision
     assert decision is not None and decision["chosen"] == "serial"
     assert executor.last_decision == decision
 
@@ -429,10 +435,12 @@ def test_auto_picks_pool_when_cores_and_work_abound(
     executor = AutoExecutor()
     # Make any estimated remaining work worth parallelizing.
     monkeypatch.setattr(executor, "min_parallel_seconds", 0.0)
-    engine = SweepEngine(fast_config, executor=executor)
-    results = engine.run([s0_module], T_VALUES, ALL_PATTERNS, trials=2)
+    runner = CharacterizationRunner(fast_config)
+    results = runner.characterize(
+        [s0_module], T_VALUES, ALL_PATTERNS, trials=2, executor=executor
+    )
     assert list(results) == list(serial_baseline)
-    decision = engine.last_report.auto_decision
+    decision = runner.last_report.auto_decision
     assert decision is not None and decision["chosen"] == "process"
 
 
@@ -447,10 +455,12 @@ def test_auto_counts_usable_cpus_not_installed_ones(
     )
     executor = AutoExecutor()
     monkeypatch.setattr(executor, "min_parallel_seconds", 0.0)
-    engine = SweepEngine(fast_config, executor=executor)
-    results = engine.run([s0_module], T_VALUES, ALL_PATTERNS, trials=2)
+    runner = CharacterizationRunner(fast_config)
+    results = runner.characterize(
+        [s0_module], T_VALUES, ALL_PATTERNS, trials=2, executor=executor
+    )
     assert list(results) == list(serial_baseline)
-    decision = engine.last_report.auto_decision
+    decision = runner.last_report.auto_decision
     assert decision["chosen"] == "serial"
     assert decision["cpu_count"] == 1
 
@@ -471,9 +481,12 @@ def test_auto_runs_fully_memoized_plan_serially(fast_config, s0_module):
 
 def test_oversubscription_warns_and_lands_in_report(fast_config, s0_module):
     workers = (os.cpu_count() or 1) + 2
-    engine = SweepEngine(fast_config, executor=ProcessExecutor(workers))
+    runner = CharacterizationRunner(fast_config)
     with pytest.warns(UserWarning, match="oversubscribe"):
-        engine.run([s0_module], T_VALUES, ALL_PATTERNS, trials=2)
-    report = engine.last_report
+        runner.characterize(
+            [s0_module], T_VALUES, ALL_PATTERNS, trials=2,
+            executor=ProcessExecutor(workers),
+        )
+    report = runner.last_report
     assert any("oversubscribe" in w for w in report.warnings)
     assert "oversubscribe" in report.summary()

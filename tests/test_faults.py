@@ -24,8 +24,8 @@ from repro.core.engine import (
     ProcessExecutor,
     SerialExecutor,
     ShardRunner,
-    SweepEngine,
     SweepPlan,
+    executor_ladder,
     ThreadExecutor,
     fork_sharing_available,
 )
@@ -38,6 +38,7 @@ from repro.core.faults import (
     validate_shard_result,
 )
 from repro.core.results import ResultSet
+from repro.core.runner import CharacterizationRunner
 from repro.errors import (
     CalibrationError,
     CheckpointError,
@@ -60,9 +61,12 @@ FAST_POLICY = RetryPolicy(max_retries=2, backoff_base=0.0)
 
 
 def _run(config, modules, executor=None, **kwargs):
-    engine = SweepEngine(config, executor=executor or SerialExecutor())
-    results = engine.run(modules, T_VALUES, ALL_PATTERNS, trials=1, **kwargs)
-    return engine, results
+    runner = CharacterizationRunner(config)
+    results = runner.characterize(
+        modules, T_VALUES, ALL_PATTERNS, trials=1,
+        executor=executor or SerialExecutor(), **kwargs
+    )
+    return runner, results
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +123,7 @@ def test_retry_policy_validation_and_backoff():
 def test_validate_shard_result_detects_corruption(fast_config, s0_module):
     plan = SweepPlan.build([s0_module], T_VALUES, ALL_PATTERNS, trials=1)
     shard = plan.shards[0]
-    engine, results = _run(fast_config, [s0_module])
+    runner, results = _run(fast_config, [s0_module])
     good = list(results)[: len(shard.units)]
     validate_shard_result(shard, good)  # canonical order passes
     with pytest.raises(ResultIntegrityError, match="missing"):
@@ -135,12 +139,12 @@ def test_validate_shard_result_detects_corruption(fast_config, s0_module):
 
 def test_retry_then_succeed_serial(fast_config, s0_module, baseline):
     fault = FaultPlan([FaultSpec(shard_index=0, kind="raise", times=1)])
-    engine, results = _run(
+    runner, results = _run(
         fast_config, [s0_module], policy=FAST_POLICY, fault_plan=fault
     )
     assert list(results) == list(baseline)
-    assert engine.last_report.n_retries == 1
-    assert engine.last_report.degradations == []
+    assert runner.last_report.n_retries == 1
+    assert runner.last_report.degradations == []
 
 
 def test_retry_budget_exhaustion_is_permanent(fast_config, s0_module):
@@ -152,11 +156,11 @@ def test_retry_budget_exhaustion_is_permanent(fast_config, s0_module):
 
 def test_corrupt_result_detected_and_retried(fast_config, s0_module, baseline):
     fault = FaultPlan([FaultSpec(shard_index=1, kind="corrupt", times=1)])
-    engine, results = _run(
+    runner, results = _run(
         fast_config, [s0_module], policy=FAST_POLICY, fault_plan=fault
     )
     assert list(results) == list(baseline)
-    assert engine.last_report.n_retries == 1
+    assert runner.last_report.n_retries == 1
 
 
 def test_corrupt_result_without_retries_fails(fast_config, s0_module):
@@ -169,7 +173,7 @@ def test_corrupt_result_without_retries_fails(fast_config, s0_module):
 
 def test_thread_executor_retries(fast_config, s0_module, baseline):
     fault = FaultPlan([FaultSpec(shard_index=2, kind="raise", times=2)])
-    engine, results = _run(
+    runner, results = _run(
         fast_config,
         [s0_module],
         executor=ThreadExecutor(workers=4),
@@ -187,11 +191,11 @@ def test_timeout_then_retry_succeeds(fast_config, s0_module, baseline):
         [FaultSpec(shard_index=0, kind="hang", times=1, hang_s=5.0)]
     )
     policy = RetryPolicy(max_retries=2, backoff_base=0.0, shard_timeout=0.5)
-    engine, results = _run(
+    runner, results = _run(
         fast_config, [s0_module], policy=policy, fault_plan=fault
     )
     assert list(results) == list(baseline)
-    assert engine.last_report.n_retries >= 1
+    assert runner.last_report.n_retries >= 1
 
 
 def test_timeout_exhaustion_chains_shard_timeout(fast_config, s0_module):
@@ -215,7 +219,7 @@ def test_worker_crash_recovery(fast_config, s0_module, baseline, tmp_path):
         state_dir=tmp_path,
     )
     policy = RetryPolicy(max_retries=3, backoff_base=0.0, max_pool_restarts=3)
-    engine, results = _run(
+    runner, results = _run(
         fast_config,
         [s0_module],
         executor=ProcessExecutor(workers=2),
@@ -223,8 +227,8 @@ def test_worker_crash_recovery(fast_config, s0_module, baseline, tmp_path):
         fault_plan=fault,
     )
     assert list(results) == list(baseline)
-    assert engine.last_report.n_pool_restarts >= 1
-    assert engine.last_report.degradations == []
+    assert runner.last_report.n_pool_restarts >= 1
+    assert runner.last_report.degradations == []
 
 
 def test_repeated_pool_breakage_degrades_to_thread(
@@ -239,7 +243,7 @@ def test_repeated_pool_breakage_degrades_to_thread(
     policy = RetryPolicy(
         max_retries=6, backoff_base=0.0, max_pool_restarts=1
     )
-    engine, results = _run(
+    runner, results = _run(
         fast_config,
         [s0_module],
         executor=ProcessExecutor(workers=2),
@@ -247,19 +251,19 @@ def test_repeated_pool_breakage_degrades_to_thread(
         fault_plan=fault,
     )
     assert list(results) == list(baseline)
-    report = engine.last_report
+    report = runner.last_report
     assert report.degradations and "thread" in report.degradations[0]
     assert report.executors[:2] == ["process", "thread"]
 
 
 def test_degradation_ladder_shape(fast_config):
-    assert [e.name for e in SweepEngine(
-        fast_config, executor=ProcessExecutor(2))._ladder()
-    ] == ["process", "thread", "serial"]
-    assert [e.name for e in SweepEngine(
-        fast_config, executor=ThreadExecutor(2))._ladder()
-    ] == ["thread", "serial"]
-    assert [e.name for e in SweepEngine(fast_config)._ladder()] == ["serial"]
+    assert [e.name for e in executor_ladder(ProcessExecutor(2))] == [
+        "process", "thread", "serial"
+    ]
+    assert [e.name for e in executor_ladder(ThreadExecutor(2))] == [
+        "thread", "serial"
+    ]
+    assert [e.name for e in executor_ladder(SerialExecutor())] == ["serial"]
 
 
 def test_process_fault_plan_requires_state_dir(fast_config, s0_module):
@@ -298,7 +302,7 @@ def test_pool_retries_back_off_like_the_serial_path(
             real_sleep(seconds)
 
     monkeypatch.setattr(faults_mod.time, "sleep", record_ledger_sleeps)
-    engine, _ = _run(
+    runner, _ = _run(
         fast_config,
         [s0_module],
         executor=ProcessExecutor(workers=2),
@@ -306,7 +310,7 @@ def test_pool_retries_back_off_like_the_serial_path(
         fault_plan=fault,
     )
     assert delays == [policy.backoff_delay(1)] * len(shards)
-    assert engine.last_report.n_retries == len(shards)
+    assert runner.last_report.n_retries == len(shards)
 
 
 class _WorkerBoom(RuntimeError):
@@ -345,11 +349,11 @@ def test_pool_break_without_policy_degrades_to_thread(
 ):
     _patch_worker_run(monkeypatch, lambda shard: os._exit(1))
     with pytest.warns(UserWarning, match="degrading to the thread"):
-        engine, results = _run(
+        runner, results = _run(
             fast_config, [s0_module], executor=ProcessExecutor(workers=2)
         )
     assert list(results) == list(baseline)
-    report = engine.last_report
+    report = runner.last_report
     assert report.executors[:2] == ["process", "thread"]
     assert report.n_pool_restarts == 0
 
@@ -375,7 +379,7 @@ def test_checkpoint_resume_bit_identical(fast_config, s0_module, baseline, tmp_p
         )
     assert journal_path.exists()
 
-    engine, resumed = _run(
+    runner, resumed = _run(
         fast_config, [s0_module], checkpoint=str(journal_path), resume=True
     )
     assert list(resumed) == list(baseline)
@@ -383,18 +387,18 @@ def test_checkpoint_resume_bit_identical(fast_config, s0_module, baseline, tmp_p
     assert resumed.to_json(include_census=True) == baseline.to_json(
         include_census=True
     )
-    report = engine.last_report
+    report = runner.last_report
     assert report.n_resumed == 3
     assert report.n_executed == report.n_shards - report.n_resumed
 
 
 def test_resume_without_journal_starts_fresh(fast_config, s0_module, baseline, tmp_path):
     journal_path = tmp_path / "fresh.jsonl"
-    engine, results = _run(
+    runner, results = _run(
         fast_config, [s0_module], checkpoint=str(journal_path), resume=True
     )
     assert list(results) == list(baseline)
-    assert engine.last_report.n_resumed == 0
+    assert runner.last_report.n_resumed == 0
     assert journal_path.exists()
 
 
@@ -402,8 +406,8 @@ def test_checkpoint_fingerprint_mismatch_raises(fast_config, s0_module, tmp_path
     """A journal from a different campaign is rejected, naming both
     fingerprints, instead of silently mixing measurements."""
     journal_path = tmp_path / "mismatch.jsonl"
-    engine = SweepEngine(fast_config)
-    engine.run(
+    runner = CharacterizationRunner(fast_config)
+    runner.characterize(
         [s0_module], T_VALUES, ALL_PATTERNS, trials=1,
         checkpoint=str(journal_path),
     )
@@ -413,7 +417,7 @@ def test_checkpoint_fingerprint_mismatch_raises(fast_config, s0_module, tmp_path
     fp_2 = plan_fingerprint(fast_config, plan_2)
     assert fp_1 != fp_2
     with pytest.raises(CheckpointError) as excinfo:
-        engine.run(
+        runner.characterize(
             [s0_module], T_VALUES, ALL_PATTERNS, trials=2,
             checkpoint=str(journal_path), resume=True,
         )
@@ -472,7 +476,7 @@ def test_resume_rejects_torn_header(fast_config, s0_module, tmp_path):
     """A header torn mid-write is corruption, not a resumable journal --
     the torn-trailing-line tolerance applies to shard appends only."""
     journal_path = tmp_path / "torn.jsonl"
-    engine, _ = _run(fast_config, [s0_module], checkpoint=str(journal_path))
+    runner, _ = _run(fast_config, [s0_module], checkpoint=str(journal_path))
     lines = journal_path.read_text().splitlines(keepends=True)
     # Truncate the header mid-JSON but keep the shard lines: the exact
     # byte layout a crash during a (non-atomic) header write would leave.
@@ -488,7 +492,7 @@ def test_resume_rejects_garbled_header(fast_config, s0_module, tmp_path):
     """A header that parses but is not a journal header is rejected by
     format, before any shard line is trusted."""
     journal_path = tmp_path / "garbled.jsonl"
-    engine, _ = _run(fast_config, [s0_module], checkpoint=str(journal_path))
+    runner, _ = _run(fast_config, [s0_module], checkpoint=str(journal_path))
     lines = journal_path.read_text().splitlines(keepends=True)
     journal_path.write_text('{"format": "not-a-journal"}\n' + "".join(lines[1:]))
     with pytest.raises(CheckpointError, match="unknown format"):

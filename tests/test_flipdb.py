@@ -88,8 +88,8 @@ def test_repeatability_needs_two_trials(db):
 def test_repeatability_on_calibrated_module(s0_module, fast_runner, db):
     """Trial jitter keeps most flips but not all: repeatability lands
     strictly between 0 and 1, as real chips show."""
-    results = fast_runner.characterize_module(
-        s0_module, [7_800.0], dies=[0], trials=3
+    results = fast_runner.characterize(
+        [s0_module], [7_800.0], dies=[0], trials=3
     )
     db.store_results(results)
     value = db.repeatability("S0", 0, "combined", 7_800.0)

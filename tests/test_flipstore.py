@@ -257,6 +257,21 @@ def test_store_iteration_order_is_identity_not_insertion(tmp_path):
 QUERY_GOLDEN = Path(__file__).parent / "fixtures" / "query_golden"
 
 
+@pytest.fixture(scope="module")
+def query_store(tmp_path_factory):
+    """CI's population demo, exported once into a flip store."""
+    from repro.cli import main
+
+    root = tmp_path_factory.mktemp("query")
+    store = root / "flips.sqlite"
+    assert main([
+        "export", "--modules", "S0", "H0", "--points", "2",
+        "--t-max", "7800", "--trials", "1", "--workers", "0",
+        "--out", str(root / "shards"), "--store", str(store),
+    ]) == 0
+    return store
+
+
 @pytest.mark.parametrize(
     "golden,filters,rows_scanned",
     [
@@ -270,7 +285,7 @@ QUERY_GOLDEN = Path(__file__).parent / "fixtures" / "query_golden"
     ids=["all", "S0-combined-7800"],
 )
 def test_cli_query_matches_golden(
-    golden, filters, rows_scanned, tmp_path, capsys
+    golden, filters, rows_scanned, query_store, tmp_path, capsys
 ):
     """``query`` over CI's population demo prints the pinned bytes.
 
@@ -279,18 +294,34 @@ def test_cli_query_matches_golden(
     """
     from repro.cli import main
 
-    store = tmp_path / "flips.sqlite"
-    assert main([
-        "export", "--modules", "S0", "H0", "--points", "2",
-        "--t-max", "7800", "--trials", "1", "--workers", "0",
-        "--out", str(tmp_path / "shards"), "--store", str(store),
-    ]) == 0
-    capsys.readouterr()
     metrics = tmp_path / "metrics.json"
     assert main(
-        ["query", "--store", str(store), "--metrics", str(metrics)] + filters
+        ["query", "--store", str(query_store), "--metrics", str(metrics)]
+        + filters
     ) == 0
-    out = capsys.readouterr().out.replace(f"in {store}\n", "in <store>\n")
+    out = capsys.readouterr().out.replace(f"in {query_store}\n", "in <store>\n")
     assert out == (QUERY_GOLDEN / golden).read_text()
     counters = json.loads(metrics.read_text())["counters"]
     assert counters["query.rows_scanned"] == rows_scanned
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--modules", "S0"],
+        ["--modules", "S0", "--points", "3", "--t-max", "7800",
+         "--trials", "2", "--patterns", "combined"],
+    ],
+    ids=["modules", "every-sweep-flag"],
+)
+def test_cli_query_refuses_sweep_flags(flags, query_store, capsys):
+    """A sweep flag (``--modules`` for ``--module``) is refused, not
+    silently ignored in favour of the whole population."""
+    from repro.cli import main
+
+    assert main(["query", "--store", str(query_store)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    for flag in (f for f in flags if f.startswith("--")):
+        assert flag in captured.err
+    assert "--module," in captured.err and "--pattern" in captured.err

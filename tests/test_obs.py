@@ -30,7 +30,6 @@ from repro.core.checkpoint import CheckpointJournal, plan_fingerprint
 from repro.core.engine import (
     ProcessExecutor,
     SerialExecutor,
-    SweepEngine,
     SweepPlan,
     ThreadExecutor,
 )
@@ -42,7 +41,6 @@ from repro.obs import (
     JsonlTrace,
     MetricsRegistry,
     MetricsReport,
-    NullRegistry,
     Observability,
     ProgressReporter,
     StderrProgress,
@@ -116,17 +114,6 @@ def test_registry_counters_gauges_timers():
     assert snap["timers"]["span"]["count"] == 1
     assert registry.counter("a") == 5
     assert registry.counter("missing") == 0
-
-
-def test_null_registry_is_noop():
-    registry = NullRegistry()
-    registry.inc("a")
-    registry.gauge("g", 1.0)
-    registry.observe("t", 1.0)
-    with registry.timer("span"):
-        pass
-    assert registry.snapshot() == {"counters": {}, "gauges": {}, "timers": {}}
-    assert registry.counter("a") == 0
 
 
 def test_cache_hit_rates_derivation():
@@ -227,6 +214,8 @@ _ENVELOPES = {
         + ["validate", "campaign_finish"],
         {
             "cache.analyzer.misses",
+            "cache.measurement.hits",
+            "cache.measurement.misses",
             "cache.stacked.misses",
             "preflight.modules",
             "shards.completed",
@@ -249,7 +238,6 @@ def test_checkpointed_validated_run_envelope(
     kind, fast_config, s0_module, tmp_path
 ):
     from repro.atomicio import sha256_file
-    from repro.backend.base import build_session
     from repro.mitigations.campaign import MitigationCampaign
 
     events, counter_names, dump_sha = _ENVELOPES[kind]
@@ -258,10 +246,8 @@ def test_checkpointed_validated_run_envelope(
     checkpoint = tmp_path / "run.ckpt"
     dump = tmp_path / "run.json"
     if kind == "characterization":
-        campaign = SweepEngine(
-            fast_config, obs=obs, session=build_session("sim")
-        )
-        results = campaign.run(
+        campaign = CharacterizationRunner(fast_config, obs=obs, backend="sim")
+        results = campaign.characterize(
             [s0_module], T_VALUES, checkpoint=str(checkpoint), validate=True
         )
     else:
@@ -321,8 +307,8 @@ def test_retry_counters_and_events(fast_config, s0_module):
     reporter = ListReporter()
     obs = Observability(reporters=[reporter])
     fault = FaultPlan([FaultSpec(shard_index=0, kind="raise", times=1)])
-    engine = SweepEngine(fast_config, obs=obs)
-    engine.run(
+    runner = CharacterizationRunner(fast_config, obs=obs)
+    runner.characterize(
         [s0_module], T_VALUES, ALL_PATTERNS, trials=1,
         policy=RetryPolicy(max_retries=2, backoff_base=0.0),
         fault_plan=fault,
@@ -332,20 +318,18 @@ def test_retry_counters_and_events(fast_config, s0_module):
     retries = reporter.of("shard_retry")
     assert len(retries) == 1
     assert "shard 0" in retries[0]["label"]
-    assert engine.last_report.n_retries == 1
+    assert runner.last_report.n_retries == 1
 
 
 def test_resume_emits_event_and_counter(fast_config, s0_module, tmp_path):
     journal_path = tmp_path / "resume.jsonl"
-    engine = SweepEngine(fast_config)
-    engine.run(
+    CharacterizationRunner(fast_config).characterize(
         [s0_module], T_VALUES, ALL_PATTERNS, trials=1,
         checkpoint=str(journal_path),
     )
     reporter = ListReporter()
     obs = Observability(reporters=[reporter])
-    resumed_engine = SweepEngine(fast_config, obs=obs)
-    resumed_engine.run(
+    CharacterizationRunner(fast_config, obs=obs).characterize(
         [s0_module], T_VALUES, ALL_PATTERNS, trials=1,
         checkpoint=str(journal_path), resume=True,
     )
@@ -549,19 +533,19 @@ def test_journal_mid_file_corruption_still_raises(tmp_path):
 def test_torn_journal_resume_is_bit_identical(fast_config, s0_module, tmp_path, caplog):
     """A campaign resumed over a crash-torn journal reproduces the
     uninterrupted run exactly (the torn shard is simply re-measured)."""
-    engine = SweepEngine(fast_config)
-    baseline = engine.run([s0_module], T_VALUES, ALL_PATTERNS, trials=1)
+    runner = CharacterizationRunner(fast_config)
+    baseline = runner.characterize([s0_module], T_VALUES, ALL_PATTERNS, trials=1)
     journal_path = tmp_path / "campaign.jsonl"
-    engine.run(
+    runner.characterize(
         [s0_module], T_VALUES, ALL_PATTERNS, trials=1,
         checkpoint=str(journal_path),
     )
     raw = journal_path.read_bytes()
     journal_path.write_bytes(raw[:-40])  # tear the final record
 
-    resumed_engine = SweepEngine(fast_config)
+    resumed_runner = CharacterizationRunner(fast_config)
     with caplog.at_level(logging.WARNING, logger="repro.checkpoint"):
-        resumed = resumed_engine.run(
+        resumed = resumed_runner.characterize(
             [s0_module], T_VALUES, ALL_PATTERNS, trials=1,
             checkpoint=str(journal_path), resume=True,
         )
@@ -569,7 +553,7 @@ def test_torn_journal_resume_is_bit_identical(fast_config, s0_module, tmp_path, 
     assert resumed.to_json(include_census=True) == baseline.to_json(
         include_census=True
     )
-    report = resumed_engine.last_report
+    report = resumed_runner.last_report
     assert report.n_resumed == s0_module.n_dies - 1
     assert report.n_executed == 1
 

@@ -13,12 +13,11 @@ from repro.analysis.aggregate import (
     aggregate_time_ms,
 )
 from repro.core.bitflips import direction_fraction_1_to_0
-from repro.core.overlap import overlap_ratio
 from repro.patterns import ALL_PATTERNS, COMBINED, DOUBLE_SIDED, SINGLE_SIDED
 
 
 def sweep(runner, module, t_values, patterns=ALL_PATTERNS):
-    return runner.characterize_module(module, t_values, patterns, trials=1)
+    return runner.characterize([module], t_values, patterns, trials=1)
 
 
 def mean_time_ms(results, pattern, t_on):

@@ -76,8 +76,8 @@ def test_text_anchor_comparison_excludes_press_immune():
 
 
 def test_full_report_renders(s0_module, fast_runner):
-    results = fast_runner.characterize_module(
-        s0_module, [36.0, 7_800.0], trials=1
+    results = fast_runner.characterize(
+        [s0_module], [36.0, 7_800.0], trials=1
     )
     text = full_report(results)
     assert "Table 2" in text

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.patterns import ALL_PATTERNS, COMBINED, DOUBLE_SIDED
+from repro.patterns import COMBINED, DOUBLE_SIDED
 
 
 def test_measure_matches_table2_rh_anchor(s0_module, fast_runner):
@@ -36,9 +36,9 @@ def test_press_immune_module_reports_no_bitflip(m1_module, fast_runner):
     assert fast_runner.measure(m1_module, 0, DOUBLE_SIDED, 36.0).acmin is not None
 
 
-def test_characterize_module_shape(s0_module, fast_runner):
-    results = fast_runner.characterize_module(
-        s0_module, [36.0, 7_800.0], dies=[0, 1], trials=2
+def test_characterize_dies_shape(s0_module, fast_runner):
+    results = fast_runner.characterize(
+        [s0_module], [36.0, 7_800.0], dies=[0, 1], trials=2
     )
     # 2 dies x 3 patterns x 2 t values x 2 trials.
     assert len(results) == 24

@@ -111,6 +111,23 @@ def test_cli_keyboard_interrupt_exits_130(monkeypatch, capsys):
     assert "interrupted" in capsys.readouterr().err
 
 
+def test_cli_closed_stdout_exits_141(monkeypatch):
+    """A reader that went away (``| head``) ends the CLI on the SIGPIPE
+    convention, with stdout on the null device, not in a traceback."""
+    import io
+    import os
+    import sys
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["table1"]) == 141
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+
+
 #: Runs the CLI in a child process that parks for up to a minute right
 #: after journaling its first shard, so the test can signal it at a
 #: known point: one shard durable, the rest not yet run.

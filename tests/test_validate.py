@@ -23,9 +23,8 @@ from repro.atomicio import (
     write_digest,
 )
 from repro.constants import DDR4Timings
-from repro.core.checkpoint import CheckpointJournal
-from repro.core.engine import SweepEngine
 from repro.core.results import DieMeasurement, ResultSet
+from repro.core.runner import CharacterizationRunner
 from repro.errors import (
     ArtifactCorruptError,
     ArtifactError,
@@ -611,7 +610,7 @@ def test_check_cross_executor_rejects_bad_arguments(fast_config, monkeypatch):
         campaigns.append(args)
         raise AssertionError("a campaign ran before the arguments were checked")
 
-    monkeypatch.setattr(SweepEngine, "run", no_campaign)
+    monkeypatch.setattr(CharacterizationRunner, "characterize", no_campaign)
     with pytest.raises(ExperimentError, match="at least two"):
         check_cross_executor(config=fast_config, executors=("serial",))
     with pytest.raises(ExperimentError, match="unknown executor"):
@@ -651,12 +650,14 @@ def test_provenance_drift_reported_per_field():
 
 def test_engine_self_check_counts_into_metrics(fast_config, s0_module):
     obs = Observability(metrics=MetricsRegistry())
-    engine = SweepEngine(fast_config, obs=obs)
-    results = engine.run([s0_module], [36.0, 636.0], trials=1, validate=True)
+    runner = CharacterizationRunner(fast_config, obs=obs)
+    results = runner.characterize(
+        [s0_module], [36.0, 636.0], trials=1, validate=True
+    )
     assert len(results)
     assert obs.metrics.counter("validate.passed") == 1
     assert obs.metrics.counter("validate.failed") == 0
-    assert engine.last_report.provenance["seed_scheme"] == (
+    assert runner.last_report.provenance["seed_scheme"] == (
         "blake2b-seedsequence-v1"
     )
 
