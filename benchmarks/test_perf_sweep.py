@@ -16,7 +16,7 @@ through four execution paths:
   pool (fork-inherited worker state on Linux, the pickled worker spec
   elsewhere);
 * ``engine_auto``: the CLI-default :class:`~repro.core.engine.AutoExecutor`
-  -- calibration probe, then serial / thread / process per its decision.
+  -- calibration probe, then serial or process per its decision.
 
 The host this runs on shows bursty 2-3x timing noise, so the sides are
 interleaved round-robin and each side's best-of-N is used; the measured

@@ -269,7 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="profile in-process shard execution under cProfile and dump "
-        "per-shard .pstats files into DIR (serial/thread executors only)",
+        "per-shard .pstats files into DIR: every shard under --workers "
+        "0|1, only the auto probe shard when auto picks the pool",
     )
     parser.add_argument(
         "--validate",
@@ -366,9 +367,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except KeyboardInterrupt:
-        # The pool, the fork-state registration and the checkpoint
-        # journal's lock are released as the interrupt unwinds; exit on
-        # the shell convention for SIGINT (128 + 2).
+        # The pool and the checkpoint journal's lock are released as
+        # the interrupt unwinds; exit on the shell convention for SIGINT
+        # (128 + 2).
         sys.stderr.write("interrupted\n")
         return 130
     except BrokenPipeError:

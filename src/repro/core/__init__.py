@@ -11,7 +11,7 @@
   campaign (data pattern, row selection, trials, temperature, the 60 ms
   iteration bound).
 * :mod:`repro.core.engine` -- the sweep execution engine: work-list
-  enumeration, (module, die) shards, serial/thread/process executors with
+  enumeration, (module, die) shards, serial/process/auto executors with
   deterministic canonical-order results.
 * :mod:`repro.core.faults` -- fault tolerance: retry policies, transient
   vs. permanent classification, result-integrity validation, and the
@@ -39,7 +39,6 @@ from repro.core.engine import (
     ProcessExecutor,
     SerialExecutor,
     SweepPlan,
-    ThreadExecutor,
     make_executor,
 )
 from repro.core.checkpoint import CheckpointJournal, plan_fingerprint
@@ -63,7 +62,6 @@ __all__ = [
     "ResultSet",
     "SweepPlan",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "make_executor",
     "CheckpointJournal",

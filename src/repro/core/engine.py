@@ -16,19 +16,20 @@ Structure
   state is built exactly once per worker instead of being shipped across
   an executor boundary.
 * Executors run shards: :class:`SerialExecutor` in-process in plan order,
-  :class:`ThreadExecutor` on a thread pool, :class:`ProcessExecutor`
-  on a :class:`~concurrent.futures.ProcessPoolExecutor`, and
+  :class:`ProcessExecutor` on a
+  :class:`~concurrent.futures.ProcessPoolExecutor`, and
   :class:`AutoExecutor` -- the default behind ``--workers auto`` -- which
   probes the first unmemoized shard and picks serial or process per
   campaign from the measured cost.
-* Process workers get the parent's state without rebuilding it.  Under
-  the ``fork`` start method they inherit the parent runner -- modules,
-  stacked dies, analyzer caches, and memoized measurements -- through a
-  fork-state token; under any other start method each worker receives
-  the runner's value-only :class:`CharacterizationWorkerSpec` (config
-  plus modules, no cell arrays), pickled once per worker, and builds its
-  own stacks from it.  The pool submits one task per shard through one
-  loop.
+* Process workers get the parent's state without rebuilding it.  The
+  pool initializer hands each worker its state once, through the
+  pool's ``initargs``: under the ``fork`` start method that is the
+  parent runner's ``fork_runner()`` -- modules, stacked dies, analyzer
+  caches, and memoized measurements -- which a forked worker inherits
+  without unpickling; under any other start method it is the runner's
+  value-only :class:`CharacterizationWorkerSpec` (config plus modules,
+  no cell arrays), pickled once per worker, from which the worker builds
+  its own stacks.  The pool submits one task per shard through one loop.
 * Results stream back per shard and are reassembled in canonical order:
   modules in call order, dies ascending, then patterns x tAggON x trials
   exactly as the serial 5-deep loop would have emitted them.
@@ -59,27 +60,20 @@ optional per-shard timeout; results are integrity-checked on merge
 fingerprint, so an interrupted campaign resumed with ``resume=True,
 checkpoint=...`` skips finished shards and still produces a
 bit-identical ResultSet.  If the process pool breaks repeatedly, the
-engine degrades process -> thread -> serial (with a logged warning and a
-note in the campaign's :class:`~repro.core.faults.RunReport`) instead
-of aborting.
+engine finishes the remaining shards on the serial executor (with a
+logged warning and a note in the campaign's
+:class:`~repro.core.faults.RunReport`) instead of aborting.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import multiprocessing
 import os
 import time
 import warnings as _warnings
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -114,14 +108,11 @@ __all__ = [
     "WorkUnit",
     "Shard",
     "SweepPlan",
-    "ForkWorkerSpec",
     "CharacterizationWorkerSpec",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "AutoExecutor",
     "make_executor",
-    "executor_ladder",
     "run_plan",
     "start_campaign",
     "finish_campaign",
@@ -258,11 +249,7 @@ def measurement_from_analysis(
     )
 
 
-# ------------------------------------------------------ fork-state registry
-
-
-_FORK_TOKENS = itertools.count(1)
-_FORK_STATE: Dict[int, object] = {}
+# ------------------------------------------------------------ worker state
 
 
 def fork_sharing_available() -> bool:
@@ -271,54 +258,6 @@ def fork_sharing_available() -> bool:
         return multiprocessing.get_start_method() == "fork"
     except Exception:  # pragma: no cover - exotic platforms
         return False
-
-
-def install_fork_state(payload: object) -> int:
-    """Register a payload for fork-inherited pickup; returns its token.
-
-    Must be called *before* the pool is created: workers snapshot the
-    registry when they fork.  Pair with :func:`discard_fork_state` in a
-    ``finally`` so the parent-side registry does not pin the payload
-    beyond the campaign.
-    """
-    token = next(_FORK_TOKENS)
-    _FORK_STATE[token] = payload
-    return token
-
-
-def fork_state(token: int) -> object:
-    """Look up a fork-inherited payload inside a worker."""
-    try:
-        return _FORK_STATE[token]
-    except KeyError:
-        raise ExperimentError(
-            f"fork-inherited worker state {token} is not present in this "
-            f"process; the pool was started with a non-fork start method "
-            f"or the state was discarded before the worker forked"
-        ) from None
-
-
-def discard_fork_state(token: int) -> None:
-    """Drop a payload from the parent-side registry (idempotent)."""
-    _FORK_STATE.pop(token, None)
-
-
-@dataclass(frozen=True)
-class ForkWorkerSpec:
-    """Fork-inherited worker state: only a registry token crosses the pool.
-
-    The parent installs its live runner (module objects, stacked dies,
-    analyzer caches, memoized measurements -- everything) in the
-    fork-state registry before creating the pool; forked workers read
-    the very same objects back copy-on-write.  Nothing is rebuilt and
-    nothing but this spec is pickled, so hand-assembled modules work as
-    well as profiled ones.
-    """
-
-    token: int
-
-    def build_runner(self):
-        return fork_state(self.token)
 
 
 @dataclass(frozen=True)
@@ -479,11 +418,9 @@ class ShardRunner:
     ) -> DieSweepAnalyzer:
         """The (cached) sweep analyzer of one (die, footprint).
 
-        Each (module, die) belongs to exactly one shard of a plan, so a
-        shared cache is never contended for the same key even under the
-        thread executor.  Patterns whose victims fit the canonical
-        triple share one analyzer per die; wide DSL footprints get their
-        own (their stacks differ).
+        Patterns whose victims fit the canonical triple share one
+        analyzer per die; wide DSL footprints get their own (their
+        stacks differ).
         """
         key = (module.key, die, offsets)
         analyzer = self._analyzer_cache.get(key)
@@ -676,51 +613,14 @@ class SerialExecutor:
         return out
 
 
-class ThreadExecutor:
-    """Runs shards on a thread pool (in-process, shared caches)."""
-
-    name = "thread"
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        self.workers = workers or _usable_cpus()
-
-    def map_shards(
-        self,
-        plan: SweepPlan,
-        runner: ShardRunner,
-        policy: Optional[RetryPolicy] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        on_shard: Optional[OnShard] = None,
-        report: Optional[RunReport] = None,
-        obs: Optional[Observability] = None,
-    ) -> List[List[DieMeasurement]]:
-        if not plan.shards:
-            return []
-        by_index: Dict[int, List[DieMeasurement]] = {}
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            futures = {
-                pool.submit(
-                    _run_shard_guarded, runner, shard, policy, fault_plan,
-                    report, obs,
-                ): shard
-                for shard in plan.shards
-            }
-            for future in as_completed(futures):
-                shard = futures[future]
-                measurements = future.result()
-                by_index[shard.index] = measurements
-                if on_shard is not None:
-                    on_shard(shard, measurements)
-        return [by_index[shard.index] for shard in plan.shards]
-
-
 class ProcessExecutor:
     """Runs shards on a process pool, worker state picked by platform.
 
     * fork -- under the ``fork`` start method the runner's
-      ``fork_runner()`` is inherited by the workers copy-on-write
-      (modules, stacked dies, analyzer caches, memoized measurements);
-      only a registry token is pickled.
+      ``fork_runner()`` goes to the pool initializer through
+      ``initargs``; forked workers inherit it copy-on-write (modules,
+      stacked dies, analyzer caches, memoized measurements) and never
+      unpickle it.
     * spec -- under any other start method the runner's value-only
       ``spec`` is pickled once per worker (through the pool
       initializer), and each worker builds its runner from it.
@@ -731,6 +631,9 @@ class ProcessExecutor:
     results validated and streamed back as they land.  Results are
     bit-identical in both modes -- measurements are pure functions of
     their identity.
+
+    A pool larger than the usable CPUs is built as requested, with a
+    ``UserWarning`` and an ``oversubscription`` note on the run report.
     """
 
     name = "process"
@@ -760,32 +663,42 @@ class ProcessExecutor:
             policy = policy or RetryPolicy()
         spec = runner.spec
         spec.check_shards(plan.shards)
+        self._warn_oversubscription(report, obs)
         fork = fork_sharing_available()
         if obs is not None:
             mode = "fork" if fork else "spec"
             obs.metrics.inc(f"worker_state.{mode}")
             obs.emit("worker_state", mode=mode)
-        token = install_fork_state(runner.fork_runner()) if fork else None
-        try:
-            return self._map_resilient(
-                plan,
-                runner,
-                spec if token is None else ForkWorkerSpec(token),
-                policy,
-                fault_plan,
-                on_shard,
-                report,
-                obs,
+        worker_state = (spec, runner.fork_runner() if fork else None)
+        return self._map_resilient(
+            plan, runner, worker_state, policy, fault_plan, on_shard,
+            report, obs,
+        )
+
+    def _warn_oversubscription(
+        self, report: Optional[RunReport], obs: Optional[Observability]
+    ) -> None:
+        cpus = _usable_cpus()
+        if self.workers <= cpus:
+            return
+        message = (
+            f"{self.workers} workers requested but only {cpus} CPU core(s) "
+            f"are available; the pool will oversubscribe"
+        )
+        _warnings.warn(message, UserWarning, stacklevel=3)
+        if report is not None:
+            report.add_warning(message, cause="oversubscription")
+        if obs is not None:
+            obs.metrics.inc("executor.oversubscribed")
+            obs.emit(
+                "executor_oversubscribed", workers=self.workers, cpu_count=cpus
             )
-        finally:
-            if token is not None:
-                discard_fork_state(token)
 
     def _map_resilient(
         self,
         plan: SweepPlan,
         runner: ShardRunner,
-        spec,
+        worker_state: Tuple[object, Optional[object]],
         policy: Optional[RetryPolicy],
         fault_plan: Optional[FaultPlan],
         on_shard: Optional[OnShard],
@@ -803,16 +716,17 @@ class ProcessExecutor:
         killed individually either, so a shard timeout abandons the
         current pool and resubmits the innocent in-flight shards --
         harmless, since measurements are pure functions of the plan.
+        The abandoned pool's workers are terminated, so a wedged shard
+        cannot keep the interpreter from exiting.
 
         ``policy=None`` means no retries, as on the serial path: a
         worker's exception re-raises unchanged, and the first pool
-        break raises :class:`~repro.errors.PoolBrokenError` so the
-        degradation ladder takes over.
+        break raises :class:`~repro.errors.PoolBrokenError` so
+        :func:`run_plan` falls back to the serial executor.
 
-        ``spec`` is the prepared worker spec (fork token or the runner's
-        value-only recipe), handed to each worker once by the pool
-        initializer; pool restarts reuse it -- re-forked workers still
-        find the fork state installed until the caller's cleanup runs.
+        ``worker_state`` is the ``(spec, runner)`` pair the pool
+        initializer hands each worker once (``runner`` is ``None`` off
+        fork); pool restarts reuse it.
         """
         shard_timeout = policy.shard_timeout if policy is not None else None
         failures: Dict[int, int] = {shard.index: 0 for shard in plan.shards}
@@ -842,7 +756,7 @@ class ProcessExecutor:
             pool = ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_start_worker,
-                initargs=(spec,),
+                initargs=worker_state,
             )
             abandoned = False
             futures: Dict[object, Tuple[Shard, float]] = {}
@@ -946,23 +860,35 @@ class ProcessExecutor:
                 for shard in leftover:
                     charge(shard, exc)
             finally:
+                if abandoned:
+                    _terminate_workers(pool)
                 pool.shutdown(wait=not abandoned, cancel_futures=True)
         return [done[shard.index] for shard in plan.shards]
 
 
+def _terminate_workers(pool: ProcessPoolExecutor) -> None:
+    """Kill an abandoned pool's workers (a hung one never returns)."""
+    terminate = getattr(pool, "terminate_workers", None)  # Python >= 3.14
+    if terminate is not None:
+        terminate()
+        return
+    for process in list((pool._processes or {}).values()):
+        process.terminate()
+
+
 #: Pool-worker state: the spec the worker's pool was created with, and
-#: the runner built from it on the worker's first shard.  One runner per
-#: worker, not per shard, keeps the spec (on the spec path every
-#: module) off each task.
+#: its runner -- inherited from the parent under fork, else built from
+#: the spec on the worker's first shard.  One runner per worker, not per
+#: shard, keeps the spec (on the spec path every module) off each task.
 _WORKER_SPEC = None
 _WORKER_RUNNER = None
 
 
-def _start_worker(spec) -> None:
-    """Pool initializer.  The runner is built lazily, so a spec that
-    cannot build one fails its shard rather than breaking the pool."""
+def _start_worker(spec, runner) -> None:
+    """Pool initializer.  A spec-built runner is built lazily, so a spec
+    that cannot build one fails its shard rather than breaking the pool."""
     global _WORKER_SPEC, _WORKER_RUNNER
-    _WORKER_SPEC, _WORKER_RUNNER = spec, None
+    _WORKER_SPEC, _WORKER_RUNNER = spec, runner
 
 
 def _run_shard_remote(
@@ -1010,7 +936,6 @@ class AutoExecutor:
     min_parallel_seconds = 1.0
 
     def __init__(self, workers: Optional[int] = None) -> None:
-        self.requested_workers = workers
         self.workers = workers or _usable_cpus()
         self.last_decision: Optional[Dict] = None
 
@@ -1148,8 +1073,7 @@ def make_executor(workers: Union[int, str, None] = None):
     worker has nothing to parallelize); more workers select the process
     executor, the only one that escapes the GIL.  ``workers`` of
     ``"auto"`` -- the CLI default -- selects the self-calibrating
-    :class:`AutoExecutor`.  Construct :class:`ThreadExecutor` directly
-    for an in-process pool.
+    :class:`AutoExecutor`.
     """
     if workers == "auto":
         return AutoExecutor()
@@ -1165,25 +1089,10 @@ def make_executor(workers: Union[int, str, None] = None):
     return ProcessExecutor(workers)
 
 
-def executor_ladder(executor) -> List:
-    """Degradation ladder starting at the given executor.
-
-    A repeatedly broken process pool degrades process -> thread ->
-    serial; the auto executor (whose worst pick is a process pool)
-    degrades the same way; a thread executor degrades to serial; the
-    serial executor has no fallback.
-    """
-    if isinstance(executor, (ProcessExecutor, AutoExecutor)):
-        return [executor, ThreadExecutor(executor.workers), SerialExecutor()]
-    if isinstance(executor, ThreadExecutor):
-        return [executor, SerialExecutor()]
-    return [executor]
-
-
 def run_plan(
     plan,
     runner,
-    ladder: Sequence,
+    executor,
     fingerprint: str,
     *,
     policy: Optional[RetryPolicy] = None,
@@ -1196,14 +1105,16 @@ def run_plan(
     obs: Optional[Observability] = None,
     sink=None,
 ) -> Dict[int, List]:
-    """Execute a shard plan through an executor ladder.
+    """Execute a shard plan on ``executor``, falling back to serial.
 
     The campaign-agnostic core shared by
     :meth:`~repro.core.runner.CharacterizationRunner.characterize` and the
     mitigation campaign (:mod:`repro.mitigations.campaign`): checkpoint
-    journaling and resume, per-shard observability events, the
-    process -> thread -> serial degradation ladder, and the final
-    completeness check.  ``plan`` may be any frozen dataclass with a
+    journaling and resume, per-shard observability events, the one
+    fallback -- if the process pool breaks for good
+    (:class:`~repro.errors.PoolBrokenError`), the remaining shards run
+    on :class:`SerialExecutor`, loudly -- and the final completeness
+    check.  ``plan`` may be any frozen dataclass with a
     ``shards`` tuple of protocol shards (``index``/``units``/``label``/
     ``obs_fields``); ``runner`` anything with ``run(shard)`` and
     ``validate(shard, results)`` (plus ``fork_runner()`` and a
@@ -1230,30 +1141,6 @@ def run_plan(
     if obs is not None and obs.campaign_t0 is None:
         obs.campaign_t0 = time.monotonic()
 
-    primary = ladder[0] if ladder else None
-    # Oversubscription is only worth warning about for process-backed
-    # executors: each extra process duplicates worker state and contends
-    # for cores, while surplus *threads* merely idle (and the thread
-    # executor's counter totals must stay executor-independent).
-    requested = None
-    if isinstance(primary, (ProcessExecutor, AutoExecutor)):
-        requested = getattr(primary, "requested_workers", None)
-        if requested is None and not isinstance(primary, AutoExecutor):
-            requested = getattr(primary, "workers", None)
-    cpus = _usable_cpus()
-    if isinstance(requested, int) and requested > cpus:
-        message = (
-            f"{requested} workers requested but only {cpus} CPU core(s) "
-            f"are available; the pool will oversubscribe"
-        )
-        _warnings.warn(message, UserWarning, stacklevel=2)
-        report.add_warning(message, cause="oversubscription")
-        if obs is not None:
-            obs.metrics.inc("executor.oversubscribed")
-            obs.emit(
-                "executor_oversubscribed", workers=requested, cpu_count=cpus
-            )
-
     journal = (
         CheckpointJournal(checkpoint, digest=digest, codec=codec)
         if checkpoint is not None
@@ -1261,7 +1148,7 @@ def run_plan(
     )
     try:
         return _run_plan_journaled(
-            plan, runner, ladder, fingerprint, policy=policy,
+            plan, runner, executor, fingerprint, policy=policy,
             fault_plan=fault_plan, resume=resume, report=report, obs=obs,
             sink=sink, journal=journal,
         )
@@ -1275,7 +1162,7 @@ def run_plan(
 def _run_plan_journaled(
     plan,
     runner,
-    ladder: Sequence,
+    executor,
     fingerprint: str,
     *,
     policy: Optional[RetryPolicy],
@@ -1354,52 +1241,51 @@ def _run_plan_journaled(
                 eta_s=None if eta is None else round(eta, 3),
             )
 
-    for position, executor in enumerate(ladder):
+    def dispatch(executor) -> None:
         remaining = tuple(
             shard for shard in plan.shards if shard.index not in completed
         )
         if not remaining:
-            break
+            return
         report.executors.append(executor.name)
-        try:
-            executor.map_shards(
-                replace(plan, shards=remaining),
-                runner,
-                policy=policy,
-                fault_plan=fault_plan,
-                on_shard=on_shard,
-                report=report,
-                obs=obs,
+        executor.map_shards(
+            replace(plan, shards=remaining),
+            runner,
+            policy=policy,
+            fault_plan=fault_plan,
+            on_shard=on_shard,
+            report=report,
+            obs=obs,
+        )
+
+    try:
+        dispatch(executor)
+    except PoolBrokenError as exc:
+        left = sum(
+            1 for shard in plan.shards if shard.index not in completed
+        )
+        message = (
+            f"{executor.name} executor failed ({exc}); degrading to "
+            f"the serial executor for the remaining {left} shard(s)"
+        )
+        logger.warning(message)
+        # A degraded campaign still completes -- which is exactly why
+        # the fallback must be loud: UserWarning for interactive runs,
+        # RunReport.warnings for artifacts.
+        _warnings.warn(message, UserWarning, stacklevel=2)
+        report.degradations.append(message)
+        report.add_warning(
+            message, cause=f"degradation:{executor.name}->serial"
+        )
+        if obs is not None:
+            obs.metrics.inc("executor.degradations")
+            obs.emit(
+                "executor_degraded",
+                from_executor=executor.name,
+                to_executor="serial",
+                reason=str(exc),
             )
-            break
-        except PoolBrokenError as exc:
-            if position + 1 >= len(ladder):
-                raise
-            fallback = ladder[position + 1]
-            left = sum(1 for s in remaining if s.index not in completed)
-            message = (
-                f"{executor.name} executor failed ({exc}); degrading to "
-                f"the {fallback.name} executor for the remaining "
-                f"{left} shard(s)"
-            )
-            logger.warning(message)
-            # A degraded campaign still completes -- which is exactly why
-            # the fallback must be loud: UserWarning for interactive
-            # runs, RunReport.warnings for artifacts.
-            _warnings.warn(message, UserWarning, stacklevel=2)
-            report.degradations.append(message)
-            report.add_warning(
-                message,
-                cause=f"degradation:{executor.name}->{fallback.name}",
-            )
-            if obs is not None:
-                obs.metrics.inc("executor.degradations")
-                obs.emit(
-                    "executor_degraded",
-                    from_executor=executor.name,
-                    to_executor=fallback.name,
-                    reason=str(exc),
-                )
+        dispatch(SerialExecutor())
 
     missing = [
         shard.index for shard in plan.shards if shard.index not in completed

@@ -8,8 +8,8 @@ vocabulary:
 
 * :class:`RetryPolicy` -- how often to retry a failed shard, with
   exponential backoff, an optional per-shard wall-clock timeout, and a
-  bound on process-pool restarts before the engine degrades to the next
-  executor.
+  bound on process-pool restarts before the engine falls back to the
+  serial executor.
 * :func:`is_transient` -- the transient-vs-permanent classification:
   timeouts, integrity violations, pool breakage, and *unknown* worker
   exceptions are retryable; deterministic :class:`~repro.errors.ReproError`
@@ -34,10 +34,9 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 import multiprocessing
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -90,7 +89,7 @@ class RetryPolicy:
         max_pool_restarts: how many times the process executor rebuilds
             a broken pool before giving up with
             :class:`~repro.errors.PoolBrokenError` (which the engine
-            answers by degrading process -> thread -> serial).
+            answers by finishing the campaign on the serial executor).
     """
 
     max_retries: int = 2
@@ -192,20 +191,30 @@ def call_with_timeout(fn: Callable[[], T], timeout: Optional[float]) -> T:
 
     With a timeout the call runs on a helper thread and a late result is
     abandoned (the thread finishes in the background -- Python offers no
-    preemptive kill); without one, ``fn`` runs inline.
+    preemptive kill).  The thread is a daemon, so an abandoned attempt
+    that never returns cannot keep the interpreter from exiting.
+    Without a timeout, ``fn`` runs inline.
     """
     if timeout is None:
         return fn()
-    pool = ThreadPoolExecutor(max_workers=1)
-    future = pool.submit(fn)
-    try:
-        return future.result(timeout)
-    except FuturesTimeoutError:
+    outcome: Dict[str, object] = {}
+
+    def target() -> None:
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, name="shard-attempt", daemon=True)
+    thread.start()
+    thread.join(timeout)
+    if thread.is_alive():
         raise ShardTimeoutError(
             f"shard exceeded the {timeout:g}s per-shard timeout"
-        ) from None
-    finally:
-        pool.shutdown(wait=False)
+        )
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
 
 
 def charge_failure(
@@ -254,7 +263,7 @@ def run_attempts(
     label: str = "shard",
     obs=None,
 ) -> T:
-    """Run ``attempt`` under a retry policy (used by serial/thread executors).
+    """Run ``attempt`` under a retry policy (the in-process executors).
 
     Each failure is charged through :func:`charge_failure`, which either
     raises or backs off before the next attempt.
@@ -418,11 +427,10 @@ class RunReport:
     def add_warning(self, message: str, cause: Optional[str] = None) -> None:
         """Record a warning, deduplicated by cause.
 
-        Repeated warnings of the same ``cause`` (e.g. one
-        oversubscription warning per dispatch wave, one degradation per
-        shard batch) collapse into a single ``warnings`` entry suffixed
-        with its occurrence count, instead of flooding the report; the
-        raw counts stay queryable in :attr:`warning_counts`.
+        Repeated warnings of the same ``cause`` collapse into a single
+        ``warnings`` entry suffixed with its occurrence count, instead
+        of flooding the report; the raw counts stay queryable in
+        :attr:`warning_counts`.
         """
         key = cause if cause is not None else message
         count = self.warning_counts.get(key, 0) + 1

@@ -22,7 +22,6 @@ from repro.core.checkpoint import plan_fingerprint
 from repro.core.engine import (
     ShardRunner,
     SweepPlan,
-    executor_ladder,
     finish_campaign,
     make_executor,
     measurement_from_analysis,
@@ -163,8 +162,8 @@ class CharacterizationRunner:
         it.  Results are identical to the serial sweep regardless of
         executor.  Every measurement is memoized on the runner, so a
         later sweep revisiting a point (anchor trials after a sweep)
-        reuses it.  Repeated process-pool breakage degrades the
-        executor process -> thread -> serial instead of aborting;
+        reuses it.  Repeated process-pool breakage finishes the
+        remaining shards on the serial executor instead of aborting;
         :attr:`last_report` summarizes what happened, including the
         §3 preflight outcome of every module when a backend is attached.
 
@@ -227,7 +226,7 @@ class CharacterizationRunner:
         completed = run_plan(
             plan,
             runner,
-            executor_ladder(executor),
+            executor,
             fingerprint,
             policy=policy,
             fault_plan=fault_plan,

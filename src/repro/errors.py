@@ -92,9 +92,8 @@ class ResultIntegrityError(ExecutorError):
 
 class PoolBrokenError(ExecutorError):
     """The process pool died repeatedly (more than the policy's
-    ``max_pool_restarts``).  The engine reacts by degrading to the next
-    executor in the ladder (process -> thread -> serial) instead of
-    aborting the campaign."""
+    ``max_pool_restarts``).  The engine reacts by finishing the remaining
+    shards on the serial executor instead of aborting the campaign."""
 
 
 class ShardFailedError(ExecutorError):

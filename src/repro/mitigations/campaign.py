@@ -9,8 +9,9 @@ is a second campaign kind on the characterization engine
 (:mod:`repro.core.engine`): this module owns only the plan, the shard
 runner, the point codec and the result container, and the engine's
 campaign envelope (``start_campaign`` / ``run_plan`` /
-``finish_campaign``) supplies checkpoint/resume, retries, the
-degradation ladder, observability and the ``validate=True`` self-check.
+``finish_campaign``) supplies checkpoint/resume, retries, the serial
+fallback for a broken pool, observability and the ``validate=True``
+self-check.
 
 Per point, the campaign measures:
 
@@ -28,7 +29,7 @@ Per point, the campaign measures:
 
 Determinism: every quantity derives from seeded RNG streams and a fresh
 chip per protected run, never from execution order, so the campaign is
-bit-identical across the serial/thread/process executors and across
+bit-identical across the serial, process and auto executors and across
 checkpoint/resume.
 """
 
@@ -52,7 +53,6 @@ from repro.constants import (
 from repro.core.checkpoint import JournalCodec
 from repro.core.engine import (
     SerialExecutor,
-    executor_ladder,
     finish_campaign,
     run_plan,
     start_campaign,
@@ -552,8 +552,8 @@ class MitigationShardRunner:
 
         The runner is stateless apart from its immutable spec, so the
         fork payload is simply a sibling over the same spec -- workers
-        inherit it copy-on-write and nothing crosses the pool boundary
-        but the registry token.
+        inherit it copy-on-write through the pool initializer and never
+        unpickle it.
         """
         return MitigationShardRunner(self.spec)
 
@@ -775,7 +775,7 @@ class MitigationCampaign:
         completed = run_plan(
             plan,
             MitigationShardRunner(self._spec),
-            executor_ladder(self._executor),
+            self._executor,
             fingerprint,
             policy=policy,
             fault_plan=fault_plan,

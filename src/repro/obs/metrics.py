@@ -14,8 +14,9 @@ flattens everything into a JSON-safe dict.
   ``profile.checkpoint.record``); the snapshot reports count / total /
   min / max / mean and the p50 / p90 order statistics.
 
-The registry is thread-safe (shards run on a thread pool under the
-thread executor).  Disabled observability is ``obs=None``: with no
+The registry is thread-safe: under a per-shard timeout an abandoned,
+timed-out attempt keeps running on its helper thread beside its retry
+(:func:`repro.core.faults.call_with_timeout`).  Disabled observability is ``obs=None``: with no
 observability attached the engine performs *zero* registry operations
 on the hot path, which ``benchmarks/test_perf_sweep.py`` guards.
 """

@@ -8,10 +8,11 @@ Two levels of depth:
   around suspect regions without changing their behaviour.
 * :class:`ShardProfiler` -- a cProfile wrapper around in-process shard
   execution.  When an :class:`~repro.obs.Observability` is built with a
-  ``profile_dir``, every shard the serial/thread executors run is
-  profiled and its stats dumped to ``<dir>/shard-<index>.pstats``
-  (inspect with ``python -m pstats``).  Process-pool workers are not
-  profiled: the profiler would have to cross the pickle boundary, and
+  ``profile_dir``, every shard that runs in-process is profiled and
+  its stats dumped to ``<dir>/shard-<index>.pstats`` (inspect with
+  ``python -m pstats``): every shard under the serial executor, and
+  only the auto executor's probe shards when it picks the pool.
+  Process-pool workers are not profiled: the profiler would have to cross the pickle boundary, and
   cProfile's overhead would distort the very numbers a pool run is
   chosen for.
 """

@@ -16,9 +16,10 @@ A :class:`ProgressReporter` consumes that stream.  Two concrete sinks:
   line appended to a trace file (flushed per event, so a killed campaign
   leaves a readable prefix).
 
-Reporters must tolerate concurrent ``emit`` calls: under the thread
-executor shard events originate from pool threads.  Both sinks guard
-their writes with a lock.
+Reporters must tolerate concurrent ``emit`` calls: under a per-shard
+timeout an abandoned attempt keeps emitting from its helper thread
+beside its retry (:func:`repro.core.faults.call_with_timeout`).  Both
+sinks guard their writes with a lock.
 """
 
 from __future__ import annotations

@@ -713,21 +713,21 @@ def check_cross_executor(
     t_values: Sequence[float] = (36.0, 636.0),
     trials: int = 1,
     workers: int = 2,
-    executors: Sequence[str] = ("serial", "thread"),
+    executors: Sequence[str] = ("serial", "process"),
     patterns: Optional[Sequence] = None,
 ) -> str:
     """Prove cross-executor determinism on a small probe campaign.
 
     Runs the same (modules, t_values, trials) sweep on each named
-    executor (``"serial"``, ``"thread"``, ``"process"`` -- the pool in
-    whatever worker-state mode this platform uses -- or ``"auto"``) with
+    executor (``"serial"``, ``"process"`` -- the pool in whatever
+    worker-state mode this platform uses -- or ``"auto"``) with
     independent caches and compares canonical digests;
     raises :class:`InvariantViolationError` on a mismatch and returns
     the common digest otherwise.  The probe is
     deliberately small (one module, two points by default): determinism
     is a property of the named-RNG derivation, not of campaign size.
-    The default pair stays in-process; include a process variant to also
-    prove the pool path (a few seconds of pool spin-up).
+    The default pair proves the pool path against the in-process one
+    (a second or two of pool spin-up).
 
     ``patterns`` restricts (or extends) the probe's pattern set: each
     entry is an :class:`~repro.patterns.base.AccessPattern` /
@@ -742,7 +742,6 @@ def check_cross_executor(
         AutoExecutor,
         ProcessExecutor,
         SerialExecutor,
-        ThreadExecutor,
     )
     from repro.core.experiment import CharacterizationConfig
     from repro.core.runner import CharacterizationRunner
@@ -753,7 +752,6 @@ def check_cross_executor(
 
     factories = {
         "serial": SerialExecutor,
-        "thread": lambda: ThreadExecutor(workers),
         "process": lambda: ProcessExecutor(workers),
         "auto": lambda: AutoExecutor(workers),
     }

@@ -202,14 +202,14 @@ def test_run_report_deduplicates_warnings_by_cause():
                        cause="oversubscription")
     report.add_warning("oversubscribed: 9 workers > 2 cores",
                        cause="oversubscription")
-    report.add_warning("degraded process -> thread",
-                       cause="degradation:process->thread")
+    report.add_warning("degraded process -> serial",
+                       cause="degradation:process->serial")
     report.add_warning("free-form warning")
     assert len(report.warnings) == 3
     assert report.warnings[0].endswith("(x2)")
     assert report.warning_counts == {
         "oversubscription": 2,
-        "degradation:process->thread": 1,
+        "degradation:process->serial": 1,
         "free-form warning": 1,
     }
 

@@ -296,7 +296,7 @@ def test_cross_executor_digests_on_dsl_patterns():
     digest = check_cross_executor(
         config=config,
         t_values=(36.0, 636.0),
-        executors=("serial", "thread"),
+        executors=("serial", "process"),
         patterns=("double-sided", "half-double", "4-sided-combined",
                   decoy_flood_spec(3)),
     )

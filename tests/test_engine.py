@@ -3,7 +3,7 @@
 The engine's core guarantee: the same campaign produces bit-identical
 :class:`~repro.core.results.ResultSet`s (same measurements, same order)
 no matter which executor runs it.  These tests assert that on a
-2-module subset across the serial, thread, and process executors, plus
+2-module subset across the serial and process executors, plus
 the supporting invariants: canonical plan order, the seeded trial
 jitter's independence from execution context, and the runner-level
 measurement memoization.
@@ -21,6 +21,7 @@ import functools
 import multiprocessing
 import os
 import pickle
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -33,11 +34,7 @@ from repro.core.engine import (
     SerialExecutor,
     ShardRunner,
     SweepPlan,
-    ThreadExecutor,
-    discard_fork_state,
     fork_sharing_available,
-    fork_state,
-    install_fork_state,
     make_executor,
 )
 from repro.core.faults import FaultPlan, FaultSpec, RetryPolicy
@@ -83,12 +80,10 @@ def fork_mode():
 # ------------------------------------------------------------- determinism
 
 
-def test_serial_thread_process_identical(fast_config, two_modules):
-    """All three executors produce bit-identical result sets."""
+def test_serial_process_identical(fast_config, two_modules):
+    """Serial and process executors produce bit-identical result sets."""
     serial = _run(fast_config, two_modules, SerialExecutor())
-    threaded = _run(fast_config, two_modules, ThreadExecutor(workers=4))
     pooled = _run(fast_config, two_modules, ProcessExecutor(workers=2))
-    assert list(serial) == list(threaded)
     assert list(serial) == list(pooled)
 
 
@@ -220,9 +215,9 @@ def test_make_executor_selection():
     assert isinstance(make_executor(None), SerialExecutor)
     assert isinstance(make_executor(1), SerialExecutor)
     assert isinstance(make_executor(4), ProcessExecutor)
-    # No executor-kind knob: a thread pool is built as ThreadExecutor(n).
+    # No executor-kind knob: the worker count alone picks the executor.
     with pytest.raises(TypeError):
-        make_executor(4, kind="thread")
+        make_executor(4, kind="process")
 
 
 def test_make_executor_accepts_auto():
@@ -231,64 +226,6 @@ def test_make_executor_accepts_auto():
     assert isinstance(make_executor("1"), SerialExecutor)
     with pytest.raises(ExperimentError):
         make_executor("several")
-
-
-# ------------------------------------------------------ fork-state registry
-
-
-def test_fork_state_round_trip():
-    payload = object()
-    token = install_fork_state(payload)
-    try:
-        assert fork_state(token) is payload
-    finally:
-        discard_fork_state(token)
-    with pytest.raises(ExperimentError, match="fork-inherited"):
-        fork_state(token)
-    discard_fork_state(token)  # idempotent
-
-
-def test_fork_state_discarded_after_worker_failure(
-    fast_config, s0_module, tmp_path, fork_mode
-):
-    fault = FaultPlan(
-        [FaultSpec(shard_index=0, kind="raise", times=99)],
-        state_dir=tmp_path,
-    )
-    with pytest.raises(ShardFailedError):
-        CharacterizationRunner(fast_config).characterize(
-            [s0_module],
-            T_VALUES,
-            ALL_PATTERNS,
-            trials=1,
-            executor=ProcessExecutor(2),
-            policy=RetryPolicy(max_retries=1, backoff_base=0.0),
-            fault_plan=fault,
-        )
-    assert engine_mod._FORK_STATE == {}
-
-
-def test_fork_state_discarded_after_keyboard_interrupt(
-    fast_config, s0_module, monkeypatch, fork_mode
-):
-    installed = []
-    real_install = engine_mod.install_fork_state
-
-    def tracking_install(payload):
-        installed.append(real_install(payload))
-        return installed[-1]
-
-    def interrupt(*args, **kwargs):
-        raise KeyboardInterrupt()
-
-    monkeypatch.setattr(engine_mod, "install_fork_state", tracking_install)
-    # The pool is created after worker state is installed: interrupting
-    # there simulates Ctrl-C landing mid-campaign, fork state live.
-    monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", interrupt)
-    with pytest.raises(KeyboardInterrupt):
-        _run(fast_config, [s0_module], ProcessExecutor(2))
-    assert installed, "the campaign never installed its fork state"
-    assert engine_mod._FORK_STATE == {}
 
 
 # ------------------------------------------------------------ worker spec
@@ -321,6 +258,23 @@ def test_worker_state_modes_bit_identical(
     ]
 
 
+def test_fork_workers_never_pickle_the_runner(
+    fast_config, s0_module, serial_baseline, monkeypatch, fork_mode
+):
+    """Under fork the runner reaches the workers through the pool
+    initializer's arguments, which a forked worker inherits unpickled --
+    so a runner that cannot be pickled still runs on the pool."""
+
+    def refuse(self, protocol):
+        raise AssertionError("a ShardRunner was pickled")
+
+    monkeypatch.setattr(ShardRunner, "__reduce_ex__", refuse)
+    with pytest.raises(AssertionError, match="was pickled"):
+        pickle.dumps(ShardRunner(fast_config, {s0_module.key: s0_module}))
+    results = _run(fast_config, [s0_module], ProcessExecutor(2))
+    assert list(results) == list(serial_baseline)
+
+
 def test_worker_spec_pickles_without_cell_arrays(fast_config, s0_module):
     runner = ShardRunner(fast_config, {s0_module.key: s0_module})
     plan = SweepPlan.build([s0_module], T_VALUES, ALL_PATTERNS, trials=1)
@@ -345,7 +299,6 @@ def test_process_executor_checks_shards_before_the_pool(
     )
     with pytest.raises(ExperimentError, match="no module"):
         ProcessExecutor(2).map_shards(plan, runner)
-    assert engine_mod._FORK_STATE == {}
 
 
 def test_spec_mode_kill_and_resume_bit_identical(
@@ -490,3 +443,24 @@ def test_oversubscription_warns_and_lands_in_report(fast_config, s0_module):
     report = runner.last_report
     assert any("oversubscribe" in w for w in report.warnings)
     assert "oversubscribe" in report.summary()
+
+
+def test_auto_executor_does_not_warn_of_oversubscription(
+    fast_config, s0_module, monkeypatch
+):
+    """AutoExecutor caps its pool at the usable CPUs, so asking it for
+    more workers than that oversubscribes nothing and warns of nothing."""
+    executor = AutoExecutor(engine_mod._usable_cpus() + 2)
+    monkeypatch.setattr(executor, "min_parallel_seconds", 0.0)
+    runner = CharacterizationRunner(fast_config)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        runner.characterize(
+            [s0_module], T_VALUES, ALL_PATTERNS, trials=2, executor=executor
+        )
+    assert not [w for w in caught if "oversubscribe" in str(w.message)]
+    assert not any("oversubscribe" in w for w in runner.last_report.warnings)
+    decision = executor.last_decision
+    assert decision["workers"] <= engine_mod._usable_cpus()
+    if engine_mod._usable_cpus() > 1:
+        assert decision["chosen"] == "process"

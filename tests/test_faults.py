@@ -4,7 +4,8 @@ The engine's robustness contract: transient shard failures (flaky
 raises, hangs, corrupted results, crashed pool workers) are retried with
 backoff up to the policy budget; permanent failures raise
 ``ShardFailedError`` with the cause chained; repeated pool breakage
-degrades process -> thread -> serial instead of aborting; and a campaign
+finishes the campaign on the serial executor instead of aborting; a
+wedged shard past its timeout does not keep the interpreter alive; and a campaign
 killed mid-run resumes from its checkpoint journal to a ResultSet
 bit-identical to an uninterrupted run.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import subprocess
 import sys
 import time
 
@@ -25,8 +27,6 @@ from repro.core.engine import (
     SerialExecutor,
     ShardRunner,
     SweepPlan,
-    executor_ladder,
-    ThreadExecutor,
     fork_sharing_available,
 )
 from repro.core.experiment import CharacterizationConfig
@@ -171,18 +171,6 @@ def test_corrupt_result_without_retries_fails(fast_config, s0_module):
     assert isinstance(excinfo.value.__cause__, ResultIntegrityError)
 
 
-def test_thread_executor_retries(fast_config, s0_module, baseline):
-    fault = FaultPlan([FaultSpec(shard_index=2, kind="raise", times=2)])
-    runner, results = _run(
-        fast_config,
-        [s0_module],
-        executor=ThreadExecutor(workers=4),
-        policy=FAST_POLICY,
-        fault_plan=fault,
-    )
-    assert list(results) == list(baseline)
-
-
 # ------------------------------------------------------------- timeouts
 
 
@@ -208,6 +196,60 @@ def test_timeout_exhaustion_chains_shard_timeout(fast_config, s0_module):
     assert isinstance(excinfo.value.__cause__, ShardTimeoutError)
 
 
+#: Seconds the wedged shard sleeps; far longer than the child may live.
+_WEDGE_S = 30.0
+
+_WEDGED_CAMPAIGN = f"""
+import sys
+
+from repro.core.engine import ProcessExecutor, SerialExecutor
+from repro.core.experiment import CharacterizationConfig
+from repro.core.faults import FaultPlan, FaultSpec, RetryPolicy
+from repro.core.runner import CharacterizationRunner
+from repro.dram.rowselect import RowSelection
+from repro.dram.topology import BankGeometry
+from repro.system import build_module
+
+executor_name, state_dir = sys.argv[1:]
+config = CharacterizationConfig(
+    geometry=BankGeometry(rows=2048, cols_simulated=128),
+    selection=RowSelection(locations_per_region=12, n_regions=3, stride=8),
+    trials=1,
+)
+executor = ProcessExecutor(2) if executor_name == "process" else SerialExecutor()
+CharacterizationRunner(config).characterize(
+    [build_module("S0", config)], [36.0], dies=[0, 1], trials=1,
+    executor=executor,
+    policy=RetryPolicy(max_retries=1, backoff_base=0.0, shard_timeout=0.5),
+    fault_plan=FaultPlan(
+        [FaultSpec(shard_index=0, kind="hang", times=1, hang_s={_WEDGE_S})],
+        state_dir=state_dir,
+    ),
+)
+print("campaign done", flush=True)
+"""
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_timed_out_shard_does_not_delay_exit(tmp_path, executor):
+    """A shard wedged past its timeout is retried, and the abandoned
+    attempt -- a helper thread in-process, a pool worker otherwise --
+    must not keep the interpreter alive once the campaign returns."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    start = time.monotonic()
+    child = subprocess.run(
+        [sys.executable, "-c", _WEDGED_CAMPAIGN, executor, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=2 * _WEDGE_S,
+    )
+    elapsed = time.monotonic() - start
+    assert child.returncode == 0, child.stderr
+    assert "campaign done" in child.stdout
+    assert elapsed < _WEDGE_S / 2, f"child exited after {elapsed:.1f}s"
+
+
 # ------------------------------------------------------- process executor
 
 
@@ -231,11 +273,11 @@ def test_worker_crash_recovery(fast_config, s0_module, baseline, tmp_path):
     assert runner.last_report.degradations == []
 
 
-def test_repeated_pool_breakage_degrades_to_thread(
+def test_repeated_pool_breakage_degrades_to_serial(
     fast_config, s0_module, baseline, tmp_path
 ):
     """More pool breaks than max_pool_restarts: the engine falls back to
-    the thread executor (with a recorded degradation) and completes."""
+    the serial executor (with a recorded degradation) and completes."""
     fault = FaultPlan(
         [FaultSpec(shard_index=0, kind="crash", times=3)],
         state_dir=tmp_path,
@@ -243,27 +285,18 @@ def test_repeated_pool_breakage_degrades_to_thread(
     policy = RetryPolicy(
         max_retries=6, backoff_base=0.0, max_pool_restarts=1
     )
-    runner, results = _run(
-        fast_config,
-        [s0_module],
-        executor=ProcessExecutor(workers=2),
-        policy=policy,
-        fault_plan=fault,
-    )
+    with pytest.warns(UserWarning, match="degrading to the serial"):
+        runner, results = _run(
+            fast_config,
+            [s0_module],
+            executor=ProcessExecutor(workers=2),
+            policy=policy,
+            fault_plan=fault,
+        )
     assert list(results) == list(baseline)
     report = runner.last_report
-    assert report.degradations and "thread" in report.degradations[0]
-    assert report.executors[:2] == ["process", "thread"]
-
-
-def test_degradation_ladder_shape(fast_config):
-    assert [e.name for e in executor_ladder(ProcessExecutor(2))] == [
-        "process", "thread", "serial"
-    ]
-    assert [e.name for e in executor_ladder(ThreadExecutor(2))] == [
-        "thread", "serial"
-    ]
-    assert [e.name for e in executor_ladder(SerialExecutor())] == ["serial"]
+    assert report.degradations and "serial" in report.degradations[0]
+    assert report.executors == ["process", "serial"]
 
 
 def test_process_fault_plan_requires_state_dir(fast_config, s0_module):
@@ -344,17 +377,17 @@ def test_pool_without_policy_reraises_worker_exception(
         _run(fast_config, [s0_module], executor=ProcessExecutor(workers=2))
 
 
-def test_pool_break_without_policy_degrades_to_thread(
+def test_pool_break_without_policy_degrades_to_serial(
     fast_config, s0_module, baseline, monkeypatch
 ):
     _patch_worker_run(monkeypatch, lambda shard: os._exit(1))
-    with pytest.warns(UserWarning, match="degrading to the thread"):
+    with pytest.warns(UserWarning, match="degrading to the serial"):
         runner, results = _run(
             fast_config, [s0_module], executor=ProcessExecutor(workers=2)
         )
     assert list(results) == list(baseline)
     report = runner.last_report
-    assert report.executors[:2] == ["process", "thread"]
+    assert report.executors == ["process", "serial"]
     assert report.n_pool_restarts == 0
 
 

@@ -1,7 +1,7 @@
 """Tests for the mitigation stress-evaluation campaign subsystem.
 
 Covers the work-list planner, the point codec and artifact round-trips,
-bit-identical execution across the serial/thread/process executors and
+bit-identical execution across the serial and process executors and
 across checkpoint kill/resume, the validate-layer integration (schema,
 M1-M6 invariants, digests), and the ``repro-characterize mitigate`` CLI
 mode.
@@ -14,7 +14,7 @@ import pytest
 from repro.cli import main
 from repro.constants import DEFAULT_TIMINGS
 from repro.core.checkpoint import CheckpointJournal
-from repro.core.engine import ProcessExecutor, ThreadExecutor
+from repro.core.engine import ProcessExecutor
 from repro.core.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.errors import (
     ArtifactCorruptError,
@@ -448,8 +448,6 @@ def test_campaign_bit_identical_across_executors(small):
     assert reference == (
         "cf9661226d80e75f98b26ebed422e727988dc78f172ff4c94b3e4c90c5f26c44"
     )
-    _, threaded = run_small(executor=ThreadExecutor(workers=2))
-    assert mitigation_results_digest(threaded) == reference
     _, processed = run_small(executor=ProcessExecutor(workers=2))
     assert mitigation_results_digest(processed) == reference
 
