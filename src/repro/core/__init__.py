@@ -30,7 +30,6 @@ from repro.core.acmin import (
     DieAnalysis,
     DieSweepAnalyzer,
     analyze_die,
-    analyze_die_batch,
 )
 from repro.core.experiment import CharacterizationConfig
 from repro.core.overlap import overlap_ratio
@@ -55,7 +54,6 @@ __all__ = [
     "DieAnalysis",
     "DieSweepAnalyzer",
     "analyze_die",
-    "analyze_die_batch",
     "CharacterizationConfig",
     "overlap_ratio",
     "DieMeasurement",

@@ -23,9 +23,9 @@ Trial-to-trial variation is a multiplicative threshold jitter, so
 
 ``n_trial(cell) = (theta * jitter) / denom = (theta / denom) * jitter``.
 
-:class:`DieSweepAnalyzer` and :func:`analyze_die_batch` exploit this: the
-base ``theta / denom`` division is computed once per (die, pattern,
-tAggON) and every trial is derived by scaling with its jitter field.
+:meth:`DieSweepAnalyzer.analyze_trials` exploits this: the base
+``theta / denom`` division is computed once per (die, pattern, tAggON)
+and every trial is derived by scaling with its jitter field.
 :func:`analyze_die` routes through the same code, so the per-trial and
 batched paths are bit-identical by construction.  The per-role pattern
 weights are memoized per (pattern, tAggON, model, temperature, timings)
@@ -294,7 +294,7 @@ class DieSweepAnalyzer:
       cached per pattern for the analyzer's lifetime;
     * the base ``theta / denom`` division of a (pattern, tAggON) point,
       from which all trials are derived by jitter scaling
-      (:meth:`analyze_batch`).  Bases are kept in a bounded FIFO cache so
+      (:meth:`analyze_trials`).  Bases are kept in a bounded FIFO cache so
       a later campaign revisiting the same points (anchor sweeps re-tread
       the tAggON sweep) skips the division entirely.
 
@@ -321,6 +321,11 @@ class DieSweepAnalyzer:
         self._timings = timings
         self._gains: Dict[str, np.ndarray] = {}
         self._bases: Dict[Tuple[str, float], np.ndarray] = {}
+
+    @property
+    def stacked(self) -> StackedDie:
+        """The stacked die this analyzer analyzes (read-only)."""
+        return self._stacked
 
     # -------------------------------------------------------------- internals
 
@@ -466,21 +471,6 @@ class DieSweepAnalyzer:
             placement, weights, self._jittered(base, trial, jitter_sigma)
         )
 
-    def analyze_batch(
-        self,
-        pattern: AccessPattern,
-        t_on: float,
-        trials: int,
-        jitter_sigma: float = 0.02,
-    ) -> List[DieAnalysis]:
-        """Analyses of trials ``0 .. trials-1`` of one (pattern, tAggON).
-
-        The base division is performed once; each trial applies its jitter
-        as a multiplicative scale.  Bit-identical to calling
-        :meth:`analyze` per trial.
-        """
-        return self.analyze_trials(pattern, t_on, range(trials), jitter_sigma)
-
     def analyze_trials(
         self,
         pattern: AccessPattern,
@@ -490,9 +480,10 @@ class DieSweepAnalyzer:
     ) -> List[DieAnalysis]:
         """Analyses of arbitrary trial indices of one (pattern, tAggON).
 
-        Like :meth:`analyze_batch` but for any trial subset (the engine
-        uses this when some trials of a point are already memoized): one
-        base division, one jitter scale per requested trial.
+        The base division is performed once; each trial applies its
+        jitter as a multiplicative scale, so any trial subset (the
+        engine passes the trials of a point missing from its memo) is
+        bit-identical to calling :meth:`analyze` per trial.
         """
         placement, weights, base = self._base(pattern, t_on)
         return [
@@ -516,25 +507,4 @@ def analyze_die(
     """Closed-form analysis of one (die, pattern, tAggON, trial) point."""
     return DieSweepAnalyzer(stacked, model, temperature_c, timings).analyze(
         pattern, t_on, trial, jitter_sigma
-    )
-
-
-def analyze_die_batch(
-    stacked: StackedDie,
-    pattern: AccessPattern,
-    t_on: float,
-    model: DisturbanceModel,
-    temperature_c: float = CHARACTERIZATION_TEMPERATURE_C,
-    timings: DDR4Timings = DEFAULT_TIMINGS,
-    trials: int = 1,
-    jitter_sigma: float = 0.02,
-) -> List[DieAnalysis]:
-    """Batched multi-trial analysis of one (die, pattern, tAggON) point.
-
-    Computes the base n_iters arrays once and derives each trial by
-    applying its multiplicative threshold jitter; exactly equivalent to
-    ``[analyze_die(..., trial=t) for t in range(trials)]``.
-    """
-    return DieSweepAnalyzer(stacked, model, temperature_c, timings).analyze_batch(
-        pattern, t_on, trials, jitter_sigma
     )

@@ -11,10 +11,10 @@ Structure
 * :class:`SweepPlan` enumerates the full (module, die, pattern, tAggON,
   trial) work-list up front and groups it into :class:`Shard`s, one per
   (module, die).  A shard is the unit of dispatch: every measurement of a
-  shard reuses one :class:`~repro.core.stacked.StackedDie` and one
-  :class:`~repro.core.acmin.DieSweepAnalyzer`, so the expensive per-die
-  state is built exactly once per worker instead of being shipped across
-  an executor boundary.
+  shard reuses one :class:`~repro.core.acmin.DieSweepAnalyzer`, which
+  owns the die's :class:`~repro.core.stacked.StackedDie`, so the
+  expensive per-die state is built at most once per shard instead of
+  being shipped across an executor boundary.
 * Executors run shards: :class:`SerialExecutor` in-process in plan order,
   :class:`ProcessExecutor` on a
   :class:`~concurrent.futures.ProcessPoolExecutor`, and
@@ -22,14 +22,16 @@ Structure
   probes the first unmemoized shard and picks serial or process per
   campaign from the measured cost.
 * Process workers get the parent's state without rebuilding it.  The
-  pool initializer hands each worker its state once, through the
-  pool's ``initargs``: under the ``fork`` start method that is the
-  parent runner's ``fork_runner()`` -- modules, stacked dies, analyzer
-  caches, and memoized measurements -- which a forked worker inherits
-  without unpickling; under any other start method it is the runner's
+  pool initializer hands each worker one source, through the pool's
+  ``initargs``: under the ``fork`` start method that is the parent
+  runner itself -- modules, analyzers with their stacked dies, and
+  memoized measurements -- which a forked worker inherits without
+  unpickling; under any other start method it is the runner's
   value-only :class:`CharacterizationWorkerSpec` (config plus modules,
-  no cell arrays), pickled once per worker, from which the worker builds
-  its own stacks.  The pool submits one task per shard through one loop.
+  no cell arrays), pickled once per worker.  The pool submits one task
+  per shard through one loop, and the worker runs each shard on a
+  fresh ``source.build_runner()``, so what it builds for one shard is
+  dropped when the shard returns.
 * Results stream back per shard and are reassembled in canonical order:
   modules in call order, dies ascending, then patterns x tAggON x trials
   exactly as the serial 5-deep loop would have emitted them.
@@ -90,7 +92,7 @@ from repro.core.faults import (
     validate_shard_result,
 )
 from repro.core.results import DieMeasurement
-from repro.core.stacked import DEFAULT_OFFSETS, StackedDie, build_stacked_die
+from repro.core.stacked import DEFAULT_OFFSETS, build_stacked_die
 from repro.dram.module import Module
 from repro.obs import Observability
 from repro.errors import (
@@ -287,28 +289,27 @@ class CharacterizationWorkerSpec:
 
 
 class ShardRunner:
-    """Executes shards against modules, caching one StackedDie per die.
+    """Executes shards against modules, caching one analyzer per die.
 
-    ``modules`` maps a module key to its :class:`Module`.  The three
-    caches default to fresh dicts; a
-    :class:`~repro.core.runner.CharacterizationRunner` passes its own so
-    every campaign on it reuses the same per-die populations, analyzers
-    (which carry the per-pattern gain and per-point base caches) and
-    memoized measurements instead of recomputing them.
+    ``modules`` maps a module key to its :class:`Module`.  The runner
+    keeps two caches, both defaulting to fresh dicts: the analyzers --
+    one :class:`~repro.core.acmin.DieSweepAnalyzer` per (die,
+    footprint), each owning its :class:`~repro.core.stacked.StackedDie`
+    and its per-pattern gain and per-point base caches -- and the
+    memoized measurements.  A
+    :class:`~repro.core.runner.CharacterizationRunner` passes its own,
+    so every campaign and every ``measure`` call on it reuses them.
 
     ``metrics`` (a :class:`~repro.obs.MetricsRegistry`) records
     per-cache hit/miss counters; with the default ``None`` the runner
     performs zero metrics operations.  Pool workers always run with
-    ``metrics=None`` -- the registry never crosses the pickle boundary.
+    ``metrics=None`` -- the registry never crosses the pool boundary.
     """
 
     def __init__(
         self,
         config: CharacterizationConfig,
         modules: Dict[str, Module],
-        stacked_cache: Optional[
-            Dict[Tuple[str, int, Tuple[int, ...]], StackedDie]
-        ] = None,
         measurement_cache: Optional[
             Dict[Tuple[str, int, str, float, int], DieMeasurement]
         ] = None,
@@ -319,13 +320,11 @@ class ShardRunner:
     ) -> None:
         self._config = config
         self._modules = modules
-        self._stacked_cache = stacked_cache if stacked_cache is not None else {}
         self._measurement_cache = (
             measurement_cache if measurement_cache is not None else {}
         )
         self._analyzer_cache = analyzer_cache if analyzer_cache is not None else {}
         self._metrics = metrics
-        self._footprints: Dict[str, Tuple[int, ...]] = {}
 
     #: Result-integrity check executors apply to this runner's results
     #: (identity tuples must match the shard's units, in order).
@@ -340,20 +339,20 @@ class ShardRunner:
         """The picklable recipe non-fork pool workers rebuild from."""
         return CharacterizationWorkerSpec(self._config, self._modules)
 
-    def fork_runner(self) -> "ShardRunner":
-        """The zero-copy clone fork-started workers inherit.
+    def build_runner(self) -> "ShardRunner":
+        """A per-shard sibling for a fork-inherited pool worker.
 
-        Shares this runner's modules and caches by reference
-        (copy-on-write after the fork) but carries no metrics registry:
-        the parent's registry lock must never be touched from a forked
-        worker.
+        It starts from copies of this runner's caches, so the worker
+        reuses every die and measurement the parent already holds, and
+        whatever it builds is dropped with the sibling when its shard
+        returns.  It carries no metrics registry: the parent's registry
+        lock must never be touched from a forked worker.
         """
         return ShardRunner(
             self._config,
             self._modules,
-            self._stacked_cache,
-            self._measurement_cache,
-            self._analyzer_cache,
+            dict(self._measurement_cache),
+            dict(self._analyzer_cache),
         )
 
     def cached_units(
@@ -378,38 +377,6 @@ class ShardRunner:
             (hits if key in cache else missing).append(unit)
         return tuple(hits), tuple(missing)
 
-    def footprint(self, pattern: AccessPattern) -> Tuple[int, ...]:
-        """The (memoized) victim-offset footprint of one pattern."""
-        offsets = self._footprints.get(pattern.name)
-        if offsets is None:
-            offsets = pattern_footprint(pattern, self._config.timings)
-            self._footprints[pattern.name] = offsets
-        return offsets
-
-    def stacked(
-        self,
-        module: Module,
-        die: int,
-        offsets: Tuple[int, ...] = DEFAULT_OFFSETS,
-    ) -> StackedDie:
-        key = (module.key, die, offsets)
-        stacked = self._stacked_cache.get(key)
-        if self._metrics is not None:
-            self._metrics.inc(
-                "cache.stacked.hits" if stacked is not None
-                else "cache.stacked.misses"
-            )
-        if stacked is None:
-            stacked = build_stacked_die(
-                module.chip(die),
-                self._config.bank,
-                self._config.selection,
-                self._config.data_pattern,
-                offsets=offsets,
-            )
-            self._stacked_cache[key] = stacked
-        return stacked
-
     def analyzer(
         self,
         module: Module,
@@ -420,7 +387,7 @@ class ShardRunner:
 
         Patterns whose victims fit the canonical triple share one
         analyzer per die; wide DSL footprints get their own (their
-        stacks differ).
+        stacks differ).  A miss builds the analyzer's stacked die.
         """
         key = (module.key, die, offsets)
         analyzer = self._analyzer_cache.get(key)
@@ -430,8 +397,15 @@ class ShardRunner:
                 else "cache.analyzer.misses"
             )
         if analyzer is None:
+            stacked = build_stacked_die(
+                module.chip(die),
+                self._config.bank,
+                self._config.selection,
+                self._config.data_pattern,
+                offsets=offsets,
+            )
             analyzer = DieSweepAnalyzer(
-                self.stacked(module, die, offsets),
+                stacked,
                 module.model,
                 temperature_c=self._config.temperature_c,
                 timings=self._config.timings,
@@ -466,7 +440,7 @@ class ShardRunner:
                 metrics.inc("cache.measurement.hits", len(measured))
                 metrics.inc("cache.measurement.misses", len(missing))
             if missing:
-                offsets = self.footprint(pattern)
+                offsets = pattern_footprint(pattern, cfg.timings)
                 analyzer = analyzers.get(offsets)
                 if analyzer is None:  # lazily: fully cached shards skip it
                     if module is None:
@@ -616,14 +590,16 @@ class SerialExecutor:
 class ProcessExecutor:
     """Runs shards on a process pool, worker state picked by platform.
 
-    * fork -- under the ``fork`` start method the runner's
-      ``fork_runner()`` goes to the pool initializer through
-      ``initargs``; forked workers inherit it copy-on-write (modules,
-      stacked dies, analyzer caches, memoized measurements) and never
-      unpickle it.
-    * spec -- under any other start method the runner's value-only
-      ``spec`` is pickled once per worker (through the pool
-      initializer), and each worker builds its runner from it.
+    The pool initializer hands each worker one *source* through
+    ``initargs``, and the worker calls ``source.build_runner()`` afresh
+    for every shard, so nothing a worker builds outlives its shard:
+
+    * fork -- under the ``fork`` start method the source is the runner
+      itself, which forked workers inherit copy-on-write (modules,
+      analyzers with their stacked dies, memoized measurements) and
+      never unpickle.
+    * spec -- under any other start method the source is the runner's
+      value-only ``spec``, pickled once per worker.
 
     Either way the parent first runs ``runner.spec.check_shards`` on the
     plan, so a shard no worker could run fails before the pool starts.
@@ -669,10 +645,9 @@ class ProcessExecutor:
             mode = "fork" if fork else "spec"
             obs.metrics.inc(f"worker_state.{mode}")
             obs.emit("worker_state", mode=mode)
-        worker_state = (spec, runner.fork_runner() if fork else None)
         return self._map_resilient(
-            plan, runner, worker_state, policy, fault_plan, on_shard,
-            report, obs,
+            plan, runner, runner if fork else spec, policy, fault_plan,
+            on_shard, report, obs,
         )
 
     def _warn_oversubscription(
@@ -687,7 +662,7 @@ class ProcessExecutor:
         )
         _warnings.warn(message, UserWarning, stacklevel=3)
         if report is not None:
-            report.add_warning(message, cause="oversubscription")
+            report.warnings.append(message)
         if obs is not None:
             obs.metrics.inc("executor.oversubscribed")
             obs.emit(
@@ -698,7 +673,7 @@ class ProcessExecutor:
         self,
         plan: SweepPlan,
         runner: ShardRunner,
-        worker_state: Tuple[object, Optional[object]],
+        source,
         policy: Optional[RetryPolicy],
         fault_plan: Optional[FaultPlan],
         on_shard: Optional[OnShard],
@@ -724,9 +699,8 @@ class ProcessExecutor:
         break raises :class:`~repro.errors.PoolBrokenError` so
         :func:`run_plan` falls back to the serial executor.
 
-        ``worker_state`` is the ``(spec, runner)`` pair the pool
-        initializer hands each worker once (``runner`` is ``None`` off
-        fork); pool restarts reuse it.
+        ``source`` is what the pool initializer hands each worker once
+        (the runner under fork, else its spec); pool restarts reuse it.
         """
         shard_timeout = policy.shard_timeout if policy is not None else None
         failures: Dict[int, int] = {shard.index: 0 for shard in plan.shards}
@@ -756,7 +730,7 @@ class ProcessExecutor:
             pool = ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_start_worker,
-                initargs=worker_state,
+                initargs=(source,),
             )
             abandoned = False
             futures: Dict[object, Tuple[Shard, float]] = {}
@@ -876,36 +850,33 @@ def _terminate_workers(pool: ProcessPoolExecutor) -> None:
         process.terminate()
 
 
-#: Pool-worker state: the spec the worker's pool was created with, and
-#: its runner -- inherited from the parent under fork, else built from
-#: the spec on the worker's first shard.  One runner per worker, not per
-#: shard, keeps the spec (on the spec path every module) off each task.
-_WORKER_SPEC = None
-_WORKER_RUNNER = None
+#: Pool-worker state: the object the worker's pool was created with (the
+#: parent's runner under fork, else its spec).  Handing it over once per
+#: worker keeps the spec (on the spec path every module) off each task.
+_WORKER_SOURCE = None
 
 
-def _start_worker(spec, runner) -> None:
-    """Pool initializer.  A spec-built runner is built lazily, so a spec
-    that cannot build one fails its shard rather than breaking the pool."""
-    global _WORKER_SPEC, _WORKER_RUNNER
-    _WORKER_SPEC, _WORKER_RUNNER = spec, runner
+def _start_worker(source) -> None:
+    """Pool initializer.  Runners are built per shard, so a spec that
+    cannot build one fails its shard rather than breaking the pool."""
+    global _WORKER_SOURCE
+    _WORKER_SOURCE = source
 
 
 def _run_shard_remote(
     shard: Shard, fault_plan: Optional[FaultPlan]
 ) -> Tuple[int, List[DieMeasurement]]:
-    """Worker entry point: run one shard on this worker's runner.
+    """Worker entry point: run one shard on a runner built for it.
 
+    The runner is dropped when the shard returns, so a worker's memory
+    is bounded by one shard, not by how many shards it happens to draw.
     Fault hooks run *inside* the worker so injected hangs and crashes
     exercise the real failure surface (pool timeouts, BrokenProcessPool);
     result validation stays on the parent side.
     """
-    global _WORKER_RUNNER
     if fault_plan is not None:
         fault_plan.before(shard.index)
-    if _WORKER_RUNNER is None:
-        _WORKER_RUNNER = _WORKER_SPEC.build_runner()
-    measurements = _WORKER_RUNNER.run(shard)
+    measurements = _WORKER_SOURCE.build_runner().run(shard)
     if fault_plan is not None:
         measurements = fault_plan.after(shard.index, measurements)
     return shard.index, measurements
@@ -1117,7 +1088,7 @@ def run_plan(
     check.  ``plan`` may be any frozen dataclass with a
     ``shards`` tuple of protocol shards (``index``/``units``/``label``/
     ``obs_fields``); ``runner`` anything with ``run(shard)`` and
-    ``validate(shard, results)`` (plus ``fork_runner()`` and a
+    ``validate(shard, results)`` (plus ``build_runner()`` and a
     picklable ``spec`` for the process executor, see
     :class:`ProcessExecutor`); ``codec`` a
     :class:`~repro.core.checkpoint.JournalCodec` when shard results are
@@ -1274,9 +1245,7 @@ def _run_plan_journaled(
         # RunReport.warnings for artifacts.
         _warnings.warn(message, UserWarning, stacklevel=2)
         report.degradations.append(message)
-        report.add_warning(
-            message, cause=f"degradation:{executor.name}->serial"
-        )
+        report.warnings.append(message)
         if obs is not None:
             obs.metrics.inc("executor.degradations")
             obs.emit(

@@ -414,34 +414,11 @@ class RunReport:
     executors: List[str] = field(default_factory=list)
     degradations: List[str] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
-    warning_counts: Dict[str, int] = field(default_factory=dict)
     auto_decision: Optional[Dict] = None
     metrics: Optional[Dict] = None
     provenance: Optional[Dict] = None
     # Per-module methodology preflight outcomes (None without a session).
     preflight: Optional[Dict] = None
-    _warning_slots: Dict[str, int] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-
-    def add_warning(self, message: str, cause: Optional[str] = None) -> None:
-        """Record a warning, deduplicated by cause.
-
-        Repeated warnings of the same ``cause`` collapse into a single
-        ``warnings`` entry suffixed with its occurrence count, instead
-        of flooding the report; the raw counts stay queryable in
-        :attr:`warning_counts`.
-        """
-        key = cause if cause is not None else message
-        count = self.warning_counts.get(key, 0) + 1
-        self.warning_counts[key] = count
-        if count == 1:
-            self._warning_slots[key] = len(self.warnings)
-            self.warnings.append(message)
-        else:
-            self.warnings[self._warning_slots[key]] = (
-                f"{message} (x{count})"
-            )
 
     def summary(self) -> str:
         line = (

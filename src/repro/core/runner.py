@@ -1,8 +1,9 @@
 """Characterization runner: sweeps modules x patterns x tAggON x trials.
 
 The runner is the one characterization campaign entry point.  It owns
-the caches every sweep reuses (stacked per-die populations, sweep
-analyzers, memoized measurements), honours the 60 ms iteration bound,
+the caches every sweep reuses (per-die sweep analyzers, each holding its
+stacked population, and memoized measurements), honours the 60 ms
+iteration bound,
 and emits :class:`~repro.core.results.DieMeasurement` records that the
 analysis layer aggregates into the paper's tables and figures.  Sweeps
 plan their work-list and dispatch it through the execution engine
@@ -17,14 +18,15 @@ import os
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.backend.base import build_session
-from repro.core.acmin import DieSweepAnalyzer, analyze_die, pattern_footprint
+from repro.core.acmin import DieSweepAnalyzer
 from repro.core.checkpoint import plan_fingerprint
 from repro.core.engine import (
+    Shard,
     ShardRunner,
     SweepPlan,
+    WorkUnit,
     finish_campaign,
     make_executor,
-    measurement_from_analysis,
     run_plan,
     start_campaign,
 )
@@ -53,6 +55,11 @@ class CharacterizationRunner:
     methodology preflight for every module before its first sweep.
     Results are bit-identical either way -- measurements are pure
     functions of their identity.
+
+    Every closed-form measurement -- sweeps and :meth:`measure` alike --
+    runs through one :class:`~repro.core.engine.ShardRunner` over the
+    runner's two caches: the per-die analyzers (each owning its stacked
+    die) and the measurement memo.
     """
 
     def __init__(
@@ -63,9 +70,6 @@ class CharacterizationRunner:
     ) -> None:
         self._config = config
         self._obs = obs
-        self._stacked_cache: Dict[
-            Tuple[str, int, Tuple[int, ...]], StackedDie
-        ] = {}
         self._measurement_cache: Dict[
             Tuple[str, int, str, float, int], DieMeasurement
         ] = {}
@@ -96,6 +100,17 @@ class CharacterizationRunner:
 
     # ------------------------------------------------------------ measurement
 
+    def _shard_runner(self, modules: Sequence[Module]) -> ShardRunner:
+        """A shard runner over ``modules`` and this runner's caches."""
+        obs = self._obs
+        return ShardRunner(
+            self._config,
+            {module.key: module for module in modules},
+            self._measurement_cache,
+            self._analyzer_cache,
+            metrics=obs.metrics if obs is not None else None,
+        )
+
     def stacked_die(
         self,
         module: Module,
@@ -103,9 +118,7 @@ class CharacterizationRunner:
         offsets: Tuple[int, ...] = DEFAULT_OFFSETS,
     ) -> StackedDie:
         """The (cached) stacked victim population of one (die, footprint)."""
-        return ShardRunner(
-            self._config, {}, stacked_cache=self._stacked_cache
-        ).stacked(module, die, offsets)
+        return self._shard_runner([module]).analyzer(module, die, offsets).stacked
 
     def measure(
         self,
@@ -115,23 +128,15 @@ class CharacterizationRunner:
         t_on: float,
         trial: int = 0,
     ) -> DieMeasurement:
-        """One (die, pattern, tAggON, trial) measurement."""
-        cfg = self._config
-        analysis = analyze_die(
-            self.stacked_die(
-                module, die, pattern_footprint(pattern, cfg.timings)
-            ),
-            pattern,
-            t_on,
-            module.model,
-            temperature_c=cfg.temperature_c,
-            timings=cfg.timings,
-            trial=trial,
-            jitter_sigma=cfg.jitter_sigma,
+        """One (die, pattern, tAggON, trial) measurement (memoized)."""
+        shard = Shard(
+            index=0,
+            module_key=module.key,
+            manufacturer=module.manufacturer,
+            die=die,
+            units=(WorkUnit(module.key, die, pattern, t_on, trial),),
         )
-        return measurement_from_analysis(
-            module.key, module.manufacturer, die, pattern, t_on, trial, analysis, cfg
-        )
+        return self._shard_runner([module]).run(shard)[0]
 
     # ----------------------------------------------------------------- sweeps
 
@@ -215,17 +220,9 @@ class CharacterizationRunner:
             for module in modules:
                 session.ensure_preflight(module, cfg)
 
-        runner = ShardRunner(
-            cfg,
-            {module.key: module for module in modules},
-            self._stacked_cache,
-            self._measurement_cache,
-            self._analyzer_cache,
-            metrics=obs.metrics if obs is not None else None,
-        )
         completed = run_plan(
             plan,
-            runner,
+            self._shard_runner(modules),
             executor,
             fingerprint,
             policy=policy,

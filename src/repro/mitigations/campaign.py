@@ -547,13 +547,11 @@ class MitigationShardRunner:
         #: vocabulary check before dispatch, whatever the worker mode.
         self.spec = spec
 
-    def fork_runner(self) -> "MitigationShardRunner":
-        """A runner for fork-inherited workers.
+    def build_runner(self) -> "MitigationShardRunner":
+        """The per-shard runner of a fork-inherited pool worker.
 
-        The runner is stateless apart from its immutable spec, so the
-        fork payload is simply a sibling over the same spec -- workers
-        inherit it copy-on-write through the pool initializer and never
-        unpickle it.
+        The runner is stateless apart from its immutable spec, so this
+        is simply a sibling over the same spec.
         """
         return MitigationShardRunner(self.spec)
 

@@ -7,7 +7,7 @@ dotted string names, and a :meth:`~MetricsRegistry.snapshot` that
 flattens everything into a JSON-safe dict.
 
 * **Counters** are monotonically increasing integers
-  (``shards.completed``, ``cache.stacked.hits``, ``shards.retried``).
+  (``shards.completed``, ``cache.analyzer.hits``, ``shards.retried``).
 * **Gauges** are last-write-wins floats (``campaign.seconds``).
 * **Timers** are histograms of observed durations in seconds, measured
   with the monotonic clock (``shard.execute_seconds``,
@@ -160,7 +160,7 @@ class MetricsRegistry:
     def cache_hit_rates(self) -> Dict[str, Optional[float]]:
         """Hit rate per instrumented cache, ``None`` for untouched ones."""
         rates: Dict[str, Optional[float]] = {}
-        for kind in ("stacked", "analyzer", "measurement"):
+        for kind in ("analyzer", "measurement"):
             hits = self.counter(f"cache.{kind}.hits")
             misses = self.counter(f"cache.{kind}.misses")
             total = hits + misses
@@ -211,7 +211,6 @@ class MetricsReport:
                 "executors": list(report.executors),
                 "degradations": list(report.degradations),
                 "warnings": list(report.warnings),
-                "warning_counts": dict(report.warning_counts),
                 "auto_decision": report.auto_decision,
                 "summary": report.summary(),
             }

@@ -1,11 +1,12 @@
 """Tests for the vectorized multi-trial fast path of the closed-form
 analysis.
 
-``analyze_die_batch`` computes a (pattern, tAggON) point's base n_iters
-once and derives every trial by jitter scaling; these tests assert exact
-agreement with the per-trial ``analyze_die`` reference across patterns,
-the Table 2 tAggON anchors, and trials 0-2 -- the guarantee the engine's
-trial batching rests on.
+``DieSweepAnalyzer.analyze_trials`` -- the engine's entry point --
+computes a (pattern, tAggON) point's base n_iters once and derives every
+trial by jitter scaling; these tests assert exact agreement with the
+per-trial ``analyze_die`` reference across patterns, the Table 2 tAggON
+anchors, and trials 0-2 -- the guarantee the engine's trial batching
+rests on.
 """
 
 from __future__ import annotations
@@ -13,11 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.acmin import (
-    DieSweepAnalyzer,
-    analyze_die,
-    analyze_die_batch,
-)
+from repro.core.acmin import DieSweepAnalyzer, analyze_die
 from repro.patterns import ALL_PATTERNS
 
 ANCHORS = [36.0, 7_800.0, 70_200.0]
@@ -43,8 +40,8 @@ def assert_same_analysis(batched, reference):
 @pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=lambda p: p.name)
 @pytest.mark.parametrize("t_on", ANCHORS)
 def test_batch_matches_per_trial(stacked, s0_module, pattern, t_on):
-    batch = analyze_die_batch(
-        stacked, pattern, t_on, s0_module.model, trials=TRIALS
+    batch = DieSweepAnalyzer(stacked, s0_module.model).analyze_trials(
+        pattern, t_on, range(TRIALS)
     )
     assert len(batch) == TRIALS
     for trial, analysis in enumerate(batch):
@@ -82,8 +79,8 @@ def test_base_cache_is_exact(stacked, s0_module):
 def test_trials_differ_from_each_other(stacked, s0_module):
     """Sanity: the jitter scale actually perturbs the trials."""
     pattern = ALL_PATTERNS[0]
-    batch = analyze_die_batch(
-        stacked, pattern, 7_800.0, s0_module.model, trials=3
+    batch = DieSweepAnalyzer(stacked, s0_module.model).analyze_trials(
+        pattern, 7_800.0, range(3)
     )
     inner0 = batch[0].n_iters["inner"]
     inner1 = batch[1].n_iters["inner"]

@@ -196,24 +196,6 @@ def test_device_protections_check_for_moduleless_campaigns():
 # -------------------------------------------------- report + metrics plumbing
 
 
-def test_run_report_deduplicates_warnings_by_cause():
-    report = RunReport(n_shards=1)
-    report.add_warning("oversubscribed: 8 workers > 2 cores",
-                       cause="oversubscription")
-    report.add_warning("oversubscribed: 9 workers > 2 cores",
-                       cause="oversubscription")
-    report.add_warning("degraded process -> serial",
-                       cause="degradation:process->serial")
-    report.add_warning("free-form warning")
-    assert len(report.warnings) == 3
-    assert report.warnings[0].endswith("(x2)")
-    assert report.warning_counts == {
-        "oversubscription": 2,
-        "degradation:process->serial": 1,
-        "free-form warning": 1,
-    }
-
-
 def test_metrics_report_carries_the_preflight(fast_config, s0_module, tmp_path):
     """A preflighted run traces a ``preflight`` event before its first
     shard and reports the outcomes as ``run.preflight``; a metrics
@@ -236,7 +218,7 @@ def test_metrics_report_carries_the_preflight(fast_config, s0_module, tmp_path):
     assert preflight["modules"] == ["S0"]
     assert preflight["checks"]["S0"]["mapping"]["passed"]
     assert "backend" not in payload["run"]
-    assert payload["run"]["warning_counts"] == {}
+    assert payload["run"]["warnings"] == []
     payload["run"]["backend"] = {
         "kind": "noisy",
         "n_device_faults": 3,

@@ -18,10 +18,12 @@ serial-vs-pool choice is tested here too.
 from __future__ import annotations
 
 import functools
+import gc
 import multiprocessing
 import os
 import pickle
 import warnings
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -281,9 +283,65 @@ def test_worker_spec_pickles_without_cell_arrays(fast_config, s0_module):
     runner.run(plan.shards[0])  # the parent now holds die 0's stack
     payload = pickle.dumps(runner.spec)
     # The modules cross the pool boundary; the cell arrays must not.
-    assert len(payload) < runner.stacked(s0_module, 0).fused.theta.nbytes
+    assert len(payload) < runner.analyzer(s0_module, 0).stacked.fused.theta.nbytes
     rebuilt = pickle.loads(payload).build_runner()
     assert rebuilt.run(plan.shards[1]) == runner.run(plan.shards[1])
+
+
+def test_build_runner_drops_what_its_shard_builds(fast_config, s0_module):
+    """A per-shard sibling reuses the parent's dies and memo but leaves
+    the parent's caches as they were."""
+    analyzers, memo = {}, {}
+    runner = ShardRunner(
+        fast_config, {s0_module.key: s0_module}, memo, analyzers
+    )
+    plan = SweepPlan.build([s0_module], T_VALUES, ALL_PATTERNS, trials=1)
+    first = runner.run(plan.shards[0])
+    before_analyzers, before_memo = dict(analyzers), dict(memo)
+    sibling = runner.build_runner()
+    assert sibling.analyzer(s0_module, 0) is runner.analyzer(s0_module, 0)
+    assert sibling.run(plan.shards[0]) == first
+    measured = sibling.run(plan.shards[1])
+    assert analyzers == before_analyzers
+    assert memo == before_memo
+    assert measured == ShardRunner(
+        fast_config, {s0_module.key: s0_module}
+    ).run(plan.shards[1])
+
+
+@pytest.mark.parametrize("mode", ["fork", "spec"])
+def test_pool_worker_holds_one_die_at_a_time(
+    fast_config, s0_module, serial_baseline, monkeypatch, mode
+):
+    """A one-worker pool runs every S0 shard, yet never has two dies'
+    analyzers alive at once: a worker's memory is bounded by one shard.
+
+    The tracking patch is made in the parent, so forked workers (both
+    modes fork here; spec mode only changes what the pool hands them)
+    inherit it and raise inside the worker on a violation."""
+    if not fork_sharing_available():
+        pytest.skip("workers must inherit the tracking patch")
+    if mode == "spec":
+        monkeypatch.setattr(
+            engine_mod, "fork_sharing_available", lambda: False
+        )
+    live = weakref.WeakKeyDictionary()
+    build = ShardRunner.analyzer
+
+    def tracked(self, module, die, *args, **kwargs):
+        analyzer = build(self, module, die, *args, **kwargs)
+        gc.collect()
+        stale = sorted({d for d in list(live.values()) if d != die})
+        if stale:
+            raise AssertionError(
+                f"die {die}'s analyzer built while dies {stale} are alive"
+            )
+        live[analyzer] = die
+        return analyzer
+
+    monkeypatch.setattr(ShardRunner, "analyzer", tracked)
+    results = _run(fast_config, [s0_module], ProcessExecutor(1))
+    assert list(results) == list(serial_baseline)
 
 
 def test_process_executor_checks_shards_before_the_pool(

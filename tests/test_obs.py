@@ -117,11 +117,11 @@ def test_registry_counters_gauges_timers():
 
 def test_cache_hit_rates_derivation():
     registry = MetricsRegistry()
-    registry.inc("cache.stacked.hits", 3)
-    registry.inc("cache.stacked.misses", 1)
+    registry.inc("cache.analyzer.hits", 3)
+    registry.inc("cache.analyzer.misses", 1)
     rates = registry.cache_hit_rates()
-    assert rates["stacked"] == pytest.approx(0.75)
-    assert rates["analyzer"] is None  # untouched cache: no rate, not 0/0
+    assert rates == {"analyzer": pytest.approx(0.75), "measurement": None}
+    # An untouched cache has no rate, not 0/0.
 
 
 def test_sanitize_nonfinite():
@@ -159,7 +159,6 @@ def test_serial_counter_totals(fast_config, s0_module):
     counters_serial = obs_serial.metrics.snapshot()["counters"]
     n_shards = s0_module.n_dies
     assert counters_serial["shards.completed"] == n_shards
-    assert counters_serial["cache.stacked.misses"] == n_shards
     assert counters_serial["cache.analyzer.misses"] == n_shards
     # Two trials per point, nothing pre-cached: every lookup misses.
     assert counters_serial["cache.measurement.hits"] == 0
@@ -208,7 +207,6 @@ _ENVELOPES = {
             "cache.analyzer.misses",
             "cache.measurement.hits",
             "cache.measurement.misses",
-            "cache.stacked.misses",
             "preflight.modules",
             "shards.completed",
             "validate.passed",
@@ -410,7 +408,7 @@ def test_metrics_report_build_and_write(fast_config, s0_module, tmp_path):
     payload = _strict_loads(out.read_text())
     assert payload["format"] == "repro-metrics-v1"
     assert payload["counters"]["shards.completed"] == s0_module.n_dies
-    assert payload["cache_hit_rates"]["stacked"] == 0.0
+    assert payload["cache_hit_rates"]["analyzer"] == 0.0
     assert payload["run"]["n_executed"] == s0_module.n_dies
     assert payload["run"]["executors"] == ["serial"]
 

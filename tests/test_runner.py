@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.core.acmin import analyze_die
+from repro.core.engine import measurement_from_analysis
+from repro.core.runner import CharacterizationRunner
 from repro.patterns import COMBINED, DOUBLE_SIDED
 
 
@@ -66,3 +69,39 @@ def test_measurement_metadata(s0_module, fast_runner):
     assert m.die == 2
     assert m.pattern == "combined"
     assert m.trial == 1
+
+
+def test_measure_returns_the_memoized_record(s0_module, fast_config):
+    """``measure`` reads the memo a sweep filled."""
+    runner = CharacterizationRunner(fast_config)
+    results = runner.characterize(
+        [s0_module], [7_800.0], [COMBINED], dies=[1], trials=2
+    )
+    for m in results:
+        assert runner.measure(s0_module, 1, COMBINED, 7_800.0, m.trial) is m
+
+
+def test_measure_matches_the_analyze_die_reference(s0_module, fast_config):
+    """``measure`` equals a from-scratch ``analyze_die`` exactly, and a
+    later sweep reuses the record it memoized."""
+    cfg = fast_config
+    runner = CharacterizationRunner(cfg)
+    measured = runner.measure(s0_module, 3, COMBINED, 7_800.0, trial=2)
+    analysis = analyze_die(
+        runner.stacked_die(s0_module, 3),
+        COMBINED,
+        7_800.0,
+        s0_module.model,
+        temperature_c=cfg.temperature_c,
+        timings=cfg.timings,
+        trial=2,
+        jitter_sigma=cfg.jitter_sigma,
+    )
+    assert measured == measurement_from_analysis(
+        s0_module.key, s0_module.manufacturer, 3, COMBINED, 7_800.0, 2,
+        analysis, cfg,
+    )
+    swept = runner.characterize(
+        [s0_module], [7_800.0], [COMBINED], dies=[3], trials=3
+    )
+    assert list(swept)[2] is measured

@@ -594,13 +594,6 @@ def test_check_cross_executor_returns_common_digest(fast_config):
     assert check_cross_executor(config=fast_config) == digest
 
 
-def test_check_cross_executor_covers_the_process_pool(fast_config):
-    digest = check_cross_executor(
-        config=fast_config, executors=("serial", "process")
-    )
-    assert digest == check_cross_executor(config=fast_config)
-
-
 def test_check_cross_executor_rejects_bad_arguments(fast_config, monkeypatch):
     from repro.errors import ExperimentError
 
