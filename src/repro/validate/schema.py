@@ -1,21 +1,12 @@
 """Dependency-free schema validators for every on-disk artifact.
 
-One validator per artifact family, all pure functions over already-parsed
-payloads (the caller owns file I/O and digest verification):
-
-* :func:`validate_results_payload`   -- ResultSet dumps (``repro-results-v1``
-  and the legacy unversioned shapes);
-* :func:`validate_journal_header` / :func:`validate_journal_entry`
-  -- checkpoint journals (``repro-checkpoint-v1``);
-* :func:`validate_metrics_payload`   -- metrics reports (``repro-metrics-v1``);
-* :func:`validate_trace_event`       -- JSONL trace lines;
-* :func:`validate_bench_payload`     -- ``BENCH_sweep.json`` records;
-* :func:`validate_manifest_payload`  -- sharded-population manifests
-  (``repro-flipshards-v1``);
-* :func:`validate_patternspec_payload` -- pattern-DSL spec bundles
-  (``repro-patternspec-v1``; shape only -- the semantic compile check
-  lives in :func:`repro.validate.validate_artifact`, which re-builds
-  every spec through ``PatternSpec.from_dict``).
+One ``validate_*`` function per artifact format, all pure functions over
+already-parsed payloads (the caller owns file I/O and digest
+verification): results and mitigation dumps, checkpoint journal headers
+and entries, metrics reports, trace lines, ``BENCH_sweep.json``, flip
+shard manifests and pattern-spec bundles.  Each format is a table of
+:class:`Field` rows walked by the one function :func:`_walk`; rules that
+tie fields together are named hooks placed in the table where they run.
 
 Every failure raises :class:`~repro.errors.ArtifactInvalidError` whose
 message starts with ``<source>: $<json-path>`` so the offending field is
@@ -29,7 +20,8 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Dict, List, Optional, Tuple
+import sys
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import ArtifactInvalidError
 
@@ -103,48 +95,427 @@ KNOWN_MITIGATIONS = ("para", "para-press", "graphene", "graphene-press")
 KNOWN_JOURNAL_ENTRIES = (None, MITIGATION_POINT_FORMAT)
 
 
-def _fail(source: Optional[str], path: str, problem: str) -> None:
+# ------------------------------------------------------------------ walker
+
+
+#: Type label -> the Python types it accepts (bool never passes as int).
+_TYPES = {
+    "a string": str,
+    "an integer": int,
+    "an integer or null": int,
+    "a number": (int, float),
+    "a boolean": bool,
+    "an object": dict,
+    "an array": list,
+    "a [row, col] pair": (list, tuple),
+}
+
+#: Bound -> the least admissible value; the key is also the message
+#: (``must be > 0 ns, got ...``).  ``x > 0`` holds exactly when ``x`` is
+#: at least the least positive float, for ints and floats alike.
+_ABOVE_ZERO = math.nextafter(0.0, math.inf)
+_BOUNDS = {
+    ">= 0": 0,
+    "> 0": _ABOVE_ZERO,
+    "> 0 ns": _ABOVE_ZERO,
+    "a wall-clock timestamp": 0,
+}
+
+
+class Field:
+    """One row of a format's field table.
+
+    ``label`` is the type named in messages and picks the accepted
+    Python types from :data:`_TYPES` (``None`` accepts any value and
+    leaves it to ``check``); ``"a number"`` must also be finite.
+    ``bound`` is a key of :data:`_BOUNDS`.  A ``nullable`` field may be
+    null, an ``optional`` one may be absent.  ``check(value, path,
+    source)`` runs after the type and bound.  ``rows`` is an object's
+    own table: :class:`Field` rows and cross-field hooks ``(obj, path,
+    source)``, run in order.  ``each`` checks every array item or map
+    value.  ``unique = (key, detail)`` makes ``key(value)`` distinct
+    across the items of the enclosing array; a repeat fails as
+    ``duplicates <first path><detail(value)>``.
+
+    A plain field (no check, rows, items or uniqueness) whose value has
+    exactly one of its ``fast`` types, and for numbers lies in ``[low,
+    inf)``, is accepted where it is read, without a walk.
+    """
+
+    __slots__ = ("name", "label", "bound", "nullable", "optional", "check",
+                 "rows", "each", "unique", "fast", "low")
+
+    def __init__(self, name: str, label: Optional[str], bound=None, *,
+                 nullable=False, optional=False, check=None, rows=(),
+                 each=None, unique=None) -> None:
+        self.name, self.label, self.bound = name, label, bound
+        self.nullable, self.optional, self.check = nullable, optional, check
+        self.rows, self.each, self.unique = rows, each, unique
+        types = _TYPES.get(label, ())
+        plain = not (check or rows or each or unique)
+        self.fast = frozenset(
+            types if isinstance(types, tuple) else (types,)
+        ) if plain else frozenset()
+        self.low = _BOUNDS.get(bound)
+        if self.low is None and label == "a number":
+            self.low = -sys.float_info.max  # excludes -inf
+
+
+_ABSENT = object()
+
+
+def _path(path) -> str:
+    """Render a path built lazily as ``(parent, ".", key)`` or
+    ``(parent, "[", index)`` nodes over a root string."""
+    if isinstance(path, str):
+        return path
+    parent, sep, key = path
+    if sep == ".":
+        return f"{_path(parent)}.{key}"
+    return f"{_path(parent)}[{key}]"
+
+
+def _fail(source: Optional[str], path, problem: str) -> None:
     prefix = f"{source}: " if source else ""
-    raise ArtifactInvalidError(f"{prefix}{path} {problem}")
+    raise ArtifactInvalidError(f"{prefix}{_path(path)} {problem}")
 
 
-def _typename(value) -> str:
-    return type(value).__name__
+def _walk(value, spec: Field, path, source: Optional[str], seen=None):
+    """Check ``value`` against ``spec``; ``seen`` is the enclosing
+    array's map of ``unique`` keys to the path that first held them."""
+    if value is None and spec.nullable:
+        return
+    label = spec.label
+    if label is not None:
+        types = _TYPES[label]
+        if not isinstance(value, types) or (
+            isinstance(value, bool) and types is not bool
+        ):
+            _fail(source, path, f"must be {label}, got {type(value).__name__}")
+        if isinstance(value, float) and not math.isfinite(value):
+            _fail(source, path, f"must be finite, got {value!r}")
+    if spec.bound is not None and not spec.low <= value:
+        _fail(source, path, f"must be {spec.bound}, got {value!r}")
+    if spec.check is not None:
+        spec.check(value, path, source)
+    for row in spec.rows:
+        if type(row) is not Field:
+            row(value, path, source)
+            continue
+        item = value.get(row.name, _ABSENT)
+        if item is _ABSENT:
+            if not row.optional:
+                _fail(source, (path, ".", row.name), "is missing")
+            continue
+        low = row.low
+        if type(item) not in row.fast or (
+            low is not None and not low <= item < math.inf
+        ):
+            _walk(item, row, (path, ".", row.name), source, seen)
+    if spec.unique is not None and seen is not None:
+        key, detail = spec.unique
+        first = seen.setdefault(key(value), path)
+        if first is not path:
+            _fail(source, path, f"duplicates {_path(first)}{detail(value)}")
+    each = spec.each
+    if each is not None:
+        fast, low, seen = each.fast, each.low, {}
+        if isinstance(value, dict):
+            items, sep = value.items(), "."
+        else:
+            items, sep = enumerate(value), "["
+        for key, item in items:
+            if type(item) not in fast or (
+                low is not None and not low <= item < math.inf
+            ):
+                _walk(item, each, (path, sep, key), source, seen)
 
 
-def _require(payload, path: str, types, source: Optional[str], label: str):
-    """``payload`` must be one of ``types`` (bool never passes as int)."""
-    if isinstance(payload, bool) and bool not in (
-        types if isinstance(types, tuple) else (types,)
-    ):
-        _fail(source, path, f"must be {label}, got bool")
-    if not isinstance(payload, types):
-        _fail(source, path, f"must be {label}, got {_typename(payload)}")
-    return payload
+# ------------------------------------------------------------------- hooks
 
 
-def _require_dict(payload, path: str, source: Optional[str]) -> Dict:
-    return _require(payload, path, dict, source, "an object")
+def _must(ok: Callable, problem: str) -> Callable:
+    """A value check failing with ``problem.format(value)`` unless ``ok``."""
+    def check(value, path, source):
+        if not ok(value):
+            _fail(source, path, problem.format(value))
+    return check
 
 
-def _require_list(payload, path: str, source: Optional[str]) -> List:
-    return _require(payload, path, list, source, "an array")
+def _format(expected: str, kind: str) -> Callable:
+    return _must(
+        lambda found: found == expected,
+        f"has unknown {kind} format {{!r}} (this library reads {expected!r})",
+    )
 
 
-def _require_finite(payload, path: str, source: Optional[str]):
-    _require(payload, path, (int, float), source, "a number")
-    if isinstance(payload, float) and not math.isfinite(payload):
-        _fail(source, path, f"must be finite, got {payload!r}")
-    return payload
+def _pair(coord, path, source):
+    if len(coord) != 2:
+        _fail(
+            source, path,
+            f"must be a [row, col] pair, got {len(coord)} element(s)",
+        )
 
 
-def _get(obj: Dict, key: str, path: str, source: Optional[str]):
-    if key not in obj:
-        _fail(source, f"{path}.{key}", "is missing")
-    return obj[key]
+def _rule(key: str, broken: Callable, problem: str) -> Callable:
+    """Cross-field hook: fail at ``key`` when ``broken(obj)``, with
+    ``problem`` formatted from the object's fields."""
+    def hook(obj, path, source):
+        if broken(obj):
+            _fail(source, (path, ".", key), problem.format_map(obj))
+    return hook
 
 
-# ----------------------------------------------------------------- results
+def _null_when(key: str, flag: str, state: str, why: str) -> Callable:
+    """``key`` must be null while ``flag`` is ``state`` (null or true)."""
+    return _rule(
+        key,
+        lambda obj: obj[key] is not None
+        and (obj[flag] is None if state == "null" else obj[flag]),
+        f"must be null when {flag} is {state} ({why}), got {{{key}!r}}",
+    )
+
+
+def _shard_sum(manifest, path, source):
+    total = manifest["n_measurements"]
+    counted = sum(shard["n_measurements"] for shard in manifest["shards"])
+    if counted != total:
+        _fail(
+            source, (path, ".", "n_measurements"),
+            f"is {total}, but the shards sum to {counted} measurement(s)",
+        )
+
+
+def _speedups(value, path, source):
+    # ``speedup_vs_seed`` is one number or a map of named numbers.
+    _walk(value, _SPEEDUP_MAP if isinstance(value, dict) else _POSITIVE,
+          path, source)
+
+
+def _measurement_identity(rec) -> Tuple[str, int, str, float, int]:
+    return (rec["module_key"], rec["die"], rec["pattern"],
+            float(rec["t_on"]), rec["trial"])
+
+
+def _mitigation_identity(rec) -> Tuple[str, str, str, float]:
+    return (rec["chip_key"], rec["mitigation"], rec["pattern"],
+            float(rec["t_on"]))
+
+
+def _twice(identity: Callable, names: str, verb: str) -> Tuple:
+    """``unique`` rule for records keyed by ``identity`` (its ``names``)."""
+    def detail(rec):
+        fields = ", ".join(
+            f"{n}={v!r}" for n, v in zip(names.split(), identity(rec))
+        )
+        return f": ({fields}) {verb} twice"
+    return identity, detail
+
+
+_NAMED_ONCE = (lambda name: name), (lambda name: f" ({name!r})")
+_NAME_GRAMMAR = "lowercase [a-z0-9+._-], 64 chars max"
+
+
+# ------------------------------------------------------------ field tables
+
+_POSITIVE = Field("", "a number", "> 0")
+_SPEEDUP_MAP = Field("", "an object", each=_POSITIVE)
+_PATTERN = Field("pattern", "a string", check=_must(
+    is_known_pattern_name,
+    f"must be one of {list(KNOWN_PATTERNS)} or a DSL pattern name "
+    f"({_NAME_GRAMMAR}), got {{!r}}",
+))
+_T_ON = Field("t_on", "a number", "> 0 ns")
+_TIME_TO_FIRST = Field("time_to_first_ns", "a number", "> 0 ns", nullable=True)
+_PROVENANCE = Field("provenance", "an object", optional=True)
+_SHA256 = _must(
+    lambda digest: len(digest) == 64
+    and all(c in "0123456789abcdef" for c in digest),
+    "must be a lowercase sha256 hex digest (64 chars), got {!r}",
+)
+_CENSUS_PAIR = Field(
+    "", "a [row, col] pair", check=_pair, each=Field("", "an integer")
+)
+
+_MEASUREMENT = Field("", "an object", rows=(
+    Field("module_key", "a string"),
+    Field("manufacturer", "a string"),
+    Field("die", "an integer", ">= 0"),
+    _PATTERN,
+    _T_ON,
+    Field("trial", "an integer", ">= 0"),
+    Field("acmin", "an integer or null", "> 0", nullable=True),
+    _TIME_TO_FIRST,
+    # A censored cell (no bitflip) has no ACmin and therefore no time.
+    # The converse is not enforced: a non-finite time_to_first_ns is
+    # sanitized to null at serialization while acmin stays set.
+    _null_when("time_to_first_ns", "acmin", "null",
+               "no bitflip means no time-to-first"),
+    Field("flips_1_to_0", "an array", nullable=True, optional=True,
+          each=_CENSUS_PAIR),
+    Field("flips_0_to_1", "an array", nullable=True, optional=True,
+          each=_CENSUS_PAIR),
+))
+
+_MITIGATION = Field("", "an object", rows=(
+    Field("chip_key", "a string"),
+    Field("mitigation", "a string", check=_must(
+        lambda name: name in KNOWN_MITIGATIONS,
+        f"must be one of {list(KNOWN_MITIGATIONS)}, got {{!r}}",
+    )),
+    _PATTERN,
+    _T_ON,
+    Field("baseline_acmin", "an integer or null", "> 0", nullable=True),
+    Field("baseline_iterations", "an integer or null", "> 0", nullable=True),
+    _TIME_TO_FIRST,
+    # A point with no baseline bitflip has neither a time to first flip
+    # nor a critical-parameter search.
+    _null_when("time_to_first_ns", "baseline_acmin", "null",
+               "no baseline bitflip means no time-to-first"),
+    Field("critical_value", "a number", "> 0", nullable=True),
+    Field("protects_at", "a number", nullable=True),
+    Field("fails_at", "a number", nullable=True),
+    Field("n_runs", "an integer", ">= 0"),
+    Field("cap_hit", "a boolean"),
+    Field("defeated", "a boolean"),
+    Field("protected_by_trefw", "a boolean"),
+    Field("protected_by_trefw_quarter", "a boolean"),
+    _null_when("critical_value", "defeated", "true",
+               "no finite parameter protects"),
+    _null_when("fails_at", "cap_hit", "true",
+               "the ramp never found a failing parameter"),
+    # Probability mechanisms live in (0, 1]; a probability above 1
+    # marks a corrupted or hand-edited record.
+    _rule(
+        "critical_value",
+        lambda rec: rec["mitigation"] in ("para", "para-press")
+        and rec["critical_value"] is not None and rec["critical_value"] > 1.0,
+        "must be a probability in (0, 1] for {mitigation!r}, "
+        "got {critical_value!r}",
+    ),
+))
+
+_RESULT_RECORDS = Field(
+    "measurements", "an array",
+    each=Field("", "an object", rows=_MEASUREMENT.rows,
+               unique=_twice(
+                   _measurement_identity,
+                   "module_key die pattern t_on trial", "measured",
+               )),
+)
+
+_RESULTS = Field("", "an object", rows=(
+    Field("format", None, nullable=True, optional=True,
+          check=_format(RESULTS_FORMAT, "results")),
+    Field("census_included", "a boolean"),
+    _RESULT_RECORDS,
+))
+
+_MITIGATION_DUMP = Field("", "an object", rows=(
+    Field("format", None, check=_format(MITIGATION_FORMAT, "mitigation")),
+    Field("points", "an array", each=Field(
+        "", "an object", rows=_MITIGATION.rows,
+        unique=_twice(
+            _mitigation_identity, "chip_key mitigation pattern t_on",
+            "evaluated",
+        ),
+    )),
+))
+
+_JOURNAL_HEADER = Field("", "an object", rows=(
+    Field("format", None, check=_format(JOURNAL_FORMAT, "journal")),
+    Field("fingerprint", "a string"),
+    Field("n_shards", "an integer", ">= 0"),
+    Field("entries", None, optional=True, check=_must(
+        lambda entries: entries in KNOWN_JOURNAL_ENTRIES,
+        "has unknown journal entry format {!r} (this library reads "
+        f"{[e for e in KNOWN_JOURNAL_ENTRIES if e is not None]}, or no "
+        "entries field for characterization measurements)",
+    )),
+    _PROVENANCE,
+))
+
+#: Journal entry tables by the header's ``entries`` record kind.
+_JOURNAL_ENTRY = {
+    entries: Field("", "an object", rows=(
+        Field("shard", "an integer", ">= 0"),
+        Field("measurements", "an array", each=record),
+    ))
+    for entries, record in (
+        (None, _MEASUREMENT), (MITIGATION_POINT_FORMAT, _MITIGATION)
+    )
+}
+
+_METRICS = Field("", "an object", rows=(
+    Field("format", None, check=_format(METRICS_FORMAT, "metrics")),
+    Field("counters", "an object", each=Field("", "an integer", ">= 0")),
+    # sanitized non-finite gauges are null
+    Field("gauges", "an object", each=Field("", "a number", nullable=True)),
+    Field("timers", "an object", each=Field("", "an object", rows=(
+        Field("count", "an integer", ">= 0"),
+        *(Field(stat, "a number") for stat in (
+            "total_s", "min_s", "max_s", "mean_s", "p50_s", "p90_s"
+        )),
+    ))),
+    Field("run", "an object", optional=True, rows=tuple(
+        Field(key, "an integer", ">= 0")
+        for key in ("n_shards", "n_resumed", "n_executed", "n_retries")
+    )),
+    _PROVENANCE,
+))
+
+_TRACE_EVENT = Field("", "an object", rows=(
+    Field("event", "a string"),
+    Field("t", "a number", "a wall-clock timestamp"),
+))
+
+_BENCH = Field("", "an object", rows=(
+    Field("format", None, nullable=True, optional=True,
+          check=_format(BENCH_FORMAT, "bench")),
+    Field("campaign", "an object"),
+    Field("seconds", "an object", each=_POSITIVE),
+    Field("speedup_vs_seed", None, check=_speedups),
+    Field("all_seconds", "an object", nullable=True, optional=True,
+          each=Field("", "an array", each=Field("", "a number"))),
+))
+
+_PATTERNSPEC = Field("", "an object", rows=(
+    Field("format", None, check=_format(PATTERNSPEC_FORMAT, "patternspec")),
+    Field("specs", "an array", check=_must(
+        bool, "must carry at least one pattern spec"
+    ), each=Field("", "an object", rows=(
+        Field("name", "a string", unique=_NAMED_ONCE, check=_must(
+            _PATTERN_NAME_RE.match,
+            f"must be a DSL pattern name ({_NAME_GRAMMAR}), got {{!r}}",
+        )),
+        Field("aggressors", "an array", each=Field("", "an object"),
+              check=_must(bool, "must carry at least one aggressor")),
+    ))),
+    _PROVENANCE,
+))
+
+_MANIFEST = Field("", "an object", rows=(
+    Field("format", None, check=_format(MANIFEST_FORMAT, "manifest")),
+    Field("group_by", "a string"),
+    Field("n_measurements", "an integer", ">= 0"),
+    Field("results_digest", "a string", check=_SHA256),
+    Field("shards", "an array", each=Field("", "an object", rows=(
+        Field("name", "a string", unique=_NAMED_ONCE, check=_must(
+            lambda name: name and not (
+                "/" in name or "\\" in name or name.startswith(".")
+            ),
+            "must be a bare file name next to the manifest, got {!r}",
+        )),
+        Field("module", "a string"),
+        Field("n_measurements", "an integer", ">= 0"),
+        Field("bytes", "an integer", "> 0"),
+        Field("sha256", "a string", check=_SHA256),
+    ))),
+    _shard_sum,
+))
+
+
+# -------------------------------------------------------------- validators
 
 
 def validate_measurement_record(
@@ -155,86 +526,8 @@ def validate_measurement_record(
     Returns the record's identity ``(module_key, die, pattern, t_on,
     trial)`` so callers can detect duplicates without re-reading fields.
     """
-    _require_dict(rec, path, source)
-    module_key = _require(
-        _get(rec, "module_key", path, source),
-        f"{path}.module_key", str, source, "a string",
-    )
-    _require(
-        _get(rec, "manufacturer", path, source),
-        f"{path}.manufacturer", str, source, "a string",
-    )
-    die = _require(
-        _get(rec, "die", path, source), f"{path}.die", int, source, "an integer"
-    )
-    if die < 0:
-        _fail(source, f"{path}.die", f"must be >= 0, got {die}")
-    pattern = _require(
-        _get(rec, "pattern", path, source),
-        f"{path}.pattern", str, source, "a string",
-    )
-    if not is_known_pattern_name(pattern):
-        _fail(
-            source,
-            f"{path}.pattern",
-            f"must be one of {list(KNOWN_PATTERNS)} or a DSL pattern name "
-            f"(lowercase [a-z0-9+._-], 64 chars max), got {pattern!r}",
-        )
-    t_on = _require_finite(
-        _get(rec, "t_on", path, source), f"{path}.t_on", source
-    )
-    if t_on <= 0:
-        _fail(source, f"{path}.t_on", f"must be > 0 ns, got {t_on!r}")
-    trial = _require(
-        _get(rec, "trial", path, source),
-        f"{path}.trial", int, source, "an integer",
-    )
-    if trial < 0:
-        _fail(source, f"{path}.trial", f"must be >= 0, got {trial}")
-
-    acmin = _get(rec, "acmin", path, source)
-    if acmin is not None:
-        _require(acmin, f"{path}.acmin", int, source, "an integer or null")
-        if acmin <= 0:
-            _fail(source, f"{path}.acmin", f"must be > 0, got {acmin}")
-    time_to_first = _get(rec, "time_to_first_ns", path, source)
-    if time_to_first is not None:
-        _require_finite(time_to_first, f"{path}.time_to_first_ns", source)
-        if time_to_first <= 0:
-            _fail(
-                source,
-                f"{path}.time_to_first_ns",
-                f"must be > 0 ns, got {time_to_first!r}",
-            )
-    # A censored cell (no bitflip) has no ACmin and therefore no time.
-    # The converse is not enforced: a non-finite time_to_first_ns is
-    # sanitized to null at serialization while acmin stays set.
-    if acmin is None and time_to_first is not None:
-        _fail(
-            source,
-            f"{path}.time_to_first_ns",
-            f"must be null when acmin is null (no bitflip means no "
-            f"time-to-first), got {time_to_first!r}",
-        )
-
-    for census_key in ("flips_1_to_0", "flips_0_to_1"):
-        flips = rec.get(census_key)
-        if flips is None:
-            continue
-        _require_list(flips, f"{path}.{census_key}", source)
-        for i, coord in enumerate(flips):
-            coord_path = f"{path}.{census_key}[{i}]"
-            _require(coord, coord_path, (list, tuple), source, "a [row, col] pair")
-            if len(coord) != 2:
-                _fail(
-                    source, coord_path,
-                    f"must be a [row, col] pair, got {len(coord)} element(s)",
-                )
-            for j, axis in enumerate(coord):
-                _require(
-                    axis, f"{coord_path}[{j}]", int, source, "an integer"
-                )
-    return (module_key, die, pattern, float(t_on), trial)
+    _walk(rec, _MEASUREMENT, path, source)
+    return _measurement_identity(rec)
 
 
 def validate_results_payload(payload, source: Optional[str] = None) -> Dict:
@@ -247,45 +540,10 @@ def validate_results_payload(payload, source: Optional[str] = None) -> Dict:
     records are rejected.
     """
     if isinstance(payload, list):
-        records, legacy = payload, True
-        records_path = "$"
-    else:
-        _require_dict(payload, "$", source)
-        fmt = payload.get("format")
-        legacy = fmt is None
-        if fmt is not None and fmt != RESULTS_FORMAT:
-            _fail(
-                source, "$.format",
-                f"has unknown results format {fmt!r} "
-                f"(this library reads {RESULTS_FORMAT!r})",
-            )
-        _require(
-            _get(payload, "census_included", "$", source),
-            "$.census_included", bool, source, "a boolean",
-        )
-        records = _require_list(
-            _get(payload, "measurements", "$", source), "$.measurements", source
-        )
-        records_path = "$.measurements"
-    seen: Dict[Tuple, int] = {}
-    for i, rec in enumerate(records):
-        identity = validate_measurement_record(
-            rec, f"{records_path}[{i}]", source
-        )
-        if identity in seen:
-            _fail(
-                source,
-                f"{records_path}[{i}]",
-                f"duplicates {records_path}[{seen[identity]}]: "
-                f"(module_key={identity[0]!r}, die={identity[1]}, "
-                f"pattern={identity[2]!r}, t_on={identity[3]!r}, "
-                f"trial={identity[4]}) measured twice",
-            )
-        seen[identity] = i
-    return {"legacy": legacy}
-
-
-# -------------------------------------------------------------- mitigation
+        _walk(payload, _RESULT_RECORDS, "$", source)
+        return {"legacy": True}
+    _walk(payload, _RESULTS, "$", source)
+    return {"legacy": payload.get("format") is None}
 
 
 def validate_mitigation_record(
@@ -296,131 +554,8 @@ def validate_mitigation_record(
     Returns the record's identity ``(chip_key, mitigation, pattern,
     t_on)`` so callers can detect duplicates without re-reading fields.
     """
-    _require_dict(rec, path, source)
-    chip_key = _require(
-        _get(rec, "chip_key", path, source),
-        f"{path}.chip_key", str, source, "a string",
-    )
-    mitigation = _require(
-        _get(rec, "mitigation", path, source),
-        f"{path}.mitigation", str, source, "a string",
-    )
-    if mitigation not in KNOWN_MITIGATIONS:
-        _fail(
-            source,
-            f"{path}.mitigation",
-            f"must be one of {list(KNOWN_MITIGATIONS)}, got {mitigation!r}",
-        )
-    pattern = _require(
-        _get(rec, "pattern", path, source),
-        f"{path}.pattern", str, source, "a string",
-    )
-    if not is_known_pattern_name(pattern):
-        _fail(
-            source,
-            f"{path}.pattern",
-            f"must be one of {list(KNOWN_PATTERNS)} or a DSL pattern name "
-            f"(lowercase [a-z0-9+._-], 64 chars max), got {pattern!r}",
-        )
-    t_on = _require_finite(
-        _get(rec, "t_on", path, source), f"{path}.t_on", source
-    )
-    if t_on <= 0:
-        _fail(source, f"{path}.t_on", f"must be > 0 ns, got {t_on!r}")
-
-    acmin = _get(rec, "baseline_acmin", path, source)
-    if acmin is not None:
-        _require(
-            acmin, f"{path}.baseline_acmin", int, source,
-            "an integer or null",
-        )
-        if acmin <= 0:
-            _fail(source, f"{path}.baseline_acmin", f"must be > 0, got {acmin}")
-    iterations = _get(rec, "baseline_iterations", path, source)
-    if iterations is not None:
-        _require(
-            iterations, f"{path}.baseline_iterations", int, source,
-            "an integer or null",
-        )
-        if iterations <= 0:
-            _fail(
-                source, f"{path}.baseline_iterations",
-                f"must be > 0, got {iterations}",
-            )
-    time_to_first = _get(rec, "time_to_first_ns", path, source)
-    if time_to_first is not None:
-        _require_finite(time_to_first, f"{path}.time_to_first_ns", source)
-        if time_to_first <= 0:
-            _fail(
-                source, f"{path}.time_to_first_ns",
-                f"must be > 0 ns, got {time_to_first!r}",
-            )
-    # A point with no baseline bitflip has neither a time to first flip
-    # nor a critical-parameter search.
-    if acmin is None and time_to_first is not None:
-        _fail(
-            source,
-            f"{path}.time_to_first_ns",
-            f"must be null when baseline_acmin is null (no baseline "
-            f"bitflip means no time-to-first), got {time_to_first!r}",
-        )
-
-    critical = _get(rec, "critical_value", path, source)
-    if critical is not None:
-        _require_finite(critical, f"{path}.critical_value", source)
-        if critical <= 0:
-            _fail(
-                source, f"{path}.critical_value",
-                f"must be > 0, got {critical!r}",
-            )
-    for key in ("protects_at", "fails_at"):
-        value = _get(rec, key, path, source)
-        if value is not None:
-            _require_finite(value, f"{path}.{key}", source)
-    n_runs = _require(
-        _get(rec, "n_runs", path, source),
-        f"{path}.n_runs", int, source, "an integer",
-    )
-    if n_runs < 0:
-        _fail(source, f"{path}.n_runs", f"must be >= 0, got {n_runs}")
-    for key in (
-        "cap_hit",
-        "defeated",
-        "protected_by_trefw",
-        "protected_by_trefw_quarter",
-    ):
-        _require(
-            _get(rec, key, path, source), f"{path}.{key}", bool, source,
-            "a boolean",
-        )
-    if rec["defeated"] and critical is not None:
-        _fail(
-            source,
-            f"{path}.critical_value",
-            f"must be null when defeated is true (no finite parameter "
-            f"protects), got {critical!r}",
-        )
-    if rec["cap_hit"] and rec["fails_at"] is not None:
-        _fail(
-            source,
-            f"{path}.fails_at",
-            f"must be null when cap_hit is true (the ramp never found a "
-            f"failing parameter), got {rec['fails_at']!r}",
-        )
-    # Probability mechanisms live in (0, 1]; a probability above 1 marks
-    # a corrupted or hand-edited record.
-    if (
-        mitigation in ("para", "para-press")
-        and critical is not None
-        and critical > 1.0
-    ):
-        _fail(
-            source,
-            f"{path}.critical_value",
-            f"must be a probability in (0, 1] for {mitigation!r}, "
-            f"got {critical!r}",
-        )
-    return (chip_key, mitigation, pattern, float(t_on))
+    _walk(rec, _MITIGATION, path, source)
+    return _mitigation_identity(rec)
 
 
 def validate_mitigation_payload(payload, source: Optional[str] = None) -> Dict:
@@ -430,66 +565,13 @@ def validate_mitigation_payload(payload, source: Optional[str] = None) -> Dict:
     field is required, unknown versions and duplicate ``(chip_key,
     mitigation, pattern, t_on)`` records are rejected.
     """
-    _require_dict(payload, "$", source)
-    fmt = _get(payload, "format", "$", source)
-    if fmt != MITIGATION_FORMAT:
-        _fail(
-            source, "$.format",
-            f"has unknown mitigation format {fmt!r} "
-            f"(this library reads {MITIGATION_FORMAT!r})",
-        )
-    records = _require_list(
-        _get(payload, "points", "$", source), "$.points", source
-    )
-    seen: Dict[Tuple, int] = {}
-    for i, rec in enumerate(records):
-        identity = validate_mitigation_record(rec, f"$.points[{i}]", source)
-        if identity in seen:
-            _fail(
-                source,
-                f"$.points[{i}]",
-                f"duplicates $.points[{seen[identity]}]: "
-                f"(chip_key={identity[0]!r}, mitigation={identity[1]!r}, "
-                f"pattern={identity[2]!r}, t_on={identity[3]!r}) "
-                f"evaluated twice",
-            )
-        seen[identity] = i
+    _walk(payload, _MITIGATION_DUMP, "$", source)
     return payload
-
-
-# ----------------------------------------------------------------- journal
 
 
 def validate_journal_header(header, source: Optional[str] = None) -> Dict:
     """Validate a checkpoint journal's header line (parsed)."""
-    _require_dict(header, "$", source)
-    fmt = _get(header, "format", "$", source)
-    if fmt != JOURNAL_FORMAT:
-        _fail(
-            source, "$.format",
-            f"has unknown journal format {fmt!r} "
-            f"(this library reads {JOURNAL_FORMAT!r})",
-        )
-    _require(
-        _get(header, "fingerprint", "$", source),
-        "$.fingerprint", str, source, "a string",
-    )
-    n_shards = _require(
-        _get(header, "n_shards", "$", source),
-        "$.n_shards", int, source, "an integer",
-    )
-    if n_shards < 0:
-        _fail(source, "$.n_shards", f"must be >= 0, got {n_shards}")
-    entries = header.get("entries")
-    if entries not in KNOWN_JOURNAL_ENTRIES:
-        _fail(
-            source, "$.entries",
-            f"has unknown journal entry format {entries!r} (this library "
-            f"reads {[e for e in KNOWN_JOURNAL_ENTRIES if e is not None]}, "
-            f"or no entries field for characterization measurements)",
-        )
-    if "provenance" in header:
-        _require_dict(header["provenance"], "$.provenance", source)
+    _walk(header, _JOURNAL_HEADER, "$", source)
     return header
 
 
@@ -506,308 +588,48 @@ def validate_journal_entry(
     header's declared record format: ``None`` for characterization
     measurements, :data:`MITIGATION_POINT_FORMAT` for mitigation points.
     """
-    path = f"line {line_no}: $"
-    _require_dict(entry, path, source)
-    shard = _require(
-        _get(entry, "shard", path, source),
-        f"{path}.shard", int, source, "an integer",
-    )
-    if shard < 0:
-        _fail(source, f"{path}.shard", f"must be >= 0, got {shard}")
-    records = _require_list(
-        _get(entry, "measurements", path, source),
-        f"{path}.measurements", source,
-    )
-    validate_record = (
-        validate_mitigation_record
-        if entries == MITIGATION_POINT_FORMAT
-        else validate_measurement_record
-    )
-    for i, rec in enumerate(records):
-        validate_record(rec, f"{path}.measurements[{i}]", source)
-    return shard
-
-
-# ----------------------------------------------------------------- metrics
+    mitigation = entries == MITIGATION_POINT_FORMAT
+    spec = _JOURNAL_ENTRY[MITIGATION_POINT_FORMAT if mitigation else None]
+    _walk(entry, spec, f"line {line_no}: $", source)
+    return entry["shard"]
 
 
 def validate_metrics_payload(payload, source: Optional[str] = None) -> Dict:
     """Validate a parsed ``repro-metrics-v1`` report."""
-    _require_dict(payload, "$", source)
-    fmt = _get(payload, "format", "$", source)
-    if fmt != METRICS_FORMAT:
-        _fail(
-            source, "$.format",
-            f"has unknown metrics format {fmt!r} "
-            f"(this library reads {METRICS_FORMAT!r})",
-        )
-    counters = _require_dict(
-        _get(payload, "counters", "$", source), "$.counters", source
-    )
-    for name, value in counters.items():
-        _require(
-            value, f"$.counters.{name}", int, source, "an integer"
-        )
-        if value < 0:
-            _fail(source, f"$.counters.{name}", f"must be >= 0, got {value}")
-    gauges = _require_dict(
-        _get(payload, "gauges", "$", source), "$.gauges", source
-    )
-    for name, value in gauges.items():
-        if value is not None:  # sanitized non-finite gauges are null
-            _require_finite(value, f"$.gauges.{name}", source)
-    timers = _require_dict(
-        _get(payload, "timers", "$", source), "$.timers", source
-    )
-    for name, summary in timers.items():
-        tpath = f"$.timers.{name}"
-        _require_dict(summary, tpath, source)
-        count = _require(
-            _get(summary, "count", tpath, source),
-            f"{tpath}.count", int, source, "an integer",
-        )
-        if count < 0:
-            _fail(source, f"{tpath}.count", f"must be >= 0, got {count}")
-        for stat in ("total_s", "min_s", "max_s", "mean_s", "p50_s", "p90_s"):
-            _require_finite(
-                _get(summary, stat, tpath, source), f"{tpath}.{stat}", source
-            )
-    if "run" in payload:
-        run = _require_dict(payload["run"], "$.run", source)
-        for key in ("n_shards", "n_resumed", "n_executed", "n_retries"):
-            value = _require(
-                _get(run, key, "$.run", source),
-                f"$.run.{key}", int, source, "an integer",
-            )
-            if value < 0:
-                _fail(source, f"$.run.{key}", f"must be >= 0, got {value}")
-    if "provenance" in payload:
-        _require_dict(payload["provenance"], "$.provenance", source)
+    _walk(payload, _METRICS, "$", source)
     return payload
-
-
-# ------------------------------------------------------------------- trace
 
 
 def validate_trace_event(
     event, line_no: int, source: Optional[str] = None
 ) -> str:
     """Validate one parsed trace line; returns the event name."""
-    path = f"line {line_no}: $"
-    _require_dict(event, path, source)
-    name = _require(
-        _get(event, "event", path, source),
-        f"{path}.event", str, source, "a string",
-    )
-    t = _get(event, "t", path, source)
-    _require_finite(t, f"{path}.t", source)
-    if t < 0:
-        _fail(source, f"{path}.t", f"must be a wall-clock timestamp, got {t!r}")
-    return name
-
-
-# ------------------------------------------------------------------- bench
+    _walk(event, _TRACE_EVENT, f"line {line_no}: $", source)
+    return event["event"]
 
 
 def validate_bench_payload(payload, source: Optional[str] = None) -> Dict:
     """Validate a parsed ``BENCH_sweep.json`` record."""
-    _require_dict(payload, "$", source)
-    fmt = payload.get("format")
-    if fmt is not None and fmt != BENCH_FORMAT:
-        _fail(
-            source, "$.format",
-            f"has unknown bench format {fmt!r} "
-            f"(this library reads {BENCH_FORMAT!r})",
-        )
-    _require_dict(_get(payload, "campaign", "$", source), "$.campaign", source)
-    seconds = _require_dict(
-        _get(payload, "seconds", "$", source), "$.seconds", source
-    )
-    for name, value in seconds.items():
-        value = _require_finite(value, f"$.seconds.{name}", source)
-        if value <= 0:
-            _fail(source, f"$.seconds.{name}", f"must be > 0, got {value!r}")
-    speedup = _get(payload, "speedup_vs_seed", "$", source)
-    speedups = (
-        speedup.items()
-        if isinstance(speedup, dict)
-        else (("", speedup),)
-    )
-    for name, value in speedups:
-        spath = f"$.speedup_vs_seed.{name}" if name else "$.speedup_vs_seed"
-        value = _require_finite(value, spath, source)
-        if value <= 0:
-            _fail(source, spath, f"must be > 0, got {value!r}")
-    all_seconds = payload.get("all_seconds")
-    if all_seconds is not None:
-        _require_dict(all_seconds, "$.all_seconds", source)
-        for name, values in all_seconds.items():
-            vpath = f"$.all_seconds.{name}"
-            _require_list(values, vpath, source)
-            for i, value in enumerate(values):
-                _require_finite(value, f"{vpath}[{i}]", source)
+    _walk(payload, _BENCH, "$", source)
     return payload
-
-
-# ------------------------------------------------------------- patternspec
 
 
 def validate_patternspec_payload(payload, source: Optional[str] = None) -> Dict:
     """Validate a parsed ``repro-patternspec-v1`` bundle (shape only).
 
-    The envelope carries the serialized DSL specs a campaign was
-    configured with (``{"format": ..., "specs": [spec, ...],
-    "provenance": {...}}``).  This layer checks the envelope and each
-    spec's name/aggressors shape; whether a spec actually *compiles* is
-    the semantic layer's job (:func:`repro.validate.validate_artifact`
-    re-builds every spec through ``PatternSpec.from_dict``), keeping
-    this module dependency-free.
+    Whether each spec compiles is checked by
+    :func:`repro.validate.validate_artifact`, which re-builds every spec
+    through ``PatternSpec.from_dict``.
     """
-    _require_dict(payload, "$", source)
-    fmt = _get(payload, "format", "$", source)
-    if fmt != PATTERNSPEC_FORMAT:
-        _fail(
-            source, "$.format",
-            f"has unknown patternspec format {fmt!r} "
-            f"(this library reads {PATTERNSPEC_FORMAT!r})",
-        )
-    specs = _require_list(
-        _get(payload, "specs", "$", source), "$.specs", source
-    )
-    if not specs:
-        _fail(source, "$.specs", "must carry at least one pattern spec")
-    seen: Dict[str, int] = {}
-    for i, spec in enumerate(specs):
-        spath = f"$.specs[{i}]"
-        _require_dict(spec, spath, source)
-        name = _require(
-            _get(spec, "name", spath, source),
-            f"{spath}.name", str, source, "a string",
-        )
-        if not _PATTERN_NAME_RE.match(name):
-            _fail(
-                source, f"{spath}.name",
-                f"must be a DSL pattern name (lowercase [a-z0-9+._-], "
-                f"64 chars max), got {name!r}",
-            )
-        if name in seen:
-            _fail(
-                source, f"{spath}.name",
-                f"duplicates $.specs[{seen[name]}].name ({name!r})",
-            )
-        seen[name] = i
-        aggressors = _require_list(
-            _get(spec, "aggressors", spath, source),
-            f"{spath}.aggressors", source,
-        )
-        if not aggressors:
-            _fail(
-                source, f"{spath}.aggressors",
-                "must carry at least one aggressor",
-            )
-        for j, agg in enumerate(aggressors):
-            _require_dict(agg, f"{spath}.aggressors[{j}]", source)
-    if "provenance" in payload:
-        _require_dict(payload["provenance"], "$.provenance", source)
+    _walk(payload, _PATTERNSPEC, "$", source)
     return payload
-
-
-# ---------------------------------------------------------------- manifest
 
 
 def validate_manifest_payload(payload, source: Optional[str] = None) -> Dict:
-    """Validate a parsed sharded-population manifest.
+    """Validate a parsed ``repro-flipshards-v1`` manifest (shape only).
 
-    The manifest (``repro-flipshards-v1``, written by
-    ``BitflipDatabase.export_shards``) names each shard file with its
-    sha256 digest, byte size, and record count, plus the population
-    total and the canonical ``results_digest``.  Only the payload shape
-    is checked here -- shard existence and digest verification are the
-    caller's (``repro.validate.validate_artifact``'s) job, since they
-    require file I/O next to the manifest.
+    Shard existence and digests are checked by
+    :func:`repro.validate.validate_artifact`, next to the manifest.
     """
-    _require_dict(payload, "$", source)
-    fmt = _get(payload, "format", "$", source)
-    if fmt != MANIFEST_FORMAT:
-        _fail(
-            source, "$.format",
-            f"has unknown manifest format {fmt!r} "
-            f"(this library reads {MANIFEST_FORMAT!r})",
-        )
-    _require(
-        _get(payload, "group_by", "$", source),
-        "$.group_by", str, source, "a string",
-    )
-    total = _require(
-        _get(payload, "n_measurements", "$", source),
-        "$.n_measurements", int, source, "an integer",
-    )
-    if total < 0:
-        _fail(source, "$.n_measurements", f"must be >= 0, got {total}")
-    digest = _require(
-        _get(payload, "results_digest", "$", source),
-        "$.results_digest", str, source, "a string",
-    )
-    _require_sha256(digest, "$.results_digest", source)
-    shards = _require_list(
-        _get(payload, "shards", "$", source), "$.shards", source
-    )
-    seen_names: Dict[str, int] = {}
-    counted = 0
-    for i, shard in enumerate(shards):
-        spath = f"$.shards[{i}]"
-        _require_dict(shard, spath, source)
-        name = _require(
-            _get(shard, "name", spath, source),
-            f"{spath}.name", str, source, "a string",
-        )
-        if not name or "/" in name or "\\" in name or name.startswith("."):
-            _fail(
-                source, f"{spath}.name",
-                f"must be a bare file name next to the manifest, got {name!r}",
-            )
-        if name in seen_names:
-            _fail(
-                source, f"{spath}.name",
-                f"duplicates $.shards[{seen_names[name]}].name ({name!r})",
-            )
-        seen_names[name] = i
-        _require(
-            _get(shard, "module", spath, source),
-            f"{spath}.module", str, source, "a string",
-        )
-        count = _require(
-            _get(shard, "n_measurements", spath, source),
-            f"{spath}.n_measurements", int, source, "an integer",
-        )
-        if count < 0:
-            _fail(source, f"{spath}.n_measurements", f"must be >= 0, got {count}")
-        counted += count
-        size = _require(
-            _get(shard, "bytes", spath, source),
-            f"{spath}.bytes", int, source, "an integer",
-        )
-        if size <= 0:
-            _fail(source, f"{spath}.bytes", f"must be > 0, got {size}")
-        _require_sha256(
-            _require(
-                _get(shard, "sha256", spath, source),
-                f"{spath}.sha256", str, source, "a string",
-            ),
-            f"{spath}.sha256",
-            source,
-        )
-    if counted != total:
-        _fail(
-            source, "$.n_measurements",
-            f"is {total}, but the shards sum to {counted} measurement(s)",
-        )
+    _walk(payload, _MANIFEST, "$", source)
     return payload
-
-
-def _require_sha256(value: str, path: str, source: Optional[str]) -> None:
-    if len(value) != 64 or any(c not in "0123456789abcdef" for c in value):
-        _fail(
-            source, path,
-            f"must be a lowercase sha256 hex digest (64 chars), got {value!r}",
-        )
