@@ -334,7 +334,7 @@ _SHA256 = _must(
     "must be a lowercase sha256 hex digest (64 chars), got {!r}",
 )
 _CENSUS_PAIR = Field(
-    "", "a [row, col] pair", check=_pair, each=Field("", "an integer")
+    "", "a [row, col] pair", check=_pair, each=Field("", "an integer", ">= 0")
 )
 
 _MEASUREMENT = Field("", "an object", rows=(
