@@ -61,11 +61,15 @@ from repro.core.results import (
     measurement_from_record,
     measurement_to_record,
 )
-from repro.errors import ArtifactCorruptError, CheckpointBusyError, CheckpointError
+from repro.errors import (
+    ArtifactCorruptError,
+    ArtifactInvalidError,
+    CheckpointBusyError,
+    CheckpointError,
+)
 from repro.validate.integrity import has_digest, verify_journal_bytes
 from repro.validate.provenance import check_provenance, provenance_stamp
-
-JOURNAL_FORMAT = "repro-checkpoint-v1"
+from repro.validate.schema import JOURNAL_FORMAT, validate_journal_entry
 
 __all__ = [
     "JOURNAL_FORMAT",
@@ -503,6 +507,10 @@ class CheckpointJournal:
         Returns ``{shard_index: measurements}`` and primes the journal
         so subsequent :meth:`record` calls extend the same file, with
         the sidecar restamped to cover exactly the current content.
+        Every entry passes the same schema check as ``validate``
+        (:func:`~repro.validate.schema.validate_journal_entry`) before
+        it is decoded, so a hand-edited record raises
+        :class:`~repro.errors.CheckpointError` naming its ``$.path``.
         """
         records = self._read()
         header = records[0][1]
@@ -532,12 +540,13 @@ class CheckpointJournal:
             )
         completed: Dict[int, List] = {}
         for number, entry in records[1:]:
-            index = entry.get("shard") if isinstance(entry, dict) else None
-            if not isinstance(index, int):
-                raise CheckpointError(
-                    f"checkpoint journal {self._path} line {number} is a "
-                    f"shard entry without an index"
+            try:
+                index = validate_journal_entry(
+                    entry, number, source=str(self._path),
+                    entries=self._codec.entries,
                 )
+            except ArtifactInvalidError as exc:
+                raise CheckpointError(f"checkpoint journal {exc}") from exc
             if index in completed:
                 raise CheckpointError(
                     f"checkpoint journal {self._path} records shard {index} "
