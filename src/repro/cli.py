@@ -698,9 +698,9 @@ def _run_export(args, obs: Optional[Observability]) -> int:
     transactions, safe under Ctrl-C), then seals the population into
     per-module ``repro-results-v1`` shards plus a
     ``repro-flipshards-v1`` manifest under ``--out``.  The manifest's
-    ``results_digest`` is computed out of core and is bit-identical to
-    the in-memory digest of the same campaign, which the CI population
-    job asserts.
+    ``results_digest`` comes from the records as the shards are written
+    and is bit-identical to the in-memory digest of the same campaign,
+    which the CI population job asserts.
     """
     import pathlib
 

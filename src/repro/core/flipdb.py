@@ -20,7 +20,7 @@ re-running the sweep.  This module provides that store at fleet scale:
   and :meth:`FlipSink.close` is safe to call from a ``finally`` block
   while a ``KeyboardInterrupt`` unwinds -- everything accepted before
   the interrupt is committed.
-* :meth:`BitflipDatabase.export_shards` -- sharded artifact output: one
+* :meth:`BitflipDatabase.export_shards` / :func:`seal_shards` -- one
   ``repro-results-v1`` dump per module plus a ``repro-flipshards-v1``
   manifest carrying per-shard sha256 digests, which
   ``repro-characterize validate`` checks shard-by-shard without ever
@@ -46,17 +46,21 @@ written by the pre-quantization schema are migrated in place on open
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sqlite3
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.atomicio import atomic_write_text, sha256_file, write_digest
+from repro.atomicio import atomic_write_text, sha256_text, write_digest
 from repro.core.bitflips import BitflipCensus
 from repro.core.results import (
     DieMeasurement,
     ResultSet,
+    encode_dump,
     measurement_to_record,
 )
 from repro.errors import (
@@ -65,6 +69,11 @@ from repro.errors import (
     ExperimentError,
 )
 from repro.validate.integrity import verify_file_sha256
+from repro.validate.invariants import (
+    canonical_record,
+    digest_record_lines,
+    results_digest,
+)
 from repro.validate.schema import MANIFEST_FORMAT, validate_manifest_payload
 
 __all__ = [
@@ -72,6 +81,7 @@ __all__ = [
     "quantize_t_on",
     "BitflipDatabase",
     "FlipSink",
+    "seal_shards",
     "ShardInfo",
     "ExportInfo",
     "iter_shard_measurements",
@@ -108,6 +118,7 @@ CREATE INDEX IF NOT EXISTS idx_bitflips_measurement
 #: Current on-disk schema version (PRAGMA user_version).
 _SCHEMA_VERSION = 2
 
+#: ``id``, then the :class:`DieMeasurement` fields in declaration order.
 _MEASUREMENT_COLUMNS = (
     "id, module, manufacturer, die, pattern, t_on, trial, "
     "acmin, time_to_first_ns"
@@ -259,19 +270,10 @@ class BitflipDatabase:
         and committing once per set instead of once per measurement is
         what makes bulk loads fast.
         """
-        count = 0
-        try:
-            for measurement in results:
-                self._insert(measurement)
-                count += 1
-        except BaseException:
-            self._conn.rollback()
-            raise
-        self._conn.commit()
-        return count
+        return self.store_batch(results, ignore_existing=False)
 
     def store_batch(
-        self, measurements: Sequence[DieMeasurement], ignore_existing: bool = True
+        self, measurements: Iterable[DieMeasurement], ignore_existing: bool = True
     ) -> int:
         """Transactionally insert a batch, skipping stored identities.
 
@@ -309,24 +311,30 @@ class BitflipDatabase:
         deterministic -- independent of insertion or executor order.
         """
         clauses, params = self._where(module, die, pattern, t_on)
-        cursor = self._conn.cursor()
-        cursor.execute(
+        rows = self._conn.execute(
             f"SELECT {_MEASUREMENT_COLUMNS} FROM measurements m {clauses} "
             f"{_IDENTITY_ORDER}",
             params,
         )
-        for (mid, mod, mfr, die_idx, pat, t, trial, acmin, time_ns) in cursor:
-            census = self._census_of(mid) if with_census else BitflipCensus()
+        # Every census comes from one joined scan in the same identity
+        # order, merged in step with the measurement rows: two queries
+        # however many measurements match.
+        flips = iter(())
+        if with_census:
+            flips = self._conn.execute(
+                "SELECT b.measurement_id, b.row, b.col, b.one_to_zero "
+                "FROM measurements m JOIN bitflips b ON b.measurement_id = m.id "
+                f"{clauses} {_IDENTITY_ORDER}",
+                params,
+            )
+        flip = next(flips, None)
+        for mid, *fields in rows:
+            ones, zeros = [], []
+            while flip is not None and flip[0] == mid:
+                (ones if flip[3] else zeros).append((flip[1], flip[2]))
+                flip = next(flips, None)
             yield DieMeasurement(
-                module_key=mod,
-                manufacturer=mfr,
-                die=die_idx,
-                pattern=pat,
-                t_on=t,
-                trial=trial,
-                acmin=acmin,
-                time_to_first_ns=time_ns,
-                census=census,
+                *fields, census=BitflipCensus(frozenset(ones), frozenset(zeros))
             )
 
     def measurements(
@@ -363,14 +371,8 @@ class BitflipDatabase:
         die: Optional[int] = None,
     ) -> frozenset:
         """Unique (row, col) flips across all matching measurements."""
-        clauses, params = self._where(module, die, pattern, t_on)
-        cursor = self._conn.execute(
-            "SELECT DISTINCT b.row, b.col FROM bitflips b "
-            "JOIN measurements m ON m.id = b.measurement_id "
-            f"{clauses}",
-            params,
-        )
-        return frozenset((row, col) for row, col in cursor)
+        matching = self.iter_measurements(module, die, pattern, t_on)
+        return frozenset().union(*(m.census.all_flips for m in matching))
 
     def repeatability(
         self, module: str, die: int, pattern: str, t_on: float
@@ -378,31 +380,20 @@ class BitflipDatabase:
         """Fraction of unique bitflips that recur in *every* trial.
 
         The standard repeatability metric: |intersection over trials| /
-        |union over trials|.  Trials are counted from the
-        ``measurements`` table, so a trial that observed *zero* bitflips
-        still counts -- it empties the intersection and the metric
+        |union over trials|.  Every stored trial counts, so a trial that
+        observed *zero* bitflips empties the intersection and the metric
         correctly reports 0.0 instead of being computed over the
         flipping trials only (which overestimated repeatability, and
         returned ``None`` when just one trial flipped).  ``None`` only
         when fewer than two trials are stored at this point.
         """
-        clauses, params = self._where(module, die, pattern, t_on)
-        trial_rows = self._conn.execute(
-            f"SELECT m.id, m.trial FROM measurements m {clauses}", params
-        ).fetchall()
-        if len(trial_rows) < 2:
+        sets = [
+            m.census.all_flips
+            for m in self.iter_measurements(module, die, pattern, t_on)
+        ]
+        if len(sets) < 2:
             return None
-        per_trial: Dict[int, set] = {trial: set() for _, trial in trial_rows}
-        cursor = self._conn.execute(
-            "SELECT m.trial, b.row, b.col FROM bitflips b "
-            "JOIN measurements m ON m.id = b.measurement_id "
-            f"{clauses}",
-            params,
-        )
-        for trial, row, col in cursor:
-            per_trial[trial].add((row, col))
-        sets = list(per_trial.values())
-        union = set().union(*sets)
+        union = frozenset().union(*sets)
         if not union:
             # >= 2 recorded trials, none of which flipped: nothing
             # recurs, and nothing could -- 0.0, the conservative value.
@@ -413,53 +404,11 @@ class BitflipDatabase:
     # ------------------------------------------------------------- digests
 
     def results_digest(self) -> str:
-        """Canonical sha256 of the stored population, out of core.
-
-        Bit-identical to
-        :func:`repro.validate.invariants.results_digest` over the
-        equivalent in-memory :class:`~repro.core.results.ResultSet`:
-        records are serialized with sorted keys and hashed in sorted
-        record order.  The global sort runs inside SQLite (a temporary
-        table with an ``ORDER BY`` scan), so the population is never
-        materialized in Python memory.
-        """
-        self._conn.execute(
-            "CREATE TEMP TABLE IF NOT EXISTS _digest_records (record TEXT)"
-        )
-        self._conn.execute("DELETE FROM _digest_records")
-        try:
-            batch: List[Tuple[str]] = []
-            for m in self.iter_measurements():
-                batch.append(
-                    (
-                        json.dumps(
-                            measurement_to_record(m, include_census=True),
-                            sort_keys=True,
-                            allow_nan=False,
-                        ),
-                    )
-                )
-                if len(batch) >= 512:
-                    self._conn.executemany(
-                        "INSERT INTO _digest_records VALUES (?)", batch
-                    )
-                    batch = []
-            if batch:
-                self._conn.executemany(
-                    "INSERT INTO _digest_records VALUES (?)", batch
-                )
-            import hashlib
-
-            digest = hashlib.sha256()
-            for (record,) in self._conn.execute(
-                "SELECT record FROM _digest_records ORDER BY record"
-            ):
-                digest.update(record.encode("utf-8"))
-                digest.update(b"\n")
-            return digest.hexdigest()
-        finally:
-            self._conn.execute("DROP TABLE IF EXISTS _digest_records")
-            self._conn.commit()
+        """Canonical sha256 of the stored population: bit-identical to
+        :func:`repro.validate.invariants.results_digest` over the same
+        measurements, which stream from the store (only their canonical
+        record lines are held, for the sort)."""
+        return results_digest(self.iter_measurements())
 
     # -------------------------------------------------------------- export
 
@@ -468,70 +417,13 @@ class BitflipDatabase:
     ) -> "ExportInfo":
         """Seal the population into per-module shard dumps + a manifest.
 
-        One ``repro-results-v1`` dump per module (``shard-<module>.json``,
-        censuses included, identity-ordered so shard bytes are
-        deterministic) plus a ``repro-flipshards-v1`` ``manifest.json``
-        carrying each shard's sha256, byte size, and record count, the
-        population total, and the canonical :meth:`results_digest`.  The
-        manifest gets a ``.sha256`` sidecar; ``repro-characterize
-        validate <manifest>`` then verifies shard-by-shard without
-        loading the population.  ``metrics`` (a
-        :class:`~repro.obs.metrics.MetricsRegistry`) counts
-        ``sink.shards_sealed`` / ``sink.bytes_sealed``.
+        One identity-ordered pass over the store (two queries) feeds
+        :func:`seal_shards`; see there for the artifacts written.
         """
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        shards: List[ShardInfo] = []
-        total_measurements = 0
-        total_bytes = 0
-        for module in self.module_keys():
-            name = f"shard-{_shard_token(module)}.json"
-            path = out / name
-            shard_set = self.measurements(module=module)
-            shard_set.dump(path, include_census=True)
-            n_bytes = path.stat().st_size
-            info = ShardInfo(
-                name=name,
-                module=module,
-                n_measurements=len(shard_set),
-                n_bytes=n_bytes,
-                sha256=sha256_file(path),
-            )
-            shards.append(info)
-            total_measurements += info.n_measurements
-            total_bytes += n_bytes
-            if metrics is not None:
-                metrics.inc("sink.shards_sealed")
-                metrics.inc("sink.bytes_sealed", n_bytes)
-        digest = self.results_digest()
-        manifest = {
-            "format": MANIFEST_FORMAT,
-            "group_by": "module",
-            "n_measurements": total_measurements,
-            "results_digest": digest,
-            "shards": [
-                {
-                    "name": s.name,
-                    "module": s.module,
-                    "n_measurements": s.n_measurements,
-                    "bytes": s.n_bytes,
-                    "sha256": s.sha256,
-                }
-                for s in shards
-            ],
-        }
-        manifest_path = out / MANIFEST_NAME
-        atomic_write_text(
-            manifest_path,
-            json.dumps(manifest, indent=2, allow_nan=False) + "\n",
-        )
-        write_digest(manifest_path)
-        return ExportInfo(
-            manifest_path=str(manifest_path),
-            results_digest=digest,
-            shards=tuple(shards),
-            n_measurements=total_measurements,
-            n_bytes=total_bytes,
+        return seal_shards(
+            out_dir,
+            groupby(self.iter_measurements(), key=attrgetter("module_key")),
+            metrics=metrics,
         )
 
     # ------------------------------------------------------------- helpers
@@ -560,21 +452,83 @@ class BitflipDatabase:
             return "", params
         return "WHERE " + " AND ".join(conditions), params
 
-    def _census_of(self, measurement_id: int) -> BitflipCensus:
-        cursor = self._conn.execute(
-            "SELECT row, col, one_to_zero FROM bitflips "
-            "WHERE measurement_id = ?",
-            (measurement_id,),
-        )
-        ones, zeros = [], []
-        for row, col, one_to_zero in cursor:
-            (ones if one_to_zero else zeros).append((row, col))
-        return BitflipCensus(frozenset(ones), frozenset(zeros))
-
 
 def _shard_token(module: str) -> str:
     """A module key reduced to a safe shard file-name token."""
     return "".join(c if c.isalnum() or c in "-_" else "_" for c in module)
+
+
+def _write_shard(
+    path: Path, measurements: Iterable[DieMeasurement], digest_lines: List[str]
+) -> Tuple[int, int, str]:
+    """Write one shard and collect its records' digest lines; returns
+    its record count, size and sha256 (of the bytes written).  Its own
+    function so one shard's records and text are freed before the next
+    shard's are built: the export's peak memory is one shard, not two."""
+    records = [measurement_to_record(m, True) for m in measurements]
+    digest_lines.extend(map(canonical_record, records))
+    text = encode_dump(records, include_census=True) + "\n"
+    atomic_write_text(path, text)
+    raw = text.encode("utf-8")
+    return len(records), len(raw), hashlib.sha256(raw).hexdigest()
+
+
+def seal_shards(
+    out_dir: Union[str, "Path"],
+    modules: Iterable[Tuple[str, Iterable[DieMeasurement]]],
+    metrics=None,
+) -> "ExportInfo":
+    """Write per-module shard dumps + a manifest in one pass.
+
+    ``modules`` yields ``(module_key, measurements)`` in shard order;
+    each becomes a ``repro-results-v1`` dump ``shard-<module>.json``
+    (censuses included), listed with its sha256, size and record count
+    in ``manifest.json`` (``repro-flipshards-v1``, with a ``.sha256``
+    sidecar) beside the population's ``results_digest``.  Nothing is
+    read back.  ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
+    counts ``sink.shards_sealed`` / ``sink.bytes_sealed``.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    shards: List[ShardInfo] = []
+    digest_lines: List[str] = []
+    for module, measurements in modules:
+        name = f"shard-{_shard_token(module)}.json"
+        info = ShardInfo(
+            name, module, *_write_shard(out / name, measurements, digest_lines)
+        )
+        shards.append(info)
+        if metrics is not None:
+            metrics.inc("sink.shards_sealed")
+            metrics.inc("sink.bytes_sealed", info.n_bytes)
+    digest = digest_record_lines(digest_lines)
+    manifest = {
+        "format": MANIFEST_FORMAT,
+        "group_by": "module",
+        "n_measurements": sum(s.n_measurements for s in shards),
+        "results_digest": digest,
+        "shards": [
+            {
+                "name": s.name,
+                "module": s.module,
+                "n_measurements": s.n_measurements,
+                "bytes": s.n_bytes,
+                "sha256": s.sha256,
+            }
+            for s in shards
+        ],
+    }
+    manifest_path = out / MANIFEST_NAME
+    manifest_text = json.dumps(manifest, indent=2, allow_nan=False) + "\n"
+    atomic_write_text(manifest_path, manifest_text)
+    write_digest(manifest_path, sha256_text(manifest_text))
+    return ExportInfo(
+        manifest_path=str(manifest_path),
+        results_digest=digest,
+        shards=tuple(shards),
+        n_measurements=manifest["n_measurements"],
+        n_bytes=sum(s.n_bytes for s in shards),
+    )
 
 
 # ------------------------------------------------------------------- sink

@@ -12,6 +12,8 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.atomicio import atomic_write_text, verify_digest, write_digest
@@ -109,6 +111,54 @@ def measurement_to_record(
         rec["flips_1_to_0"] = sorted(m.census.flips_1_to_0) if has else None
         rec["flips_0_to_1"] = sorted(m.census.flips_0_to_1) if has else None
     return rec
+
+
+#: A record field's indent, and one ``(int, int)`` census pair as
+#: ``json.dumps(indent=2)`` nests it in that field.
+_FIELD = "\n      "
+_PAIR = "\n        [\n          %d,\n          %d\n        ],"
+
+
+def _field_json(value) -> str:
+    """A record field's value as ``json.dumps(indent=2, allow_nan=False)``
+    nests it.  Plain scalars and lists of ``(int, int)`` census pairs take
+    a fast path; anything else (a bool, a numpy scalar, an odd shape) goes
+    through the library, so it prints -- or raises -- exactly as there."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is list and set(map(type, value)) == {tuple} and (
+        set(map(len, value)) == {2}
+    ):
+        flat = tuple(chain.from_iterable(value))
+        if set(map(type, flat)) == {int}:
+            return "[" + (_PAIR * len(value))[:-1] % flat + _FIELD + "]"
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", _FIELD)
+
+
+def encode_dump(records: Iterable[Dict], include_census: bool) -> str:
+    """A ``repro-results-v1`` dump of ``records`` (see
+    :meth:`ResultSet.to_json`, whose bytes this writes)."""
+    body = ",".join(
+        "\n    {"
+        + ",".join(
+            _FIELD + encode_basestring_ascii(key) + ": " + _field_json(value)
+            for key, value in rec.items()
+        )
+        + "\n    }"
+        for rec in records
+    )
+    return '{\n  "format": %s,\n  "census_included": %s,\n  "measurements": %s\n}' % (
+        encode_basestring_ascii(RESULTS_FORMAT),
+        json.dumps(include_census),
+        "[" + body + "\n  ]" if body else "[]",
+    )
 
 
 def measurement_from_record(
@@ -257,19 +307,15 @@ class ResultSet:
         with ``census=None`` (census not recorded) instead of silently
         resurrecting empty censuses indistinguishable from "measured,
         zero flips".
+
+        The text is, on purpose, the exact bytes of ``json.dumps(payload,
+        indent=2, allow_nan=False)``, written by :func:`encode_dump`
+        without the library's slow pure-Python indenting encoder; the
+        byte-identity corpus in ``tests/test_results.py`` pins the two
+        together.
         """
-        records = [
-            measurement_to_record(m, include_census) for m in self._measurements
-        ]
-        return json.dumps(
-            {
-                "format": RESULTS_FORMAT,
-                "census_included": include_census,
-                "measurements": records,
-            },
-            indent=2,
-            allow_nan=False,
-        )
+        records = (measurement_to_record(m, include_census) for m in self)
+        return encode_dump(records, include_census)
 
     def dump(
         self,
@@ -328,6 +374,12 @@ class ResultSet:
                 f" {source}" if source else "",
                 RESULTS_FORMAT,
             )
+        return ResultSet.from_payload(payload, outcome)
+
+    @staticmethod
+    def from_payload(payload, outcome: Dict) -> "ResultSet":
+        """Decode a parsed dump that :func:`validate_results_payload`
+        accepted (``outcome`` is its result); no re-check, no log."""
         if isinstance(payload, dict):
             census_included: Optional[bool] = (
                 None

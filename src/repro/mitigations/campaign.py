@@ -472,6 +472,11 @@ class MitigationResults:
 
         payload = parse_dump_json(text, "mitigation dump", source)
         validate_mitigation_payload(payload, source=source)
+        return MitigationResults.from_payload(payload)
+
+    @staticmethod
+    def from_payload(payload) -> "MitigationResults":
+        """Decode a parsed dump the schema already accepted."""
         return MitigationResults(
             point_from_record(rec) for rec in payload["points"]
         )

@@ -308,7 +308,7 @@ def validate_artifact(
             from repro.validate.invariants import require_result_invariants
 
             require_result_invariants(
-                ResultSet.from_json(text), source=str(path)
+                ResultSet.from_payload(payload, outcome), source=str(path)
             )
     elif kind == "mitigation":
         payload = _parse_json(path, text)
@@ -323,8 +323,7 @@ def validate_artifact(
             )
 
             require_mitigation_invariants(
-                MitigationResults.from_json(text, source=str(path)),
-                source=str(path),
+                MitigationResults.from_payload(payload), source=str(path)
             )
     elif kind == "checkpoint":
         report.n_records, warnings = _validate_journal_text(path, raw)

@@ -79,10 +79,10 @@ import hashlib
 import json
 import math
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.constants import DDR4Timings
-from repro.core.results import ResultSet, measurement_to_record
+from repro.core.results import DieMeasurement, ResultSet, measurement_to_record
 from repro.errors import InvariantViolationError
 from repro.validate.schema import KNOWN_PATTERNS
 
@@ -668,21 +668,29 @@ def mitigation_results_digest(results) -> str:
     """
     from repro.mitigations.campaign import point_to_record
 
-    records = sorted(
-        json.dumps(point_to_record(p), sort_keys=True, allow_nan=False)
-        for p in results
+    return digest_record_lines(
+        canonical_record(point_to_record(p)) for p in results
     )
-    digest = hashlib.sha256()
-    for record in records:
-        digest.update(record.encode("utf-8"))
-        digest.update(b"\n")
-    return digest.hexdigest()
 
 
 # ------------------------------------------------------------ determinism
 
 
-def results_digest(results: ResultSet) -> str:
+def canonical_record(rec: Dict) -> str:
+    """A dump record's canonical digest line (sorted keys, strict JSON)."""
+    return json.dumps(rec, sort_keys=True, allow_nan=False)
+
+
+def digest_record_lines(lines: Iterable[str]) -> str:
+    """sha256 over :func:`canonical_record` lines in sorted order."""
+    digest = hashlib.sha256()
+    for record in sorted(lines):
+        digest.update(record.encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def results_digest(results: Iterable[DieMeasurement]) -> str:
     """Canonical sha256 of a ResultSet (order-independent, census included).
 
     Records are serialized with sorted keys and sorted by identity, so
@@ -690,21 +698,10 @@ def results_digest(results: ResultSet) -> str:
     -- regardless of executor, merge order, or a serialization
     round-trip.
     """
-    records = sorted(
-        (
-            json.dumps(
-                measurement_to_record(m, include_census=True),
-                sort_keys=True,
-                allow_nan=False,
-            )
-            for m in results
-        ),
+    return digest_record_lines(
+        canonical_record(measurement_to_record(m, include_census=True))
+        for m in results
     )
-    digest = hashlib.sha256()
-    for record in records:
-        digest.update(record.encode("utf-8"))
-        digest.update(b"\n")
-    return digest.hexdigest()
 
 
 def check_cross_executor(

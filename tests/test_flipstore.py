@@ -75,6 +75,30 @@ def test_export_digest_matches_in_memory(population):
     assert population["export"].results_digest == population["digest"]
 
 
+def test_census_reads_are_batched(population, tmp_path):
+    """No statement per measurement: exporting reads ``bitflips`` at most
+    once per module (plus a constant), and a whole-store read a constant
+    number of times, however many measurements the store holds."""
+    with BitflipDatabase(population["store"]) as db:
+        n_modules = len(db.module_keys())
+        assert db.n_measurements() > 2 * (n_modules + 2)
+        statements = []
+        db._conn.set_trace_callback(statements.append)
+
+        def census_reads():
+            reads = [s for s in statements if "bitflips" in s]
+            statements.clear()
+            return len(reads)
+
+        export = db.export_shards(tmp_path / "shards")
+        assert census_reads() <= n_modules + 2
+        assert export.results_digest == population["digest"]
+        assert len(db.measurements()) == db.n_measurements()
+        assert census_reads() <= 2
+        assert db.results_digest() == population["digest"]
+        assert census_reads() <= 2
+
+
 def test_sink_counters(population):
     n_rows, n_skipped, n_batches = population["sink_stats"]
     assert n_rows == len(population["results"])
@@ -303,6 +327,38 @@ def test_cli_query_matches_golden(
     assert out == (QUERY_GOLDEN / golden).read_text()
     counters = json.loads(metrics.read_text())["counters"]
     assert counters["query.rows_scanned"] == rows_scanned
+
+
+EXPORT_GOLDEN = Path(__file__).parent / "fixtures" / "export_golden.sha256"
+
+
+def test_cli_export_and_dump_bytes_match_golden(query_store, tmp_path):
+    """CI's population demo seals the pinned bytes, not only the digest.
+
+    ``export_golden.sha256`` (``sha256sum`` format, paths relative to
+    the demo's artifact directory) pins every shard, the manifest, its
+    sidecar and the census dump of an in-memory ``fig4`` run of the
+    same sweep: a byte change in shard formatting fails here even when
+    ``results_digest`` is unchanged.
+    """
+    import hashlib
+
+    from repro.cli import main
+
+    root = query_store.parent
+    assert main([
+        "fig4", "--modules", "S0", "H0", "--points", "2",
+        "--t-max", "7800", "--trials", "1", "--workers", "0", "--csv",
+        "--dump", str(tmp_path / "results.json"), "--dump-census",
+    ]) == 0
+    places = {"results.json": tmp_path / "results.json"}
+    lines = EXPORT_GOLDEN.read_text().splitlines()
+    assert len(lines) == 5
+    for line in lines:
+        expected, name = line.split("  ", 1)
+        path = places.get(name, root / name)
+        actual = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert actual == expected, f"{name}: {actual} != pinned {expected}"
 
 
 @pytest.mark.parametrize(

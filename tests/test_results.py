@@ -1,11 +1,13 @@
 """Tests for measurement records and result sets."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.bitflips import BitflipCensus
-from repro.core.results import DieMeasurement, ResultSet
+from repro.core.results import DieMeasurement, ResultSet, measurement_to_record
 
 
 def meas(module="S0", mfr="S", die=0, pattern="combined", t_on=36.0, trial=0,
@@ -114,3 +116,83 @@ def test_extend_and_iter():
     rs.add(meas())
     rs.extend([meas(die=1), meas(die=2)])
     assert len(list(rs)) == 3
+
+
+# ------------------------------------------------ dump encoder byte identity
+
+
+def reference_json(rs, include_census):
+    """The bytes ``to_json`` must write: the library's indented encoder."""
+    return json.dumps(
+        {
+            "format": "repro-results-v1",
+            "census_included": include_census,
+            "measurements": [
+                measurement_to_record(m, include_census) for m in rs
+            ],
+        },
+        indent=2,
+        allow_nan=False,
+    )
+
+
+def census(ones=(), zeros=()):
+    return BitflipCensus(frozenset(ones), frozenset(zeros))
+
+
+ENCODER_CORPUS = {
+    "empty": ResultSet(),
+    "census-none-and-empty": ResultSet([
+        dataclasses.replace(meas(), census=None),
+        dataclasses.replace(meas(trial=1), census=census()),
+        dataclasses.replace(
+            meas(trial=2), census=census(zeros=[(0, 0), (3, 1), (3, 0)])
+        ),
+    ]),
+    "no-flip-and-non-finite-times": ResultSet([
+        meas(acmin=None, time_ns=None),
+        meas(trial=1, time_ns=float("nan")),
+        meas(trial=2, time_ns=float("inf")),
+        meas(trial=3, time_ns=float("-inf")),
+    ]),
+    "escaped-strings": ResultSet([
+        meas(module='S"0\\é', mfr="Å", pattern="comb☃ned\t\n"),
+        meas(module="\U0001f600", pattern='"'),
+    ]),
+    "numbers": ResultSet([
+        meas(t_on=7800.0, time_ns=0.1, acmin=2**70,
+             die=10**12, trial=2**40),
+        meas(t_on=70200.0, time_ns=1e-07, acmin=1),
+        meas(t_on=np.float64(636.0), time_ns=1e300, trial=1),
+        dataclasses.replace(
+            meas(t_on=36.0, trial=2),
+            census=census(
+                ones=[(-3, -7), (2**65, 0), (-(2**70), 5)],
+                zeros=[(0, -1)],
+            ),
+        ),
+    ]),
+    "bool-in-census-pair": ResultSet([
+        dataclasses.replace(meas(), census=census(ones=[(True, 5), (2, 3)])),
+    ]),
+}
+
+
+@pytest.mark.parametrize("include_census", [True, False])
+@pytest.mark.parametrize("case", sorted(ENCODER_CORPUS))
+def test_to_json_is_byte_identical_to_the_library(case, include_census):
+    rs = ENCODER_CORPUS[case]
+    assert rs.to_json(include_census) == reference_json(rs, include_census)
+
+
+def test_to_json_rejects_what_the_library_rejects():
+    """A numpy integer in a census pair raises ``TypeError`` exactly as
+    the library does (no silent ``%d`` formatting)."""
+    rs = ResultSet([
+        dataclasses.replace(meas(), census=census(ones=[(np.int64(4), 5)]))
+    ])
+    with pytest.raises(TypeError, match="int64"):
+        reference_json(rs, True)
+    with pytest.raises(TypeError, match="int64"):
+        rs.to_json(include_census=True)
+    assert rs.to_json() == reference_json(rs, False)

@@ -573,6 +573,70 @@ def test_validate_artifact_runs_invariants_on_dumps(tmp_path):
     validate_artifact(target, check_invariants=False)  # schema-only: ok
 
 
+def _count_schema_calls(monkeypatch, name):
+    """Count calls to the schema validator ``name`` wherever it is bound."""
+    import importlib
+
+    from repro.validate import schema
+
+    real = getattr(schema, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in ("repro.validate", "repro.validate.schema", "repro.core.results"):
+        if name in vars(importlib.import_module(module)):
+            monkeypatch.setattr(f"{module}.{name}", counting)
+    return calls
+
+
+def test_validate_schema_checks_a_results_dump_once(tmp_path, monkeypatch):
+    target = tmp_path / "dump.json"
+    ResultSet([rec(), rec(t_on=636.0, acmin=80)]).dump(target)
+    calls = _count_schema_calls(monkeypatch, "validate_results_payload")
+    report = validate_artifact(target, check_invariants=True)
+    assert report.n_records == 2
+    assert len(calls) == 1
+
+
+def test_validate_schema_checks_a_mitigation_dump_once(tmp_path, monkeypatch):
+    point = {
+        "chip_key": "E0", "mitigation": "para", "pattern": "combined",
+        "t_on": 636.0, "baseline_acmin": 1200, "baseline_iterations": 40,
+        "time_to_first_ns": 550000.5, "critical_value": 0.5,
+        "protects_at": 0.5, "fails_at": 0.25, "n_runs": 7,
+        "cap_hit": False, "defeated": False, "protected_by_trefw": False,
+        "protected_by_trefw_quarter": False,
+    }
+    graphene = dict(point, mitigation="graphene", critical_value=300.0,
+                    protects_at=300.0, fails_at=301.0)
+    target = tmp_path / "mit.json"
+    target.write_text(json.dumps(
+        {"format": "repro-mitigation-v1", "points": [point, graphene]}
+    ))
+    calls = _count_schema_calls(monkeypatch, "validate_mitigation_payload")
+    report = validate_artifact(target, check_invariants=True)
+    assert report.kind == "mitigation" and report.n_records == 2
+    assert len(calls) == 1
+
+
+def test_validate_reports_a_legacy_dump_once(tmp_path, caplog):
+    """The legacy-format warning appears once: in the report, not also
+    in the log through a second decode of the same text."""
+    target = tmp_path / "legacy.json"
+    target.write_text(
+        json.dumps(json.loads(ResultSet([rec()]).to_json())["measurements"])
+    )
+    with caplog.at_level("WARNING"):
+        report = validate_artifact(target, check_invariants=True)
+    assert report.legacy
+    logged = [r for r in caplog.records if "legacy" in r.getMessage()]
+    reported = [w for w in report.warnings if "legacy" in w]
+    assert len(logged) + len(reported) == 1
+
+
 # ============================================================ determinism
 
 
