@@ -35,8 +35,11 @@ The journal's format is:
   journal can never be replayed against a different campaign
   (:class:`~repro.errors.CheckpointError` names both fingerprints).
 * one line per completed shard -- ``{"shard": index, "measurements":
-  [...]}`` with censuses included, so resumed measurements are
-  bit-identical to freshly computed ones.
+  [...]}`` in the campaign kind's record codec
+  (:class:`~repro.core.results.MeasurementKind`; censuses included for
+  characterization), so resumed records are bit-identical to freshly
+  computed ones.  A non-characterization kind names its entry format in
+  the header's ``"entries"`` field.
 
 All lines are encoded with ``allow_nan=False`` (non-finite measurement
 fields are converted to ``None`` at record-encode time), so a journal is
@@ -51,16 +54,11 @@ import logging
 import os
 import tempfile
 import weakref
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.atomicio import atomic_write_text, write_digest
-from repro.core.results import (
-    DieMeasurement,
-    measurement_from_record,
-    measurement_to_record,
-)
+from repro.core.results import MEASUREMENT_KIND, MeasurementKind
 from repro.errors import (
     ArtifactCorruptError,
     ArtifactInvalidError,
@@ -69,13 +67,16 @@ from repro.errors import (
 )
 from repro.validate.integrity import has_digest, verify_journal_bytes
 from repro.validate.provenance import check_provenance, provenance_stamp
-from repro.validate.schema import JOURNAL_FORMAT, validate_journal_entry
+from repro.validate.schema import (
+    JOURNAL_FORMAT,
+    check_journal_shard,
+    validate_journal_entry,
+    validate_journal_header,
+)
 
 __all__ = [
     "JOURNAL_FORMAT",
     "plan_fingerprint",
-    "JournalCodec",
-    "MEASUREMENT_CODEC",
     "AdvisoryLock",
     "split_journal",
     "CheckpointJournal",
@@ -293,47 +294,18 @@ def split_journal(
 def plan_fingerprint(config, plan) -> str:
     """Deterministic fingerprint of (configuration, plan order).
 
-    Built from the config's value-based dataclass repr and every work
-    unit of every shard in canonical order; two campaigns share a
+    Built from the config's value-based dataclass repr and, in canonical
+    order, every shard's and work unit's ``fingerprint_line`` (the shard
+    protocol of :mod:`repro.core.engine`); two campaigns share a
     fingerprint iff they would measure the same points in the same
     order under the same knobs.
     """
     parts = [repr(config)]
     for shard in plan.shards:
-        parts.append(
-            f"shard|{shard.index}|{shard.module_key}|"
-            f"{shard.manufacturer}|{shard.die}"
-        )
-        parts.extend(
-            f"unit|{u.pattern.name}|{u.t_on!r}|{u.trial}" for u in shard.units
-        )
+        parts.append(shard.fingerprint_line)
+        parts.extend(u.fingerprint_line for u in shard.units)
     digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
     return digest[:16]
-
-
-@dataclass(frozen=True)
-class JournalCodec:
-    """How one campaign kind's shard results are journaled.
-
-    ``entries`` names the per-record format; ``None`` means the default
-    characterization measurements, for which the header is byte-identical
-    to journals written before codecs existed.  A non-``None`` name is
-    written into the header as ``"entries"`` and checked on load, so a
-    journal of one record kind can never be decoded as another.
-    """
-
-    entries: Optional[str]
-    encode: Callable[[object], dict]
-    decode: Callable[[dict], object]
-
-
-#: The default codec: characterization :class:`DieMeasurement` records,
-#: censuses included so resumed measurements are bit-identical.
-MEASUREMENT_CODEC = JournalCodec(
-    entries=None,
-    encode=lambda m: measurement_to_record(m, include_census=True),
-    decode=lambda rec: measurement_from_record(rec, census_included=True),
-)
 
 
 class CheckpointJournal:
@@ -361,11 +333,11 @@ class CheckpointJournal:
         self,
         path: Union[str, os.PathLike],
         digest: bool = False,
-        codec: Optional[JournalCodec] = None,
+        kind: MeasurementKind = MEASUREMENT_KIND,
     ) -> None:
         self._path = Path(path)
         self._digest = digest
-        self._codec = codec if codec is not None else MEASUREMENT_CODEC
+        self._kind = kind
         self._hash = None  # running sha256 of the journal's content
         self._started = False
         self._lock = AdvisoryLock(self._path)
@@ -404,8 +376,8 @@ class CheckpointJournal:
             "fingerprint": fingerprint,
             "n_shards": n_shards,
         }
-        if self._codec.entries is not None:
-            header["entries"] = self._codec.entries
+        if self._kind.entries is not None:
+            header["entries"] = self._kind.entries
         self._lock.acquire()
         if self._digest:
             header["provenance"] = provenance_stamp()
@@ -417,7 +389,7 @@ class CheckpointJournal:
             self._hash = hashlib.sha256(text.encode("utf-8"))
             write_digest(self._path, self._hash.hexdigest())
 
-    def record(self, shard_index: int, measurements: Sequence) -> None:
+    def record(self, shard_index: int, records: Sequence) -> None:
         """Journal one completed shard with a single durable append.
 
         Flushed and fsync'd before returning, so a shard acknowledged
@@ -431,7 +403,7 @@ class CheckpointJournal:
         self._lock.verify()
         entry = {
             "shard": shard_index,
-            "measurements": [self._codec.encode(m) for m in measurements],
+            "measurements": [self._kind.encode(r) for r in records],
         }
         line = json.dumps(entry, allow_nan=False) + "\n"
         with open(self._path, "a", encoding="utf-8") as handle:
@@ -501,15 +473,17 @@ class CheckpointJournal:
             self._hash = hashlib.sha256(raw)
         return records
 
-    def load(self, expected_fingerprint: str) -> Dict[int, List[DieMeasurement]]:
+    def load(self, expected_fingerprint: str) -> Dict[int, List]:
         """Load completed shards, verifying the plan fingerprint.
 
-        Returns ``{shard_index: measurements}`` and primes the journal
-        so subsequent :meth:`record` calls extend the same file, with
-        the sidecar restamped to cover exactly the current content.
-        Every entry passes the same schema check as ``validate``
-        (:func:`~repro.validate.schema.validate_journal_entry`) before
-        it is decoded, so a hand-edited record raises
+        Returns ``{shard_index: records}`` and primes the journal so
+        subsequent :meth:`record` calls extend the same file, with the
+        sidecar restamped to cover exactly the current content.  The
+        header and every entry pass the same schema checks as
+        ``validate`` (:func:`~repro.validate.schema.validate_journal_entry`
+        and the one-shard-per-line rule,
+        :func:`~repro.validate.schema.check_journal_shard`) before an
+        entry is decoded, so a hand-edited journal raises
         :class:`~repro.errors.CheckpointError` naming its ``$.path``.
         """
         records = self._read()
@@ -521,12 +495,12 @@ class CheckpointJournal:
                 f"{found!r} (expected {JOURNAL_FORMAT!r})"
             )
         entries = header.get("entries")
-        if entries != self._codec.entries:
+        if entries != self._kind.entries:
             raise CheckpointError(
                 f"checkpoint journal {self._path} records "
                 f"{entries or 'characterization measurement'!r} entries, but "
                 f"this campaign journals "
-                f"{self._codec.entries or 'characterization measurement'!r} "
+                f"{self._kind.entries or 'characterization measurement'!r} "
                 f"entries; refusing to decode one record kind as another"
             )
         found = header.get("fingerprint")
@@ -538,23 +512,21 @@ class CheckpointJournal:
                 f"measurements from different campaigns (delete the journal "
                 f"or drop --resume to start over)"
             )
+        source = str(self._path)
+        seen: Dict[int, int] = {}
         completed: Dict[int, List] = {}
-        for number, entry in records[1:]:
-            try:
+        try:
+            n_shards = validate_journal_header(header, source)["n_shards"]
+            for number, entry in records[1:]:
                 index = validate_journal_entry(
-                    entry, number, source=str(self._path),
-                    entries=self._codec.entries,
+                    entry, number, source=source, entries=entries
                 )
-            except ArtifactInvalidError as exc:
-                raise CheckpointError(f"checkpoint journal {exc}") from exc
-            if index in completed:
-                raise CheckpointError(
-                    f"checkpoint journal {self._path} records shard {index} "
-                    f"twice"
-                )
-            completed[index] = [
-                self._codec.decode(rec) for rec in entry["measurements"]
-            ]
+                check_journal_shard(index, number, seen, n_shards, source)
+                completed[index] = [
+                    self._kind.decode(rec) for rec in entry["measurements"]
+                ]
+        except ArtifactInvalidError as exc:
+            raise CheckpointError(f"checkpoint journal {exc}") from exc
         if "provenance" in header:
             for drift in check_provenance(header["provenance"]):
                 logger.warning(

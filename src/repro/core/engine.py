@@ -1,20 +1,29 @@
 """Parallel sweep execution engine.
 
-The engine turns a characterization campaign into an explicit work-list,
-executes it through a pluggable executor, and reassembles the results in
-a deterministic canonical order -- parallel and serial runs of the same
-campaign produce byte-identical :class:`~repro.core.results.ResultSet`s.
+The engine turns a campaign into an explicit work-list, executes it
+through a pluggable executor, and reassembles the results in a
+deterministic canonical order -- parallel and serial runs of the same
+campaign produce byte-identical results.
 
 Structure
 ---------
 
-* :class:`SweepPlan` enumerates the full (module, die, pattern, tAggON,
-  trial) work-list up front and groups it into :class:`Shard`s, one per
-  (module, die).  A shard is the unit of dispatch: every measurement of a
-  shard reuses one :class:`~repro.core.acmin.DieSweepAnalyzer`, which
-  owns the die's :class:`~repro.core.stacked.StackedDie`, so the
-  expensive per-die state is built at most once per shard instead of
-  being shipped across an executor boundary.
+* One plan type for every campaign kind: a :class:`SweepPlan` is a tuple
+  of shards (:class:`Shard`) plus the campaign's
+  :class:`~repro.core.results.MeasurementKind` (journal entry format,
+  record codec, result container).  A shard is the unit of dispatch;
+  its work units expose an ``identity`` (checked against each result
+  record's by :func:`~repro.core.faults.validate_shard_result`) and a
+  ``fingerprint_line`` (read by
+  :func:`~repro.core.checkpoint.plan_fingerprint`).
+  :meth:`SweepPlan.build` enumerates a characterization campaign's
+  (module, die, pattern, tAggON, trial) work-list, one shard per
+  (module, die): every measurement of a shard reuses one
+  :class:`~repro.core.acmin.DieSweepAnalyzer`, which owns the die's
+  :class:`~repro.core.stacked.StackedDie`, so the expensive per-die
+  state is built at most once per shard instead of being shipped across
+  an executor boundary.  The mitigation campaign builds its own plan
+  (:func:`~repro.mitigations.campaign.build_mitigation_plan`).
 * Executors run shards: :class:`SerialExecutor` in-process in plan order,
   :class:`ProcessExecutor` on a
   :class:`~concurrent.futures.ProcessPoolExecutor`, and
@@ -37,7 +46,8 @@ Structure
   exactly as the serial 5-deep loop would have emitted them.
 * :func:`start_campaign` and :func:`finish_campaign` are the campaign
   envelope around :func:`run_plan` -- run report, start/finish events,
-  the ``validate=True`` self-check, metrics snapshot -- shared by
+  the merge into the plan kind's container, the ``validate=True``
+  self-check, metrics snapshot -- shared by
   :meth:`~repro.core.runner.CharacterizationRunner.characterize` and
   the mitigation campaign.
 
@@ -77,7 +87,7 @@ import time
 import warnings as _warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.acmin import DieAnalysis, DieSweepAnalyzer, pattern_footprint
@@ -91,7 +101,7 @@ from repro.core.faults import (
     run_attempts,
     validate_shard_result,
 )
-from repro.core.results import DieMeasurement
+from repro.core.results import MEASUREMENT_KIND, DieMeasurement, MeasurementKind
 from repro.core.stacked import DEFAULT_OFFSETS, build_stacked_die
 from repro.dram.module import Module
 from repro.obs import Observability
@@ -109,6 +119,7 @@ from repro.patterns.base import ALL_PATTERNS, AccessPattern
 __all__ = [
     "WorkUnit",
     "Shard",
+    "die_shard",
     "SweepPlan",
     "CharacterizationWorkerSpec",
     "SerialExecutor",
@@ -137,44 +148,67 @@ class WorkUnit:
     t_on: float
     trial: int
 
+    @property
+    def identity(self) -> Tuple[str, int, str, float, int]:
+        """The identity of the measurement that answers this unit."""
+        return (self.module_key, self.die, self.pattern.name, self.t_on, self.trial)
+
+    @property
+    def fingerprint_line(self) -> str:
+        return f"unit|{self.pattern.name}|{self.t_on!r}|{self.trial}"
+
 
 @dataclass(frozen=True)
 class Shard:
-    """All work units of one (module, die), in canonical order.
+    """One unit of dispatch: a run of work units, in canonical order.
 
-    The shard is the dispatch granularity: one worker builds one
-    :class:`StackedDie` for it and measures every unit against it.
-    ``index`` is the shard's position in the plan's canonical order.
-
-    Shards implement the executor-facing shard protocol shared with
-    other campaign kinds (e.g. the mitigation campaign): ``index`` and
-    ``units`` plus the :attr:`label` / :attr:`obs_fields` properties the
-    executors and the engine use for error messages and event payloads.
+    The shard protocol every campaign kind's plan is made of.  ``index``
+    is the shard's position in the plan's canonical order; ``key`` holds
+    the fields its units share -- (module, manufacturer, die) for
+    characterization, where one worker builds one :class:`StackedDie`
+    for the shard and measures every unit against it.  ``label`` names
+    the shard in error and retry messages, ``obs_fields`` are the
+    campaign-specific fields of its ``shard_start``/``shard_finish``
+    events (DESIGN.md §6 pins the characterization names).  Every unit
+    exposes an ``identity`` (matched against its result record's) and
+    a ``fingerprint_line``.
     """
 
     index: int
-    module_key: str
-    manufacturer: str
-    die: int
-    units: Tuple[WorkUnit, ...]
+    key: Tuple
+    units: Tuple
+    label: str
+    obs_fields: Dict[str, object] = field(compare=False)
 
     @property
-    def label(self) -> str:
-        """Human-readable shard description used in error/retry messages."""
-        return f"{self.module_key} die {self.die}"
+    def fingerprint_line(self) -> str:
+        return "|".join(["shard", str(self.index), *map(str, self.key)])
 
-    @property
-    def obs_fields(self) -> Dict[str, object]:
-        """Campaign-specific fields of ``shard_start``/``shard_finish``
-        events (DESIGN.md §6 pins these names for characterization)."""
-        return {"module": self.module_key, "die": self.die}
+
+def die_shard(
+    index: int,
+    module_key: str,
+    manufacturer: str,
+    die: int,
+    units: Tuple[WorkUnit, ...],
+) -> Shard:
+    """The characterization shard of one (module, die)."""
+    return Shard(
+        index,
+        (module_key, manufacturer, die),
+        units,
+        label=f"{module_key} die {die}",
+        obs_fields={"module": module_key, "die": die},
+    )
 
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """The fully enumerated work-list of one campaign."""
+    """The fully enumerated work-list of one campaign, of one ``kind``
+    (:class:`~repro.core.results.MeasurementKind`)."""
 
     shards: Tuple[Shard, ...]
+    kind: MeasurementKind
 
     @property
     def n_measurements(self) -> int:
@@ -188,11 +222,12 @@ class SweepPlan:
         dies: Optional[Sequence[int]] = None,
         trials: int = 1,
     ) -> "SweepPlan":
-        """Enumerate the campaign in canonical order.
+        """Enumerate a characterization campaign in canonical order.
 
         Canonical order is the serial 5-deep loop's: modules in call
         order, dies ascending (or ``dies`` in call order), then patterns,
-        tAggON values, and trials in call order.
+        tAggON values, and trials in call order -- one shard per
+        (module, die).
         """
         if trials < 1:
             raise ExperimentError("need at least one trial")
@@ -207,15 +242,11 @@ class SweepPlan:
                     for trial in range(trials)
                 )
                 shards.append(
-                    Shard(
-                        index=len(shards),
-                        module_key=module.key,
-                        manufacturer=module.manufacturer,
-                        die=die,
-                        units=units,
+                    die_shard(
+                        len(shards), module.key, module.manufacturer, die, units
                     )
                 )
-        return SweepPlan(shards=tuple(shards))
+        return SweepPlan(shards=tuple(shards), kind=MEASUREMENT_KIND)
 
 
 # ------------------------------------------------------------ shard running
@@ -277,7 +308,7 @@ class CharacterizationWorkerSpec:
 
     def check_shards(self, shards: Sequence[Shard]) -> None:
         """Refuse shards a worker could not run from this spec."""
-        missing = sorted({s.module_key for s in shards} - set(self.modules))
+        missing = sorted({s.key[0] for s in shards} - set(self.modules))
         if missing:
             raise ExperimentError(
                 f"worker spec has no module for shard key(s) {missing} "
@@ -326,10 +357,6 @@ class ShardRunner:
         self._analyzer_cache = analyzer_cache if analyzer_cache is not None else {}
         self._metrics = metrics
 
-    #: Result-integrity check executors apply to this runner's results
-    #: (identity tuples must match the shard's units, in order).
-    validate = staticmethod(validate_shard_result)
-
     @property
     def config(self) -> CharacterizationConfig:
         return self._config
@@ -367,14 +394,7 @@ class ShardRunner:
         hits: List[WorkUnit] = []
         missing: List[WorkUnit] = []
         for unit in shard.units:
-            key = (
-                unit.module_key,
-                unit.die,
-                unit.pattern.name,
-                unit.t_on,
-                unit.trial,
-            )
-            (hits if key in cache else missing).append(unit)
+            (hits if unit.identity in cache else missing).append(unit)
         return tuple(hits), tuple(missing)
 
     def analyzer(
@@ -425,14 +445,14 @@ class ShardRunner:
         cfg = self._config
         cache = self._measurement_cache
         metrics = self._metrics
+        module_key, manufacturer, die = shard.key
         module: Optional[Module] = None
         analyzers: Dict[Tuple[int, ...], DieSweepAnalyzer] = {}
         out: List[DieMeasurement] = []
         for pattern, t_on, trials in _grouped_points(shard.units):
             measured: Dict[int, DieMeasurement] = {}
             for trial in trials:
-                key = (shard.module_key, shard.die, pattern.name, t_on, trial)
-                hit = cache.get(key)
+                hit = cache.get((module_key, die, pattern.name, t_on, trial))
                 if hit is not None:
                     measured[trial] = hit
             missing = [t for t in trials if t not in measured]
@@ -444,17 +464,17 @@ class ShardRunner:
                 analyzer = analyzers.get(offsets)
                 if analyzer is None:  # lazily: fully cached shards skip it
                     if module is None:
-                        module = self._modules[shard.module_key]
-                    analyzer = self.analyzer(module, shard.die, offsets)
+                        module = self._modules[module_key]
+                    analyzer = self.analyzer(module, die, offsets)
                     analyzers[offsets] = analyzer
                 analyses = analyzer.analyze_trials(
                     pattern, t_on, list(missing), cfg.jitter_sigma
                 )
                 for trial, analysis in zip(missing, analyses):
                     measurement = measurement_from_analysis(
-                        shard.module_key,
-                        shard.manufacturer,
-                        shard.die,
+                        module_key,
+                        manufacturer,
+                        die,
                         pattern,
                         t_on,
                         trial,
@@ -462,9 +482,7 @@ class ShardRunner:
                         cfg,
                     )
                     measured[trial] = measurement
-                    cache[
-                        (shard.module_key, shard.die, pattern.name, t_on, trial)
-                    ] = measurement
+                    cache[measurement.identity] = measurement
             out.extend(measured[trial] for trial in trials)
         return out
 
@@ -555,7 +573,7 @@ def _run_shard_guarded(
         measurements = _execute_shard(runner, shard, obs)
         if fault_plan is not None:
             measurements = fault_plan.after(shard.index, measurements)
-        runner.validate(shard, measurements)
+        validate_shard_result(shard, measurements)
         return measurements
 
     return run_attempts(attempt, policy, report=report, label=label, obs=obs)
@@ -791,7 +809,7 @@ class ProcessExecutor:
                         shard, _ = futures.pop(future)
                         try:
                             _, measurements = future.result()
-                            runner.validate(shard, measurements)
+                            validate_shard_result(shard, measurements)
                         except BrokenProcessPool:
                             # Hand the shard back so the pool-break
                             # handler below charges and requeues it with
@@ -1071,7 +1089,6 @@ def run_plan(
     checkpoint: Optional[str] = None,
     resume: bool = False,
     digest: bool = False,
-    codec=None,
     report: Optional[RunReport] = None,
     obs: Optional[Observability] = None,
     sink=None,
@@ -1085,14 +1102,13 @@ def run_plan(
     fallback -- if the process pool breaks for good
     (:class:`~repro.errors.PoolBrokenError`), the remaining shards run
     on :class:`SerialExecutor`, loudly -- and the final completeness
-    check.  ``plan`` may be any frozen dataclass with a
-    ``shards`` tuple of protocol shards (``index``/``units``/``label``/
-    ``obs_fields``); ``runner`` anything with ``run(shard)`` and
-    ``validate(shard, results)`` (plus ``build_runner()`` and a
+    check.  ``plan`` is a :class:`SweepPlan` of either campaign kind:
+    its ``kind`` is the journal's record codec, and every shard result
+    is checked against its units by
+    :func:`~repro.core.faults.validate_shard_result`.  ``runner`` is
+    anything with ``run(shard)`` (plus ``build_runner()`` and a
     picklable ``spec`` for the process executor, see
-    :class:`ProcessExecutor`); ``codec`` a
-    :class:`~repro.core.checkpoint.JournalCodec` when shard results are
-    not :class:`~repro.core.results.DieMeasurement` records.
+    :class:`ProcessExecutor`).
 
     ``sink`` is the population-scale seam: anything with
     ``accept(results)`` (e.g. :class:`~repro.core.flipdb.FlipSink`)
@@ -1113,7 +1129,7 @@ def run_plan(
         obs.campaign_t0 = time.monotonic()
 
     journal = (
-        CheckpointJournal(checkpoint, digest=digest, codec=codec)
+        CheckpointJournal(checkpoint, digest=digest, kind=plan.kind)
         if checkpoint is not None
         else None
     )
@@ -1159,7 +1175,7 @@ def _run_plan_journaled(
                         f"({len(plan.shards)} shards)"
                     )
                 try:
-                    runner.validate(shard, results)
+                    validate_shard_result(shard, results)
                 except ResultIntegrityError as exc:
                     raise CheckpointError(
                         f"checkpoint journal {journal.path} entry for "
@@ -1300,17 +1316,17 @@ def start_campaign(plan, fingerprint: str, executor, obs, session) -> RunReport:
 def finish_campaign(
     plan,
     completed: Dict[int, List],
-    results,
     report: RunReport,
     obs: Optional[Observability],
     session,
     invariants: Optional[Callable] = None,
 ):
-    """Close one campaign run and return ``results``, filled.
+    """Close one campaign run and return its results.
 
     Records the session's preflight outcomes on ``report``, merges the
-    completed shard results into the empty ``results`` container in
-    canonical plan order, and -- with ``invariants`` (a ``require_*``
+    completed shard results in canonical plan order into the plan
+    kind's container (``plan.kind.results``), and -- with
+    ``invariants`` (a ``require_*``
     guard of :mod:`repro.validate.invariants`, the ``validate=True``
     path) -- self-checks them, counting ``validate.passed`` /
     ``validate.failed`` and emitting a ``validate`` event before any
@@ -1321,8 +1337,9 @@ def finish_campaign(
     """
     if session is not None:
         session.snapshot_into(report)
-    for shard in plan.shards:
-        results.extend(completed[shard.index])
+    results = plan.kind.results(
+        record for shard in plan.shards for record in completed[shard.index]
+    )
     if invariants is not None:
         try:
             invariants(results)

@@ -145,26 +145,20 @@ def is_transient(exc: BaseException) -> bool:
 # ------------------------------------------------------------ result checks
 
 
-def validate_shard_result(
-    shard: "Shard", measurements: Sequence["DieMeasurement"]
-) -> None:
-    """Check a shard's measurements against its work units.
+def validate_shard_result(shard: "Shard", records: Sequence) -> None:
+    """Check a shard's result records against its work units.
 
-    Every unit must be answered by exactly one measurement, in canonical
-    unit order; raises :class:`~repro.errors.ResultIntegrityError` naming
-    the first discrepancy (missing, duplicated, out-of-order, or
-    mislabeled records).
+    Every unit must be answered by exactly one record of the same
+    ``identity``, in canonical unit order -- for every campaign kind;
+    raises :class:`~repro.errors.ResultIntegrityError` naming the first
+    discrepancy (missing, duplicated, out-of-order, or mislabeled
+    records).
     """
-    expected = [
-        (u.module_key, u.die, u.pattern.name, u.t_on, u.trial)
-        for u in shard.units
-    ]
-    got = [
-        (m.module_key, m.die, m.pattern, m.t_on, m.trial) for m in measurements
-    ]
+    expected = [u.identity for u in shard.units]
+    got = [r.identity for r in records]
     if got == expected:
         return
-    label = f"shard {shard.index} ({shard.module_key} die {shard.die})"
+    label = f"shard {shard.index} ({shard.label})"
     expected_set, got_set = set(expected), set(got)
     missing = sorted(expected_set - got_set)
     extra = sorted(got_set - expected_set)

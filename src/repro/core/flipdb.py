@@ -60,6 +60,8 @@ from repro.core.bitflips import BitflipCensus
 from repro.core.results import (
     DieMeasurement,
     ResultSet,
+    canonical_record,
+    digest_record_lines,
     encode_dump,
     measurement_to_record,
 )
@@ -68,12 +70,8 @@ from repro.errors import (
     ArtifactInvalidError,
     ExperimentError,
 )
-from repro.validate.integrity import verify_file_sha256
-from repro.validate.invariants import (
-    canonical_record,
-    digest_record_lines,
-    results_digest,
-)
+from repro.validate.integrity import verify_sealed_shard
+from repro.validate.invariants import results_digest
 from repro.validate.schema import MANIFEST_FORMAT, validate_manifest_payload
 
 __all__ = [
@@ -674,34 +672,26 @@ def load_manifest(manifest_path: Union[str, "Path"]) -> Dict:
 
 def iter_shard_measurements(
     manifest_path: Union[str, "Path"],
-    verify: bool = True,
 ) -> Iterator[DieMeasurement]:
     """Stream a sealed export's measurements, one shard at a time.
 
-    Loads the manifest, then for each shard verifies its bytes against
-    the manifest's sha256 (``verify=False`` skips this) before decoding
-    and yielding its measurements -- at most one shard is ever resident.
-    A shard whose digest or record count disagrees with the manifest
-    raises :class:`~repro.errors.ArtifactCorruptError` /
+    Loads the manifest, then checks each shard against its manifest
+    record (:func:`~repro.validate.integrity.verify_sealed_shard`, the
+    same check as ``validate``: present, byte size, sha256) before
+    decoding and yielding its measurements -- at most one shard is ever
+    resident.  A shard that fails the check, or whose record count
+    disagrees with the manifest, raises
+    :class:`~repro.errors.ArtifactCorruptError` /
     :class:`~repro.errors.ArtifactInvalidError` before any of its
     records are yielded.
     """
     manifest = load_manifest(manifest_path)
-    base = Path(manifest_path).parent
     for shard in manifest["shards"]:
-        path = base / shard["name"]
-        if not path.exists():
-            raise ArtifactInvalidError(
-                f"{manifest_path}: manifest names shard {shard['name']}, "
-                f"which does not exist next to it"
-            )
-        if verify:
-            verify_file_sha256(path, shard["sha256"], what="shard")
+        path = verify_sealed_shard(manifest_path, shard)
         shard_set = ResultSet.load(path)
         if len(shard_set) != shard["n_measurements"]:
             raise ArtifactInvalidError(
                 f"{path}: shard holds {len(shard_set)} measurement(s) but "
                 f"the manifest records {shard['n_measurements']}"
             )
-        for m in shard_set:
-            yield m
+        yield from shard_set

@@ -1,19 +1,29 @@
-"""Result records of characterization measurements.
+"""Result records, result containers and measurement kinds.
 
 A :class:`DieMeasurement` is one (module, die, pattern, tAggON, trial)
 measurement; a :class:`ResultSet` is an indexable collection of them with
 the grouping helpers the analysis layer builds tables and figures from.
+
+Every campaign kind's container shares one base, :class:`ResultsBase`
+(container, ``where``, atomic ``dump``, verified ``load``), and every
+kind is described to the shared engine, journal and digest by one
+:class:`MeasurementKind`: its journal entry format, its record codec and
+its container.  :data:`MEASUREMENT_KIND` is the characterization kind;
+the mitigation campaign declares its own next to its records.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.atomicio import atomic_write_text, verify_digest, write_digest
@@ -50,6 +60,10 @@ class DieMeasurement:
     acmin: Optional[int]
     time_to_first_ns: Optional[float]
     census: Optional[BitflipCensus] = field(default_factory=BitflipCensus)
+
+    @property
+    def identity(self) -> Tuple[str, int, str, float, int]:
+        return (self.module_key, self.die, self.pattern, self.t_on, self.trial)
 
     @property
     def flipped(self) -> bool:
@@ -198,101 +212,147 @@ def _census_from_record(
     )
 
 
-def read_dump_text(path: Union[str, os.PathLike], what: str) -> str:
-    """Read a campaign dump as text, verifying any sha256 sidecar first.
+def canonical_record(rec: Dict) -> str:
+    """A dump record's canonical digest line (sorted keys, strict JSON)."""
+    return json.dumps(rec, sort_keys=True, allow_nan=False)
 
-    The one reader behind :meth:`ResultSet.load` and
-    :meth:`~repro.mitigations.campaign.MitigationResults.load`; ``what``
-    names the artifact kind in errors.  A digest mismatch, an unreadable
-    file or non-UTF-8 bytes raise
-    :class:`~repro.errors.ArtifactCorruptError` naming ``path``.
+
+def digest_record_lines(lines: Iterable[str]) -> str:
+    """sha256 over :func:`canonical_record` lines in sorted order."""
+    digest = hashlib.sha256()
+    for record in sorted(lines):
+        digest.update(record.encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+class ResultsBase:
+    """An ordered collection of one campaign kind's result records.
+
+    The container, ``where`` filter, atomic :meth:`dump` and verified
+    :meth:`load` every campaign artifact shares.  A subclass owns its
+    format: ``what`` (the dump's name in errors), ``check_payload``
+    (the schema check of a parsed dump, returning what
+    ``from_payload`` needs), ``to_json`` and ``from_payload``.
     """
-    verify_digest(path)
-    try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-    except OSError as exc:
-        raise ArtifactCorruptError(f"{path}: cannot read {what}: {exc}") from exc
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ArtifactCorruptError(
-            f"{path}: {what} is not valid UTF-8 ({exc}); the "
-            f"file was truncated or corrupted"
-        ) from exc
 
+    what = "dump"
 
-def parse_dump_json(text: str, what: str, source: Optional[str] = None):
-    """Parse a dump's JSON text; unparseable text is
-    :class:`~repro.errors.ArtifactCorruptError` naming ``source``."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        where = f"{source}: " if source else ""
-        raise ArtifactCorruptError(
-            f"{where}{what} is not parseable JSON ({exc}); the "
-            f"content was truncated or corrupted"
-        ) from exc
+    def __init__(self, records: Iterable = ()) -> None:
+        self._records: List = list(records)
 
+    def add(self, record) -> None:
+        self._records.append(record)
 
-class ResultSet:
-    """A collection of measurements with grouping helpers."""
+    def extend(self, records: Iterable) -> None:
+        self._records.extend(records)
 
-    def __init__(self, measurements: Iterable[DieMeasurement] = ()) -> None:
-        self._measurements: List[DieMeasurement] = list(measurements)
-
-    def add(self, measurement: DieMeasurement) -> None:
-        self._measurements.append(measurement)
-
-    def extend(self, measurements: Iterable[DieMeasurement]) -> None:
-        self._measurements.extend(measurements)
-
-    def __iter__(self) -> Iterator[DieMeasurement]:
-        return iter(self._measurements)
+    def __iter__(self) -> Iterator:
+        return iter(self._records)
 
     def __len__(self) -> int:
-        return len(self._measurements)
+        return len(self._records)
+
+    def filter(self, predicate: Callable[[object], bool]):
+        return type(self)(r for r in self._records if predicate(r))
+
+    def where(self, **fields):
+        """Filter by exact field values (``None`` matches anything)."""
+        records = self._records
+        for name, value in fields.items():
+            if value is not None:
+                get = attrgetter(name)
+                records = [r for r in records if get(r) == value]
+        return type(self)(records)
+
+    def dump(
+        self, path: Union[str, os.PathLike], digest: bool = False, **options
+    ) -> None:
+        """Atomically write the JSON dump to ``path``.
+
+        Uses write-temp + :func:`os.replace`, so an interrupted dump
+        never leaves a truncated or corrupt file behind.  With
+        ``digest=True`` a ``<path>.sha256`` sidecar is stamped so
+        :meth:`load` (and ``repro-characterize validate``) detects any
+        later byte flip; without it the written bytes are identical to
+        earlier releases.  ``options`` go to ``to_json``.
+        """
+        atomic_write_text(path, self.to_json(**options) + "\n")
+        if digest:
+            write_digest(path)
+
+    @classmethod
+    def load(cls, path: Union[str, os.PathLike]):
+        """Restore a :meth:`dump`'d file.
+
+        When a ``<path>.sha256`` sidecar exists the file's bytes are
+        verified against it first; a digest mismatch, an unreadable file
+        and undecodable or unparseable content raise
+        :class:`~repro.errors.ArtifactCorruptError` naming the file, and
+        schema violations raise
+        :class:`~repro.errors.ArtifactInvalidError` -- never a raw
+        ``json``/``KeyError``.
+        """
+        verify_digest(path)
+        try:
+            with open(path, "rb") as handle:
+                raw = handle.read()
+        except OSError as exc:
+            raise ArtifactCorruptError(
+                f"{path}: cannot read {cls.what}: {exc}"
+            ) from exc
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ArtifactCorruptError(
+                f"{path}: {cls.what} is not valid UTF-8 ({exc}); the "
+                f"file was truncated or corrupted"
+            ) from exc
+        return cls.from_json(text, source=str(path))
+
+    @classmethod
+    def from_json(cls, text: str, source: Optional[str] = None):
+        """Decode a dump, validating its format version and schema."""
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            where = f"{source}: " if source else ""
+            raise ArtifactCorruptError(
+                f"{where}{cls.what} is not parseable JSON ({exc}); the "
+                f"content was truncated or corrupted"
+            ) from exc
+        return cls.from_payload(payload, cls.check_payload(payload, source))
+
+
+class ResultSet(ResultsBase):
+    """A collection of measurements with grouping helpers.
+
+    Its dump accepts the versioned ``repro-results-v1`` envelope and --
+    with a logged warning -- the two legacy shapes (unversioned
+    envelope, flat record list).  Unknown format versions, malformed
+    records, and duplicate ``(module, die, pattern, t, trial)``
+    measurements raise :class:`~repro.errors.ArtifactInvalidError`
+    naming the offending field.
+    """
+
+    what = "results dump"
 
     # ---------------------------------------------------------------- queries
 
-    def filter(self, predicate: Callable[[DieMeasurement], bool]) -> "ResultSet":
-        return ResultSet(m for m in self._measurements if predicate(m))
-
-    def where(
-        self,
-        module_key: Optional[str] = None,
-        manufacturer: Optional[str] = None,
-        pattern: Optional[str] = None,
-        t_on: Optional[float] = None,
-        die: Optional[int] = None,
-    ) -> "ResultSet":
-        """Filter by exact field values (``None`` matches anything)."""
-
-        def match(m: DieMeasurement) -> bool:
-            return (
-                (module_key is None or m.module_key == module_key)
-                and (manufacturer is None or m.manufacturer == manufacturer)
-                and (pattern is None or m.pattern == pattern)
-                and (t_on is None or m.t_on == t_on)
-                and (die is None or m.die == die)
-            )
-
-        return self.filter(match)
-
     def t_values(self) -> List[float]:
-        return sorted({m.t_on for m in self._measurements})
+        return sorted({m.t_on for m in self._records})
 
     def patterns(self) -> List[str]:
-        return sorted({m.pattern for m in self._measurements})
+        return sorted({m.pattern for m in self._records})
 
     def module_keys(self) -> List[str]:
-        return sorted({m.module_key for m in self._measurements})
+        return sorted({m.module_key for m in self._records})
 
     def group_by(
         self, key: Callable[[DieMeasurement], Tuple]
     ) -> Dict[Tuple, "ResultSet"]:
         groups: Dict[Tuple, ResultSet] = {}
-        for m in self._measurements:
+        for m in self._records:
             groups.setdefault(key(m), ResultSet()).add(m)
         return groups
 
@@ -317,54 +377,9 @@ class ResultSet:
         records = (measurement_to_record(m, include_census) for m in self)
         return encode_dump(records, include_census)
 
-    def dump(
-        self,
-        path: Union[str, os.PathLike],
-        include_census: bool = False,
-        digest: bool = False,
-    ) -> None:
-        """Atomically write the JSON dump to ``path``.
-
-        Uses write-temp + :func:`os.replace`, so an interrupted dump
-        never leaves a truncated or corrupt results file behind.  With
-        ``digest=True`` a ``<path>.sha256`` sidecar is stamped so
-        :meth:`load` (and ``repro-characterize validate``) detects any
-        later byte flip; without it the written bytes are identical to
-        earlier releases.
-        """
-        atomic_write_text(path, self.to_json(include_census=include_census) + "\n")
-        if digest:
-            write_digest(path)
-
     @staticmethod
-    def load(path: Union[str, os.PathLike]) -> "ResultSet":
-        """Restore a ResultSet from a :meth:`dump`'d file.
-
-        When a ``<path>.sha256`` sidecar exists the file's bytes are
-        verified against it first
-        (:class:`~repro.errors.ArtifactCorruptError` on mismatch);
-        undecodable or unparseable content raises the same error naming
-        the file, and schema violations raise
-        :class:`~repro.errors.ArtifactInvalidError` -- never a raw
-        ``json``/``KeyError``.
-        """
-        return ResultSet.from_json(
-            read_dump_text(path, "results dump"), source=str(path)
-        )
-
-    @staticmethod
-    def from_json(text: str, source: Optional[str] = None) -> "ResultSet":
-        """Decode a dump, validating its format version and schema.
-
-        Accepts the versioned ``repro-results-v1`` envelope and -- with
-        a logged warning -- the two legacy shapes (unversioned envelope,
-        flat record list).  Unknown format versions, malformed records,
-        and duplicate ``(module, die, pattern, t, trial)`` measurements
-        raise :class:`~repro.errors.ArtifactInvalidError` naming the
-        offending field; unparseable text raises
-        :class:`~repro.errors.ArtifactCorruptError`.
-        """
-        payload = parse_dump_json(text, "results dump", source)
+    def check_payload(payload, source: Optional[str] = None) -> Dict:
+        """:func:`validate_results_payload`, warning on a legacy shape."""
         outcome = validate_results_payload(payload, source=source)
         if outcome["legacy"]:
             logger.warning(
@@ -374,7 +389,7 @@ class ResultSet:
                 f" {source}" if source else "",
                 RESULTS_FORMAT,
             )
-        return ResultSet.from_payload(payload, outcome)
+        return outcome
 
     @staticmethod
     def from_payload(payload, outcome: Dict) -> "ResultSet":
@@ -390,7 +405,53 @@ class ResultSet:
         else:  # legacy flat-list dumps (no census_included flag)
             census_included = None
             records = payload
-        out = ResultSet()
-        for rec in records:
-            out.add(measurement_from_record(rec, census_included))
-        return out
+        return ResultSet(
+            measurement_from_record(rec, census_included) for rec in records
+        )
+
+
+@dataclass(frozen=True)
+class MeasurementKind:
+    """What one campaign kind measures, as the shared code sees it.
+
+    The engine, the checkpoint journal and the digest serve every kind
+    through this one description, with no branch on which kind it is.
+
+    Attributes:
+        entries: the journal entry-format name written into the header
+            and checked on load, so one record kind is never decoded as
+            another; ``None`` for characterization measurements, whose
+            header is byte-identical to journals written before kinds
+            existed.
+        encode / decode: the full-fidelity record codec of journal lines
+            and digest lines (``decode(encode(r)) == r``).
+        results: the kind's :class:`ResultsBase` container, which a
+            campaign fills in canonical plan order.
+    """
+
+    entries: Optional[str]
+    encode: Callable[[object], Dict]
+    decode: Callable[[Dict], object]
+    results: type
+
+    def digest(self, records: Iterable) -> str:
+        """Canonical sha256 of ``records`` (order-independent).
+
+        Records are encoded, serialized with sorted keys and sorted, so
+        two collections digest equal iff they hold the same records --
+        regardless of executor, resume, merge order or a serialization
+        round-trip.
+        """
+        return digest_record_lines(
+            canonical_record(self.encode(r)) for r in records
+        )
+
+
+#: The characterization kind: :class:`DieMeasurement` records, censuses
+#: included so resumed measurements are bit-identical.
+MEASUREMENT_KIND = MeasurementKind(
+    entries=None,
+    encode=partial(measurement_to_record, include_census=True),
+    decode=partial(measurement_from_record, census_included=True),
+    results=ResultSet,
+)

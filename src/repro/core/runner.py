@@ -21,10 +21,10 @@ from repro.backend.base import build_session
 from repro.core.acmin import DieSweepAnalyzer
 from repro.core.checkpoint import plan_fingerprint
 from repro.core.engine import (
-    Shard,
     ShardRunner,
     SweepPlan,
     WorkUnit,
+    die_shard,
     finish_campaign,
     make_executor,
     run_plan,
@@ -129,12 +129,9 @@ class CharacterizationRunner:
         trial: int = 0,
     ) -> DieMeasurement:
         """One (die, pattern, tAggON, trial) measurement (memoized)."""
-        shard = Shard(
-            index=0,
-            module_key=module.key,
-            manufacturer=module.manufacturer,
-            die=die,
-            units=(WorkUnit(module.key, die, pattern, t_on, trial),),
+        shard = die_shard(
+            0, module.key, module.manufacturer, die,
+            (WorkUnit(module.key, die, pattern, t_on, trial),),
         )
         return self._shard_runner([module]).run(shard)[0]
 
@@ -241,15 +238,12 @@ class CharacterizationRunner:
         # measurements into the memo here.
         for shard in plan.shards:
             for m in completed[shard.index]:
-                self._measurement_cache[
-                    (m.module_key, m.die, m.pattern, m.t_on, m.trial)
-                ] = m
+                self._measurement_cache[m.identity] = m
         if validate:
             from repro.validate import invariants
         return finish_campaign(
             plan,
             completed,
-            ResultSet(),
             report,
             obs,
             session,

@@ -30,7 +30,6 @@ from repro.mitigations.campaign import (
     MITIGATION_KINDS,
     MITIGATION_T_VALUES,
     MitigationCampaign,
-    MitigationPlan,
     MitigationPoint,
     MitigationResults,
     MitigationWorkerSpec,
@@ -53,7 +52,6 @@ __all__ = [
     "MITIGATION_KINDS",
     "MITIGATION_T_VALUES",
     "MitigationCampaign",
-    "MitigationPlan",
     "MitigationPoint",
     "MitigationResults",
     "MitigationWorkerSpec",

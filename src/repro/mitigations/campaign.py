@@ -5,13 +5,13 @@ quantitatively: *how much stronger must activation-count mitigations get
 as ``tAggON`` grows?*  The campaign sweeps {mitigation x pattern x
 tAggON x evaluation-chip profile} and emits a versioned
 ``repro-mitigation-v1`` artifact of per-point critical parameters.  It
-is a second campaign kind on the characterization engine
-(:mod:`repro.core.engine`): this module owns only the plan, the shard
-runner, the point codec and the result container, and the engine's
-campaign envelope (``start_campaign`` / ``run_plan`` /
-``finish_campaign``) supplies checkpoint/resume, retries, the serial
-fallback for a broken pool, observability and the ``validate=True``
-self-check.
+is a second campaign kind (:data:`MITIGATION_KIND`) on the
+characterization engine (:mod:`repro.core.engine`): this module owns
+the evaluation chips, the work units and plan builder, the point
+evaluation and the point format; the engine's plan, fingerprint,
+shard-result check, results base and campaign envelope supply
+checkpoint/resume, retries, the serial fallback for a broken pool,
+observability and the ``validate=True`` self-check.
 
 Per point, the campaign measures:
 
@@ -35,13 +35,10 @@ checkpoint/resume.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import logging
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.atomicio import atomic_write_text, write_digest
 from repro.backend.base import build_session
 from repro.constants import (
     DEFAULT_TIMINGS,
@@ -50,24 +47,22 @@ from repro.constants import (
     T_AGG_ON_TREFI,
     T_AGG_ON_9TREFI,
 )
-from repro.core.checkpoint import JournalCodec
+from repro.core.checkpoint import plan_fingerprint
 from repro.core.engine import (
     SerialExecutor,
+    Shard,
+    SweepPlan,
     finish_campaign,
     run_plan,
     start_campaign,
 )
 from repro.core.faults import RetryPolicy, RunReport
 from repro.core.honest import measure_location_honest
-from repro.core.results import finite_or_none, parse_dump_json, read_dump_text
+from repro.core.results import MeasurementKind, ResultsBase, finite_or_none
 from repro.bender.softmc import SoftMCSession
 from repro.dram.chip import Chip
 from repro.dram.datapattern import CHECKERBOARD
-from repro.errors import (
-    ExperimentError,
-    MitigationError,
-    ResultIntegrityError,
-)
+from repro.errors import ExperimentError, MitigationError
 from repro.mitigations.evaluator import (
     GRAPHENE_SEARCH_CAP,
     CriticalParameter,
@@ -79,6 +74,11 @@ from repro.mitigations.timeaware import PressWeightedGraphene, PressWeightedPara
 from repro.obs import Observability
 from repro.patterns.base import ALL_PATTERNS, AccessPattern
 from repro.testing import make_synthetic_chip, make_synthetic_model
+from repro.validate.schema import (
+    MITIGATION_FORMAT,
+    MITIGATION_POINT_FORMAT,
+    validate_mitigation_payload,
+)
 
 __all__ = [
     "MITIGATION_T_VALUES",
@@ -87,28 +87,21 @@ __all__ = [
     "build_eval_chip",
     "MITIGATION_KINDS",
     "MitigationWorkUnit",
-    "MitigationShard",
-    "MitigationPlan",
+    "build_mitigation_plan",
     "MitigationPoint",
     "point_to_record",
     "point_from_record",
-    "MITIGATION_CODEC",
     "MitigationResults",
+    "MITIGATION_KIND",
     "MitigationWorkerSpec",
     "MitigationShardRunner",
-    "mitigation_plan_fingerprint",
     "MitigationCampaign",
 ]
-
-logger = logging.getLogger("repro.mitigations")
 
 #: Default tAggON sweep: the paper's anchors from pure RowHammer (tRAS)
 #: through the RowPress regime (636 ns, tREFI, 9 x tREFI).
 MITIGATION_T_VALUES: Tuple[float, ...] = (
-    T_AGG_ON_TRAS,
-    T_AGG_ON_636NS,
-    T_AGG_ON_TREFI,
-    T_AGG_ON_9TREFI,
+    T_AGG_ON_TRAS, T_AGG_ON_636NS, T_AGG_ON_TREFI, T_AGG_ON_9TREFI,
 )
 
 
@@ -192,6 +185,15 @@ MITIGATION_KINDS: Dict[str, Tuple[str, Callable]] = {
 }
 
 
+def _require_mechanisms(names: Iterable[str]) -> None:
+    unknown = sorted(set(names) - set(MITIGATION_KINDS))
+    if unknown:
+        raise ExperimentError(
+            f"unknown mitigation(s) {unknown} (known: "
+            f"{sorted(MITIGATION_KINDS)})"
+        )
+
+
 # ------------------------------------------------------------ work-list
 
 
@@ -204,88 +206,49 @@ class MitigationWorkUnit:
     pattern: AccessPattern
     t_on: float
 
+    @property
+    def identity(self) -> Tuple[str, str, str, float]:
+        """The identity of the point that answers this unit."""
+        return (self.chip_key, self.mitigation, self.pattern.name, self.t_on)
 
-@dataclass(frozen=True)
-class MitigationShard:
-    """All tAggON points of one (chip, mechanism, pattern) series.
+    @property
+    def fingerprint_line(self) -> str:
+        return f"unit|{self.t_on!r}"
 
-    The series is the dispatch granularity: the per-point baselines and
-    searches reuse nothing across points (every protected run needs a
-    fresh chip), but keeping a series on one worker keeps the journal's
-    entries aligned with the table's row groups.  Implements the shard
-    protocol of :mod:`repro.core.engine` (``index``/``units`` plus
-    ``label``/``obs_fields``).
+
+def build_mitigation_plan(
+    chips: Sequence[str],
+    mitigations: Sequence[str],
+    t_values: Sequence[float] = MITIGATION_T_VALUES,
+    patterns: Sequence[AccessPattern] = ALL_PATTERNS,
+) -> SweepPlan:
+    """Enumerate a mitigation campaign in canonical order: chips, then
+    mechanisms, patterns and tAggON values, each in call order.
+
+    One shard per (chip, mechanism, pattern) series: its points share
+    nothing (every protected run needs a fresh chip), but keeping a
+    series on one worker aligns the journal with the table's row groups.
     """
-
-    index: int
-    chip_key: str
-    mitigation: str
-    pattern: AccessPattern
-    units: Tuple[MitigationWorkUnit, ...]
-
-    @property
-    def label(self) -> str:
-        return f"{self.chip_key} {self.mitigation} {self.pattern.name}"
-
-    @property
-    def obs_fields(self) -> Dict[str, object]:
-        return {
-            "label": self.label,
-            "chip": self.chip_key,
-            "mitigation": self.mitigation,
-            "pattern": self.pattern.name,
-        }
-
-
-@dataclass(frozen=True)
-class MitigationPlan:
-    """The fully enumerated work-list of one mitigation campaign."""
-
-    shards: Tuple[MitigationShard, ...]
-
-    @property
-    def n_measurements(self) -> int:
-        return sum(len(s.units) for s in self.shards)
-
-    @staticmethod
-    def build(
-        chips: Sequence[str],
-        mitigations: Sequence[str],
-        t_values: Sequence[float] = MITIGATION_T_VALUES,
-        patterns: Sequence[AccessPattern] = ALL_PATTERNS,
-    ) -> "MitigationPlan":
-        """Enumerate the campaign in canonical order.
-
-        Canonical order: chips in call order, then mechanisms, patterns,
-        and tAggON values in call order -- one shard per (chip,
-        mechanism, pattern) series.
-        """
-        if not t_values:
-            raise ExperimentError("need at least one tAggON value")
-        unknown = [m for m in mitigations if m not in MITIGATION_KINDS]
-        if unknown:
-            raise ExperimentError(
-                f"unknown mitigation(s) {unknown} (known: "
-                f"{sorted(MITIGATION_KINDS)})"
-            )
-        shards: List[MitigationShard] = []
-        for chip_key in chips:
-            for mitigation in mitigations:
-                for pattern in patterns:
-                    units = tuple(
+    if not t_values:
+        raise ExperimentError("need at least one tAggON value")
+    _require_mechanisms(mitigations)
+    shards: List[Shard] = []
+    for chip_key in chips:
+        for mitigation in mitigations:
+            for pattern in patterns:
+                label = f"{chip_key} {mitigation} {pattern.name}"
+                shards.append(Shard(
+                    len(shards),
+                    (chip_key, mitigation, pattern.name),
+                    tuple(
                         MitigationWorkUnit(chip_key, mitigation, pattern, t_on)
                         for t_on in t_values
-                    )
-                    shards.append(
-                        MitigationShard(
-                            index=len(shards),
-                            chip_key=chip_key,
-                            mitigation=mitigation,
-                            pattern=pattern,
-                            units=units,
-                        )
-                    )
-        return MitigationPlan(shards=tuple(shards))
+                    ),
+                    label=label,
+                    obs_fields=dict(label=label, chip=chip_key,
+                                    mitigation=mitigation, pattern=pattern.name),
+                ))
+    return SweepPlan(shards=tuple(shards), kind=MITIGATION_KIND)
 
 
 # -------------------------------------------------------------- results
@@ -341,145 +304,53 @@ class MitigationPoint:
         return (self.chip_key, self.mitigation, self.pattern, self.t_on)
 
 
+#: A point record's keys: the point's fields, in declaration order.
+_POINT_FIELDS = tuple(f.name for f in fields(MitigationPoint))
+
+
 def point_to_record(point: MitigationPoint) -> Dict:
-    """Encode one point as a JSON-safe record (exact float round-trip)."""
-    p = point
-    return {
-        "chip_key": p.chip_key,
-        "mitigation": p.mitigation,
-        "pattern": p.pattern,
-        "t_on": finite_or_none(p.t_on),
-        "baseline_acmin": p.baseline_acmin,
-        "baseline_iterations": p.baseline_iterations,
-        "time_to_first_ns": finite_or_none(p.time_to_first_ns),
-        "critical_value": finite_or_none(p.critical_value),
-        "protects_at": finite_or_none(p.protects_at),
-        "fails_at": finite_or_none(p.fails_at),
-        "n_runs": p.n_runs,
-        "cap_hit": p.cap_hit,
-        "defeated": p.defeated,
-        "protected_by_trefw": p.protected_by_trefw,
-        "protected_by_trefw_quarter": p.protected_by_trefw_quarter,
-    }
+    """Encode one point as a JSON-safe record (exact float round-trip;
+    a non-finite float becomes ``None``)."""
+    return {name: finite_or_none(getattr(point, name)) for name in _POINT_FIELDS}
 
 
 def point_from_record(rec: Dict) -> MitigationPoint:
     """Decode one record (see :func:`point_to_record`)."""
-    return MitigationPoint(
-        chip_key=rec["chip_key"],
-        mitigation=rec["mitigation"],
-        pattern=rec["pattern"],
-        t_on=rec["t_on"],
-        baseline_acmin=rec["baseline_acmin"],
-        baseline_iterations=rec["baseline_iterations"],
-        time_to_first_ns=rec["time_to_first_ns"],
-        critical_value=rec["critical_value"],
-        protects_at=rec["protects_at"],
-        fails_at=rec["fails_at"],
-        n_runs=rec["n_runs"],
-        cap_hit=rec["cap_hit"],
-        defeated=rec["defeated"],
-        protected_by_trefw=rec["protected_by_trefw"],
-        protected_by_trefw_quarter=rec["protected_by_trefw_quarter"],
-    )
+    return MitigationPoint(**{name: rec[name] for name in _POINT_FIELDS})
 
 
-#: Checkpoint codec for mitigation campaigns: journals carry
-#: ``repro-mitigation-point-v1`` records instead of measurements, and
-#: the header names the entry format so the two journal kinds can never
-#: be decoded as each other.
-MITIGATION_CODEC = JournalCodec(
-    entries="repro-mitigation-point-v1",
-    encode=point_to_record,
-    decode=point_from_record,
-)
-
-
-class MitigationResults:
-    """An ordered collection of mitigation points (the campaign artifact).
-
-    Serialized like :class:`~repro.core.results.ResultSet`, through the
-    same dump reader: a versioned ``repro-mitigation-v1`` envelope,
-    atomic dumps with an optional sha256 sidecar, and strict
-    (``allow_nan=False``) JSON.
+class MitigationResults(ResultsBase):
+    """The campaign artifact: mitigation points on the results base
+    :class:`~repro.core.results.ResultSet` shares, dumped as a versioned
+    ``repro-mitigation-v1`` envelope of strict (``allow_nan=False``) JSON.
     """
 
-    def __init__(self, points: Iterable[MitigationPoint] = ()) -> None:
-        self._points: List[MitigationPoint] = list(points)
-
-    def add(self, point: MitigationPoint) -> None:
-        self._points.append(point)
-
-    def extend(self, points: Iterable[MitigationPoint]) -> None:
-        self._points.extend(points)
-
-    def __iter__(self) -> Iterator[MitigationPoint]:
-        return iter(self._points)
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def where(
-        self,
-        chip_key: Optional[str] = None,
-        mitigation: Optional[str] = None,
-        pattern: Optional[str] = None,
-        t_on: Optional[float] = None,
-    ) -> "MitigationResults":
-        """Filter by exact field values (``None`` matches anything)."""
-        return MitigationResults(
-            p
-            for p in self._points
-            if (chip_key is None or p.chip_key == chip_key)
-            and (mitigation is None or p.mitigation == mitigation)
-            and (pattern is None or p.pattern == pattern)
-            and (t_on is None or p.t_on == t_on)
-        )
+    what = "mitigation dump"
+    check_payload = staticmethod(validate_mitigation_payload)
 
     def to_json(self) -> str:
-        from repro.validate.schema import MITIGATION_FORMAT
-
-        return json.dumps(
-            {
-                "format": MITIGATION_FORMAT,
-                "points": [point_to_record(p) for p in self._points],
-            },
-            indent=2,
-            allow_nan=False,
-        )
-
-    def dump(
-        self, path: Union[str, "os.PathLike"], digest: bool = False
-    ) -> None:
-        """Atomically write the JSON dump (optionally with a sidecar)."""
-        atomic_write_text(path, self.to_json() + "\n")
-        if digest:
-            write_digest(path)
+        points = [point_to_record(p) for p in self]
+        payload = {"format": MITIGATION_FORMAT, "points": points}
+        return json.dumps(payload, indent=2, allow_nan=False)
 
     @staticmethod
-    def load(path) -> "MitigationResults":
-        """Restore a dump, verifying any sha256 sidecar first."""
-        return MitigationResults.from_json(
-            read_dump_text(path, "mitigation dump"), source=str(path)
-        )
-
-    @staticmethod
-    def from_json(
-        text: str, source: Optional[str] = None
-    ) -> "MitigationResults":
-        """Decode a dump, validating its format version and schema."""
-        from repro.validate.schema import validate_mitigation_payload
-
-        payload = parse_dump_json(text, "mitigation dump", source)
-        validate_mitigation_payload(payload, source=source)
-        return MitigationResults.from_payload(payload)
-
-    @staticmethod
-    def from_payload(payload) -> "MitigationResults":
+    def from_payload(payload, outcome=None) -> "MitigationResults":
         """Decode a parsed dump the schema already accepted."""
         return MitigationResults(
             point_from_record(rec) for rec in payload["points"]
         )
+
+
+#: The mitigation campaign kind: journals carry
+#: ``repro-mitigation-point-v1`` records instead of measurements, and
+#: the header names the entry format so the two journal kinds can never
+#: be decoded as each other.
+MITIGATION_KIND = MeasurementKind(
+    entries=MITIGATION_POINT_FORMAT,
+    encode=point_to_record,
+    decode=point_from_record,
+    results=MitigationResults,
+)
 
 
 # --------------------------------------------------------------- runner
@@ -514,25 +385,16 @@ class MitigationWorkerSpec:
     trials: int = 2
     graphene_cap: int = GRAPHENE_SEARCH_CAP
 
-    def check_shards(self, shards: Sequence[MitigationShard]) -> None:
+    def check_shards(self, shards: Sequence[Shard]) -> None:
         """Refuse shards a worker could not rebuild from this spec."""
-        unknown = sorted(
-            {s.chip_key for s in shards} - set(EVAL_CHIP_PROFILES)
-        )
+        unknown = sorted({s.key[0] for s in shards} - set(EVAL_CHIP_PROFILES))
         if unknown:
             raise ExperimentError(
                 f"process executor rebuilds evaluation chips from profiles, "
                 f"but {unknown} are not profiled chip keys (known: "
                 f"{sorted(EVAL_CHIP_PROFILES)})"
             )
-        bad = sorted(
-            {s.mitigation for s in shards} - set(MITIGATION_KINDS)
-        )
-        if bad:
-            raise ExperimentError(
-                f"unknown mitigation(s) {bad} (known: "
-                f"{sorted(MITIGATION_KINDS)})"
-            )
+        _require_mechanisms({s.key[1] for s in shards})
 
     def build_runner(self) -> "MitigationShardRunner":
         return MitigationShardRunner(self)
@@ -548,45 +410,24 @@ class MitigationShardRunner:
     """
 
     def __init__(self, spec: MitigationWorkerSpec) -> None:
-        #: The picklable worker recipe; the process executor runs its
-        #: vocabulary check before dispatch, whatever the worker mode.
+        #: The picklable worker recipe the process executor checks.
         self.spec = spec
 
     def build_runner(self) -> "MitigationShardRunner":
-        """The per-shard runner of a fork-inherited pool worker.
+        """The per-shard runner of a fork-inherited pool worker (the
+        runner is stateless, so itself)."""
+        return self
 
-        The runner is stateless apart from its immutable spec, so this
-        is simply a sibling over the same spec.
-        """
-        return MitigationShardRunner(self.spec)
-
-    @staticmethod
-    def validate(
-        shard: MitigationShard, points: Sequence[MitigationPoint]
-    ) -> None:
-        """Integrity-check one shard's points against its units."""
-        expected = [
-            (u.chip_key, u.mitigation, u.pattern.name, u.t_on)
-            for u in shard.units
+    def run(self, shard: Shard) -> List[MitigationPoint]:
+        chip_key, mitigation, _ = shard.key
+        evaluator = MitigationEvaluator(
+            lambda: build_eval_chip(chip_key), self.spec.base_row
+        )
+        kind, factory = MITIGATION_KINDS[mitigation]
+        return [
+            self._evaluate_point(unit, evaluator, kind, factory)
+            for unit in shard.units
         ]
-        got = [p.identity for p in points]
-        if got != expected:
-            raise ResultIntegrityError(
-                f"shard {shard.index} ({shard.label}) returned points "
-                f"{got}, expected {expected}"
-            )
-
-    def run(self, shard: MitigationShard) -> List[MitigationPoint]:
-        spec = self.spec
-        chip_factory = lambda: build_eval_chip(shard.chip_key)  # noqa: E731
-        evaluator = MitigationEvaluator(chip_factory, spec.base_row)
-        kind, factory = MITIGATION_KINDS[shard.mitigation]
-        out: List[MitigationPoint] = []
-        for unit in shard.units:
-            out.append(
-                self._evaluate_point(unit, evaluator, kind, factory)
-            )
-        return out
 
     def _evaluate_point(
         self,
@@ -597,49 +438,34 @@ class MitigationShardRunner:
     ) -> MitigationPoint:
         spec = self.spec
         baseline = measure_location_honest(
-            SoftMCSession(build_eval_chip(unit.chip_key)),
-            unit.pattern,
-            spec.base_row,
-            unit.t_on,
-            CHECKERBOARD,
+            SoftMCSession(build_eval_chip(unit.chip_key)), unit.pattern,
+            spec.base_row, unit.t_on, CHECKERBOARD,
             max_budget_iterations=spec.baseline_budget,
         )
-        placement = unit.pattern.place(
-            spec.base_row,
-            unit.t_on,
-            EVAL_CHIP_PROFILES[unit.chip_key].rows,
+        iteration_ns = unit.pattern.place(
+            spec.base_row, unit.t_on, EVAL_CHIP_PROFILES[unit.chip_key].rows,
             DEFAULT_TIMINGS,
-        )
-        iteration_ns = placement.iteration_latency(DEFAULT_TIMINGS)
-        time_to_first = (
-            None
-            if baseline.iterations is None
-            else baseline.iterations * iteration_ns
-        )
+        ).iteration_latency(DEFAULT_TIMINGS)
+        iterations = baseline.iterations
+        time_to_first = None if iterations is None else iterations * iteration_ns
         critical: Optional[CriticalParameter] = None
         defeated = False
-        if baseline.iterations is not None:
+        if iterations is not None:
             budget = max(
                 spec.min_search_iterations,
-                int(baseline.iterations * spec.search_margin),
+                int(iterations * spec.search_margin),
             )
             try:
                 if kind == "probability":
                     critical = evaluator.search_critical_probability(
-                        unit.pattern,
-                        unit.t_on,
-                        factory=factory,
-                        iterations=budget,
-                        tolerance=spec.tolerance,
+                        unit.pattern, unit.t_on, factory=factory,
+                        iterations=budget, tolerance=spec.tolerance,
                         trials=spec.trials,
                     )
                 else:
                     critical = evaluator.search_critical_threshold(
-                        unit.pattern,
-                        unit.t_on,
-                        factory=factory,
-                        iterations=budget,
-                        cap=spec.graphene_cap,
+                        unit.pattern, unit.t_on, factory=factory,
+                        iterations=budget, cap=spec.graphene_cap,
                     )
             except MitigationError:
                 # Maximum strength already fails: at large tAggON one
@@ -660,7 +486,7 @@ class MitigationShardRunner:
             pattern=unit.pattern.name,
             t_on=unit.t_on,
             baseline_acmin=baseline.acmin,
-            baseline_iterations=baseline.iterations,
+            baseline_iterations=iterations,
             time_to_first_ns=time_to_first,
             critical_value=None if critical is None else critical.value,
             protects_at=None if critical is None else critical.protects_at,
@@ -668,33 +494,11 @@ class MitigationShardRunner:
             n_runs=0 if critical is None else critical.n_runs,
             cap_hit=False if critical is None else critical.cap_hit,
             defeated=defeated,
-            protected_by_trefw=(
-                time_to_first is None or time_to_first > trefw
-            ),
+            protected_by_trefw=time_to_first is None or time_to_first > trefw,
             protected_by_trefw_quarter=(
                 time_to_first is None or time_to_first > trefw / 4.0
             ),
         )
-
-
-def mitigation_plan_fingerprint(
-    spec: MitigationWorkerSpec, plan: MitigationPlan
-) -> str:
-    """Deterministic fingerprint of (search spec, plan order).
-
-    Same construction as :func:`repro.core.checkpoint.plan_fingerprint`:
-    the spec's value-based dataclass repr plus every unit in canonical
-    order, so a journal can never seed a differently shaped campaign.
-    """
-    parts = [repr(spec)]
-    for shard in plan.shards:
-        parts.append(
-            f"shard|{shard.index}|{shard.chip_key}|{shard.mitigation}|"
-            f"{shard.pattern.name}"
-        )
-        parts.extend(f"unit|{u.t_on!r}" for u in shard.units)
-    digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
-    return digest[:16]
 
 
 # ------------------------------------------------------------- campaign
@@ -708,8 +512,7 @@ class MitigationCampaign:
     (:func:`repro.core.engine.start_campaign`,
     :func:`~repro.core.engine.run_plan`,
     :func:`~repro.core.engine.finish_campaign`); only the plan, the
-    fingerprint, the device-protections preflight, the result container
-    and the invariant guard are its own.
+    device-protections preflight and the invariant guard are its own.
     """
 
     def __init__(
@@ -752,18 +555,15 @@ class MitigationCampaign:
     ) -> MitigationResults:
         """Run a full mitigation campaign in canonical order.
 
-        Same semantics as
-        :meth:`~repro.core.runner.CharacterizationRunner.characterize`:
-        ``policy`` adds shard retries and timeouts; ``checkpoint`` names a
-        journal appended after every completed shard (mitigation-point
-        codec); ``resume=True`` seeds from it and the final results are
-        bit-identical to an uninterrupted run; ``validate=True`` arms
+        ``policy``, ``checkpoint``, ``resume`` and ``fault_plan`` as in
+        :meth:`~repro.core.runner.CharacterizationRunner.characterize`
+        (the journal holds mitigation points); ``validate=True`` arms
         digests and requires the mitigation invariants
         (:func:`repro.validate.invariants.require_mitigation_invariants`)
         to hold before results are returned.
         """
-        plan = MitigationPlan.build(chips, mitigations, t_values, patterns)
-        fingerprint = mitigation_plan_fingerprint(self._spec, plan)
+        plan = build_mitigation_plan(chips, mitigations, t_values, patterns)
+        fingerprint = plan_fingerprint(self._spec, plan)
         obs = self._obs
         session = self._session
         report = start_campaign(
@@ -785,7 +585,6 @@ class MitigationCampaign:
             checkpoint=checkpoint,
             resume=resume,
             digest=validate,
-            codec=MITIGATION_CODEC,
             report=report,
             obs=obs,
         )
@@ -794,7 +593,6 @@ class MitigationCampaign:
         return finish_campaign(
             plan,
             completed,
-            MitigationResults(),
             report,
             obs,
             session,

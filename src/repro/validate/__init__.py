@@ -49,6 +49,7 @@ from repro.validate.schema import (
     MITIGATION_FORMAT,
     PATTERNSPEC_FORMAT,
     RESULTS_FORMAT,
+    check_journal_shard,
     validate_bench_payload,
     validate_journal_entry,
     validate_journal_header,
@@ -374,28 +375,13 @@ def _verify_manifest_shards(path: PathLike, payload: Dict) -> List[str]:
 
     Each shard's bytes are streamed through sha256
     (:func:`repro.atomicio.sha256_file`) and compared against the
-    manifest record -- the population is never parsed, let alone
-    materialized, so validation memory stays flat no matter how many
-    measurements the shards hold.  A missing shard raises
-    :class:`~repro.errors.ArtifactInvalidError`; a digest mismatch
-    raises :class:`~repro.errors.ArtifactCorruptError`.
+    manifest record by :func:`~repro.validate.integrity.verify_sealed_shard`
+    -- the population is never parsed, let alone materialized, so
+    validation memory stays flat no matter how many measurements the
+    shards hold.
     """
-    base = os.path.dirname(os.path.abspath(str(path)))
     for shard in payload["shards"]:
-        shard_path = os.path.join(base, shard["name"])
-        if not os.path.exists(shard_path):
-            raise ArtifactInvalidError(
-                f"{path}: manifest names shard {shard['name']}, which does "
-                f"not exist next to it"
-            )
-        size = os.path.getsize(shard_path)
-        if size != shard["bytes"]:
-            raise ArtifactCorruptError(
-                f"{shard_path}: shard is {size} byte(s) but the manifest "
-                f"records {shard['bytes']}; the shard was truncated or "
-                f"rewritten after it was sealed"
-            )
-        integrity.verify_file_sha256(shard_path, shard["sha256"], what="shard")
+        integrity.verify_sealed_shard(path, shard)
     return [f"verified {len(payload['shards'])} shard digest(s)"]
 
 
@@ -460,17 +446,7 @@ def _validate_journal_text(
         shard = validate_journal_entry(
             entry, number, source=str(path), entries=header.get("entries")
         )
-        if shard in seen:
-            raise ArtifactInvalidError(
-                f"{path}: line {number}: $.shard {shard} was already "
-                f"recorded on line {seen[shard]}"
-            )
-        if shard >= n_shards:
-            raise ArtifactInvalidError(
-                f"{path}: line {number}: $.shard is {shard}, but the "
-                f"header declares only {n_shards} shard(s)"
-            )
-        seen[shard] = number
+        check_journal_shard(shard, number, seen, n_shards, source=str(path))
     return len(seen), warnings
 
 

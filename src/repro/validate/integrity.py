@@ -21,7 +21,7 @@ import os
 from typing import Optional, Tuple, Union
 
 from repro.atomicio import digest_path, read_digest
-from repro.errors import ArtifactCorruptError
+from repro.errors import ArtifactCorruptError, ArtifactInvalidError
 
 PathLike = Union[str, os.PathLike]
 
@@ -29,6 +29,7 @@ __all__ = [
     "has_digest",
     "verify_journal_bytes",
     "verify_file_sha256",
+    "verify_sealed_shard",
     "sha256_bytes",
 ]
 
@@ -65,6 +66,35 @@ def verify_file_sha256(
             f"{what} was modified or corrupted after it was written"
         )
     return actual
+
+
+def verify_sealed_shard(manifest_path: PathLike, shard: dict) -> str:
+    """The one check of a sealed shard against its manifest record.
+
+    ``shard`` is one schema-checked entry of the manifest's ``shards``
+    list; the shard file sits next to the manifest.  It must exist
+    (:class:`~repro.errors.ArtifactInvalidError` otherwise), hold the
+    recorded number of bytes and hash to the recorded sha256
+    (:class:`~repro.errors.ArtifactCorruptError` otherwise).  Returns
+    the shard's path.  Both readers of a sealed export -- ``validate``
+    and :func:`repro.core.flipdb.iter_shard_measurements` -- call it.
+    """
+    base = os.path.dirname(os.path.abspath(str(manifest_path)))
+    shard_path = os.path.join(base, shard["name"])
+    if not os.path.exists(shard_path):
+        raise ArtifactInvalidError(
+            f"{manifest_path}: manifest names shard {shard['name']}, which "
+            f"does not exist next to it"
+        )
+    size = os.path.getsize(shard_path)
+    if size != shard["bytes"]:
+        raise ArtifactCorruptError(
+            f"{shard_path}: shard is {size} byte(s) but the manifest "
+            f"records {shard['bytes']}; the shard was truncated or "
+            f"rewritten after it was sealed"
+        )
+    verify_file_sha256(shard_path, shard["sha256"], what="shard")
+    return shard_path
 
 
 def verify_journal_bytes(

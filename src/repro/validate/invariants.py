@@ -75,14 +75,12 @@ campaign's Hypothesis 2:
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.constants import DDR4Timings
-from repro.core.results import DieMeasurement, ResultSet, measurement_to_record
+from repro.core.results import MEASUREMENT_KIND, DieMeasurement, ResultSet
 from repro.errors import InvariantViolationError
 from repro.validate.schema import KNOWN_PATTERNS
 
@@ -659,49 +657,21 @@ def require_mitigation_invariants(
 
 
 def mitigation_results_digest(results) -> str:
-    """Canonical sha256 of a MitigationResults (order-independent).
+    """Canonical sha256 of a MitigationResults (order-independent); the
+    mitigation counterpart of :func:`results_digest`."""
+    from repro.mitigations.campaign import MITIGATION_KIND
 
-    The mitigation counterpart of :func:`results_digest`: points are
-    serialized with sorted keys and sorted lexicographically, so two
-    campaigns digest equal iff they produced the same points --
-    regardless of executor, resume, or merge order.
-    """
-    from repro.mitigations.campaign import point_to_record
-
-    return digest_record_lines(
-        canonical_record(point_to_record(p)) for p in results
-    )
+    return MITIGATION_KIND.digest(results)
 
 
 # ------------------------------------------------------------ determinism
 
 
-def canonical_record(rec: Dict) -> str:
-    """A dump record's canonical digest line (sorted keys, strict JSON)."""
-    return json.dumps(rec, sort_keys=True, allow_nan=False)
-
-
-def digest_record_lines(lines: Iterable[str]) -> str:
-    """sha256 over :func:`canonical_record` lines in sorted order."""
-    digest = hashlib.sha256()
-    for record in sorted(lines):
-        digest.update(record.encode("utf-8"))
-        digest.update(b"\n")
-    return digest.hexdigest()
-
-
 def results_digest(results: Iterable[DieMeasurement]) -> str:
-    """Canonical sha256 of a ResultSet (order-independent, census included).
-
-    Records are serialized with sorted keys and sorted by identity, so
-    two ResultSets digest equal iff they contain the same measurements
-    -- regardless of executor, merge order, or a serialization
-    round-trip.
-    """
-    return digest_record_lines(
-        canonical_record(measurement_to_record(m, include_census=True))
-        for m in results
-    )
+    """Canonical sha256 of a ResultSet (order-independent, census
+    included): :meth:`~repro.core.results.MeasurementKind.digest` of the
+    characterization kind."""
+    return MEASUREMENT_KIND.digest(results)
 
 
 def check_cross_executor(

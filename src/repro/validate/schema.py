@@ -41,6 +41,7 @@ __all__ = [
     "validate_results_payload",
     "validate_journal_header",
     "validate_journal_entry",
+    "check_journal_shard",
     "validate_metrics_payload",
     "validate_trace_event",
     "validate_bench_payload",
@@ -592,6 +593,32 @@ def validate_journal_entry(
     spec = _JOURNAL_ENTRY[MITIGATION_POINT_FORMAT if mitigation else None]
     _walk(entry, spec, f"line {line_no}: $", source)
     return entry["shard"]
+
+
+def check_journal_shard(
+    shard: int,
+    line_no: int,
+    seen: Dict[int, int],
+    n_shards: int,
+    source: Optional[str] = None,
+) -> None:
+    """The one "one shard per journal line" rule.
+
+    ``shard`` is the index :func:`validate_journal_entry` returned for
+    line ``line_no``; ``seen`` maps every index recorded on an earlier
+    line to that line, and gains this one.  An index recorded twice, or
+    one the header's ``n_shards`` does not cover, raises
+    :class:`~repro.errors.ArtifactInvalidError`.  ``validate`` and
+    :meth:`~repro.core.checkpoint.CheckpointJournal.load` both apply it.
+    """
+    where = f"line {line_no}: $.shard"
+    if shard in seen:
+        _fail(source, where, f"{shard} was already recorded on line "
+              f"{seen[shard]}")
+    if shard >= n_shards:
+        _fail(source, where, f"is {shard}, but the header declares only "
+              f"{n_shards} shard(s)")
+    seen[shard] = line_no
 
 
 def validate_metrics_payload(payload, source: Optional[str] = None) -> Dict:

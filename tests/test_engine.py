@@ -116,7 +116,7 @@ def test_plan_canonical_order(two_modules):
     assert flattened == expected
     # One shard per (module, die), indexed in plan order.
     assert [s.index for s in plan.shards] == list(range(len(plan.shards)))
-    assert len({(s.module_key, s.die) for s in plan.shards}) == len(plan.shards)
+    assert len({s.key for s in plan.shards}) == len(plan.shards)
 
 
 # ------------------------------------------------------------ trial jitter

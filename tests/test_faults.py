@@ -50,7 +50,8 @@ from repro.errors import (
     ShardFailedError,
     ShardTimeoutError,
 )
-from repro.patterns import ALL_PATTERNS
+from repro.mitigations.campaign import MitigationCampaign, build_mitigation_plan
+from repro.patterns import ALL_PATTERNS, DOUBLE_SIDED
 
 pytestmark = pytest.mark.faults
 
@@ -120,10 +121,16 @@ def test_retry_policy_validation_and_backoff():
 # ------------------------------------------------------- result validation
 
 
-def test_validate_shard_result_detects_corruption(fast_config, s0_module):
-    plan = SweepPlan.build([s0_module], T_VALUES, ALL_PATTERNS, trials=1)
+@pytest.mark.parametrize("kind", ["characterization", "mitigation"])
+def test_validate_shard_result_detects_corruption(kind, fast_config, s0_module):
+    if kind == "characterization":
+        plan = SweepPlan.build([s0_module], T_VALUES, ALL_PATTERNS, trials=1)
+        _, results = _run(fast_config, [s0_module])
+    else:
+        sweep = (("E0",), ("para",), T_VALUES, (DOUBLE_SIDED,))
+        plan = build_mitigation_plan(*sweep)
+        results = MitigationCampaign().run(*sweep)
     shard = plan.shards[0]
-    runner, results = _run(fast_config, [s0_module])
     good = list(results)[: len(shard.units)]
     validate_shard_result(shard, good)  # canonical order passes
     with pytest.raises(ResultIntegrityError, match="missing"):
@@ -491,7 +498,7 @@ def test_journal_round_trip_and_duplicate_detection(fast_config, s0_module, tmp_
     # A duplicated shard entry is corruption, not data.
     journal.record(shard.index, measurements)
     journal.release()
-    with pytest.raises(CheckpointError, match="twice"):
+    with pytest.raises(CheckpointError, match="already recorded on line 2"):
         CheckpointJournal(journal.path).load(fingerprint)
 
 

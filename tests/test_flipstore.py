@@ -7,6 +7,7 @@ without materializing the population.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -215,6 +216,15 @@ def test_corrupted_shard_fails_validation(population, tmp_path):
     with pytest.raises(ArtifactCorruptError):
         validate_artifact(bad_dir / "manifest.json")
     with pytest.raises(ArtifactCorruptError):
+        list(iter_shard_measurements(bad_dir / "manifest.json"))
+
+    # A truncated shard: both readers run the same byte-size check.
+    victim.write_bytes(bytes(raw[:-7]))
+    sealed = population["export"].shards[0].n_bytes
+    message = f"shard is {sealed - 7} byte(s) but the manifest records {sealed}"
+    with pytest.raises(ArtifactCorruptError, match=re.escape(message)):
+        validate_artifact(bad_dir / "manifest.json")
+    with pytest.raises(ArtifactCorruptError, match=re.escape(message)):
         list(iter_shard_measurements(bad_dir / "manifest.json"))
 
 

@@ -8,14 +8,20 @@ mode.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import main
 from repro.constants import DEFAULT_TIMINGS
-from repro.core.checkpoint import CheckpointJournal
+from repro.core.checkpoint import CheckpointJournal, plan_fingerprint
 from repro.core.engine import ProcessExecutor
-from repro.core.faults import FaultPlan, FaultSpec, RetryPolicy
+from repro.core.faults import (
+    FaultPlan,
+    FaultSpec,
+    RetryPolicy,
+    validate_shard_result,
+)
 from repro.errors import (
     ArtifactCorruptError,
     ArtifactInvalidError,
@@ -27,18 +33,14 @@ from repro.errors import (
 )
 from repro.mitigations.campaign import (
     EVAL_CHIP_PROFILES,
-    MITIGATION_CODEC,
+    MITIGATION_KIND,
     MITIGATION_T_VALUES,
     MitigationCampaign,
-    MitigationPlan,
     MitigationPoint,
     MitigationResults,
-    MitigationShard,
-    MitigationShardRunner,
     MitigationWorkerSpec,
-    MitigationWorkUnit,
     build_eval_chip,
-    mitigation_plan_fingerprint,
+    build_mitigation_plan,
     point_from_record,
     point_to_record,
 )
@@ -106,11 +108,11 @@ def make_point(**overrides):
 
 
 def test_plan_canonical_order():
-    plan = MitigationPlan.build(CHIPS, MECHS, T_SMALL, PATTERNS_SMALL)
+    plan = build_mitigation_plan(CHIPS, MECHS, T_SMALL, PATTERNS_SMALL)
+    assert plan.kind is MITIGATION_KIND
     assert len(plan.shards) == 4  # 1 chip x 2 mechanisms x 2 patterns
     assert plan.n_measurements == 8
-    labels = [(s.chip_key, s.mitigation, s.pattern.name) for s in plan.shards]
-    assert labels == [
+    assert [s.key for s in plan.shards] == [
         ("E0", "para", "double-sided"),
         ("E0", "para", "combined"),
         ("E0", "graphene", "double-sided"),
@@ -118,52 +120,54 @@ def test_plan_canonical_order():
     ]
     for i, shard in enumerate(plan.shards):
         assert shard.index == i
-        assert shard.obs_fields["mitigation"] == shard.mitigation
+        assert shard.obs_fields["mitigation"] == shard.key[1]
         assert [u.t_on for u in shard.units] == list(T_SMALL)
 
 
 def test_plan_rejects_unknown_mitigation():
     with pytest.raises(ExperimentError, match="unknown mitigation"):
-        MitigationPlan.build(CHIPS, ("para", "blockhammer"))
+        build_mitigation_plan(CHIPS, ("para", "blockhammer"))
 
 
 def test_plan_rejects_empty_sweep():
     with pytest.raises(ExperimentError, match="at least one tAggON"):
-        MitigationPlan.build(CHIPS, MECHS, t_values=())
+        build_mitigation_plan(CHIPS, MECHS, t_values=())
 
 
 def test_fingerprint_covers_spec_and_order():
-    plan = MitigationPlan.build(CHIPS, MECHS, T_SMALL, PATTERNS_SMALL)
+    plan = build_mitigation_plan(CHIPS, MECHS, T_SMALL, PATTERNS_SMALL)
     spec = MitigationWorkerSpec()
-    base = mitigation_plan_fingerprint(spec, plan)
-    assert base == mitigation_plan_fingerprint(MitigationWorkerSpec(), plan)
-    assert base != mitigation_plan_fingerprint(
-        MitigationWorkerSpec(trials=3), plan
-    )
-    reordered = MitigationPlan.build(
+    base = plan_fingerprint(spec, plan)
+    assert base == plan_fingerprint(MitigationWorkerSpec(), plan)
+    assert base != plan_fingerprint(MitigationWorkerSpec(trials=3), plan)
+    reordered = build_mitigation_plan(
         CHIPS, MECHS, tuple(reversed(T_SMALL)), PATTERNS_SMALL
     )
-    assert base != mitigation_plan_fingerprint(spec, reordered)
+    assert base != plan_fingerprint(spec, reordered)
 
 
 def test_worker_spec_rejects_unbuildable_shards():
     spec = MitigationWorkerSpec()
-    unit = MitigationWorkUnit("NOPE", "para", DOUBLE_SIDED, 36.0)
-    shard = MitigationShard(0, "NOPE", "para", DOUBLE_SIDED, (unit,))
+    (shard,) = build_mitigation_plan(
+        ("NOPE",), ("para",), (36.0,), (DOUBLE_SIDED,)
+    ).shards
     with pytest.raises(ExperimentError, match="not profiled chip keys"):
         spec.check_shards([shard])
-    unit = MitigationWorkUnit("E0", "blockhammer", DOUBLE_SIDED, 36.0)
-    shard = MitigationShard(0, "E0", "blockhammer", DOUBLE_SIDED, (unit,))
+    (shard,) = build_mitigation_plan(
+        CHIPS, ("para",), (36.0,), (DOUBLE_SIDED,)
+    ).shards
+    blockhammer = replace(shard, key=("E0", "blockhammer", "double-sided"))
     with pytest.raises(ExperimentError, match="unknown mitigation"):
-        spec.check_shards([shard])
+        spec.check_shards([blockhammer])
 
 
 def test_runner_validate_rejects_identity_mismatch():
-    unit = MitigationWorkUnit("E0", "para", DOUBLE_SIDED, 36.0)
-    shard = MitigationShard(0, "E0", "para", DOUBLE_SIDED, (unit,))
+    (shard,) = build_mitigation_plan(
+        CHIPS, ("para",), (36.0,), (DOUBLE_SIDED,)
+    ).shards
     wrong = make_point(t_on=636.0)
     with pytest.raises(ResultIntegrityError, match="shard 0"):
-        MitigationShardRunner.validate(shard, [wrong])
+        validate_shard_result(shard, [wrong])
 
 
 def test_build_eval_chip_rejects_unknown_key():
@@ -193,7 +197,7 @@ def test_journal_codec_kinds_do_not_cross(tmp_path):
     """A mitigation journal must never decode as characterization
     measurements, and vice versa -- the header names the entry kind."""
     path = tmp_path / "journal.jsonl"
-    writer = CheckpointJournal(path, codec=MITIGATION_CODEC)
+    writer = CheckpointJournal(path, kind=MITIGATION_KIND)
     writer.start("f" * 16, 1)
     writer.record(0, [make_point()])
     writer.release()
@@ -203,7 +207,7 @@ def test_journal_codec_kinds_do_not_cross(tmp_path):
     plain = tmp_path / "plain.jsonl"
     CheckpointJournal(plain).start("f" * 16, 1)
     with pytest.raises(CheckpointError, match="repro-mitigation-point-v1"):
-        CheckpointJournal(plain, codec=MITIGATION_CODEC).load("f" * 16)
+        CheckpointJournal(plain, kind=MITIGATION_KIND).load("f" * 16)
 
 
 # ---------------------------------------------------------------- results
@@ -555,7 +559,7 @@ def test_campaign_kill_resume_bit_identical(tmp_path, small):
 
 def test_campaign_rejects_foreign_journal(tmp_path):
     journal = tmp_path / "foreign.ckpt"
-    writer = CheckpointJournal(journal, codec=MITIGATION_CODEC)
+    writer = CheckpointJournal(journal, kind=MITIGATION_KIND)
     writer.start("0" * 16, 4)  # fingerprint of some other campaign
     writer.release()
     with pytest.raises(CheckpointError, match="fingerprint"):

@@ -5,7 +5,8 @@
 (characterization measurements and ``repro-mitigation-point-v1``
 points).  Each tamper below keeps the journal valid JSON and carries no
 digest sidecar, so only the schema can catch it; the resume must raise
-``CheckpointError`` naming the offending ``$.path``.
+``CheckpointError`` naming the offending ``$.path``.  So must a shard
+index recorded twice or past the header's ``n_shards``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ def _drop(key):
 
 def _drop_measurements(entry):
     entry.pop("measurements")
+
+
+def _shard_99(entry):
+    entry["shard"] = 99
 
 
 def _tampered(journal, tmp_path, tamper):
@@ -80,7 +85,9 @@ def measurement_journal(fast_config, s0_module, tmp_path_factory):
      "$.measurements[0].flips_0_to_1[0][0] must be >= 0, got -1"),
     (_drop("die"), "$.measurements[0].die is missing"),
     (_drop_measurements, "$.measurements is missing"),
-], ids=["acmin", "time", "census-pair", "census-negative", "field", "entry"])
+    (_shard_99, "$.shard is 99, but the header declares only 8 shard(s)"),
+], ids=["acmin", "time", "census-pair", "census-negative", "field", "entry",
+        "shard"])
 def test_tampered_measurement_journal_does_not_resume(
     fast_config, s0_module, measurement_journal, tmp_path, tamper, problem
 ):
@@ -115,7 +122,8 @@ def mitigation_journal(tmp_path_factory):
      "got list"),
     (_drop("n_runs"), "$.measurements[0].n_runs is missing"),
     (_drop_measurements, "$.measurements is missing"),
-], ids=["acmin", "time", "shape", "field", "entry"])
+    (_shard_99, "$.shard is 99, but the header declares only 1 shard(s)"),
+], ids=["acmin", "time", "shape", "field", "entry", "shard"])
 def test_tampered_mitigation_journal_does_not_resume(
     mitigation_journal, tmp_path, tamper, problem
 ):
@@ -131,3 +139,30 @@ def test_untampered_journals_still_resume(
     _characterize(fast_config, s0_module, journal, resume=True)
     journal = _tampered(mitigation_journal, tmp_path, lambda entry: None)
     _mitigate(journal, resume=True)
+
+
+
+# ------------------------------------------------- one shard per line
+
+
+def _duplicate_first_entry(journal, tmp_path):
+    lines = journal.read_text().splitlines()
+    copy = tmp_path / f"duplicated-{journal.name}"
+    copy.write_text("\n".join(lines[:2] + lines[1:]) + "\n")
+    return copy
+
+
+@pytest.mark.parametrize("kind", ["characterization", "mitigation"])
+def test_duplicated_shard_does_not_resume(
+    kind, fast_config, s0_module, measurement_journal, mitigation_journal,
+    tmp_path,
+):
+    """``load`` applies the one-shard-per-line rule of ``validate``."""
+    problem = "line 3: $.shard 0 was already recorded on line 2"
+    with pytest.raises(CheckpointError, match=re.escape(problem)):
+        if kind == "characterization":
+            journal = _duplicate_first_entry(measurement_journal, tmp_path)
+            _characterize(fast_config, s0_module, journal, resume=True)
+        else:
+            journal = _duplicate_first_entry(mitigation_journal, tmp_path)
+            _mitigate(journal, resume=True)
