@@ -20,9 +20,11 @@ through four execution paths:
 
 The host this runs on shows bursty 2-3x timing noise, so the sides are
 interleaved round-robin and each side's best-of-N is used; the measured
-numbers, speedups, per-executor worker counts, and the auto executor's
-calibration decision are recorded in ``BENCH_sweep.json`` at the repo
-root.  Gates: the best engine configuration must clear the >= 3x
+numbers, speedups, per-executor worker counts, each repetition's parent
+and child CPU seconds per side (``cpu_seconds``), and the auto
+executor's decisions (``calibration``, the last one, and ``decisions``
+for the sweep and anchors runs of the last repetition) are recorded in
+``BENCH_sweep.json`` at the repo root.  Gates: the best engine configuration must clear the >= 3x
 acceptance bar everywhere; with >= 2 cores (or ``REPRO_BENCH_GATE=workers``,
 the CI perf-smoke setting) the process pool must also beat the serial
 engine; on a single core the auto executor must have *chosen* serial --
@@ -35,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import resource
 import time
 from pathlib import Path
 from typing import Dict, List, Tuple
@@ -304,6 +307,18 @@ class _SeedRunner:
 # --------------------------------------------------------------------------
 
 
+def _cpu_seconds() -> np.ndarray:
+    """User + system CPU seconds so far: this process's, and its reaped
+    children's (pool workers count once their pool shuts down)."""
+    return np.array([
+        usage.ru_utime + usage.ru_stime
+        for usage in (
+            resource.getrusage(resource.RUSAGE_SELF),
+            resource.getrusage(resource.RUSAGE_CHILDREN),
+        )
+    ])
+
+
 def _clear_shared_caches():
     chip_mod._cached_cells.cache_clear()
     acmin_mod._cached_role_weights.cache_clear()
@@ -401,15 +416,21 @@ def test_sweep_engine_speedup(bench_config, modules):
     }
     engine_sides = [name for name in sides if name != "seed"]
     times: Dict[str, List[float]] = {name: [] for name in sides}
+    cpu: Dict[str, Dict[str, List[float]]] = {
+        name: {"parent": [], "children": []} for name in sides
+    }
     outputs: Dict[str, Tuple[ResultSet, ResultSet]] = {}
     # Interleave the sides round-robin: the host's timing noise is bursty,
     # so adjacent measurements are the fairest comparison.  Best-of-N per
     # side is reported.
     for _ in range(_REPS):
         for name, run in sides.items():
+            before = _cpu_seconds()
             start = time.perf_counter()
             outputs[name] = run()
             times[name].append(time.perf_counter() - start)
+            for who, spent in zip(("parent", "children"), _cpu_seconds() - before):
+                cpu[name][who].append(round(float(spent), 3))
     best = {name: min(vals) for name, vals in times.items()}
 
     # All sides measured the same campaign.
@@ -427,6 +448,11 @@ def test_sweep_engine_speedup(bench_config, modules):
     for report in auto_reports:
         if report is not None and report.auto_decision is not None:
             auto_decision = dict(report.auto_decision)
+    # The last repetition's two runs: the sweep, then the anchors.
+    decisions = {
+        run: None if report.auto_decision is None else dict(report.auto_decision)
+        for run, report in zip(("sweep", "anchors"), auto_reports[-2:])
+    }
     speedups = {name: best["seed"] / best[name] for name in engine_sides}
     record = {
         "format": "repro-bench-v1",
@@ -452,6 +478,7 @@ def test_sweep_engine_speedup(bench_config, modules):
             "engine_auto": {
                 "workers": "auto",
                 "calibration": auto_decision,
+                "decisions": decisions,
             },
         },
         "reps_per_side": _REPS,
@@ -459,6 +486,7 @@ def test_sweep_engine_speedup(bench_config, modules):
         "all_seconds": {
             name: [round(v, 3) for v in vals] for name, vals in times.items()
         },
+        "cpu_seconds": cpu,
         "speedup_vs_seed": {name: round(val, 2) for name, val in speedups.items()},
         "required_speedup": _REQUIRED_SPEEDUP,
     }

@@ -11,11 +11,12 @@ sizing) the numbers they need.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Tuple
 
-from repro.core.bitflips import BitflipCensus
+import numpy as np
+
+from repro.core.bitflips import COL_BITS, COL_LIMIT, BitflipCensus
 from repro.errors import ExperimentError
 
 
@@ -59,20 +60,16 @@ def role_breakdown(
         raise ExperimentError(
             f"pattern locations share victim rows: {sorted(overlap)[:4]}"
         )
-    inner = outer = elsewhere = 0
-    for row, _col in census.all_flips:
-        if row in inner_rows:
-            inner += 1
-        elif row in outer_rows:
-            outer += 1
-        else:
-            elsewhere += 1
-    return RoleBreakdown(inner=inner, outer=outer, elsewhere=elsewhere)
+    rows = census.all_keys >> COL_BITS
+    inner = int(np.isin(rows, list(inner_rows)).sum())
+    outer = int(np.isin(rows, list(outer_rows)).sum())
+    return RoleBreakdown(inner=inner, outer=outer, elsewhere=rows.size - inner - outer)
 
 
 def flips_per_row(census: BitflipCensus) -> Dict[int, int]:
     """Histogram of flips over physical rows."""
-    return dict(Counter(row for row, _ in census.all_flips))
+    rows, counts = np.unique(census.all_keys >> COL_BITS, return_counts=True)
+    return dict(zip(rows.tolist(), counts.tolist()))
 
 
 def column_histogram(
@@ -82,12 +79,11 @@ def column_histogram(
     the row)."""
     if n_bins < 1 or n_cols < n_bins:
         raise ExperimentError("need at least one column per bin")
-    bins = [0] * n_bins
-    for _row, col in census.all_flips:
-        if not 0 <= col < n_cols:
-            raise ExperimentError(f"column {col} outside the row ({n_cols})")
-        bins[col * n_bins // n_cols] += 1
-    return tuple(bins)
+    cols = census.all_keys & (COL_LIMIT - 1)
+    outside = cols[cols >= n_cols]
+    if outside.size:
+        raise ExperimentError(f"column {outside[0]} outside the row ({n_cols})")
+    return tuple(np.bincount(cols * n_bins // n_cols, minlength=n_bins).tolist())
 
 
 def column_spread_is_uniform(

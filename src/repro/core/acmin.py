@@ -49,7 +49,7 @@ from repro.constants import (
     DEFAULT_TIMINGS,
     ITERATION_RUNTIME_BOUND,
 )
-from repro.core.bitflips import BitflipCensus
+from repro.core.bitflips import BitflipCensus, flip_keys
 from repro.core.stacked import DEFAULT_OFFSETS, StackedDie, role_name
 from repro.disturb.model import DisturbanceModel
 from repro.errors import ExperimentError
@@ -225,7 +225,7 @@ class DieAnalysis:
         finite = np.isfinite(loc_min)
         if not finite.any():
             # No location flips within the bound: nothing to census.
-            return BitflipCensus(frozenset(), frozenset())
+            return BitflipCensus()
         with np.errstate(invalid="ignore"):
             loc_census_iters = np.minimum(
                 np.where(finite, np.ceil(loc_min * multiplier), 0.0),
@@ -256,31 +256,23 @@ class DieAnalysis:
             # from the flat index afterwards.
             (flat,) = (arr <= cutoff).ravel().nonzero()
             if not flat.size:
-                return BitflipCensus(frozenset(), frozenset())
+                return BitflipCensus()
             loc_idx, col_idx = np.divmod(flat, n_cells)
             if loc_map is not None:
                 loc_idx = loc_map[loc_idx]
-            stored = arrays.stored_bool[loc_idx, col_idx]
-            rows = arrays.rows[loc_idx]
-            unstored = ~stored
-            return BitflipCensus(
-                frozenset(zip(rows[stored].tolist(), col_idx[stored].tolist())),
-                frozenset(zip(rows[unstored].tolist(), col_idx[unstored].tolist())),
+            return BitflipCensus.from_flips(
+                flip_keys(arrays.rows[loc_idx], col_idx),
+                arrays.stored_bool[loc_idx, col_idx],
             )
-        ones: List = []
-        zeros: List = []
+        keys: List[np.ndarray] = []
+        stored: List[np.ndarray] = []
         for role, arr in self.n_iters.items():
             arrays = self.stacked.roles[role]
             (flat,) = (arr <= loc_census_iters[:, None]).ravel().nonzero()
-            if not flat.size:
-                continue
             loc_idx, col_idx = np.divmod(flat, arr.shape[1])
-            stored = arrays.stored_bool[loc_idx, col_idx]
-            rows = arrays.rows[loc_idx]
-            ones.extend(zip(rows[stored].tolist(), col_idx[stored].tolist()))
-            unstored = ~stored
-            zeros.extend(zip(rows[unstored].tolist(), col_idx[unstored].tolist()))
-        return BitflipCensus(frozenset(ones), frozenset(zeros))
+            keys.append(flip_keys(arrays.rows[loc_idx], col_idx))
+            stored.append(arrays.stored_bool[loc_idx, col_idx])
+        return BitflipCensus.from_flips(np.concatenate(keys), np.concatenate(stored))
 
 
 class DieSweepAnalyzer:

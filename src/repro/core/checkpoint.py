@@ -58,7 +58,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.atomicio import atomic_write_text, write_digest
-from repro.core.results import MEASUREMENT_KIND, MeasurementKind
+from repro.core.results import MEASUREMENT_KIND, MeasurementKind, record_json
 from repro.errors import (
     ArtifactCorruptError,
     ArtifactInvalidError,
@@ -401,11 +401,10 @@ class CheckpointJournal:
             )
         self._lock.acquire()
         self._lock.verify()
-        entry = {
-            "shard": shard_index,
-            "measurements": [self._kind.encode(r) for r in records],
-        }
-        line = json.dumps(entry, allow_nan=False) + "\n"
+        line = '{"shard": %d, "measurements": [%s]}\n' % (
+            shard_index,
+            ", ".join(record_json(self._kind.encode(r)) for r in records),
+        )
         with open(self._path, "a", encoding="utf-8") as handle:
             handle.write(line)
             handle.flush()
@@ -473,8 +472,11 @@ class CheckpointJournal:
             self._hash = hashlib.sha256(raw)
         return records
 
-    def load(self, expected_fingerprint: str) -> Dict[int, List]:
-        """Load completed shards, verifying the plan fingerprint.
+    def load(
+        self, expected_fingerprint: str, expected_shards: Optional[int] = None
+    ) -> Dict[int, List]:
+        """Load completed shards, verifying the plan fingerprint and, when
+        ``expected_shards`` is given, the header's ``n_shards``.
 
         Returns ``{shard_index: records}`` and primes the journal so
         subsequent :meth:`record` calls extend the same file, with the
@@ -517,6 +519,14 @@ class CheckpointJournal:
         completed: Dict[int, List] = {}
         try:
             n_shards = validate_journal_header(header, source)["n_shards"]
+            if expected_shards is not None and n_shards != expected_shards:
+                raise CheckpointError(
+                    f"checkpoint journal {self._path} header declares "
+                    f"n_shards {n_shards}, but the current plan has "
+                    f"{expected_shards} shard(s); the header was edited or "
+                    f"belongs to another campaign (delete the journal or "
+                    f"drop --resume to start over)"
+                )
             for number, entry in records[1:]:
                 index = validate_journal_entry(
                     entry, number, source=source, entries=entries

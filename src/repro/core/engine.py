@@ -1164,18 +1164,12 @@ def _run_plan_journaled(
     completed: Dict[int, List] = {}
     if journal is not None:
         if resume and journal.exists():
-            completed = journal.load(fingerprint)
-            shard_by_index = {shard.index: shard for shard in plan.shards}
+            # The header's n_shards must match the plan, and every entry
+            # is a shard index below it: each indexes plan.shards.
+            completed = journal.load(fingerprint, len(plan.shards))
             for index, results in completed.items():
-                shard = shard_by_index.get(index)
-                if shard is None:
-                    raise CheckpointError(
-                        f"checkpoint journal {journal.path} records shard "
-                        f"{index}, which is not in the current plan "
-                        f"({len(plan.shards)} shards)"
-                    )
                 try:
-                    validate_shard_result(shard, results)
+                    validate_shard_result(plan.shards[index], results)
                 except ResultIntegrityError as exc:
                     raise CheckpointError(
                         f"checkpoint journal {journal.path} entry for "

@@ -50,13 +50,16 @@ import hashlib
 import json
 import sqlite3
 from dataclasses import dataclass
+from functools import partial, reduce
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.atomicio import atomic_write_text, sha256_text, write_digest
-from repro.core.bitflips import BitflipCensus
+from repro.core.bitflips import COL_BITS, COL_LIMIT, BitflipCensus, unique_keys
 from repro.core.results import (
     DieMeasurement,
     ResultSet,
@@ -120,6 +123,14 @@ _SCHEMA_VERSION = 2
 _MEASUREMENT_COLUMNS = (
     "id, module, manufacturer, die, pattern, t_on, trial, "
     "acmin, time_to_first_ns"
+)
+
+#: One census direction's rows from its key list, passed as a JSON array
+#: that SQLite expands itself: one statement per direction, not one bound
+#: row per flip.
+_INSERT_FLIPS = (
+    f"INSERT INTO bitflips SELECT ?, value >> {COL_BITS}, "
+    f"value & {COL_LIMIT - 1}, ? FROM json_each(?)"
 )
 
 #: Deterministic iteration order: measurement identity, never insertion
@@ -236,17 +247,15 @@ class BitflipDatabase:
             return None
         measurement_id = int(cursor.lastrowid)
         census = measurement.census
-        if census is not None and census.n_flips:
-            rows = [
-                (measurement_id, row, col, 1)
-                for row, col in census.flips_1_to_0
-            ] + [
-                (measurement_id, row, col, 0)
-                for row, col in census.flips_0_to_1
-            ]
-            self._conn.executemany(
-                "INSERT INTO bitflips VALUES (?, ?, ?, ?)", rows
-            )
+        if census is not None:
+            for keys, one_to_zero in (
+                (census.keys_1_to_0, 1), (census.keys_0_to_1, 0)
+            ):
+                if keys.size:
+                    self._conn.execute(
+                        _INSERT_FLIPS,
+                        (measurement_id, one_to_zero, json.dumps(keys.tolist())),
+                    )
         return measurement_id
 
     def store(self, measurement: DieMeasurement) -> int:
@@ -309,30 +318,22 @@ class BitflipDatabase:
         deterministic -- independent of insertion or executor order.
         """
         clauses, params = self._where(module, die, pattern, t_on)
+        # One query: each census direction arrives as one comma-joined
+        # list of keys per measurement, built inside SQLite.
+        census = "".join(
+            f", (SELECT group_concat((b.row << {COL_BITS}) | b.col) "
+            f"FROM bitflips b WHERE b.measurement_id = m.id AND {direction})"
+            for direction in ("b.one_to_zero", "NOT b.one_to_zero")
+        ) if with_census else ", NULL, NULL"
         rows = self._conn.execute(
-            f"SELECT {_MEASUREMENT_COLUMNS} FROM measurements m {clauses} "
-            f"{_IDENTITY_ORDER}",
+            f"SELECT {_MEASUREMENT_COLUMNS}{census} FROM measurements m "
+            f"{clauses} {_IDENTITY_ORDER}",
             params,
         )
-        # Every census comes from one joined scan in the same identity
-        # order, merged in step with the measurement rows: two queries
-        # however many measurements match.
-        flips = iter(())
-        if with_census:
-            flips = self._conn.execute(
-                "SELECT b.measurement_id, b.row, b.col, b.one_to_zero "
-                "FROM measurements m JOIN bitflips b ON b.measurement_id = m.id "
-                f"{clauses} {_IDENTITY_ORDER}",
-                params,
-            )
-        flip = next(flips, None)
-        for mid, *fields in rows:
-            ones, zeros = [], []
-            while flip is not None and flip[0] == mid:
-                (ones if flip[3] else zeros).append((flip[1], flip[2]))
-                flip = next(flips, None)
+        for _mid, *fields, ones, zeros in rows:
             yield DieMeasurement(
-                *fields, census=BitflipCensus(frozenset(ones), frozenset(zeros))
+                *fields,
+                census=BitflipCensus.from_keys(_joined_keys(ones), _joined_keys(zeros)),
             )
 
     def measurements(
@@ -370,7 +371,7 @@ class BitflipDatabase:
     ) -> frozenset:
         """Unique (row, col) flips across all matching measurements."""
         matching = self.iter_measurements(module, die, pattern, t_on)
-        return frozenset().union(*(m.census.all_flips for m in matching))
+        return BitflipCensus.union(m.census for m in matching).all_flips
 
     def repeatability(
         self, module: str, die: int, pattern: str, t_on: float
@@ -386,18 +387,18 @@ class BitflipDatabase:
         when fewer than two trials are stored at this point.
         """
         sets = [
-            m.census.all_flips
+            m.census.all_keys
             for m in self.iter_measurements(module, die, pattern, t_on)
         ]
         if len(sets) < 2:
             return None
-        union = frozenset().union(*sets)
-        if not union:
+        union = unique_keys(np.concatenate(sets))
+        if not union.size:
             # >= 2 recorded trials, none of which flipped: nothing
             # recurs, and nothing could -- 0.0, the conservative value.
             return 0.0
-        intersection = sets[0].intersection(*sets[1:])
-        return len(intersection) / len(union)
+        intersection = reduce(partial(np.intersect1d, assume_unique=True), sets)
+        return intersection.size / union.size
 
     # ------------------------------------------------------------- digests
 
@@ -449,6 +450,14 @@ class BitflipDatabase:
         if not conditions:
             return "", params
         return "WHERE " + " AND ".join(conditions), params
+
+
+def _joined_keys(text: Optional[str]) -> np.ndarray:
+    """Sorted unique census keys of a ``group_concat`` list (``None``
+    when there are none)."""
+    if text is None:
+        return np.empty(0, dtype=np.int64)
+    return unique_keys(np.array(text.split(","), dtype=np.int64))
 
 
 def _shard_token(module: str) -> str:

@@ -18,7 +18,7 @@ command stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from repro.constants import (
     DEFAULT_TIMINGS,
     ITERATION_RUNTIME_BOUND,
 )
-from repro.core.bitflips import BitflipCensus
+from repro.core.bitflips import BitflipCensus, flip_keys
 from repro.dram.datapattern import DataPattern
 from repro.patterns.base import AccessPattern, PatternPlacement
 from repro.patterns.compiler import (
@@ -120,17 +120,16 @@ class HonestLocationProbe:
         )
         session.run(hammer)
         result = session.run(self._readback_program)
-        ones: List[Tuple[int, int]] = []
-        zeros: List[Tuple[int, int]] = []
+        keys: List[np.ndarray] = []
+        stored: List[np.ndarray] = []
         for _bank, phys_row, bits in result.reads:
             expected = self._expected[phys_row]
-            flipped = np.nonzero(bits != expected)[0]
-            for col in flipped:
-                if expected[col]:
-                    ones.append((phys_row, int(col)))
-                else:
-                    zeros.append((phys_row, int(col)))
-        return BitflipCensus(frozenset(ones), frozenset(zeros))
+            flipped = np.flatnonzero(bits != expected)
+            keys.append(flip_keys(phys_row, flipped))
+            stored.append(expected[flipped])
+        if not keys:
+            return BitflipCensus()
+        return BitflipCensus.from_flips(np.concatenate(keys), np.concatenate(stored))
 
 
 def measure_location_honest(

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.core.bitflips import BitflipCensus
 
 
@@ -25,8 +27,8 @@ def overlap_ratio(
     Returns ``None`` when the conventional pattern observed no bitflips
     (the ratio is undefined; the paper's plots simply have no point there).
     """
-    conventional_flips = conventional.all_flips
-    if not conventional_flips:
+    conventional_keys = conventional.all_keys
+    if not conventional_keys.size:
         return None
-    common = combined.all_flips & conventional_flips
-    return len(common) / len(conventional_flips)
+    common = np.intersect1d(combined.all_keys, conventional_keys, assume_unique=True)
+    return common.size / conventional_keys.size

@@ -21,13 +21,14 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.atomicio import atomic_write_text, verify_digest, write_digest
-from repro.core.bitflips import BitflipCensus
+from repro.core.bitflips import BitflipCensus, flip_keys, key_pairs, unique_keys
 from repro.errors import ArtifactCorruptError
 from repro.validate.schema import RESULTS_FORMAT, validate_results_payload
 
@@ -107,7 +108,9 @@ def measurement_to_record(
     the checkpoint journal (:mod:`repro.core.checkpoint`); finite floats
     round-trip exactly through :mod:`json`, so decode(encode(m)) == m,
     and non-finite values are converted to ``None`` at encode time (see
-    :func:`finite_or_none`).
+    :func:`finite_or_none`).  A census direction is an ``(n, 2)`` int64
+    array of ``[row, col]`` pairs in sorted order; pass
+    :func:`array_default` as ``json.dumps``'s ``default`` to write it.
     """
     m = measurement
     rec = {
@@ -121,22 +124,38 @@ def measurement_to_record(
         "time_to_first_ns": finite_or_none(m.time_to_first_ns),
     }
     if include_census:
-        has = m.census is not None
-        rec["flips_1_to_0"] = sorted(m.census.flips_1_to_0) if has else None
-        rec["flips_0_to_1"] = sorted(m.census.flips_0_to_1) if has else None
+        census = m.census
+        has = census is not None
+        rec["flips_1_to_0"] = key_pairs(census.keys_1_to_0) if has else None
+        rec["flips_0_to_1"] = key_pairs(census.keys_0_to_1) if has else None
     return rec
 
 
-#: A record field's indent, and one ``(int, int)`` census pair as
-#: ``json.dumps(indent=2)`` nests it in that field.
+def array_default(value):
+    """``json.dumps`` ``default=`` hook: a record's census pair array as
+    the nested list the library writes for it."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable"
+    )
+
+
+#: A record field's indent in an ``indent=2`` dump.
 _FIELD = "\n      "
-_PAIR = "\n        [\n          %d,\n          %d\n        ],"
+
+#: How ``json.dumps`` writes a census pair list: one pair's template,
+#: the separator cut after the last pair, and the closing text -- nested
+#: in an ``indent=2`` dump's record field, and compact.
+_INDENTED = ("\n        [\n          %d,\n          %d\n        ],", 1, _FIELD + "]")
+_COMPACT = ("[%d, %d], ", 2, "]")
 
 
-def _field_json(value) -> str:
-    """A record field's value as ``json.dumps(indent=2, allow_nan=False)``
-    nests it.  Plain scalars and lists of ``(int, int)`` census pairs take
-    a fast path; anything else (a bool, a numpy scalar, an odd shape) goes
+def _field_json(value, pairs=_INDENTED) -> str:
+    """A record field's value as ``json.dumps(allow_nan=False)`` writes
+    it: nested in an ``indent=2`` dump's field, or compact with
+    ``pairs=_COMPACT``.  Plain scalars and census pair arrays take a fast
+    path; anything else (a bool, a numpy scalar, a hand-built list) goes
     through the library, so it prints -- or raises -- exactly as there."""
     kind = type(value)
     if kind is str:
@@ -147,13 +166,26 @@ def _field_json(value) -> str:
         return float.__repr__(value)
     if value is None:
         return "null"
-    if kind is list and set(map(type, value)) == {tuple} and (
-        set(map(len, value)) == {2}
-    ):
-        flat = tuple(chain.from_iterable(value))
-        if set(map(type, flat)) == {int}:
-            return "[" + (_PAIR * len(value))[:-1] % flat + _FIELD + "]"
+    if kind is np.ndarray:
+        if not value.size:
+            return "[]"
+        pair, cut, close = pairs
+        flat = tuple(value.ravel().tolist())
+        return "[" + (pair * len(value))[:-cut] % flat + close
+    if pairs is _COMPACT:
+        return json.dumps(value, allow_nan=False)
     return json.dumps(value, indent=2, allow_nan=False).replace("\n", _FIELD)
+
+
+def record_json(rec: Dict, sort_keys: bool = False) -> str:
+    """One record as ``json.dumps(rec, allow_nan=False,
+    sort_keys=sort_keys)`` writes it, census arrays included: the bytes
+    of its journal entry and of its digest line."""
+    items = sorted(rec.items()) if sort_keys else rec.items()
+    return "{" + ", ".join(
+        encode_basestring_ascii(key) + ": " + _field_json(value, _COMPACT)
+        for key, value in items
+    ) + "}"
 
 
 def encode_dump(records: Iterable[Dict], include_census: bool) -> str:
@@ -206,15 +238,20 @@ def _census_from_record(
     zeros = rec.get("flips_0_to_1")
     if census_included is False or (ones is None and zeros is None):
         return None
-    return BitflipCensus(
-        frozenset(tuple(k) for k in ones or []),
-        frozenset(tuple(k) for k in zeros or []),
-    )
+    return BitflipCensus.from_keys(_record_keys(ones), _record_keys(zeros))
+
+
+def _record_keys(pairs) -> np.ndarray:
+    """Sorted unique census keys of a record's (schema-checked) pairs."""
+    if pairs is None or len(pairs) == 0:
+        return np.empty(0, dtype=np.int64)
+    coords = np.asarray(pairs, dtype=np.int64)
+    return unique_keys(flip_keys(coords[:, 0], coords[:, 1]))
 
 
 def canonical_record(rec: Dict) -> str:
     """A dump record's canonical digest line (sorted keys, strict JSON)."""
-    return json.dumps(rec, sort_keys=True, allow_nan=False)
+    return record_json(rec, sort_keys=True)
 
 
 def digest_record_lines(lines: Iterable[str]) -> str:

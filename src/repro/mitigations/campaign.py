@@ -185,6 +185,15 @@ MITIGATION_KINDS: Dict[str, Tuple[str, Callable]] = {
 }
 
 
+def _require_chips(keys: Iterable[str]) -> None:
+    unknown = sorted(set(keys) - set(EVAL_CHIP_PROFILES))
+    if unknown:
+        raise ExperimentError(
+            f"unknown evaluation chip(s) {unknown} (profiled: "
+            f"{sorted(EVAL_CHIP_PROFILES)})"
+        )
+
+
 def _require_mechanisms(names: Iterable[str]) -> None:
     unknown = sorted(set(names) - set(MITIGATION_KINDS))
     if unknown:
@@ -231,6 +240,7 @@ def build_mitigation_plan(
     """
     if not t_values:
         raise ExperimentError("need at least one tAggON value")
+    _require_chips(chips)
     _require_mechanisms(mitigations)
     shards: List[Shard] = []
     for chip_key in chips:
@@ -386,14 +396,8 @@ class MitigationWorkerSpec:
     graphene_cap: int = GRAPHENE_SEARCH_CAP
 
     def check_shards(self, shards: Sequence[Shard]) -> None:
-        """Refuse shards a worker could not rebuild from this spec."""
-        unknown = sorted({s.key[0] for s in shards} - set(EVAL_CHIP_PROFILES))
-        if unknown:
-            raise ExperimentError(
-                f"process executor rebuilds evaluation chips from profiles, "
-                f"but {unknown} are not profiled chip keys (known: "
-                f"{sorted(EVAL_CHIP_PROFILES)})"
-            )
+        """Refuse shards a worker could not run from this spec (chip
+        keys were checked when the plan was built)."""
         _require_mechanisms({s.key[1] for s in shards})
 
     def build_runner(self) -> "MitigationShardRunner":

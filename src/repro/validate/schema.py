@@ -250,12 +250,24 @@ def _format(expected: str, kind: str) -> Callable:
     )
 
 
+#: Exclusive upper bounds of a census pair's row and column: the range
+#: of :class:`repro.core.bitflips.BitflipCensus` keys (this leaf module
+#: cannot import the census).
+_PAIR_LIMITS = (2**31, 2**32)
+
+
 def _pair(coord, path, source):
     if len(coord) != 2:
         _fail(
             source, path,
             f"must be a [row, col] pair, got {len(coord)} element(s)",
         )
+    for index, (value, limit) in enumerate(zip(coord, _PAIR_LIMITS)):
+        if type(value) is int and value >= limit:
+            _fail(
+                source, (path, "[", index),
+                f"must be < 2**{limit.bit_length() - 1}, got {value!r}",
+            )
 
 
 def _rule(key: str, broken: Callable, problem: str) -> Callable:
@@ -478,6 +490,21 @@ _BENCH = Field("", "an object", rows=(
     Field("speedup_vs_seed", None, check=_speedups),
     Field("all_seconds", "an object", nullable=True, optional=True,
           each=Field("", "an array", each=Field("", "a number"))),
+    # Per side, the CPU seconds of each repetition: the benchmark
+    # process's own and its reaped pool workers'.
+    Field("cpu_seconds", "an object", optional=True, each=Field(
+        "", "an object", rows=tuple(
+            Field(name, "an array", each=Field("", "a number", ">= 0"))
+            for name in ("parent", "children")
+        ),
+    )),
+    Field("executors", "an object", optional=True, rows=(
+        Field("engine_auto", "an object", optional=True, rows=(
+            # The auto executor's decision for each run of a repetition.
+            Field("decisions", "an object", optional=True,
+                  each=Field("", "an object", nullable=True)),
+        )),
+    )),
 ))
 
 _PATTERNSPEC = Field("", "an object", rows=(

@@ -60,6 +60,12 @@ BENCH = {
     "seconds": {"serial": 10.5}, "speedup_vs_seed": {"auto": 5.76},
     "all_seconds": {"serial": [10.5, 11.0]},
 }
+BENCH_CPU = dict(
+    BENCH,
+    cpu_seconds={"serial": {"parent": [4.5, 4.25], "children": [0.0, 0.0]}},
+    executors={"engine_auto": {"workers": "auto", "decisions": {
+        "sweep": {"chosen": "process"}, "anchors": None}}},
+)
 SPECS = {
     "format": S.PATTERNSPEC_FORMAT,
     "specs": [{"name": "half-double", "aggressors": [{"offset": 1}]},
@@ -101,6 +107,12 @@ FORMATS = [
     ("validate_metrics_payload", [None], METRICS, None),
     ("validate_trace_event", [5, None], TRACE, None),
     ("validate_bench_payload", [None], BENCH, None),
+    ("validate_bench_payload", [None], BENCH_CPU,
+     [("cpu_seconds",), ("cpu_seconds", "serial"),
+      ("cpu_seconds", "serial", "parent"),
+      ("cpu_seconds", "serial", "children", 1), ("executors",),
+      ("executors", "engine_auto"), ("executors", "engine_auto", "decisions"),
+      ("executors", "engine_auto", "decisions", "sweep")]),
     ("validate_patternspec_payload", [None], SPECS, None),
     ("validate_manifest_payload", [None], MANIFEST, None),
 ]
@@ -182,7 +194,8 @@ def hooks():
         REC, time_to_first_ns=None), "timeless acmin"
     for pairs in ([[1]], [[1, 2, 3]], [[]], [["a", 1]], [[1, 2.0]],
                   [[1, True]], [[-1, 5]], [[5, -1]], [[1, 2], "x"],
-                  [[0, 0]]):
+                  [[0, 0]], [[2**31 - 1, 2**32 - 1]], [[2**31, 0]],
+                  [[0, 2**32]], [[2**70, "a"]]):
         yield "validate_measurement_record", rec_args, dict(
             REC, flips_1_to_0=pairs), f"census pair {pairs!r}"
     yield "validate_measurement_record", rec_args, dict(

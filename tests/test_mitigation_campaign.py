@@ -148,11 +148,9 @@ def test_fingerprint_covers_spec_and_order():
 
 def test_worker_spec_rejects_unbuildable_shards():
     spec = MitigationWorkerSpec()
-    (shard,) = build_mitigation_plan(
-        ("NOPE",), ("para",), (36.0,), (DOUBLE_SIDED,)
-    ).shards
-    with pytest.raises(ExperimentError, match="not profiled chip keys"):
-        spec.check_shards([shard])
+    # Unknown chip keys never reach a worker: the plan refuses them.
+    with pytest.raises(ExperimentError, match=r"unknown evaluation chip\(s\) \['NOPE'\]"):
+        build_mitigation_plan(("E0", "NOPE"), ("para",), (36.0,), (DOUBLE_SIDED,))
     (shard,) = build_mitigation_plan(
         CHIPS, ("para",), (36.0,), (DOUBLE_SIDED,)
     ).shards
@@ -669,6 +667,20 @@ def test_cli_mitigate_rejects_unknown_mechanism(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "unknown mitigation" in captured.err
+
+
+def test_cli_mitigate_rejects_unknown_chip_alike_on_every_executor(capsys):
+    """The plan refuses an unknown chip key, so the serial and the pool
+    executor fail with one message, before any shard runs."""
+    errors = []
+    for workers in ("0", "2"):
+        code = main(["mitigate", "--chips", "NOPE", "--mitigations", "para",
+                     "--workers", workers])
+        assert code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        "error: unknown evaluation chip(s) ['NOPE'] (profiled: ['E0', 'E1'])\n"
+    )
 
 
 @pytest.mark.parametrize(

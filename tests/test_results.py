@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from repro.core.bitflips import BitflipCensus
-from repro.core.results import DieMeasurement, ResultSet, measurement_to_record
+from repro.core.results import (
+    DieMeasurement,
+    ResultSet,
+    array_default,
+    encode_dump,
+    measurement_to_record,
+)
+from repro.errors import ExperimentError
 
 
 def meas(module="S0", mfr="S", die=0, pattern="combined", t_on=36.0, trial=0,
@@ -133,6 +140,7 @@ def reference_json(rs, include_census):
         },
         indent=2,
         allow_nan=False,
+        default=array_default,
     )
 
 
@@ -167,13 +175,10 @@ ENCODER_CORPUS = {
         dataclasses.replace(
             meas(t_on=36.0, trial=2),
             census=census(
-                ones=[(-3, -7), (2**65, 0), (-(2**70), 5)],
-                zeros=[(0, -1)],
+                ones=[(0, 2**32 - 1), (2**31 - 1, 0), (5, 7)],
+                zeros=[(0, 0)],
             ),
         ),
-    ]),
-    "bool-in-census-pair": ResultSet([
-        dataclasses.replace(meas(), census=census(ones=[(True, 5), (2, 3)])),
     ]),
 }
 
@@ -185,14 +190,77 @@ def test_to_json_is_byte_identical_to_the_library(case, include_census):
     assert rs.to_json(include_census) == reference_json(rs, include_census)
 
 
-def test_to_json_rejects_what_the_library_rejects():
-    """A numpy integer in a census pair raises ``TypeError`` exactly as
-    the library does (no silent ``%d`` formatting)."""
+def record(ones, zeros=(), **fields):
+    """A census record built by hand, past what a census can hold."""
+    rec = measurement_to_record(meas(**fields), include_census=True)
+    rec["flips_1_to_0"], rec["flips_0_to_1"] = list(ones), list(zeros)
+    return rec
+
+
+#: Hand-built records whose census pairs no BitflipCensus holds: the
+#: record-level encoder still prints them as the library does.
+RECORD_CORPUS = {
+    "numbers": [
+        record(
+            ones=[(-(2**70), 5), (-3, -7), (2**65, 0)], zeros=[(0, -1)],
+            t_on=36.0, trial=2,
+        ),
+    ],
+    "bool-in-census-pair": [record(ones=[(True, 5), (2, 3)])],
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_CORPUS))
+def test_encode_dump_is_byte_identical_for_hand_built_records(case):
+    records = RECORD_CORPUS[case]
+    assert encode_dump(records, True) == json.dumps(
+        {
+            "format": "repro-results-v1",
+            "census_included": True,
+            "measurements": records,
+        },
+        indent=2,
+        allow_nan=False,
+    )
+
+
+def test_encode_dump_rejects_what_the_library_rejects():
+    """A numpy integer in a hand-built record's pair raises ``TypeError``
+    exactly as the library does (no silent ``%d`` formatting)."""
+    records = [record(ones=[(np.int64(4), 5)])]
+    with pytest.raises(TypeError, match="int64"):
+        json.dumps(records, indent=2)
+    with pytest.raises(TypeError, match="int64"):
+        encode_dump(records, True)
+
+
+def test_census_normalizes_numpy_coordinates():
     rs = ResultSet([
-        dataclasses.replace(meas(), census=census(ones=[(np.int64(4), 5)]))
+        dataclasses.replace(meas(), census=census(ones=[(np.int64(4), np.uint8(5))]))
     ])
-    with pytest.raises(TypeError, match="int64"):
-        reference_json(rs, True)
-    with pytest.raises(TypeError, match="int64"):
-        rs.to_json(include_census=True)
-    assert rs.to_json() == reference_json(rs, False)
+    assert list(rs)[0].census == census(ones=[(4, 5)])
+    assert rs.to_json(include_census=True) == reference_json(rs, True)
+    assert json.loads(rs.to_json(include_census=True))["measurements"][0][
+        "flips_1_to_0"
+    ] == [[4, 5]]
+
+
+@pytest.mark.parametrize("pair, problem", [
+    ((-1, 5), "row -1 is outside"),
+    ((5, -1), "col -1 is outside"),
+    ((2**31, 0), "row 2147483648 is outside"),
+    ((0, 2**32), "col 4294967296 is outside"),
+    ((-(2**70), 0), "row -1180591620717411303424 is outside"),
+    ((True, 5), "integer coordinates, got bool"),
+    ((1, np.bool_(False)), "integer coordinates, got bool"),
+    ((1.0, 5), "integer coordinates, got float"),
+    (("1", 5), "integer coordinates, got str"),
+    ((1, 2, 3), "must be \\(row, col\\) pairs"),
+    (7, "must be \\(row, col\\) pairs"),
+], ids=["negative-row", "negative-col", "row-2**31", "col-2**32", "huge",
+        "bool", "numpy-bool", "float", "str", "triple", "scalar"])
+def test_census_rejects_what_its_key_cannot_hold(pair, problem):
+    with pytest.raises(ExperimentError, match=problem):
+        census(ones=[pair])
+    with pytest.raises(ExperimentError, match=problem):
+        census(zeros=[(0, 0), pair])

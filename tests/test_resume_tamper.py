@@ -6,7 +6,8 @@
 points).  Each tamper below keeps the journal valid JSON and carries no
 digest sidecar, so only the schema can catch it; the resume must raise
 ``CheckpointError`` naming the offending ``$.path``.  So must a shard
-index recorded twice or past the header's ``n_shards``.
+index recorded twice or past the header's ``n_shards``, and so must a
+header whose ``n_shards`` disagrees with the plan.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import re
 
 import pytest
 
+from repro.cli import main
 from repro.core.engine import SerialExecutor
 from repro.core.runner import CharacterizationRunner
 from repro.errors import CheckpointError
@@ -83,11 +85,13 @@ def measurement_journal(fast_config, s0_module, tmp_path_factory):
      "got 1 element(s)"),
     (_set("flips_0_to_1", [[-1, 5]]),
      "$.measurements[0].flips_0_to_1[0][0] must be >= 0, got -1"),
+    (_set("flips_1_to_0", [[0, 2**32]]),
+     "$.measurements[0].flips_1_to_0[0][1] must be < 2**32, got 4294967296"),
     (_drop("die"), "$.measurements[0].die is missing"),
     (_drop_measurements, "$.measurements is missing"),
     (_shard_99, "$.shard is 99, but the header declares only 8 shard(s)"),
-], ids=["acmin", "time", "census-pair", "census-negative", "field", "entry",
-        "shard"])
+], ids=["acmin", "time", "census-pair", "census-negative", "census-oversized",
+        "field", "entry", "shard"])
 def test_tampered_measurement_journal_does_not_resume(
     fast_config, s0_module, measurement_journal, tmp_path, tamper, problem
 ):
@@ -166,3 +170,49 @@ def test_duplicated_shard_does_not_resume(
         else:
             journal = _duplicate_first_entry(mitigation_journal, tmp_path)
             _mitigate(journal, resume=True)
+
+
+# ------------------------------------------------------- header n_shards
+
+
+def _header_n_shards(journal, tmp_path, n_shards, last_shard=None):
+    """A copy of ``journal`` whose header declares ``n_shards``; with
+    ``last_shard``, its last entry is renumbered to that shard."""
+    lines = journal.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["n_shards"] = n_shards
+    lines[0] = json.dumps(header)
+    if last_shard is not None:
+        entry = json.loads(lines[-1])
+        entry["shard"] = last_shard
+        lines[-1] = json.dumps(entry)
+    copy = tmp_path / f"header-{n_shards}-{journal.name}"
+    copy.write_text("\n".join(lines) + "\n")
+    return copy
+
+
+@pytest.mark.parametrize("n_shards, last_shard", [(100, 99), (1, None)],
+                         ids=["up", "down"])
+def test_edited_header_n_shards_does_not_resume(
+    fast_config, s0_module, measurement_journal, tmp_path, n_shards, last_shard
+):
+    journal = _header_n_shards(measurement_journal, tmp_path, n_shards, last_shard)
+    problem = (f"header declares n_shards {n_shards}, but the current plan "
+               f"has 8 shard(s)")
+    with pytest.raises(CheckpointError, match=re.escape(problem)):
+        _characterize(fast_config, s0_module, journal, resume=True)
+
+
+@pytest.mark.parametrize("n_shards, last_shard", [(100, 99), (1, None)],
+                         ids=["up", "down"])
+def test_cli_edited_header_n_shards_exits_2(tmp_path, capsys, n_shards, last_shard):
+    args = ["mitigate", "--chips", "E0", "--mitigations", "para",
+            "--patterns", "double-sided", "combined", "--workers", "0"]
+    journal = tmp_path / "mitigation.ckpt"
+    assert main(args + ["--checkpoint", str(journal)]) == 0
+    capsys.readouterr()
+    edited = _header_n_shards(journal, tmp_path, n_shards, last_shard)
+    assert main(args + ["--checkpoint", str(edited), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert f"header declares n_shards {n_shards}, but the current plan has " \
+        "2 shard(s)" in err
