@@ -109,8 +109,9 @@ def measurement_to_record(
     round-trip exactly through :mod:`json`, so decode(encode(m)) == m,
     and non-finite values are converted to ``None`` at encode time (see
     :func:`finite_or_none`).  A census direction is an ``(n, 2)`` int64
-    array of ``[row, col]`` pairs in sorted order; pass
-    :func:`array_default` as ``json.dumps``'s ``default`` to write it.
+    array of ``[row, col]`` pairs in sorted order, which
+    :func:`record_json` and :func:`encode_dump` write as ``json.dumps``
+    writes the pairs' nested list.
     """
     m = measurement
     rec = {
@@ -131,16 +132,6 @@ def measurement_to_record(
     return rec
 
 
-def array_default(value):
-    """``json.dumps`` ``default=`` hook: a record's census pair array as
-    the nested list the library writes for it."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(
-        f"Object of type {type(value).__name__} is not JSON serializable"
-    )
-
-
 #: A record field's indent in an ``indent=2`` dump.
 _FIELD = "\n      "
 
@@ -151,12 +142,12 @@ _INDENTED = ("\n        [\n          %d,\n          %d\n        ],", 1, _FIELD +
 _COMPACT = ("[%d, %d], ", 2, "]")
 
 
-def _field_json(value, pairs=_INDENTED) -> str:
+def _field_json(value, compact: bool = False) -> str:
     """A record field's value as ``json.dumps(allow_nan=False)`` writes
-    it: nested in an ``indent=2`` dump's field, or compact with
-    ``pairs=_COMPACT``.  Plain scalars and census pair arrays take a fast
-    path; anything else (a bool, a numpy scalar, a hand-built list) goes
-    through the library, so it prints -- or raises -- exactly as there."""
+    it: nested in an ``indent=2`` dump's field, or ``compact``.  Plain
+    scalars and census pair arrays take a fast path; anything else (a
+    bool, a numpy scalar, a hand-built list) goes through the library,
+    so it prints -- or raises -- exactly as there."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -169,10 +160,10 @@ def _field_json(value, pairs=_INDENTED) -> str:
     if kind is np.ndarray:
         if not value.size:
             return "[]"
-        pair, cut, close = pairs
+        pair, cut, close = _COMPACT if compact else _INDENTED
         flat = tuple(value.ravel().tolist())
         return "[" + (pair * len(value))[:-cut] % flat + close
-    if pairs is _COMPACT:
+    if compact:
         return json.dumps(value, allow_nan=False)
     return json.dumps(value, indent=2, allow_nan=False).replace("\n", _FIELD)
 
@@ -183,7 +174,7 @@ def record_json(rec: Dict, sort_keys: bool = False) -> str:
     of its journal entry and of its digest line."""
     items = sorted(rec.items()) if sort_keys else rec.items()
     return "{" + ", ".join(
-        encode_basestring_ascii(key) + ": " + _field_json(value, _COMPACT)
+        encode_basestring_ascii(key) + ": " + _field_json(value, compact=True)
         for key, value in items
     ) + "}"
 

@@ -22,6 +22,7 @@ import io
 import json
 import logging
 
+import numpy as np
 import pytest
 
 from repro.core import checkpoint as checkpoint_mod
@@ -33,12 +34,7 @@ from repro.core.engine import (
     SweepPlan,
 )
 from repro.core.faults import FaultPlan, FaultSpec, RetryPolicy
-from repro.core.results import (
-    DieMeasurement,
-    ResultSet,
-    array_default,
-    measurement_to_record,
-)
+from repro.core.results import DieMeasurement, ResultSet, measurement_to_record
 from repro.core.runner import CharacterizationRunner
 from repro.errors import CheckpointError
 from repro.obs import (
@@ -458,7 +454,7 @@ def test_journal_record_appends_o1_bytes(tmp_path, monkeypatch):
             ],
         }
         expected_line_bytes.append(
-            len((json.dumps(entry, default=array_default) + "\n").encode("utf-8"))
+            len((json.dumps(entry, default=np.ndarray.tolist) + "\n").encode("utf-8"))
         )
         journal.record(index, measurements)
         sizes.append(path.stat().st_size)

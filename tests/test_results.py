@@ -10,7 +10,6 @@ from repro.core.bitflips import BitflipCensus
 from repro.core.results import (
     DieMeasurement,
     ResultSet,
-    array_default,
     encode_dump,
     measurement_to_record,
 )
@@ -140,7 +139,7 @@ def reference_json(rs, include_census):
         },
         indent=2,
         allow_nan=False,
-        default=array_default,
+        default=np.ndarray.tolist,
     )
 
 
