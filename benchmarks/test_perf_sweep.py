@@ -22,11 +22,11 @@ The host this runs on shows bursty 2-3x timing noise, so the sides are
 interleaved round-robin and each side's best-of-N is used; the measured
 numbers, speedups, per-executor worker counts, each repetition's parent
 and child CPU seconds per side (``cpu_seconds``), and the auto
-executor's decisions (``calibration``, the last one, and ``decisions``
-for the sweep and anchors runs of the last repetition) are recorded in
-``BENCH_sweep.json`` at the repo root.  Gates: the best engine configuration must clear the >= 3x
-acceptance bar everywhere; with >= 2 cores (or ``REPRO_BENCH_GATE=workers``,
-the CI perf-smoke setting) the process pool must also beat the serial
+executor's ``decisions`` for the sweep and anchors runs of the last
+repetition are recorded in ``BENCH_sweep.json`` at the repo root.
+Gates: the best engine configuration must clear the >= 3x acceptance
+bar everywhere; with >= 2 cores (or ``REPRO_BENCH_GATE=workers``, the
+CI perf-smoke setting) the process pool must also beat the serial
 engine; on a single core the auto executor must have *chosen* serial --
 the pool can only add overhead there, and the calibration probe exists
 precisely to avoid paying it.
@@ -477,7 +477,6 @@ def test_sweep_engine_speedup(bench_config, modules):
             },
             "engine_auto": {
                 "workers": "auto",
-                "calibration": auto_decision,
                 "decisions": decisions,
             },
         },

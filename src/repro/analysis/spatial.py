@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
-from repro.core.bitflips import COL_BITS, COL_LIMIT, BitflipCensus
+from repro.core.bitflips import BitflipCensus, key_cols, key_rows
 from repro.errors import ExperimentError
 
 
@@ -60,7 +60,7 @@ def role_breakdown(
         raise ExperimentError(
             f"pattern locations share victim rows: {sorted(overlap)[:4]}"
         )
-    rows = census.all_keys >> COL_BITS
+    rows = key_rows(census.all_keys)
     inner = int(np.isin(rows, list(inner_rows)).sum())
     outer = int(np.isin(rows, list(outer_rows)).sum())
     return RoleBreakdown(inner=inner, outer=outer, elsewhere=rows.size - inner - outer)
@@ -68,7 +68,7 @@ def role_breakdown(
 
 def flips_per_row(census: BitflipCensus) -> Dict[int, int]:
     """Histogram of flips over physical rows."""
-    rows, counts = np.unique(census.all_keys >> COL_BITS, return_counts=True)
+    rows, counts = np.unique(key_rows(census.all_keys), return_counts=True)
     return dict(zip(rows.tolist(), counts.tolist()))
 
 
@@ -79,7 +79,7 @@ def column_histogram(
     the row)."""
     if n_bins < 1 or n_cols < n_bins:
         raise ExperimentError("need at least one column per bin")
-    cols = census.all_keys & (COL_LIMIT - 1)
+    cols = key_cols(census.all_keys)
     outside = cols[cols >= n_cols]
     if outside.size:
         raise ExperimentError(f"column {outside[0]} outside the row ({n_cols})")

@@ -52,15 +52,33 @@ def unique_keys(keys) -> np.ndarray:
     return keys
 
 
+def key_rows(keys: np.ndarray) -> np.ndarray:
+    """The row of each census key."""
+    return keys >> COL_BITS
+
+
+def key_cols(keys: np.ndarray) -> np.ndarray:
+    """The column of each census key."""
+    return keys & _COL_MASK
+
+
 def key_pairs(keys: np.ndarray) -> np.ndarray:
     """The ``(n, 2)`` int64 array of ``[row, col]`` pairs, in key order."""
-    return np.column_stack((keys >> COL_BITS, keys & _COL_MASK))
+    return np.column_stack((key_rows(keys), key_cols(keys)))
+
+
+def sql_key(row: str, col: str) -> str:
+    """The census key of SQL integer expressions ``row`` and ``col``."""
+    return f"(({row}) << {COL_BITS}) | ({col})"
+
+
+def sql_key_coords(key: str) -> Tuple[str, str]:
+    """The row and column SQL expressions of a census key expression."""
+    return f"({key}) >> {COL_BITS}", f"({key}) & {_COL_MASK}"
 
 
 def _pair_set(keys: np.ndarray) -> FrozenSet[FlipKey]:
-    return frozenset(
-        zip((keys >> COL_BITS).tolist(), (keys & _COL_MASK).tolist())
-    )
+    return frozenset(zip(key_rows(keys).tolist(), key_cols(keys).tolist()))
 
 
 def _checked_keys(pairs: Iterable, direction: str) -> np.ndarray:

@@ -473,10 +473,10 @@ class CheckpointJournal:
         return records
 
     def load(
-        self, expected_fingerprint: str, expected_shards: Optional[int] = None
+        self, expected_fingerprint: str, expected_shards: int
     ) -> Dict[int, List]:
-        """Load completed shards, verifying the plan fingerprint and, when
-        ``expected_shards`` is given, the header's ``n_shards``.
+        """Load completed shards, verifying the plan fingerprint and the
+        header's ``n_shards`` against ``expected_shards``.
 
         Returns ``{shard_index: records}`` and primes the journal so
         subsequent :meth:`record` calls extend the same file, with the
@@ -519,7 +519,7 @@ class CheckpointJournal:
         completed: Dict[int, List] = {}
         try:
             n_shards = validate_journal_header(header, source)["n_shards"]
-            if expected_shards is not None and n_shards != expected_shards:
+            if n_shards != expected_shards:
                 raise CheckpointError(
                     f"checkpoint journal {self._path} header declares "
                     f"n_shards {n_shards}, but the current plan has "

@@ -59,7 +59,12 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from repro.atomicio import atomic_write_text, sha256_text, write_digest
-from repro.core.bitflips import COL_BITS, COL_LIMIT, BitflipCensus, unique_keys
+from repro.core.bitflips import (
+    BitflipCensus,
+    sql_key,
+    sql_key_coords,
+    unique_keys,
+)
 from repro.core.results import (
     DieMeasurement,
     ResultSet,
@@ -129,9 +134,8 @@ _MEASUREMENT_COLUMNS = (
 #: that SQLite expands itself: one statement per direction, not one bound
 #: row per flip.
 _INSERT_FLIPS = (
-    f"INSERT INTO bitflips SELECT ?, value >> {COL_BITS}, "
-    f"value & {COL_LIMIT - 1}, ? FROM json_each(?)"
-)
+    "INSERT INTO bitflips SELECT ?, {}, {}, ? FROM json_each(?)"
+).format(*sql_key_coords("value"))
 
 #: Deterministic iteration order: measurement identity, never insertion
 #: order -- so exports and digests are independent of executor and
@@ -321,7 +325,7 @@ class BitflipDatabase:
         # One query: each census direction arrives as one comma-joined
         # list of keys per measurement, built inside SQLite.
         census = "".join(
-            f", (SELECT group_concat((b.row << {COL_BITS}) | b.col) "
+            f", (SELECT group_concat({sql_key('b.row', 'b.col')}) "
             f"FROM bitflips b WHERE b.measurement_id = m.id AND {direction})"
             for direction in ("b.one_to_zero", "NOT b.one_to_zero")
         ) if with_census else ", NULL, NULL"

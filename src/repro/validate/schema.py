@@ -252,7 +252,8 @@ def _format(expected: str, kind: str) -> Callable:
 
 #: Exclusive upper bounds of a census pair's row and column: the range
 #: of :class:`repro.core.bitflips.BitflipCensus` keys (this leaf module
-#: cannot import the census).
+#: cannot import the census; tests/test_census_property.py pins the two
+#: ranges together).
 _PAIR_LIMITS = (2**31, 2**32)
 
 

@@ -17,10 +17,17 @@ from collections import Counter
 import pytest
 
 from repro.analysis.spatial import flips_per_row
-from repro.core.bitflips import BitflipCensus, direction_fraction_1_to_0
+from repro.core.bitflips import (
+    COL_LIMIT,
+    ROW_LIMIT,
+    BitflipCensus,
+    direction_fraction_1_to_0,
+)
 from repro.core.checkpoint import CheckpointJournal
 from repro.core.overlap import overlap_ratio
 from repro.core.results import DieMeasurement, ResultSet, measurement_to_record
+from repro.errors import ArtifactInvalidError, ExperimentError
+from repro.validate.schema import validate_measurement_record
 
 SEEDS = range(12)
 
@@ -152,3 +159,23 @@ def test_journal_bytes_match_the_reference(tmp_path):
     loaded = CheckpointJournal(tmp_path / "journal.jsonl").load("fp", len(drawn))
     for index, (census, _ref) in enumerate(drawn):
         assert loaded[index] == [measurement(census, trial=index)]
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["row", "col"])
+def test_schema_bounds_are_the_key_range(axis):
+    """The schema, which cannot import the census, bounds a census pair
+    exactly where a census starts to reject it."""
+    limit = (ROW_LIMIT, COL_LIMIT)[axis]
+    for value, fits in ((limit - 1, True), (limit, False)):
+        pair = [0, 0]
+        pair[axis] = value
+        rec = measurement_to_record(measurement(None))
+        rec["flips_1_to_0"], rec["flips_0_to_1"] = [pair], []
+        if fits:
+            validate_measurement_record(rec, "$")
+            assert BitflipCensus([pair]).n_flips == 1
+        else:
+            with pytest.raises(ArtifactInvalidError, match="must be < 2"):
+                validate_measurement_record(rec, "$")
+            with pytest.raises(ExperimentError, match="is outside"):
+                BitflipCensus([pair])

@@ -490,7 +490,7 @@ def test_journal_round_trip_and_duplicate_detection(fast_config, s0_module, tmp_
     journal.record(shard.index, measurements)
     journal.release()  # hand the append lock to the reader below
 
-    loaded = CheckpointJournal(journal.path).load(fingerprint)
+    loaded = CheckpointJournal(journal.path).load(fingerprint, len(plan.shards))
     assert loaded == {shard.index: measurements}
     # No temp droppings from the atomic rewrite (or the advisory lock).
     assert [p.name for p in tmp_path.iterdir()] == ["j.jsonl"]
@@ -499,17 +499,17 @@ def test_journal_round_trip_and_duplicate_detection(fast_config, s0_module, tmp_
     journal.record(shard.index, measurements)
     journal.release()
     with pytest.raises(CheckpointError, match="already recorded on line 2"):
-        CheckpointJournal(journal.path).load(fingerprint)
+        CheckpointJournal(journal.path).load(fingerprint, len(plan.shards))
 
 
 def test_journal_rejects_garbage(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text("not json\n")
     with pytest.raises(CheckpointError, match="malformed"):
-        CheckpointJournal(path).load("whatever")
+        CheckpointJournal(path).load("whatever", 1)
     path.write_text("")
     with pytest.raises(CheckpointError, match="empty"):
-        CheckpointJournal(path).load("whatever")
+        CheckpointJournal(path).load("whatever", 1)
 
 
 def test_resume_rejects_torn_header(fast_config, s0_module, tmp_path):
@@ -550,7 +550,7 @@ def test_fingerprint_mismatch_message_names_both(fast_config, s0_module, tmp_pat
     journal.start("aaaa1111aaaa1111", len(plan.shards))
     journal.release()
     with pytest.raises(CheckpointError) as excinfo:
-        CheckpointJournal(journal.path).load("bbbb2222bbbb2222")
+        CheckpointJournal(journal.path).load("bbbb2222bbbb2222", len(plan.shards))
     message = str(excinfo.value)
     assert "aaaa1111aaaa1111" in message
     assert "bbbb2222bbbb2222" in message

@@ -36,7 +36,7 @@ def _write(path, digest):
 def _load(path):
     journal = CheckpointJournal(path)
     try:
-        return journal, sorted(journal.load("fp"))
+        return journal, sorted(journal.load("fp", 4))
     except BaseException:
         journal.release()
         raise
@@ -102,13 +102,13 @@ def test_second_live_writer_is_refused_until_release(tmp_path):
     writer.record(0, [])
     assert writer.lock_path.exists()
     with pytest.raises(CheckpointBusyError, match="live writer"):
-        CheckpointJournal(path).load("fp")
+        CheckpointJournal(path).load("fp", 4)
     with pytest.raises(CheckpointBusyError, match="live writer"):
         CheckpointJournal(path).start("fp", 4)
     writer.release()
     assert not writer.lock_path.exists()
     with CheckpointJournal(path) as second:
-        assert sorted(second.load("fp")) == [0]
+        assert sorted(second.load("fp", 4)) == [0]
         second.record(1, [])
     assert not writer.lock_path.exists()
     reader, loaded = _load(path)

@@ -200,12 +200,12 @@ def test_journal_codec_kinds_do_not_cross(tmp_path):
     writer.record(0, [make_point()])
     writer.release()
     with pytest.raises(CheckpointError, match="repro-mitigation-point-v1"):
-        CheckpointJournal(path).load("f" * 16)
+        CheckpointJournal(path).load("f" * 16, 1)
 
     plain = tmp_path / "plain.jsonl"
     CheckpointJournal(plain).start("f" * 16, 1)
     with pytest.raises(CheckpointError, match="repro-mitigation-point-v1"):
-        CheckpointJournal(plain, kind=MITIGATION_KIND).load("f" * 16)
+        CheckpointJournal(plain, kind=MITIGATION_KIND).load("f" * 16, 1)
 
 
 # ---------------------------------------------------------------- results

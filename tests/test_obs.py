@@ -464,7 +464,7 @@ def test_journal_record_appends_o1_bytes(tmp_path, monkeypatch):
     assert deltas == expected_line_bytes
     # And the journal still loads (no fingerprint check here: raw parse).
     journal.release()
-    loaded = CheckpointJournal(path).load("fp")
+    loaded = CheckpointJournal(path).load("fp", 8)
     assert sorted(loaded) == list(range(8))
 
 
@@ -494,17 +494,17 @@ def test_journal_tolerates_torn_trailing_line(tmp_path, caplog):
     # so the usual end-of-expression collection cannot drop the lock.
     with caplog.at_level(logging.WARNING, logger="repro.checkpoint"):
         with CheckpointJournal(path) as reader:
-            loaded = reader.load("fp")
+            loaded = reader.load("fp", 3)
     assert sorted(loaded) == [0, 1]
     assert any("torn trailing line" in r.message for r in caplog.records)
     # The torn tail was truncated away, so the journal is whole again...
     assert path.stat().st_size == intact_size
     # ...and appending after the repair yields a fully parseable journal.
     repaired = CheckpointJournal(path)
-    repaired.load("fp")
+    repaired.load("fp", 3)
     repaired.record(2, [_fake_measurement(2)])
     repaired.release()
-    assert sorted(CheckpointJournal(path).load("fp")) == [0, 1, 2]
+    assert sorted(CheckpointJournal(path).load("fp", 3)) == [0, 1, 2]
 
 
 def test_journal_mid_file_corruption_still_raises(tmp_path):
@@ -518,7 +518,7 @@ def test_journal_mid_file_corruption_still_raises(tmp_path):
         handle.write(journal_text.encode("utf-8"))
     journal.release()
     with pytest.raises(CheckpointError, match="malformed"):
-        CheckpointJournal(path).load("fp")
+        CheckpointJournal(path).load("fp", 2)
 
 
 def test_torn_journal_resume_is_bit_identical(fast_config, s0_module, tmp_path, caplog):
@@ -579,7 +579,7 @@ def test_journal_encodes_nan_as_null(tmp_path):
     for line in path.read_text().splitlines():
         _strict_loads(line)
     journal.release()
-    loaded = CheckpointJournal(path).load("fp")
+    loaded = CheckpointJournal(path).load("fp", 1)
     assert loaded[0][0].time_to_first_ns is None
 
 
