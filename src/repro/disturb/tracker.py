@@ -78,11 +78,14 @@ class DisturbanceTracker:
             if len(self._increments) >= _MEMO_CAP:
                 self._increments.clear()
             increments = self._increments[key] = self._compute_increments(*key)
+        accumulators = self._acc
         for victim, increment in increments:
-            acc = self._acc.get(victim)
+            acc = accumulators.get(victim)
             if acc is None:
-                acc = self._acc[victim] = np.zeros_like(increment)
-            acc += increment
+                # First touch: the sum so far is the increment itself.
+                accumulators[victim] = increment.copy()
+            else:
+                acc += increment
 
     def reset(self, rows: Iterable[int] = None) -> None:
         """Clear accumulated disturbance (all rows, or a subset).

@@ -96,9 +96,8 @@ class Bank:
         if t_on < 0:
             raise DeviceStateError("precharge before activation (time went backwards)")
         if self._tracker is not None:
-            solo = self._last_activated == row
             self._tracker.on_activation(
-                row, t_on, solo=solo, temperature_c=self._temperature
+                row, t_on, self._last_activated == row, self._temperature
             )
         self._last_activated = row
         self._open_row = None

@@ -505,7 +505,11 @@ _BENCH = Field("", "an object", rows=(
             Field("decisions", "an object", optional=True,
                   each=Field("", "an object", nullable=True)),
         )),
-    )),
+    ), each=Field("", "an object", rows=(
+        # A side's distinct run warnings (e.g. pool oversubscription).
+        Field("warnings", "an array", optional=True,
+              each=Field("", "a string")),
+    ))),
 ))
 
 _PATTERNSPEC = Field("", "an object", rows=(
