@@ -15,13 +15,23 @@ O(static program size), never O(iterations), and checks the whole tree
 first, so a malformed node, an undefined payload id or a bank outside
 the chip raises before any command reaches the chip.
 
+Lowering also tracks which banks each command leaves open (a bank's
+open/closed state depends only on the ACT/PRE sequence, never on time)
+and marks every ACT or PRE the device will refuse -- an ACT to an open
+bank or to a row outside it, a PRE to a precharged bank -- as *guarded*.
+Only a guarded command snapshots the timing checker first and restores
+it when the device refuses, so a refused command leaves the checker as
+if it had never been issued; no other command pays for that.
+
 Execution is still strictly one command at a time, in program order
 (the reference semantics every mitigation observer relies on):
 
 * every command makes exactly one timing-checker call (``check_act``,
   ``check_pre``, ``check_column`` or ``check_ref``) and then its one
   device call (``Bank.activate``, ``Bank.precharge``, ``Bank.read``,
-  ``Bank.write``), so a violation raises before the device changes;
+  ``Bank.write``), so a violation raises before the device changes,
+  and a command the device refuses raises before the checker's record
+  of it survives (guarded commands, above);
 * ``now`` advances by the same float additions as the program's
   ``WAIT`` instructions, in the same order (a folded wait is added after
   its command, exactly where the ``WAIT`` ran), so the row-open times
@@ -83,25 +93,32 @@ Observer = Callable[[str, int, int, float], None]
 # REF     --           --            --             --
 # WAIT    --           --            --             --
 # LOOP    count        --            --             lowered body
+# GUARD   --           --            --             [ACT or PRE]
 # ======  ===========  ============  =============  ===============
 #
 # ``wait`` is the nanoseconds added to ``now`` after the command: the
 # WAIT instruction folded into it, or 0.0 (adding 0.0 leaves any time
 # unchanged).  A WAIT that follows no command (a program's or a loop
 # body's first instruction, or a second WAIT in a row) is a WAIT command
-# of its own.
-_ACT, _PRE, _RD, _WR, _REF, _WAIT, _LOOP = range(7)
+# of its own.  A GUARD wraps one ACT or PRE that the device will refuse.
+_ACT, _PRE, _RD, _WR, _REF, _WAIT, _LOOP, _GUARD = range(8)
 
 Lowered = List[tuple]
 
 
 def _lower(
-    nodes, program: Program, chip: Chip, banks: Dict[int, Bank]
+    nodes,
+    program: Program,
+    chip: Chip,
+    banks: Dict[int, Bank],
+    opened: Dict[int, bool],
 ) -> Tuple[Lowered, int, int]:
     """Lower ``nodes`` to commands bound to ``chip``.
 
     Returns the lowered commands and the ACT and REF counts one pass
-    over them executes.  ``banks`` memoizes the chip's bank objects.
+    over them executes.  ``banks`` memoizes the chip's bank objects;
+    ``opened`` maps each bank index seen so far to whether it is open
+    after the commands lowered so far, and is updated in place.
     """
     code: Lowered = []
     acts = refs = 0
@@ -125,20 +142,47 @@ def _lower(
                 bank = banks.get(index)
                 if bank is None:
                     bank = banks[index] = chip.bank(index)
+                    opened[index] = bank.open_row is not None
                 if op is Opcode.ACT:
                     row = operands[1]
-                    code.append((_ACT, index, bank, row, chip.to_physical(row), 0.0))
+                    physical = chip.to_physical(row)
+                    command = (_ACT, index, bank, row, physical, 0.0)
+                    if opened[index] or not bank.geometry.contains_row(physical):
+                        command = (_GUARD, -1, None, -1, [command], 0.0)
+                    else:
+                        opened[index] = True
+                    code.append(command)
                     acts += 1
                 elif op is Opcode.PRE:
-                    code.append((_PRE, index, bank, -1, None, 0.0))
+                    command = (_PRE, index, bank, -1, None, 0.0)
+                    if not opened[index]:
+                        command = (_GUARD, -1, None, -1, [command], 0.0)
+                    opened[index] = False
+                    code.append(command)
                 elif op is Opcode.RD:
                     code.append((_RD, index, bank, -1, None, 0.0))
                 else:
                     payload = program.payload(operands[1])
                     code.append((_WR, index, bank, -1, payload, 0.0))
         elif isinstance(node, Loop):
-            body, body_acts, body_refs = _lower(node.body, program, chip, banks)
-            code.append((_LOOP, node.count, None, -1, body, 0.0))
+            entry = dict(opened)
+            body, body_acts, body_refs = _lower(
+                node.body, program, chip, banks, opened
+            )
+            # A bank's state after a pass depends only on the pass's last
+            # in-range ACT (open, refused or not) or PRE (closed) to it,
+            # so every pass after the first starts from the same state:
+            # if the first pass changed it, the later passes are lowered
+            # (and guarded) once more from there.
+            if node.count > 1 and any(
+                state != entry.get(index, banks[index].open_row is not None)
+                for index, state in opened.items()
+            ):
+                code.append((_LOOP, 1, None, -1, body, 0.0))
+                body, _, _ = _lower(node.body, program, chip, banks, opened)
+                code.append((_LOOP, node.count - 1, None, -1, body, 0.0))
+            else:
+                code.append((_LOOP, node.count, None, -1, body, 0.0))
             acts += node.count * body_acts
             refs += node.count * body_refs
         else:
@@ -190,7 +234,7 @@ class Interpreter:
 
     def run(self, program: Program) -> ExecutionResult:
         """Execute ``program`` to completion and return its result."""
-        code, acts, refs = _lower(program.nodes, program, self._chip, {})
+        code, acts, refs = _lower(program.nodes, program, self._chip, {}, {})
         result = ExecutionResult(activations=acts, refreshes=refs)
         reads = result.reads
         checker = self._checker
@@ -240,6 +284,13 @@ class Interpreter:
                         refresh_hook(now)
                     for observer in observers:
                         observer("REF", -1, -1, now)
+                elif op == _GUARD:
+                    saved = checker.snapshot()
+                    try:
+                        execute(operand)
+                    except BaseException:
+                        checker.restore(saved)
+                        raise
                 now += wait
 
         try:

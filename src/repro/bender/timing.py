@@ -148,6 +148,26 @@ class TimingChecker:
         self._quiet_from = self._ref_done - _EPS
         return self._ref_done
 
+    def snapshot(self) -> tuple:
+        """The checker's whole state, for :meth:`restore`."""
+        return (
+            dict(self._last_act),
+            dict(self._last_pre),
+            self._ref_done,
+            self._quiet_from,
+            tuple(self._recent_acts),
+            self._last_act_bank,
+        )
+
+    def restore(self, state: tuple) -> None:
+        """Return to a :meth:`snapshot`: the commands checked since then
+        are forgotten (the interpreter's answer to a refused command)."""
+        last_act, last_pre, self._ref_done, self._quiet_from, recent, bank = state
+        self._last_act = dict(last_act)
+        self._last_pre = dict(last_pre)
+        self._recent_acts = deque(recent, maxlen=4)
+        self._last_act_bank = bank
+
     def _trfc_violation(self, now: float, what: str) -> TimingViolationError:
         return TimingViolationError(
             f"tRFC violation: {what} at {now:.1f} ns while refresh "

@@ -172,7 +172,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="parallel sweep workers: 'auto' (default) calibrates a probe "
         "and picks serial or a pool sized to the machine; 0/1: serial; "
         "N>1: process pool sharded by (module, die); results are "
-        "identical to serial either way",
+        "identical to serial either way.  Governs campaign shards only: "
+        "module calibration at set-up picks serial or a pool by itself "
+        "(serial under a 1-CPU affinity mask)",
     )
     parser.add_argument(
         "--csv", action="store_true", help="print CSV instead of ASCII plots"

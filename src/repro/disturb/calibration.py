@@ -692,10 +692,61 @@ def calibrate_module(
     return _calibrate_cached(key, config)
 
 
+#: Hand-off slots into :func:`_calibrate_cached`, keyed like its
+#: arguments: a calibration solved elsewhere (a pool worker) to enter as
+#: the cached value, or :data:`_PEEK` to ask whether one is cached
+#: without solving.  Filled and emptied around one call, never shared
+#: across threads.
+_HANDOFF: Dict[Tuple[str, CharacterizationConfig], object] = {}
+_PEEK = object()
+
+
+class _NotCached(Exception):
+    """A peek found no cached calibration (never cached: it is raised)."""
+
+
 @lru_cache(maxsize=256)
 def _calibrate_cached(
     key: str, config: CharacterizationConfig
 ) -> ModuleCalibration:
+    handoff = _HANDOFF.pop((key, config), None)
+    if handoff is _PEEK:
+        raise _NotCached
+    if handoff is not None:
+        return handoff
+    return solve_module(key, config)
+
+
+def is_calibrated(key: str, config: CharacterizationConfig) -> bool:
+    """Whether module ``key`` is in the calibration cache for ``config``."""
+    _HANDOFF[(key, config)] = _PEEK
+    try:
+        _calibrate_cached(key, config)
+    except _NotCached:
+        return False
+    finally:
+        _HANDOFF.pop((key, config), None)
+    return True
+
+
+def adopt_calibration(
+    key: str, config: CharacterizationConfig, calibration: ModuleCalibration
+) -> ModuleCalibration:
+    """Enter ``calibration``, solved by :func:`solve_module` elsewhere, into
+    the cache; returns the cached value (an earlier entry wins)."""
+    _HANDOFF[(key, config)] = calibration
+    try:
+        return _calibrate_cached(key, config)
+    finally:
+        _HANDOFF.pop((key, config), None)
+
+
+def solve_module(key: str, config: CharacterizationConfig) -> ModuleCalibration:
+    """Solve module ``key``'s calibration from scratch (no cache).
+
+    A pure function of its arguments, so a pool worker's result is bit
+    for bit the in-process one.
+    """
     profile = get_profile(key)
     base_population = PopulationParams(
         anti_cell_fraction=profile.anti_cell_fraction

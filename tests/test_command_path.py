@@ -26,7 +26,7 @@ from repro.disturb.tracker import DisturbanceTracker
 from repro.dram.bank import Bank
 from repro.dram.chip import Chip
 from repro.dram.datapattern import CHECKERBOARD
-from repro.errors import ProgramError, TimingViolationError
+from repro.errors import DeviceStateError, ProgramError, TimingViolationError
 from repro.mitigations.para import Para
 from repro.patterns.dsl import resolve_pattern
 from repro.testing import make_synthetic_chip
@@ -241,3 +241,109 @@ def test_ref_rejected_within_trp_of_a_pre():
     builder = ProgramBuilder()
     builder.act(0, 3).wait(36.0).pre(0).wait(DEFAULT_TIMINGS.tRP).ref()
     assert interp.run(builder.build()).refreshes == 1
+
+
+# ------------------------------------------------------- refused commands
+
+
+def _program(build):
+    builder = ProgramBuilder()
+    build(builder)
+    return builder.build()
+
+
+def _loop_act(builder):
+    with builder.loop(3):
+        builder.act(0, 5).wait(40.0)
+
+
+def _loop_prefix(builder):
+    builder.act(0, 5).wait(40.0)
+
+
+#: (refused program, its error, the accepted commands before the refused
+#: one, a follow-up program).  The follow-ups failed at the parent with
+#: the refused command's stale checker state: a REF "while bank 0 has row
+#: open", a tRAS violation against the refused ACT, a tRP violation
+#: against the refused PRE.
+REFUSED = {
+    "act-row-outside-bank": (
+        lambda b: b.act(0, 999_999),
+        "row 999999 outside bank (rows=64)",
+        lambda b: None,
+        lambda b: b.wait(100.0).ref(),
+    ),
+    "act-to-open-bank": (
+        lambda b: b.act(0, 5).wait(30.0).act(0, 6),
+        "cannot activate row 6: row 5 is open",
+        lambda b: b.act(0, 5).wait(30.0),
+        lambda b: b.wait(10.0).pre(0),
+    ),
+    "pre-to-closed-bank": (
+        lambda b: b.act(0, 5).wait(36.0).pre(0).wait(20.0).pre(0),
+        "cannot precharge: no row is open",
+        lambda b: b.act(0, 5).wait(36.0).pre(0).wait(20.0),
+        lambda b: b.wait(5.0).act(0, 5).wait(36.0).pre(0).wait(15.0).ref(),
+    ),
+    "act-refused-in-second-loop-pass": (
+        _loop_act,
+        "cannot activate row 5: row 5 is open",
+        _loop_prefix,
+        lambda b: b.pre(0).wait(15.0).act(4, 9),
+    ),
+}
+
+
+def _observed(checker):
+    chip = make_synthetic_chip()
+    interp = Interpreter(chip, checker=checker)
+    events = []
+    interp.add_observer(lambda *event: events.append(event))
+    return chip, interp, events
+
+
+def _state(chip, interp, checker, events):
+    return (
+        interp.now.hex(),
+        checker.snapshot(),
+        [chip.bank(index).open_row for index in range(chip.n_banks)],
+        list(events),
+    )
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refused_command_leaves_no_trace(case):
+    refused, message, accepted, follow_up = REFUSED[case]
+    checker = TimingChecker()
+    chip, interp, events = _observed(checker)
+    with pytest.raises(DeviceStateError) as err:
+        interp.run(_program(refused))
+    assert str(err.value) == message
+    # The reference interpreter ran only the accepted commands.
+    ref_checker = TimingChecker()
+    ref_chip, ref_interp, ref_events = _observed(ref_checker)
+    ref_interp.run(_program(accepted))
+    assert _state(chip, interp, checker, events) == _state(
+        ref_chip, ref_interp, ref_checker, ref_events
+    )
+    result = interp.run(_program(follow_up))
+    ref_result = ref_interp.run(_program(follow_up))
+    assert (result.elapsed_ns, result.activations, result.refreshes) == (
+        ref_result.elapsed_ns, ref_result.activations, ref_result.refreshes
+    )
+    assert _state(chip, interp, checker, events) == _state(
+        ref_chip, ref_interp, ref_checker, ref_events
+    )
+
+
+def test_refused_command_still_reports_a_timing_violation_first():
+    # A fifth ACT inside tFAW, to a bank whose row is still open: the
+    # checker raises before the device would refuse it, as before.
+    chip = make_synthetic_chip()
+    interp = Interpreter(chip)
+    builder = ProgramBuilder()
+    for bank in (0, 4, 8, 12, 0):
+        builder.act(bank, 7).wait(5.0)
+    with pytest.raises(TimingViolationError, match="tFAW violation"):
+        interp.run(builder.build())
+    assert chip.bank(0).open_row == chip.to_physical(7)
