@@ -169,15 +169,21 @@ def _lower(
             body, body_acts, body_refs = _lower(
                 node.body, program, chip, banks, opened
             )
+            # Every bank's state before the loop (for a bank first seen
+            # in the body, its state when the program started).
+            before = {
+                index: entry.get(index, banks[index].open_row is not None)
+                for index in opened
+            }
             # A bank's state after a pass depends only on the pass's last
             # in-range ACT (open, refused or not) or PRE (closed) to it,
             # so every pass after the first starts from the same state:
             # if the first pass changed it, the later passes are lowered
-            # (and guarded) once more from there.
-            if node.count > 1 and any(
-                state != entry.get(index, banks[index].open_row is not None)
-                for index, state in opened.items()
-            ):
+            # (and guarded) once more from there.  A loop run 0 times is
+            # lowered only to be checked and leaves every bank as it was.
+            if node.count == 0:
+                opened.update(before)
+            if node.count > 1 and opened != before:
                 code.append((_LOOP, 1, None, -1, body, 0.0))
                 body, _, _ = _lower(node.body, program, chip, banks, opened)
                 code.append((_LOOP, node.count - 1, None, -1, body, 0.0))

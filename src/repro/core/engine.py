@@ -79,6 +79,7 @@ logged warning and a note in the campaign's
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
 import multiprocessing
@@ -879,6 +880,55 @@ def _start_worker(source) -> None:
     cannot build one fails its shard rather than breaking the pool."""
     global _WORKER_SOURCE
     _WORKER_SOURCE = source
+    fix_malloc_thresholds()
+
+
+# glibc's ``mallopt`` parameters (``<malloc.h>``) and the values a pool
+# worker fixes them at.  Left dynamic, glibc raises its mmap threshold to
+# the largest block freed so far and trims the heap top above twice that,
+# so most per-shard numpy temporaries (a die's 3.5 MB draw block, the
+# 0.44 MB per-point stacks) went back to the kernel when freed and the
+# next shard faulted ~17 MB in again.  32 MiB is glibc's largest mmap
+# threshold on 64-bit hosts: every per-shard array comes from the heap.
+# 64 MiB of trim threshold is above one shard's ~20 MB working set: freed
+# memory stays mapped for the next shard.  Fixing the trim threshold
+# alone would also freeze the mmap threshold where it stands: 128 KiB in
+# a worker that did not inherit a raised one (forkserver, spawn).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_WORKER_MMAP_THRESHOLD = 32 * 1024 * 1024
+_WORKER_TRIM_THRESHOLD = 64 * 1024 * 1024
+
+
+def _glibc_mallopt() -> Optional[Callable[[int, int], int]]:
+    """glibc's ``mallopt``, or None under any other C library."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return None
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError, ValueError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt
+
+
+def fix_malloc_thresholds() -> bool:
+    """Keep a pool worker's freed memory mapped between tasks.
+
+    Fixes glibc's mmap threshold, then (only if that took) its trim
+    threshold, at the constants above; returns whether both took.  A
+    silent no-op without glibc's ``mallopt`` or where it refuses a value.
+    Only where freed memory goes changes, never a result.  Called from
+    pool initializers only: the calling process keeps its allocator.
+    """
+    mallopt = _glibc_mallopt()
+    if mallopt is None:
+        return False
+    return bool(
+        mallopt(_M_MMAP_THRESHOLD, _WORKER_MMAP_THRESHOLD)
+        and mallopt(_M_TRIM_THRESHOLD, _WORKER_TRIM_THRESHOLD)
+    )
 
 
 def _run_shard_remote(

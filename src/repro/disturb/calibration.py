@@ -29,6 +29,7 @@ feasible (the few infeasible cells are listed in EXPERIMENTS.md).
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
@@ -741,21 +742,28 @@ def adopt_calibration(
         _HANDOFF.pop((key, config), None)
 
 
-def solve_module(key: str, config: CharacterizationConfig) -> ModuleCalibration:
+def solve_module(
+    key: str,
+    config: CharacterizationConfig,
+    die_seconds: Optional[List[float]] = None,
+) -> ModuleCalibration:
     """Solve module ``key``'s calibration from scratch (no cache).
 
-    A pure function of its arguments, so a pool worker's result is bit
-    for bit the in-process one.
+    A pure function of ``key`` and ``config``, so a pool worker's result
+    is bit for bit the in-process one.  With a ``die_seconds`` list, the
+    seconds each die's aggregates took are appended to it, in die order.
     """
     profile = get_profile(key)
     base_population = PopulationParams(
         anti_cell_fraction=profile.anti_cell_fraction
     )
     die_scales = solve_die_scales(profile.n_dies, profile.die_spread_ratio)
-    raw = [
-        _die_aggregates(profile, die, scale, config, base_population)
-        for die, scale in enumerate(die_scales)
-    ]
+    raw = []
+    for die, scale in enumerate(die_scales):
+        start = time.perf_counter()
+        raw.append(_die_aggregates(profile, die, scale, config, base_population))
+        if die_seconds is not None:
+            die_seconds.append(time.perf_counter() - start)
 
     # ---- Threshold scale: match the RowHammer (36 ns) average exactly.
     rh36_raw = float(np.mean([agg.rh36() for agg in raw]))

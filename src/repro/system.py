@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core import engine
 from repro.core.experiment import CharacterizationConfig
+from repro.disturb import calibration
 from repro.disturb.calibration import (
     ModuleCalibration,
     adopt_calibration,
@@ -74,8 +75,9 @@ def build_modules(
     uses for campaign shards: the first uncached module is calibrated
     in-process as a probe, and the rest go to ``min(usable CPUs,
     remaining modules)`` workers only when this process may run on at
-    least 2 CPUs and the probe's seconds per die times the remaining
-    dies reach :attr:`~repro.core.engine.AutoExecutor.min_parallel_seconds`.
+    least 2 CPUs and the probe's seconds per warm die (its dies after
+    the first, which runs cold) times the remaining dies reach
+    :attr:`~repro.core.engine.AutoExecutor.min_parallel_seconds`.
     A 1-CPU affinity mask therefore calibrates serially, and so does a
     build with one uncached module.  Pooled results enter the cache, are
     bit for bit the serial ones, and the pool is shut down before this
@@ -101,19 +103,27 @@ def _calibrate(
     cpus = engine._usable_cpus()
     if cpus >= 2 and len(pending) >= 2:
         probe = pending.pop(0)
+        die_seconds: List[float] = []
         start = time.monotonic()
-        solved[probe] = calibrate_module(probe, config)
+        solved[probe] = adopt_calibration(
+            probe, config, calibration.solve_module(probe, config, die_seconds)
+        )
         probe_seconds = time.monotonic() - start
-        per_die = probe_seconds / MODULE_PROFILES[probe].n_dies
+        # The process's first die runs cold (~45 % slower): the estimate
+        # uses the probe's later dies only.
+        warm = die_seconds[1:] or die_seconds
+        per_die = sum(warm) / len(warm)
         estimate = per_die * sum(MODULE_PROFILES[k].n_dies for k in pending)
         threshold = engine.AutoExecutor.min_parallel_seconds
         workers = min(cpus, len(pending))
         pooled = estimate >= threshold
         logger.info(
             "calibration: %s for %d module(s) (%d usable CPU(s), probe %s "
-            "%.3fs, ~%.3fs serial left, pool threshold %gs)",
+            "%.3fs, %.4fs per warm die, ~%.3fs serial left, pool threshold "
+            "%gs)",
             f"pool of {workers} workers" if pooled else "serial",
-            len(pending), cpus, probe, probe_seconds, estimate, threshold,
+            len(pending), cpus, probe, probe_seconds, per_die, estimate,
+            threshold,
         )
         if pooled:
             solved.update(_calibrate_on_pool(pending, config, workers))
@@ -142,8 +152,11 @@ def _calibrate_on_pool(
     # The platform's start method, as for the engine's shard pool: under
     # fork a worker skips re-importing numpy and the solver.  A task is
     # only (key, config) in and a ModuleCalibration out, so forkserver
-    # and spawn work alike.
-    pool = ProcessPoolExecutor(max_workers=workers)
+    # and spawn work alike.  Workers keep their freed memory between
+    # modules, as shard workers do between shards.
+    pool = ProcessPoolExecutor(
+        max_workers=workers, initializer=engine.fix_malloc_thresholds
+    )
     try:
         futures = [pool.submit(solve_module, key, config) for key in order]
         for key, future in zip(order, futures):

@@ -7,6 +7,7 @@ Tests that must see the pool compute clear the calibration cache first.
 
 import os
 import pickle
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -169,6 +170,26 @@ def test_below_threshold_starts_no_pool(monkeypatch, cold_cache, fast_config):
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(engine.AutoExecutor, "min_parallel_seconds", 1e9)
     system.build_modules(["H2", "H3"], fast_config)
+
+
+def test_cold_first_die_starts_no_pool(monkeypatch, cold_cache, fast_config):
+    """A process's first die runs cold (here 0.4 s slower).  Estimated
+    from the probe's later dies, the ~0.1 s of real work left stays
+    serial; an estimate from all the probe's dies would exceed 1 s."""
+    monkeypatch.setattr(system, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    aggregates = calibration._die_aggregates
+    cold = [0.4]
+
+    def first_die_slow(*args):
+        if cold:
+            time.sleep(cold.pop())
+        return aggregates(*args)
+
+    monkeypatch.setattr(calibration, "_die_aggregates", first_die_slow)
+    assert engine.AutoExecutor.min_parallel_seconds == 1.0
+    system.build_modules(["H0", "H1", "H2", "H3"], fast_config)
+    assert not cold
 
 
 def test_broken_pool_finishes_serially_with_warning(

@@ -204,6 +204,15 @@ def test_tfaw_violation_in_second_loop_iteration():
     assert chip.bank(0).open_row == chip.to_physical(7)
 
 
+def test_wait_after_a_zero_count_loop_still_runs():
+    builder = ProgramBuilder()
+    with builder.loop(0):
+        builder.act(0, 5).wait(1.0)
+    builder.wait(36.0)
+    result = Interpreter(make_synthetic_chip()).run(builder.build())
+    assert (result.elapsed_ns, result.activations) == (36.0, 0)
+
+
 def test_malformed_node_rejected_before_any_command():
     chip = make_synthetic_chip()
     interp = Interpreter(chip)
@@ -261,6 +270,12 @@ def _loop_prefix(builder):
     builder.act(0, 5).wait(40.0)
 
 
+def _zero_count_loop(builder):
+    with builder.loop(0):
+        builder.act(4, 0)
+    builder.pre(4)
+
+
 #: (refused program, its error, the accepted commands before the refused
 #: one, a follow-up program).  The follow-ups failed at the parent with
 #: the refused command's stale checker state: a REF "while bank 0 has row
@@ -290,6 +305,14 @@ REFUSED = {
         "cannot activate row 5: row 5 is open",
         _loop_prefix,
         lambda b: b.pre(0).wait(15.0).act(4, 9),
+    ),
+    # A loop run 0 times opens nothing, so the PRE after it is refused;
+    # its follow-up once failed with a tRP violation against that PRE.
+    "pre-after-zero-count-loop": (
+        _zero_count_loop,
+        "cannot precharge: no row is open",
+        lambda b: None,
+        lambda b: b.wait(5.0).act(4, 0),
     ),
 }
 

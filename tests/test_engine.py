@@ -20,8 +20,10 @@ from __future__ import annotations
 import functools
 import gc
 import multiprocessing
+import multiprocessing.forkserver
 import os
 import pickle
+import resource
 import warnings
 import weakref
 from concurrent.futures import ProcessPoolExecutor
@@ -29,6 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from repro import system
 from repro.core import engine as engine_mod
 from repro.core.engine import (
     AutoExecutor,
@@ -40,13 +43,18 @@ from repro.core.engine import (
     make_executor,
 )
 from repro.core.faults import FaultPlan, FaultSpec, RetryPolicy
+from repro.core.experiment import CharacterizationConfig
 from repro.core.runner import CharacterizationRunner
 from repro.core.stacked import ROLE_ORDER, build_stacked_die
+from repro.disturb import calibration
 from repro.disturb.population import trial_jitter
+from repro.dram.rowselect import RowSelection
+from repro.dram.topology import BankGeometry
 from repro.errors import ExperimentError, ShardFailedError
 from repro.obs import Observability, ProgressReporter
 from repro.patterns import ALL_PATTERNS
 from repro.patterns.dsl import resolve_pattern
+from repro.system import build_module
 
 T_VALUES = [36.0, 7_800.0]
 
@@ -522,3 +530,210 @@ def test_auto_executor_does_not_warn_of_oversubscription(
     assert decision["workers"] <= engine_mod._usable_cpus()
     if engine_mod._usable_cpus() > 1:
         assert decision["chosen"] == "process"
+
+
+# ------------------------------------------------- worker allocator policy
+
+#: The benchmark's characterization geometry (``BENCH_sweep.json``).
+BENCH_CONFIG = CharacterizationConfig(
+    geometry=BankGeometry(rows=4096, cols_simulated=256),
+    selection=RowSelection(locations_per_region=24, n_regions=3, stride=8),
+    trials=1,
+)
+
+#: The benchmark's 7-point tAggON sweep.
+SWEEP_T = [36.0, 120.0, 636.0, 2_000.0, 7_800.0, 30_000.0, 70_200.0]
+
+#: Minor page faults a pool worker may take per task (a shard, or a
+#: module to calibrate) beyond its first.  On a 2-vCPU glibc 2.36 host
+#: workers took 3.3-4.0k per shard and 8.4-10.2k per module with glibc's
+#: dynamic thresholds, and 3-41 with them fixed.
+MAX_FAULTS_PER_TASK = 1_000
+
+START_METHODS = [
+    pytest.param(
+        method,
+        marks=pytest.mark.skipif(
+            method not in multiprocessing.get_all_start_methods(),
+            reason=f"{method} start method unavailable",
+        ),
+    )
+    for method in ("fork", "forkserver")
+]
+
+
+@pytest.fixture
+def pool_start_method(request, monkeypatch):
+    """Run both pools under the parametrized start method; forkserver
+    workers get the spec, as on every non-fork platform."""
+    if engine_mod._glibc_mallopt() is None:
+        pytest.skip("no glibc mallopt: the allocator policy is a no-op")
+    method = request.param
+    pool = functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)
+    )
+    monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(system, "ProcessPoolExecutor", pool)
+    if method != "fork":
+        monkeypatch.setattr(engine_mod, "fork_sharing_available", lambda: False)
+    return method
+
+
+def _worker_faults(start_method, run) -> int:
+    """Minor page faults of the pool workers ``run`` starts and shuts down.
+
+    A worker's usage reaches ``RUSAGE_CHILDREN`` once it is reaped: fork
+    workers by this process, forkserver workers by the fork server, which
+    is therefore stopped (and reaped) before and after ``run``.
+    """
+
+    def stop_fork_server():
+        if start_method == "forkserver":
+            multiprocessing.forkserver._forkserver._stop()
+
+    stop_fork_server()
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    run()
+    stop_fork_server()
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+
+def _faults_per_extra_task(start_method, run, small, large) -> float:
+    """Faults per task beyond a one-worker pool's first: the difference
+    between runs over ``large`` and ``small`` tasks cancels each
+    worker's start-up (imports, its first task's working set)."""
+    few = _worker_faults(start_method, lambda: run(small))
+    many = _worker_faults(start_method, lambda: run(large))
+    return (many - few) / (len(large) - len(small))
+
+
+@pytest.fixture(scope="module")
+def bench_s0():
+    return build_module("S0", BENCH_CONFIG)
+
+
+@pytest.mark.parametrize("pool_start_method", START_METHODS, indirect=True)
+def test_shard_workers_keep_their_freed_memory(bench_s0, pool_start_method):
+    """A one-worker pool over S0's dies at the benchmark geometry: with
+    the allocator thresholds fixed, later shards reuse the memory the
+    first one freed instead of faulting it in again."""
+
+    def run(dies):
+        CharacterizationRunner(BENCH_CONFIG).characterize(
+            [bench_s0], SWEEP_T, ALL_PATTERNS, dies=dies,
+            executor=ProcessExecutor(1),
+        )
+
+    per_shard = _faults_per_extra_task(
+        pool_start_method, run, [0], list(range(bench_s0.n_dies))
+    )
+    assert per_shard < MAX_FAULTS_PER_TASK
+
+
+@pytest.mark.parametrize("pool_start_method", START_METHODS, indirect=True)
+def test_calibration_workers_keep_their_freed_memory(pool_start_method):
+    def run(keys):
+        system._calibrate_on_pool(keys, BENCH_CONFIG, 1)
+
+    per_module = _faults_per_extra_task(
+        pool_start_method, run, ["S1"], ["S1", "S2", "S3"]
+    )
+    assert per_module < MAX_FAULTS_PER_TASK
+
+
+def test_malloc_thresholds_are_a_silent_no_op_without_mallopt(monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        monkeypatch.setattr(engine_mod, "_glibc_mallopt", lambda: None)
+        assert engine_mod.fix_malloc_thresholds() is False
+        # A C library without the symbol, or without glibc's confstr name.
+        monkeypatch.undo()
+        monkeypatch.setattr(engine_mod.ctypes, "CDLL", lambda name: object())
+        assert engine_mod._glibc_mallopt() is None
+        monkeypatch.undo()
+        monkeypatch.setattr(
+            engine_mod.os, "confstr", _raise(ValueError("unrecognized")),
+            raising=False,
+        )
+        assert engine_mod._glibc_mallopt() is None
+
+
+def test_malloc_thresholds_stop_at_a_refused_value(monkeypatch):
+    calls = []
+
+    def mallopt(returns):
+        def call(param, value):
+            calls.append((param, value))
+            return returns.pop(0)
+
+        return call
+
+    mmap = (engine_mod._M_MMAP_THRESHOLD, 32 * 1024 * 1024)
+    trim = (engine_mod._M_TRIM_THRESHOLD, 64 * 1024 * 1024)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # The mmap threshold is refused: the trim threshold, which alone
+        # would freeze mmap at 128 KiB, is left alone.
+        monkeypatch.setattr(engine_mod, "_glibc_mallopt", lambda: mallopt([0]))
+        assert engine_mod.fix_malloc_thresholds() is False
+        assert calls == [mmap]
+        calls.clear()
+        monkeypatch.setattr(
+            engine_mod, "_glibc_mallopt", lambda: mallopt([1, 0])
+        )
+        assert engine_mod.fix_malloc_thresholds() is False
+        calls.clear()
+        monkeypatch.setattr(
+            engine_mod, "_glibc_mallopt", lambda: mallopt([1, 1])
+        )
+        assert engine_mod.fix_malloc_thresholds() is True
+        assert calls == [mmap, trim]
+
+
+def _raise(exc):
+    def call(*args, **kwargs):
+        raise exc
+
+    return call
+
+
+class _CountCalls:
+    """Counts calls in this process (a worker's count stays its own)."""
+
+    calls = 0
+
+    def __call__(self) -> None:
+        type(self).calls += 1
+
+
+_IN_CALLER = _CountCalls()
+
+
+class _InitializerSpy(ProcessPoolExecutor):
+    initializers = []
+
+    def __init__(self, *args, initializer=None, **kwargs):
+        type(self).initializers.append(initializer)
+        super().__init__(*args, initializer=initializer, **kwargs)
+
+
+def test_only_pool_initializers_fix_the_thresholds(
+    fast_config, s0_module, monkeypatch
+):
+    """Both pools are built with an initializer that fixes the worker's
+    thresholds, and the calling process never fixes its own."""
+    monkeypatch.setattr(_IN_CALLER, "calls", 0)
+    monkeypatch.setattr(engine_mod, "fix_malloc_thresholds", _IN_CALLER)
+    monkeypatch.setattr(_InitializerSpy, "initializers", [])
+    monkeypatch.setattr(system, "ProcessPoolExecutor", _InitializerSpy)
+    monkeypatch.setattr(engine_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine_mod.AutoExecutor, "min_parallel_seconds", 0.0)
+    calibration._calibrate_cached.cache_clear()
+    system.build_modules(["H0", "H1", "H2"], fast_config)
+    assert _InitializerSpy.initializers == [engine_mod.fix_malloc_thresholds]
+
+    monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", _InitializerSpy)
+    _run(fast_config, [s0_module], ProcessExecutor(2))
+    _run(fast_config, [s0_module], SerialExecutor())
+    assert _InitializerSpy.initializers[1:] == [engine_mod._start_worker]
+    assert _IN_CALLER.calls == 0
