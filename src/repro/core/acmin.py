@@ -290,9 +290,12 @@ class DieSweepAnalyzer:
       a later campaign revisiting the same points (anchor sweeps re-tread
       the tAggON sweep) skips the division entirely.
 
-    The analyzer holds references to one die's stacked arrays; create one
-    per (die, sweep), or keep it alive across campaigns of the same
-    configuration to reuse its caches.
+    The analyzer holds references to one die's stacked arrays (~16.5 MB
+    with its caches at the benchmark geometry).  A campaign builds one
+    per (die, footprint) shard and drops it with the shard, serial and
+    pool alike; :meth:`~repro.core.runner.CharacterizationRunner.measure`
+    and ``stacked_die`` keep theirs on the runner, and a later campaign
+    reuses those.
     """
 
     #: Bound of the per-analyzer base cache (FIFO-evicted).  A base array

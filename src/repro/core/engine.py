@@ -332,6 +332,11 @@ class ShardRunner:
     :class:`~repro.core.runner.CharacterizationRunner` passes its own,
     so every campaign and every ``measure`` call on it reuses them.
 
+    With ``keep_analyzers=False`` (a campaign's runner) the analyzers
+    :meth:`run` builds are dropped with their shard, as pool workers
+    drop theirs, so a serial sweep holds one die at a time; analyzers
+    already in the cache are still reused and kept.
+
     ``metrics`` (a :class:`~repro.obs.MetricsRegistry`) records
     per-cache hit/miss counters; with the default ``None`` the runner
     performs zero metrics operations.  Pool workers always run with
@@ -349,6 +354,7 @@ class ShardRunner:
             Dict[Tuple[str, int, Tuple[int, ...]], DieSweepAnalyzer]
         ] = None,
         metrics=None,
+        keep_analyzers: bool = True,
     ) -> None:
         self._config = config
         self._modules = modules
@@ -357,6 +363,7 @@ class ShardRunner:
         )
         self._analyzer_cache = analyzer_cache if analyzer_cache is not None else {}
         self._metrics = metrics
+        self._keep_analyzers = keep_analyzers
 
     @property
     def config(self) -> CharacterizationConfig:
@@ -403,12 +410,14 @@ class ShardRunner:
         module: Module,
         die: int,
         offsets: Tuple[int, ...] = DEFAULT_OFFSETS,
+        keep: bool = True,
     ) -> DieSweepAnalyzer:
         """The (cached) sweep analyzer of one (die, footprint).
 
         Patterns whose victims fit the canonical triple share one
         analyzer per die; wide DSL footprints get their own (their
-        stacks differ).  A miss builds the analyzer's stacked die.
+        stacks differ).  A miss builds the analyzer's stacked die, and
+        caches it unless ``keep`` is false.
         """
         key = (module.key, die, offsets)
         analyzer = self._analyzer_cache.get(key)
@@ -431,7 +440,8 @@ class ShardRunner:
                 temperature_c=self._config.temperature_c,
                 timings=self._config.timings,
             )
-            self._analyzer_cache[key] = analyzer
+            if keep:
+                self._analyzer_cache[key] = analyzer
         return analyzer
 
     def run(self, shard: Shard) -> List[DieMeasurement]:
@@ -466,7 +476,9 @@ class ShardRunner:
                 if analyzer is None:  # lazily: fully cached shards skip it
                     if module is None:
                         module = self._modules[module_key]
-                    analyzer = self.analyzer(module, die, offsets)
+                    analyzer = self.analyzer(
+                        module, die, offsets, keep=self._keep_analyzers
+                    )
                     analyzers[offsets] = analyzer
                 analyses = analyzer.analyze_trials(
                     pattern, t_on, list(missing), cfg.jitter_sigma

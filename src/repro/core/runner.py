@@ -1,9 +1,10 @@
 """Characterization runner: sweeps modules x patterns x tAggON x trials.
 
 The runner is the one characterization campaign entry point.  It owns
-the caches every sweep reuses (per-die sweep analyzers, each holding its
-stacked population, and memoized measurements), honours the 60 ms
-iteration bound,
+the memoized measurements every sweep reuses and the per-die sweep
+analyzers (each holding its stacked population) that :meth:`measure`
+and :meth:`stacked_die` keep; a sweep drops each die's analyzer with
+its shard.  It honours the 60 ms iteration bound
 and emits :class:`~repro.core.results.DieMeasurement` records that the
 analysis layer aggregates into the paper's tables and figures.  Sweeps
 plan their work-list and dispatch it through the execution engine
@@ -59,7 +60,9 @@ class CharacterizationRunner:
     Every closed-form measurement -- sweeps and :meth:`measure` alike --
     runs through one :class:`~repro.core.engine.ShardRunner` over the
     runner's two caches: the per-die analyzers (each owning its stacked
-    die) and the measurement memo.
+    die) and the measurement memo.  A sweep reuses analyzers already
+    cached but keeps none it builds past their shard, on every executor,
+    so a serial sweep holds one die at a time.
     """
 
     def __init__(
@@ -100,7 +103,9 @@ class CharacterizationRunner:
 
     # ------------------------------------------------------------ measurement
 
-    def _shard_runner(self, modules: Sequence[Module]) -> ShardRunner:
+    def _shard_runner(
+        self, modules: Sequence[Module], keep_analyzers: bool = True
+    ) -> ShardRunner:
         """A shard runner over ``modules`` and this runner's caches."""
         obs = self._obs
         return ShardRunner(
@@ -109,6 +114,7 @@ class CharacterizationRunner:
             self._measurement_cache,
             self._analyzer_cache,
             metrics=obs.metrics if obs is not None else None,
+            keep_analyzers=keep_analyzers,
         )
 
     def stacked_die(
@@ -219,7 +225,9 @@ class CharacterizationRunner:
 
         completed = run_plan(
             plan,
-            self._shard_runner(modules),
+            # A sweep drops each die's analyzer with its shard, on every
+            # executor, so a serial campaign holds one die at a time.
+            self._shard_runner(modules, keep_analyzers=False),
             executor,
             fingerprint,
             policy=policy,

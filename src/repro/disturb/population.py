@@ -202,18 +202,23 @@ def victim_rows_block(
     Returns a dict of ``(n_rows, n_cells)`` arrays (same fields as
     :class:`VictimRowCells`).  Bit-identical per row to
     :func:`victim_row_cells`: each row consumes its own named stream in
-    the same draw order; only the post-draw arithmetic is hoisted out of
-    the per-row loop (the hoisted ops are elementwise in the same order,
-    so every float is reproduced exactly).  This is the bulk fast path
-    used to build stacked dies; the per-row function remains the
-    authoritative definition (and is what the command-level interpreter
-    uses), which the test suite asserts by comparing the two.
+    the same draw order (seeded in one batch by :func:`repro.rng.row_streams`,
+    which equals :func:`repro.rng.stream` per row); only the post-draw
+    arithmetic is hoisted out of the per-row loop (the hoisted ops are
+    elementwise in the same order, so every float is reproduced
+    exactly).  This is the bulk fast path used to build stacked dies;
+    the per-row function remains the authoritative definition (and is
+    what the command-level interpreter uses), which the test suite
+    asserts by comparing the two.  ``physical_rows`` are the rows'
+    ``int`` stream keys.
     """
     n_rows = len(physical_rows)
     z = np.empty((n_rows, 8, n_cells))
     anti_u = np.empty((n_rows, n_cells))
-    for i, row in enumerate(physical_rows):
-        gen = rng.stream("cells", module_key, die_index, int(row), n_cells)
+    gens = rng.row_streams(
+        ("cells", module_key, die_index), physical_rows, (n_cells,)
+    )
+    for i, gen in enumerate(gens):
         gen.standard_normal(out=z[i])
         gen.random(out=anti_u[i])
     sigmas = np.array(

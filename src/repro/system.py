@@ -75,9 +75,11 @@ def build_modules(
     uses for campaign shards: the first uncached module is calibrated
     in-process as a probe, and the rest go to ``min(usable CPUs,
     remaining modules)`` workers only when this process may run on at
-    least 2 CPUs and the probe's seconds per warm die (its dies after
-    the first, which runs cold) times the remaining dies reach
-    :attr:`~repro.core.engine.AutoExecutor.min_parallel_seconds`.
+    least 2 CPUs and the estimated serial remainder reaches
+    :attr:`~repro.core.engine.AutoExecutor.min_parallel_seconds`: the
+    probe's seconds per warm die (its dies after the first, which runs
+    cold) times the remaining dies, plus its seconds outside its dies
+    (the module-level solves) times the remaining modules.
     A 1-CPU affinity mask therefore calibrates serially, and so does a
     build with one uncached module.  Pooled results enter the cache, are
     bit for bit the serial ones, and the pool is shut down before this
@@ -110,20 +112,25 @@ def _calibrate(
         )
         probe_seconds = time.monotonic() - start
         # The process's first die runs cold (~45 % slower): the estimate
-        # uses the probe's later dies only.
+        # uses the probe's later dies only, plus the probe's seconds
+        # outside its dies (the module-level solves) once per module.
         warm = die_seconds[1:] or die_seconds
         per_die = sum(warm) / len(warm)
-        estimate = per_die * sum(MODULE_PROFILES[k].n_dies for k in pending)
+        per_module = max(0.0, probe_seconds - sum(die_seconds))
+        estimate = (
+            per_die * sum(MODULE_PROFILES[k].n_dies for k in pending)
+            + per_module * len(pending)
+        )
         threshold = engine.AutoExecutor.min_parallel_seconds
         workers = min(cpus, len(pending))
         pooled = estimate >= threshold
         logger.info(
             "calibration: %s for %d module(s) (%d usable CPU(s), probe %s "
-            "%.3fs, %.4fs per warm die, ~%.3fs serial left, pool threshold "
-            "%gs)",
+            "%.3fs, %.4fs per warm die, %.4fs per module solve, ~%.3fs "
+            "serial left, pool threshold %gs)",
             f"pool of {workers} workers" if pooled else "serial",
-            len(pending), cpus, probe, probe_seconds, per_die, estimate,
-            threshold,
+            len(pending), cpus, probe, probe_seconds, per_die, per_module,
+            estimate, threshold,
         )
         if pooled:
             solved.update(_calibrate_on_pool(pending, config, workers))

@@ -23,8 +23,12 @@ import numpy as np
 __all__ = ["SEED_SCHEME", "provenance_stamp", "check_provenance"]
 
 #: Identifier of the seed-derivation scheme (see :mod:`repro.rng`):
-#: BLAKE2b over the repr'd key tuple into a numpy SeedSequence.  Bump if
-#: the derivation ever changes -- old results would stop being
+#: BLAKE2b over the repr'd key tuple into a numpy SeedSequence.  Two
+#: paths implement it and must agree bit for bit: ``rng.stream`` (the
+#: definition, one generator per stream) and ``rng.row_streams`` (its
+#: batched port of BLAKE2b, SeedSequence and PCG64 seeding, which
+#: ``victim_rows_block`` seeds a die's rows with).  Bump if the
+#: derivation ever changes -- old results would stop being
 #: bit-reproducible.
 SEED_SCHEME = "blake2b-seedsequence-v1"
 

@@ -192,6 +192,30 @@ def test_cold_first_die_starts_no_pool(monkeypatch, cold_cache, fast_config):
     assert not cold
 
 
+def test_module_solve_seconds_count_toward_the_pool(
+    monkeypatch, spy, cold_cache, fast_config
+):
+    """The estimate adds the probe's seconds outside its dies (the
+    module-level solves) once per module left: a probe whose dies are
+    fast but whose module solve took 0.4 s leaves ~1.2 s for three more
+    modules, so the pool starts; the dies alone would stay below 1 s."""
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    scales = calibration.solve_die_scales
+    slow = [0.4]
+
+    def slow_module_solve(*args):
+        if slow:
+            time.sleep(slow.pop())
+        return scales(*args)
+
+    monkeypatch.setattr(calibration, "solve_die_scales", slow_module_solve)
+    assert engine.AutoExecutor.min_parallel_seconds == 1.0
+    system.build_modules(["H0", "H1", "H2", "H3"], fast_config)
+    assert not slow
+    assert spy.started == 1
+    assert sorted(spy.submitted) == ["H1", "H2", "H3"]
+
+
 def test_broken_pool_finishes_serially_with_warning(
     monkeypatch, force_pool, cold_cache, fast_config
 ):

@@ -333,6 +333,14 @@ def test_pool_worker_holds_one_die_at_a_time(
         monkeypatch.setattr(
             engine_mod, "fork_sharing_available", lambda: False
         )
+    _track_live_analyzers(monkeypatch)
+    results = _run(fast_config, [s0_module], ProcessExecutor(1))
+    assert list(results) == list(serial_baseline)
+
+
+def _track_live_analyzers(monkeypatch):
+    """Patch ``ShardRunner.analyzer`` to raise if another die's analyzer
+    is still alive when one is built; returns the live-analyzer map."""
     live = weakref.WeakKeyDictionary()
     build = ShardRunner.analyzer
 
@@ -348,8 +356,48 @@ def test_pool_worker_holds_one_die_at_a_time(
         return analyzer
 
     monkeypatch.setattr(ShardRunner, "analyzer", tracked)
-    results = _run(fast_config, [s0_module], ProcessExecutor(1))
+    return live
+
+
+def test_serial_sweep_holds_one_die_at_a_time(
+    fast_config, s0_module, serial_baseline, monkeypatch
+):
+    """A serial sweep drops each die's analyzer with its shard, as pool
+    workers do, so its memory is bounded by one die, not by the module."""
+    live = _track_live_analyzers(monkeypatch)
+    obs = Observability()
+    runner = CharacterizationRunner(fast_config, obs=obs)
+    results = runner.characterize(
+        [s0_module], T_VALUES, ALL_PATTERNS, trials=2, workers=1
+    )
     assert list(results) == list(serial_baseline)
+    gc.collect()
+    assert not list(live.values())
+    counters = obs.metrics.snapshot()["counters"]
+    assert counters["cache.analyzer.misses"] == s0_module.n_dies
+
+
+def test_measure_and_stacked_die_keep_their_analyzers(fast_config, s0_module):
+    """``stacked_die`` and ``measure`` still cache per die, and a sweep
+    reuses (and keeps) what they cached while dropping what it builds."""
+    obs = Observability()
+    runner = CharacterizationRunner(fast_config, obs=obs)
+    stacked = runner.stacked_die(s0_module, 0)
+    assert runner.stacked_die(s0_module, 0) is stacked
+    runner.measure(s0_module, 1, ALL_PATTERNS[0], T_VALUES[0])
+    runner.characterize(
+        [s0_module], T_VALUES, ALL_PATTERNS, dies=[0, 1, 2], trials=1,
+        workers=1,
+    )
+    counters = obs.metrics.snapshot()["counters"]
+    # Misses: die 0 and die 1 once each before the sweep, then die 2.
+    assert counters["cache.analyzer.misses"] == 3
+    assert runner.stacked_die(s0_module, 0) is stacked
+    hits = obs.metrics.snapshot()["counters"]["cache.analyzer.hits"]
+    runner.measure(s0_module, 1, ALL_PATTERNS[0], T_VALUES[-1], trial=1)
+    counters = obs.metrics.snapshot()["counters"]
+    assert counters["cache.analyzer.hits"] == hits + 1
+    assert counters["cache.analyzer.misses"] == 3
 
 
 def test_process_executor_checks_shards_before_the_pool(

@@ -31,16 +31,47 @@ def test_role_rows_offset_from_base():
         assert stacked.roles[role].rows.tolist() == expected
 
 
+_CELL_FIELDS = (
+    "theta", "g_h_lo", "g_h_hi", "g_p_lo", "g_p_hi",
+    "solo_hammer_mod", "solo_press_exp",
+)
+
+
+def _assert_stack_matches_chip(chip, bank, selection):
+    stacked = build_stacked_die(chip, bank, selection, CHECKERBOARD)
+    for arrays in stacked.roles.values():
+        for i, row in enumerate(arrays.rows):
+            cells = chip.cells(bank, int(row))
+            for field in _CELL_FIELDS:
+                assert np.array_equal(
+                    getattr(arrays, field)[i], getattr(cells, field)
+                ), (bank, int(row), field)
+            # ``anti`` reaches the stack only through ``charged``.
+            assert np.array_equal(
+                arrays.charged[i], cells.charged_mask(arrays.stored[i])
+            )
+    return stacked
+
+
 def test_stacked_cells_match_chip_cells():
-    """The fast path sees byte-identical populations to the tracker."""
+    """The batched draw (``victim_rows_block``) sees byte-identical
+    populations to the tracker's per-row ``victim_row_cells``, on bank 0
+    and on a bank whose row keys lie above 2**32."""
     chip = make_synthetic_chip(rows=256)
-    stacked = build(chip)
+    for bank in (0, 3):
+        _assert_stack_matches_chip(chip, bank, SEL)
+
+
+def test_stacked_cells_match_chip_cells_anti_cell_majority(
+    m4_module, fast_config
+):
+    """The same on a calibrated Micron die: anti-cell-majority, with
+    calibrated theta/die/press scales, on bank 1."""
+    chip = m4_module.chip(1)
+    assert chip.population.anti_cell_fraction > 0.5
+    stacked = _assert_stack_matches_chip(chip, 1, fast_config.selection)
     inner = stacked.roles["inner"]
-    for i, row in enumerate(inner.rows):
-        cells = chip.cells(0, int(row))
-        assert (inner.theta[i] == cells.theta).all()
-        assert (inner.g_p_lo[i] == cells.g_p_lo).all()
-        assert (inner.solo_press_exp[i] == cells.solo_press_exp).all()
+    assert (inner.charged != inner.stored_bool).mean() > 0.5
 
 
 def test_charged_consistent_with_data_pattern():
