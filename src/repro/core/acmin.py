@@ -286,16 +286,20 @@ class DieSweepAnalyzer:
       cached per pattern for the analyzer's lifetime;
     * the base ``theta / denom`` division of a (pattern, tAggON) point,
       from which all trials are derived by jitter scaling
-      (:meth:`analyze_trials`).  Bases are kept in a bounded FIFO cache so
-      a later campaign revisiting the same points (anchor sweeps re-tread
-      the tAggON sweep) skips the division entirely.
+      (:meth:`analyze_trials`).  With ``cache_bases`` (the default) bases
+      are kept in a bounded FIFO cache, so a later call on the same point
+      (``measure`` of another trial, a campaign after it) skips the
+      division.
 
-    The analyzer holds references to one die's stacked arrays (~16.5 MB
-    with its caches at the benchmark geometry).  A campaign builds one
-    per (die, footprint) shard and drops it with the shard, serial and
-    pool alike; :meth:`~repro.core.runner.CharacterizationRunner.measure`
-    and ``stacked_die`` keep theirs on the runner, and a later campaign
-    reuses those.
+    The analyzer holds references to one die's stacked arrays (~8 MB at
+    the benchmark geometry, plus ~0.4 MB per cached base).  A campaign
+    builds one per (die, footprint) shard with ``cache_bases=False`` and
+    drops it with the shard, serial and pool alike: a shard visits each
+    point once, and a later campaign on the same runner (anchors after
+    the sweep) rebuilds the die.  Only the analyzers that
+    :meth:`~repro.core.runner.CharacterizationRunner.measure` and
+    ``stacked_die`` build are kept on the runner and reuse their bases;
+    a later campaign reuses those analyzers too.
     """
 
     #: Bound of the per-analyzer base cache (FIFO-evicted).  A base array
@@ -309,13 +313,16 @@ class DieSweepAnalyzer:
         model: DisturbanceModel,
         temperature_c: float = CHARACTERIZATION_TEMPERATURE_C,
         timings: DDR4Timings = DEFAULT_TIMINGS,
+        cache_bases: bool = True,
     ) -> None:
         self._stacked = stacked
         self._model = model
         self._temperature_c = temperature_c
         self._timings = timings
         self._gains: Dict[str, np.ndarray] = {}
-        self._bases: Dict[Tuple[str, float], np.ndarray] = {}
+        self._bases: Optional[Dict[Tuple[str, float], np.ndarray]] = (
+            {} if cache_bases else None
+        )
 
     @property
     def stacked(self) -> StackedDie:
@@ -389,7 +396,8 @@ class DieSweepAnalyzer:
         placement, weights = _cached_role_weights(
             pattern, t_on, self._model, self._temperature_c, self._timings
         )
-        cached = self._bases.get((pattern.name, t_on))
+        bases = self._bases
+        cached = bases.get((pattern.name, t_on)) if bases is not None else None
         if cached is not None:
             return placement, weights, cached
         n_rows = self._active_rows(weights)
@@ -416,9 +424,10 @@ class DieSweepAnalyzer:
         # "never flips" semantics without a masked divide.
         with np.errstate(divide="ignore"):
             base = fused.theta[:n_rows] / denom
-        if len(self._bases) >= self.BASE_CACHE_POINTS:
-            self._bases.pop(next(iter(self._bases)))
-        self._bases[(pattern.name, t_on)] = base
+        if bases is not None:
+            if len(bases) >= self.BASE_CACHE_POINTS:
+                bases.pop(next(iter(bases)))
+            bases[(pattern.name, t_on)] = base
         return placement, weights, base
 
     def _analysis(

@@ -317,7 +317,7 @@ class CharacterizationWorkerSpec:
             )
 
     def build_runner(self) -> "ShardRunner":
-        return ShardRunner(self.config, self.modules)
+        return ShardRunner(self.config, self.modules, keep_analyzers=False)
 
 
 class ShardRunner:
@@ -332,10 +332,11 @@ class ShardRunner:
     :class:`~repro.core.runner.CharacterizationRunner` passes its own,
     so every campaign and every ``measure`` call on it reuses them.
 
-    With ``keep_analyzers=False`` (a campaign's runner) the analyzers
-    :meth:`run` builds are dropped with their shard, as pool workers
-    drop theirs, so a serial sweep holds one die at a time; analyzers
-    already in the cache are still reused and kept.
+    With ``keep_analyzers=False`` (a campaign's runner and every pool
+    worker's per-shard runner) the analyzers it builds are dropped with
+    their shard and cache no bases -- a shard visits each point once --
+    so a sweep holds one die at a time; analyzers already in the cache
+    are still reused and kept.
 
     ``metrics`` (a :class:`~repro.obs.MetricsRegistry`) records
     per-cache hit/miss counters; with the default ``None`` the runner
@@ -388,6 +389,7 @@ class ShardRunner:
             self._modules,
             dict(self._measurement_cache),
             dict(self._analyzer_cache),
+            keep_analyzers=False,
         )
 
     def cached_units(
@@ -410,14 +412,13 @@ class ShardRunner:
         module: Module,
         die: int,
         offsets: Tuple[int, ...] = DEFAULT_OFFSETS,
-        keep: bool = True,
     ) -> DieSweepAnalyzer:
         """The (cached) sweep analyzer of one (die, footprint).
 
         Patterns whose victims fit the canonical triple share one
         analyzer per die; wide DSL footprints get their own (their
-        stacks differ).  A miss builds the analyzer's stacked die, and
-        caches it unless ``keep`` is false.
+        stacks differ).  A miss builds the analyzer's stacked die; the
+        runner caches it only if it keeps its analyzers.
         """
         key = (module.key, die, offsets)
         analyzer = self._analyzer_cache.get(key)
@@ -439,8 +440,9 @@ class ShardRunner:
                 module.model,
                 temperature_c=self._config.temperature_c,
                 timings=self._config.timings,
+                cache_bases=self._keep_analyzers,
             )
-            if keep:
+            if self._keep_analyzers:
                 self._analyzer_cache[key] = analyzer
         return analyzer
 
@@ -476,9 +478,7 @@ class ShardRunner:
                 if analyzer is None:  # lazily: fully cached shards skip it
                     if module is None:
                         module = self._modules[module_key]
-                    analyzer = self.analyzer(
-                        module, die, offsets, keep=self._keep_analyzers
-                    )
+                    analyzer = self.analyzer(module, die, offsets)
                     analyzers[offsets] = analyzer
                 analyses = analyzer.analyze_trials(
                     pattern, t_on, list(missing), cfg.jitter_sigma

@@ -76,6 +76,20 @@ def test_base_cache_is_exact(stacked, s0_module):
             assert_same_analysis(again, fresh)
 
 
+def test_uncached_bases_are_exact(stacked, s0_module):
+    """An analyzer that caches no bases (a campaign's) recomputes each
+    point bit-for-bit like one that does."""
+    cached = DieSweepAnalyzer(stacked, s0_module.model)
+    uncached = DieSweepAnalyzer(stacked, s0_module.model, cache_bases=False)
+    for pattern in ALL_PATTERNS:
+        for t_on in ANCHORS:
+            reference = cached.analyze_trials(pattern, t_on, range(TRIALS))
+            for _ in range(2):
+                batch = uncached.analyze_trials(pattern, t_on, range(TRIALS))
+                for analysis, ref in zip(batch, reference):
+                    assert_same_analysis(analysis, ref)
+
+
 def test_trials_differ_from_each_other(stacked, s0_module):
     """Sanity: the jitter scale actually perturbs the trials."""
     pattern = ALL_PATTERNS[0]

@@ -377,6 +377,33 @@ def test_serial_sweep_holds_one_die_at_a_time(
     assert counters["cache.analyzer.misses"] == s0_module.n_dies
 
 
+def test_only_kept_analyzers_cache_bases(fast_config, s0_module, monkeypatch):
+    """Analyzers a campaign or a pool worker's per-shard runner builds
+    live for one shard, which visits each point once, so they hold no
+    base cache; ``measure``'s kept analyzer caches its bases."""
+    built = []
+    build = ShardRunner.analyzer
+
+    def recorded(self, module, die, *args, **kwargs):
+        analyzer = build(self, module, die, *args, **kwargs)
+        built.append(analyzer)
+        return analyzer
+
+    monkeypatch.setattr(ShardRunner, "analyzer", recorded)
+    runner = CharacterizationRunner(fast_config)
+    runner.characterize(
+        [s0_module], T_VALUES, ALL_PATTERNS, dies=[0], trials=1, workers=1
+    )
+    plan = SweepPlan.build([s0_module], T_VALUES, ALL_PATTERNS, trials=1)
+    parent = ShardRunner(fast_config, {s0_module.key: s0_module})
+    parent.build_runner().run(plan.shards[1])
+    parent.spec.build_runner().run(plan.shards[2])
+    assert len(built) == 3
+    assert all(analyzer._bases is None for analyzer in built)
+    runner.measure(s0_module, 3, ALL_PATTERNS[0], T_VALUES[0])
+    assert built[-1]._bases
+
+
 def test_measure_and_stacked_die_keep_their_analyzers(fast_config, s0_module):
     """``stacked_die`` and ``measure`` still cache per die, and a sweep
     reuses (and keeps) what they cached while dropping what it builds."""
