@@ -291,8 +291,9 @@ class DieSweepAnalyzer:
       (``measure`` of another trial, a campaign after it) skips the
       division.
 
-    The analyzer holds references to one die's stacked arrays (~8 MB at
-    the benchmark geometry, plus ~0.4 MB per cached base).  A campaign
+    The analyzer holds references to one die's stacked arrays, plus
+    ~0.4 MB per cached base at the benchmark geometry (7.9 MB for the
+    21 points of a 7-point sweep of the paper patterns).  A campaign
     builds one per (die, footprint) shard with ``cache_bases=False`` and
     drops it with the shard, serial and pool alike: a shard visits each
     point once, and a later campaign on the same runner (anchors after
